@@ -143,7 +143,7 @@ std::string DnorReconfigurer::checkpoint_state() const {
   std::string out;
   detail::emit_kv(out, "state", "dnor-v1");
   detail::emit_kv(out, "next_decision_time_s",
-                  detail::format_double(next_decision_time_s_));
+                  util::format_double(next_decision_time_s_));
   detail::emit_kv(out, "has_config", has_config_ ? "1" : "0");
   detail::emit_kv(out, "config_starts",
                   detail::join_indices(current_.group_starts()));

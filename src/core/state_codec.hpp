@@ -1,30 +1,24 @@
 // Tiny key = value codec shared by the controllers' checkpoint blobs.
 //
 // Every Reconfigurer that supports streaming checkpoints serialises its
-// mutable state as ordered `key = value` lines (doubles at %.17g so the
-// restored controller replays bit-identically).  The helpers here keep the
-// four implementations on one dialect: emit_kv appends a line, KvReader
-// consumes lines in declaration order and throws std::runtime_error on any
-// deviation — a truncated or reordered blob must fail the restore loudly,
-// never half-apply.
+// mutable state as ordered `key = value` lines (doubles at %.17g through
+// util::append_double, so the restored controller replays bit-identically).
+// The helpers here keep the four implementations on one dialect: emit_kv
+// appends a line, KvReader consumes lines in declaration order and throws
+// std::runtime_error on any deviation — a truncated or reordered blob must
+// fail the restore loudly, never half-apply.
 #pragma once
 
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "teg/config.hpp"
+#include "util/double_format.hpp"
 #include "util/parse.hpp"
 
 namespace tegrec::core::detail {
-
-inline std::string format_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 inline void emit_kv(std::string& out, const std::string& key,
                     const std::string& value) {
@@ -39,7 +33,7 @@ inline std::string join_doubles(const std::vector<double>& values) {
   std::string joined;
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i > 0) joined += ',';
-    joined += format_double(values[i]);
+    util::append_double(joined, values[i]);
   }
   return joined;
 }
@@ -138,7 +132,7 @@ inline std::string encode_periodic_state(const std::string& version,
                                          const PeriodicState& state) {
   std::string out;
   emit_kv(out, "state", version);
-  emit_kv(out, "next_run_time_s", format_double(state.next_run_time_s));
+  emit_kv(out, "next_run_time_s", util::format_double(state.next_run_time_s));
   emit_kv(out, "has_config", state.has_config ? "1" : "0");
   emit_kv(out, "config_starts", join_indices(state.current.group_starts()));
   emit_kv(out, "config_modules", std::to_string(state.current.num_modules()));

@@ -1,10 +1,12 @@
 #include "sim/checkpoint.hpp"
 
-#include <cstdio>
+#include <algorithm>
+#include <array>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "sim/spec.hpp"
 #include "util/atomic_file.hpp"
 #include "util/csv.hpp"
+#include "util/double_format.hpp"
 #include "util/float_cmp.hpp"
 #include "util/hash.hpp"
 #include "util/parse.hpp"
@@ -32,54 +35,91 @@ constexpr const char* kMagic = "# tegrec-checkpoint v1";
 // round-trips bit-exactly and a restored run continues the original
 // stream bit for bit.
 
-void emit_kv(std::ostringstream& os, const std::string& key,
-             const std::string& value) {
-  os << key << " = " << value << '\n';
+void append_kv(std::string& out, std::string_view key, std::string_view value) {
+  out += key;
+  out += " = ";
+  out += value;
+  out += '\n';
 }
 
-void emit_double(std::ostringstream& os, const std::string& key, double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  emit_kv(os, key, buffer);
+void append_double_kv(std::string& out, std::string_view key, double v) {
+  out += key;
+  out += " = ";
+  util::append_double(out, v);
+  out += '\n';
 }
 
-void emit_table(std::ostringstream& os, const util::CsvTable& table) {
-  os << "# table rows = " << table.rows.size() << '\n'
-     << util::csv_to_string(table, util::kCsvExactPrecision);
+/// "# <what> lines = N" followed by `text`, whose N lines it counts.
+void append_counted_block(std::string& out, std::string_view what,
+                          const std::string& text) {
+  out += "# ";
+  out += what;
+  out += " lines = ";
+  out += std::to_string(std::count(text.begin(), text.end(), '\n'));
+  out += '\n';
+  out += text;
+}
+
+template <std::size_t N>
+void append_table_head(std::string& out, std::size_t rows,
+                       const std::array<const char*, N>& columns) {
+  out += "# table rows = ";
+  out += std::to_string(rows);
+  out += '\n';
+  for (std::size_t i = 0; i < N; ++i) {
+    if (i > 0) out += ',';
+    out += columns[i];
+  }
+  out += '\n';
 }
 
 // Field-complete serialisations of SimulationResult and StepRecord — the
 // tegrec_lint cache-key rule cross-checks both structs (and StepperState
 // and StreamConfig) against this file, so growing any of them without
 // extending the codec fails the lint gate.
-util::CsvTable summary_table(const SimulationResult& run) {
-  util::CsvTable t;
-  t.header = {"energy_output_j",   "switch_overhead_j",
-              "avg_runtime_ms",    "runtime_per_invocation_ms",
-              "ideal_energy_j",    "num_invocations",
-              "num_switch_events", "total_switch_actuations",
-              "battery_energy_j",  "final_soc"};
-  t.rows.push_back({run.energy_output_j, run.switch_overhead_j,
-                    run.avg_runtime_ms, run.runtime_per_invocation_ms,
-                    run.ideal_energy_j, static_cast<double>(run.num_invocations),
-                    static_cast<double>(run.num_switch_events),
-                    static_cast<double>(run.total_switch_actuations),
-                    run.battery_energy_j, run.final_soc});
-  return t;
+constexpr std::array<const char*, 10> kSummaryColumns = {
+    "energy_output_j",   "switch_overhead_j",
+    "avg_runtime_ms",    "runtime_per_invocation_ms",
+    "ideal_energy_j",    "num_invocations",
+    "num_switch_events", "total_switch_actuations",
+    "battery_energy_j",  "final_soc"};
+
+constexpr std::array<const char*, 9> kStepColumns = {
+    "time_s",            "gross_power_w",     "net_power_w",
+    "ideal_power_w",     "invoked",           "switched",
+    "switch_actuations", "overhead_energy_j", "compute_time_s"};
+
+void append_summary_table(std::string& out, const SimulationResult& run) {
+  append_table_head(out, 1, kSummaryColumns);
+  const double cells[] = {run.energy_output_j,
+                          run.switch_overhead_j,
+                          run.avg_runtime_ms,
+                          run.runtime_per_invocation_ms,
+                          run.ideal_energy_j,
+                          static_cast<double>(run.num_invocations),
+                          static_cast<double>(run.num_switch_events),
+                          static_cast<double>(run.total_switch_actuations),
+                          run.battery_energy_j,
+                          run.final_soc};
+  util::append_csv_row(out, cells, util::kCsvExactPrecision);
 }
 
-util::CsvTable steps_table(const SimulationResult& run) {
-  util::CsvTable t;
-  t.header = {"time_s",  "gross_power_w",     "net_power_w",
-              "ideal_power_w", "invoked",     "switched",
-              "switch_actuations", "overhead_energy_j", "compute_time_s"};
-  for (const StepRecord& s : run.steps) {
-    t.rows.push_back({s.time_s, s.gross_power_w, s.net_power_w, s.ideal_power_w,
-                      s.invoked ? 1.0 : 0.0, s.switched ? 1.0 : 0.0,
-                      static_cast<double>(s.switch_actuations),
-                      s.overhead_energy_j, s.compute_time_s});
-  }
-  return t;
+void append_step_row(std::string& out, const StepRecord& s) {
+  const double cells[] = {s.time_s,
+                          s.gross_power_w,
+                          s.net_power_w,
+                          s.ideal_power_w,
+                          s.invoked ? 1.0 : 0.0,
+                          s.switched ? 1.0 : 0.0,
+                          static_cast<double>(s.switch_actuations),
+                          s.overhead_energy_j,
+                          s.compute_time_s};
+  util::append_csv_row(out, cells, util::kCsvExactPrecision);
+}
+
+/// Kept text of the last rendered entry, without its '\n'.
+std::string_view last_rendered(const std::string& text, std::size_t last) {
+  return std::string_view(text).substr(last, text.size() - last - 1);
 }
 
 // ----------------------------------------------------------------- decode
@@ -241,19 +281,21 @@ std::unique_ptr<core::Reconfigurer> make_stream_controller(
 }
 
 std::string stream_config_fingerprint_text(const StreamConfig& config) {
-  std::ostringstream os;
-  emit_kv(os, "scheme", stream_scheme_name(config.scheme));
-  emit_double(os, "control_period_s", config.control_period_s);
-  emit_double(os, "dt_s", config.dt_s);
-  emit_kv(os, "num_modules", std::to_string(config.num_modules));
+  std::string out;
+  append_kv(out, "scheme", stream_scheme_name(config.scheme));
+  append_double_kv(out, "control_period_s", config.control_period_s);
+  append_double_kv(out, "dt_s", config.dt_s);
+  append_kv(out, "num_modules", std::to_string(config.num_modules));
   // The physics options reuse the experiment-spec bindings (execution
   // hints excluded there), one "sim." prefix per line.
   std::istringstream sim_lines(simulation_options_fingerprint_text(config.sim));
   std::string line;
   while (std::getline(sim_lines, line)) {
-    os << "sim." << line << '\n';
+    out += "sim.";
+    out += line;
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 std::string stream_config_fingerprint(const StreamConfig& config) {
@@ -265,46 +307,89 @@ std::string stream_config_fingerprint(const StreamConfig& config) {
   return util::hex64(a) + util::hex64(b);
 }
 
-std::string encode_checkpoint(const StepperState& state,
-                              const std::string& fingerprint_text,
-                              const std::vector<std::string>& extra_lines) {
-  for (const std::string& line : extra_lines) {
-    if (line.find('\n') != std::string::npos) {
+std::string CheckpointEncoder::encode(
+    const StepperState& state, const std::string& fingerprint_text,
+    const std::vector<std::string>& extra_lines) {
+  const std::vector<StepRecord>& steps = state.partial.steps;
+
+  // Seam guards: a history shorter than the cache, or whose last cached
+  // entry no longer renders to the kept text, is not the continuation of
+  // what was rendered, so that cache starts over.
+  bool keep_rows = rows_.count <= steps.size();
+  if (keep_rows && rows_.count > 0) {
+    std::string last;
+    append_step_row(last, steps[rows_.count - 1]);
+    last.pop_back();
+    keep_rows = last_rendered(rows_.text, rows_.last) == last;
+  }
+  const bool keep_extra =
+      extra_.count <= extra_lines.size() &&
+      (extra_.count == 0 || last_rendered(extra_.text, extra_.last) ==
+                                extra_lines[extra_.count - 1]);
+
+  // Validate before touching the cache, so a throw leaves it intact.
+  for (std::size_t i = keep_extra ? extra_.count : 0; i < extra_lines.size();
+       ++i) {
+    if (extra_lines[i].find_first_of("\n\r") != std::string::npos) {
       throw std::invalid_argument(
-          "encode_checkpoint: extra line contains a newline");
+          "encode_checkpoint: extra line contains a newline or carriage "
+          "return");
     }
   }
-  std::ostringstream os;
-  os << kMagic << '\n';
-  std::size_t fp_lines = 0;
-  for (const char c : fingerprint_text) fp_lines += c == '\n' ? 1 : 0;
-  os << "# config lines = " << fp_lines << '\n' << fingerprint_text;
+  if (!keep_rows) rows_ = {};
+  if (!keep_extra) extra_ = {};
 
-  emit_kv(os, "steps_consumed", std::to_string(state.steps_consumed));
-  emit_double(os, "total_compute_s", state.total_compute_s);
-  emit_kv(os, "has_fabric", state.has_fabric ? "1" : "0");
+  for (std::size_t i = rows_.count; i < steps.size(); ++i) {
+    rows_.last = rows_.text.size();
+    append_step_row(rows_.text, steps[i]);
+  }
+  rows_.count = steps.size();
+  for (std::size_t i = extra_.count; i < extra_lines.size(); ++i) {
+    extra_.last = extra_.text.size();
+    extra_.text += extra_lines[i];
+    extra_.text += '\n';
+  }
+  extra_.count = extra_lines.size();
+
+  // The head is small and changes every call: render it fresh, then
+  // splice in the kept row and line text.
+  std::string out;
+  out += kMagic;
+  out += '\n';
+  append_counted_block(out, "config", fingerprint_text);
+
+  append_kv(out, "steps_consumed", std::to_string(state.steps_consumed));
+  append_double_kv(out, "total_compute_s", state.total_compute_s);
+  append_kv(out, "has_fabric", state.has_fabric ? "1" : "0");
   std::string starts;
   for (std::size_t i = 0; i < state.fabric_group_starts.size(); ++i) {
     if (i > 0) starts += ',';
     starts += std::to_string(state.fabric_group_starts[i]);
   }
-  emit_kv(os, "fabric_group_starts", starts);
-  emit_double(os, "battery_soc", state.battery_soc);
-  emit_double(os, "battery_energy_j", state.battery_energy_j);
+  append_kv(out, "fabric_group_starts", starts);
+  append_double_kv(out, "battery_soc", state.battery_soc);
+  append_double_kv(out, "battery_energy_j", state.battery_energy_j);
+  append_counted_block(out, "controller", state.controller_state);
 
-  std::size_t blob_lines = 0;
-  for (const char c : state.controller_state) blob_lines += c == '\n' ? 1 : 0;
-  os << "# controller lines = " << blob_lines << '\n'
-     << state.controller_state;
+  append_kv(out, "algorithm", state.partial.algorithm);
+  append_summary_table(out, state.partial);
+  append_table_head(out, steps.size(), kStepColumns);
 
-  emit_kv(os, "algorithm", state.partial.algorithm);
-  emit_table(os, summary_table(state.partial));
-  emit_table(os, steps_table(state.partial));
+  // 64 bytes cover the "# extra lines = N" and "# end" lines.
+  out.reserve(out.size() + rows_.text.size() + extra_.text.size() + 64);
+  out += rows_.text;
+  out += "# extra lines = ";
+  out += std::to_string(extra_lines.size());
+  out += '\n';
+  out += extra_.text;
+  out += "# end\n";
+  return out;
+}
 
-  os << "# extra lines = " << extra_lines.size() << '\n';
-  for (const std::string& line : extra_lines) os << line << '\n';
-  os << "# end\n";
-  return os.str();
+std::string encode_checkpoint(const StepperState& state,
+                              const std::string& fingerprint_text,
+                              const std::vector<std::string>& extra_lines) {
+  return CheckpointEncoder{}.encode(state, fingerprint_text, extra_lines);
 }
 
 namespace {

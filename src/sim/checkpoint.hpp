@@ -82,9 +82,44 @@ struct DecodedCheckpoint {
   std::vector<std::string> extra_lines;
 };
 
-/// Serialises state + extras under the given configuration stamp.
-/// `extra_lines` must not contain embedded newlines (throws
-/// std::invalid_argument) — each entry is one line of the artifact.
+/// Incremental checkpoint encoder for one growing stream.  A stream's step
+/// table and decision log only ever grow, so the encoder keeps the text of
+/// the step rows and extra lines it has already rendered and, on each call,
+/// renders only the entries past that point; the small head (magic, stamp,
+/// scalars, controller blob, summary) is rebuilt every time and spliced
+/// with the kept text.  Its output is byte-identical to a fresh encode of
+/// the same arguments.
+///
+/// The cache is guarded at its seam: when the step table or line list is
+/// shorter than what was rendered, or its last rendered entry no longer
+/// renders to the kept text (e.g. after SimStepper::restore_state to a
+/// different snapshot), that cache is dropped and re-rendered in full.
+/// Entries before the seam are trusted, so between calls a history may be
+/// appended to or replaced wholesale, never edited in the middle.
+class CheckpointEncoder {
+ public:
+  /// Serialises state + extras under the given configuration stamp.
+  /// `extra_lines` must not contain '\n' or '\r' (throws
+  /// std::invalid_argument, leaving the encoder as it was) — each entry is
+  /// one line of the artifact, and the reader strips a trailing '\r'.
+  /// Only lines not yet rendered are checked.
+  std::string encode(const StepperState& state,
+                     const std::string& fingerprint_text,
+                     const std::vector<std::string>& extra_lines = {});
+
+ private:
+  /// The first `count` entries of one sequence, rendered as '\n'-ended
+  /// lines; the last of them starts at `last`.
+  struct RenderedLines {
+    std::string text;
+    std::size_t count = 0;
+    std::size_t last = 0;
+  };
+  RenderedLines rows_;   ///< step table rows
+  RenderedLines extra_;  ///< carry-along lines
+};
+
+/// One-shot encode: CheckpointEncoder{}.encode(...).
 std::string encode_checkpoint(const StepperState& state,
                               const std::string& fingerprint_text,
                               const std::vector<std::string>& extra_lines = {});

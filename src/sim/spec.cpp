@@ -1,7 +1,6 @@
 #include "sim/spec.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -10,6 +9,7 @@
 #include <utility>
 
 #include "thermal/scenario.hpp"
+#include "util/double_format.hpp"
 #include "util/hash.hpp"
 #include "util/parse.hpp"
 
@@ -59,9 +59,7 @@ class FieldIo {
       if (const std::string* raw = lookup(key)) v = util::parse_double(*raw);
       return;
     }
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-    emit(key, buffer);
+    emit(key, util::format_double(v));
   }
 
   void field(const std::string& key, bool& v) {
@@ -119,11 +117,9 @@ class FieldIo {
       return;
     }
     std::string joined;
-    char buffer[40];
     for (std::size_t i = 0; i < v.size(); ++i) {
-      std::snprintf(buffer, sizeof(buffer), "%.17g", v[i]);
       if (i > 0) joined += ',';
-      joined += buffer;
+      util::append_double(joined, v[i]);
     }
     emit(key, joined);
   }

@@ -128,6 +128,8 @@ void StreamServer::run_array(StreamArrayOptions& array,
   std::unique_ptr<SimStepper> stepper;
   std::string fingerprint_text;
   std::vector<std::string> log_lines;  // full decision log incl. restored
+  // Renders only the step rows and log lines new since the last checkpoint.
+  CheckpointEncoder encoder;
   bool checkpointing = !array.checkpoint_path.empty();
   std::size_t steps_at_checkpoint = 0;
 
@@ -154,7 +156,7 @@ void StreamServer::run_array(StreamArrayOptions& array,
     if (!checkpointing || !stepper) return;
     try {
       const std::string content =
-          encode_checkpoint(stepper->state(), fingerprint_text, log_lines);
+          encoder.encode(stepper->state(), fingerprint_text, log_lines);
       util::AtomicWriteOptions write_options;
       write_options.fault_site = "stream.checkpoint";
       write_options.faults = array.faults;

@@ -72,28 +72,31 @@ std::vector<double> CsvTable::column(const std::string& name) const {
 }
 
 std::string csv_to_string(const CsvTable& table, int precision) {
-  std::ostringstream os;
+  std::string out;
   for (std::size_t i = 0; i < table.header.size(); ++i) {
-    os << table.header[i] << (i + 1 < table.header.size() ? "," : "");
+    if (i > 0) out += ',';
+    out += table.header[i];
   }
-  os << '\n';
-  os.precision(precision);
-  for (const auto& row : table.rows) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      // NaN round-trips as an empty cell — the same convention the bench
-      // writers use for unmeasured values.  A single-column NaN row would
-      // serialise as a blank line, which the reader skips as a separator;
-      // spell it "nan" there so the row survives.
-      if (!std::isnan(row[i])) {
-        os << row[i];
-      } else if (row.size() == 1) {
-        os << "nan";
-      }
-      if (i + 1 < row.size()) os << ',';
+  out += '\n';
+  for (const auto& row : table.rows) append_csv_row(out, row, precision);
+  return out;
+}
+
+void append_csv_row(std::string& out, std::span<const double> cells,
+                    int precision) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0) out += ',';
+    // NaN round-trips as an empty cell — the same convention the bench
+    // writers use for unmeasured values.  A single-column NaN row would
+    // serialise as a blank line, which the reader skips as a separator;
+    // spell it "nan" there so the row survives.
+    if (!std::isnan(cells[i])) {
+      append_double(out, cells[i], precision);
+    } else if (cells.size() == 1) {
+      out += "nan";
     }
-    os << '\n';
   }
-  return os.str();
+  out += '\n';
 }
 
 CsvTable csv_from_string(const std::string& text) {

@@ -8,8 +8,11 @@
 // e.g. the legacy search was skipped.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
+
+#include "util/double_format.hpp"
 
 namespace tegrec::util {
 
@@ -36,7 +39,7 @@ struct CsvTable {
 /// output readable; kCsvExactPrecision (max_digits10) round-trips every
 /// double bit-exactly — the experiment result cache depends on it.
 inline constexpr int kCsvDefaultPrecision = 12;
-inline constexpr int kCsvExactPrecision = 17;
+inline constexpr int kCsvExactPrecision = kExactDoublePrecision;
 
 /// Serialises the table; throws std::runtime_error on IO failure.
 void write_csv(const std::string& path, const CsvTable& table,
@@ -49,6 +52,11 @@ CsvTable read_csv(const std::string& path);
 /// Serialise into a string (used by tests to avoid touching the disk).
 std::string csv_to_string(const CsvTable& table,
                           int precision = kCsvDefaultPrecision);
+
+/// Appends one data row exactly as csv_to_string renders it, '\n'
+/// included — for writers that stream rows instead of building a table.
+void append_csv_row(std::string& out, std::span<const double> cells,
+                    int precision);
 CsvTable csv_from_string(const std::string& text);
 
 }  // namespace tegrec::util

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/double_format.hpp"
+
 namespace tegrec::util::json {
 
 Value::Value(Array a)
@@ -92,9 +94,7 @@ void dump_number(double n, std::string& out) {
   if (!std::isfinite(n)) {
     throw std::invalid_argument("json: NaN/Inf cannot be serialised");
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", n);
-  out += buffer;
+  append_double(out, n);
 }
 
 void dump_value(const Value& value, int indent, int depth, std::string& out) {

@@ -8,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/stepper.hpp"
+#include "sim/stream_server.hpp"
 #include "thermal/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/fault.hpp"
@@ -127,6 +130,31 @@ TEST(Checkpoint, RejectsNewlinesInExtraLines) {
                std::invalid_argument);
 }
 
+TEST(Checkpoint, RejectsCarriageReturnsInExtraLines) {
+  // The reader strips a trailing '\r' (CRLF tolerance), so such a line
+  // could not come back byte-preserved: refuse it at encode time.
+  const auto trace = test_trace();
+  const StreamConfig config = test_config(trace);
+  const std::string stamp = stream_config_fingerprint_text(config);
+  SteppedRun run = make_run(config, trace, 3);
+  const StepperState state = run.stepper->state();
+  EXPECT_THROW(encode_checkpoint(state, stamp, {"line one\r"}),
+               std::invalid_argument);
+  EXPECT_THROW(encode_checkpoint(state, stamp, {"a\rb"}),
+               std::invalid_argument);
+
+  // The incremental encoder checks each newly appended line, and a refused
+  // line leaves its cache usable.
+  CheckpointEncoder encoder;
+  std::vector<std::string> log = {"first"};
+  encoder.encode(state, stamp, log);
+  log.push_back("second\r");
+  EXPECT_THROW(encoder.encode(state, stamp, log), std::invalid_argument);
+  log.back() = "second";
+  EXPECT_EQ(encoder.encode(state, stamp, log),
+            encode_checkpoint(state, stamp, log));
+}
+
 TEST(Checkpoint, TruncatedAndCorruptArtifactsAreLoud) {
   const auto trace = test_trace();
   const StreamConfig config = test_config(trace);
@@ -151,6 +179,192 @@ TEST(Checkpoint, TruncatedAndCorruptArtifactsAreLoud) {
   ASSERT_NE(pos, std::string::npos);
   inconsistent.replace(pos, 18, "steps_consumed = 6");
   EXPECT_THROW(decode_checkpoint(inconsistent, stamp), std::runtime_error);
+}
+
+// ------------------------------------------------------ incremental encoder
+//
+// CheckpointEncoder keeps the rendered step rows and log lines between
+// calls.  Whatever the history does between checkpoints, every encode must
+// equal the one-shot encode_checkpoint of the same arguments, byte for byte.
+
+/// A longer DNOR drive, so the controller decides (and the log grows)
+/// many times over the run.
+thermal::TemperatureTrace dnor_trace() {
+  thermal::TraceGeneratorConfig config;
+  config.layout.num_modules = 12;
+  config.segments = {{thermal::DriveSegment::Kind::kUrban, 80.0, 32.0, 0.0},
+                     {thermal::DriveSegment::Kind::kCruise, 40.0, 70.0, 0.0}};
+  config.seed = 21;
+  return thermal::generate_trace(config);
+}
+
+TraceSample sample_at(const thermal::TemperatureTrace& trace, std::size_t t) {
+  TraceSample sample;
+  sample.time_s = static_cast<double>(t) * trace.dt_s();
+  sample.module_temps_c = trace.step_temperatures(t);
+  sample.ambient_c = trace.ambient_c(t);
+  return sample;
+}
+
+/// Steps `run` through samples [from, to), appending a log line per
+/// decision plus a status line every fifth step.
+void step_with_log(SteppedRun& run, const thermal::TemperatureTrace& trace,
+                   std::size_t from, std::size_t to,
+                   std::vector<std::string>& log) {
+  for (std::size_t t = from; t < to; ++t) {
+    const StepRecord rec = run.stepper->step(sample_at(trace, t));
+    if (rec.switched) log.push_back("decision at step " + std::to_string(t));
+    if (t % 5 == 0) log.push_back("status " + std::to_string(t));
+  }
+}
+
+TEST(CheckpointEncoder, MatchesOneShotAtEveryCheckpoint) {
+  const auto trace = dnor_trace();
+  StreamConfig config = test_config(trace);
+  config.scheme = StreamScheme::kDnor;
+  const std::string stamp = stream_config_fingerprint_text(config);
+  for (const std::size_t every : {1u, 7u, 50u}) {
+    SteppedRun run = make_run(config, trace, 0);
+    ASSERT_TRUE(run.stepper->checkpointable());
+    CheckpointEncoder encoder;
+    std::vector<std::string> log;
+    std::size_t checkpoints = 0;
+    std::size_t decisions = 0;
+    for (std::size_t t = 0; t < trace.num_steps(); ++t) {
+      step_with_log(run, trace, t, t + 1, log);
+      decisions += run.stepper->result().steps.back().switched ? 1 : 0;
+      if ((t + 1) % every != 0) continue;
+      const StepperState state = run.stepper->state();
+      ASSERT_EQ(encoder.encode(state, stamp, log),
+                encode_checkpoint(state, stamp, log))
+          << "every " << every << ", step " << t + 1;
+      ++checkpoints;
+    }
+    EXPECT_EQ(checkpoints, trace.num_steps() / every);
+    EXPECT_GT(decisions, 1u);  // the log grew by decisions, not just status
+  }
+}
+
+TEST(CheckpointEncoder, RebuildsAfterRestoreToShorterSnapshot) {
+  const auto trace = dnor_trace();
+  StreamConfig config = test_config(trace);
+  config.scheme = StreamScheme::kDnor;
+  const std::string stamp = stream_config_fingerprint_text(config);
+  SteppedRun run = make_run(config, trace, 0);
+  CheckpointEncoder encoder;
+  std::vector<std::string> log;
+
+  step_with_log(run, trace, 0, 40, log);
+  const StepperState early = run.stepper->state();
+  const std::vector<std::string> early_log = log;
+  step_with_log(run, trace, 40, 90, log);
+  const StepperState late = run.stepper->state();
+  ASSERT_EQ(encoder.encode(late, stamp, log),
+            encode_checkpoint(late, stamp, log));
+
+  // Rewind: both histories are now shorter than the cache.
+  run.stepper->restore_state(early);
+  log = early_log;
+  EXPECT_EQ(encoder.encode(run.stepper->state(), stamp, log),
+            encode_checkpoint(early, stamp, log));
+
+  // Continue from the rewound point; the rebuilt cache grows again.
+  step_with_log(run, trace, 40, 70, log);
+  StepperState resumed = run.stepper->state();
+  EXPECT_EQ(encoder.encode(resumed, stamp, log),
+            encode_checkpoint(resumed, stamp, log));
+
+  // Same lengths, different last entries: the seam check catches both.
+  resumed.partial.steps.back().net_power_w += 1.0;
+  log.back() += " (edited)";
+  EXPECT_EQ(encoder.encode(resumed, stamp, log),
+            encode_checkpoint(resumed, stamp, log));
+}
+
+TEST(CheckpointEncoder, NanStepCellsStayEmpty) {
+  const auto trace = test_trace();
+  const StreamConfig config = test_config(trace);
+  const std::string stamp = stream_config_fingerprint_text(config);
+  SteppedRun run = make_run(config, trace, 8);
+  StepperState state = run.stepper->state();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  state.partial.steps[2].overhead_energy_j = nan;
+  state.partial.steps.back().compute_time_s = nan;
+
+  CheckpointEncoder encoder;
+  const std::string first = encoder.encode(state, stamp);
+  EXPECT_EQ(first, encode_checkpoint(state, stamp));
+  // A NaN last row is still recognised as the cached one.
+  EXPECT_EQ(encoder.encode(state, stamp), first);
+  state.partial.steps.push_back(state.partial.steps.back());
+  state.partial.steps.back().gross_power_w = nan;
+  ++state.steps_consumed;
+  EXPECT_EQ(encoder.encode(state, stamp), encode_checkpoint(state, stamp));
+
+  const DecodedCheckpoint decoded = decode_checkpoint(first, stamp);
+  EXPECT_TRUE(std::isnan(decoded.state.partial.steps[2].overhead_energy_j));
+  EXPECT_TRUE(std::isnan(decoded.state.partial.steps[7].compute_time_s));
+  EXPECT_EQ(decoded.state.partial.steps[2].net_power_w,
+            state.partial.steps[2].net_power_w);
+}
+
+TEST(CheckpointEncoder, ServerCheckpointEqualsFreshEncode) {
+  const auto trace = dnor_trace();
+  StreamConfig config = test_config(trace);
+  config.scheme = StreamScheme::kDnor;
+  const std::string stamp = stream_config_fingerprint_text(config);
+  const std::string dir = testing::TempDir();
+  const std::string csv_path = dir + "/ckpt_encoder_trace.csv";
+  const std::string ckpt_path = dir + "/ckpt_encoder_server.ckpt";
+  trace.save_csv(csv_path);
+  std::remove(ckpt_path.c_str());
+
+  std::vector<std::string> emitted;
+  StreamServerOptions options;
+  options.stall_timeout_ms = 0;
+  options.warn = [](const std::string& message) { ADD_FAILURE() << message; };
+  StreamServer server(
+      [&emitted](const std::string& line) { emitted.push_back(line); },
+      options);
+  StreamArrayOptions array;
+  array.config = config;
+  auto feed = std::make_unique<StringFeed>();
+  feed->push(util::read_file_if_exists(csv_path).value());
+  feed->close();
+  array.feed = std::move(feed);
+  array.checkpoint_path = ckpt_path;
+  array.checkpoint_every_steps = 7;  // many incremental encodes before exit
+  server.add_array(std::move(array));
+  const std::vector<StreamArrayReport> reports = server.run();
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_TRUE(reports[0].error.empty()) << reports[0].error;
+  ASSERT_GT(reports[0].decisions, 1u);
+
+  const std::string written = util::read_file_if_exists(ckpt_path).value();
+  std::remove(csv_path.c_str());
+  std::remove(ckpt_path.c_str());
+  const DecodedCheckpoint decoded = decode_checkpoint(written, stamp);
+  EXPECT_EQ(encode_checkpoint(decoded.state, stamp, decoded.extra_lines),
+            written);
+  // The file holds the live run, not a stale cache: the full log and
+  // every step of the stepper's own final result.
+  EXPECT_EQ(decoded.extra_lines, emitted);
+  const SimulationResult& result = reports[0].result;
+  ASSERT_EQ(decoded.state.partial.steps.size(), result.steps.size());
+  EXPECT_EQ(decoded.state.steps_consumed, trace.num_steps());
+  for (std::size_t i = 0; i < result.steps.size(); ++i) {
+    const StepRecord& a = decoded.state.partial.steps[i];
+    const StepRecord& b = result.steps[i];
+    ASSERT_EQ(a.time_s, b.time_s) << i;
+    ASSERT_EQ(a.gross_power_w, b.gross_power_w) << i;
+    ASSERT_EQ(a.net_power_w, b.net_power_w) << i;
+    ASSERT_EQ(a.ideal_power_w, b.ideal_power_w) << i;
+    ASSERT_EQ(a.invoked, b.invoked) << i;
+    ASSERT_EQ(a.switched, b.switched) << i;
+    ASSERT_EQ(a.switch_actuations, b.switch_actuations) << i;
+    ASSERT_EQ(a.overhead_energy_j, b.overhead_energy_j) << i;
+    ASSERT_EQ(a.compute_time_s, b.compute_time_s) << i;
+  }
 }
 
 // ------------------------------------------------------------- fault matrix

@@ -63,7 +63,7 @@ int main() {
           .add(ind.output_power_w, 3)
           .add(match.output_power_w, 3)
           .add(100.0 * (match.output_power_w / ind.output_power_w - 1.0), 2)
-          .add(ind.bank.rowwise_ideal_power_w(), 3);
+          .add(ind.rowwise_ideal_power_w(), 3);
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("shape check: at zero imbalance both strategies coincide; the\n"
@@ -78,7 +78,7 @@ int main() {
     for (std::size_t rows_n : {1u, 2u, 4u, 5u, 10u}) {
       const auto rows = build_rows(rows_n, 100 / rows_n, 0.3);
       const auto res = core::bank_search(rows, conv);
-      const double ideal = res.bank.rowwise_ideal_power_w();
+      const double ideal = res.rowwise_ideal_power_w();
       table.begin_row()
           .add(static_cast<long long>(rows_n))
           .add(static_cast<long long>(100 / rows_n))

@@ -27,7 +27,7 @@ int main() {
   for (double dt : delta_ts) {
     const teg::Module module = teg::Module::from_delta_t(device, dt);
     std::printf("-- dT = %.0f K  (Voc=%.3f V, R=%.3f ohm) --\n", dt,
-                module.open_circuit_voltage_v(), module.internal_resistance_ohm());
+                module.port().voc_v, module.port().r_ohm);
     util::TextTable table({"V (V)", "I (A)", "P (W)"});
     for (const teg::IvPoint& pt : module.iv_sweep(11)) {
       table.begin_row().add(pt.voltage_v, 3).add(pt.current_a, 3).add(pt.power_w, 3);
@@ -39,17 +39,17 @@ int main() {
   std::printf("-- maximum power points --\n");
   util::TextTable mpp({"dT (K)", "VMPP (V)", "IMPP (A)", "PMPP (W)"});
   for (double dt : delta_ts) {
-    const teg::Module module = teg::Module::from_delta_t(device, dt);
+    const teg::LinearSource port = teg::Module::from_delta_t(device, dt).port();
     mpp.begin_row()
         .add(dt, 0)
-        .add(module.mpp_voltage_v(), 3)
-        .add(module.mpp_current_a(), 3)
-        .add(module.mpp_power_w(), 3);
+        .add(port.mpp_voltage_v(), 3)
+        .add(port.mpp_current_a(), 3)
+        .add(port.mpp_power_w(), 3);
   }
   std::printf("%s\n", mpp.render().c_str());
   std::printf("shape check: PMPP(2x dT) / PMPP(dT) ~ 4 (quadratic, minus R(T) derating)\n");
-  const double p20 = teg::Module::from_delta_t(device, 20.0).mpp_power_w();
-  const double p40 = teg::Module::from_delta_t(device, 40.0).mpp_power_w();
+  const double p20 = teg::Module::from_delta_t(device, 20.0).port().mpp_power_w();
+  const double p40 = teg::Module::from_delta_t(device, 40.0).port().mpp_power_w();
   std::printf("  measured: %.2fx\n", p40 / p20);
   return 0;
 }

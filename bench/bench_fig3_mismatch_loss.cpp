@@ -7,9 +7,10 @@
 // ("ideal").  The loss grows with the spread — the motivation for
 // reconfiguration.
 #include <cstdio>
+#include <vector>
 
-#include "teg/group.hpp"
-#include "teg/string.hpp"
+#include "teg/linear_source.hpp"
+#include "teg/module.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -22,18 +23,19 @@ int main() {
   util::TextTable table({"dT1 (K)", "dT2 (K)", "ideal (W)", "parallel (W)",
                          "par loss %", "series (W)", "ser loss %"});
   for (double dt_cold = 40.0; dt_cold >= 5.0; dt_cold -= 5.0) {
-    const teg::Module hot = teg::Module::from_delta_t(device, dt_hot);
-    const teg::Module cold = teg::Module::from_delta_t(device, dt_cold);
-    const double ideal = hot.mpp_power_w() + cold.mpp_power_w();
+    const teg::LinearSource pair[] = {
+        teg::Module::from_delta_t(device, dt_hot).port(),
+        teg::Module::from_delta_t(device, dt_cold).port()};
+    const double ideal = pair[0].mpp_power_w() + pair[1].mpp_power_w();
 
     // (a) parallel connection: same terminal voltage.
-    const teg::ParallelGroup parallel({hot, cold});
-    const double p_par = parallel.mpp_power_w();
+    const double p_par = teg::in_parallel(pair).mpp_power_w();
 
-    // (b) series connection: same current through both.
-    const teg::SeriesString series(
-        {teg::ParallelGroup({hot}), teg::ParallelGroup({cold})});
-    const double p_ser = series.mpp_power_w();
+    // (b) series connection: same current through both (one-module groups,
+    // as the array model wires a series string).
+    const teg::LinearSource groups[] = {teg::in_parallel({&pair[0], 1}),
+                                        teg::in_parallel({&pair[1], 1})};
+    const double p_ser = teg::in_series(groups).mpp_power_w();
 
     table.begin_row()
         .add(dt_hot, 0)
@@ -49,17 +51,17 @@ int main() {
   // Larger chains: loss along a realistic decaying profile, all-parallel vs
   // all-series vs balanced grouping.
   std::printf("-- 10-module decaying profile (40 K -> 8 K) --\n");
-  std::vector<teg::Module> modules;
+  std::vector<teg::LinearSource> modules;
   for (int i = 0; i < 10; ++i) {
-    modules.push_back(teg::Module::from_delta_t(device, 40.0 - 3.5 * i));
+    modules.push_back(teg::Module::from_delta_t(device, 40.0 - 3.5 * i).port());
   }
   double ideal10 = 0.0;
   for (const auto& m : modules) ideal10 += m.mpp_power_w();
 
-  const teg::ParallelGroup all_par(modules);
-  std::vector<teg::ParallelGroup> singles;
-  for (const auto& m : modules) singles.emplace_back(std::vector<teg::Module>{m});
-  const teg::SeriesString all_ser(singles);
+  const teg::LinearSource all_par = teg::in_parallel(modules);
+  std::vector<teg::LinearSource> singles;
+  for (const auto& m : modules) singles.push_back(teg::in_parallel({&m, 1}));
+  const teg::LinearSource all_ser = teg::in_series(singles);
 
   util::TextTable t10({"topology", "P (W)", "loss %"});
   t10.begin_row().add("ideal (all at own MPP)").add(ideal10, 3).add(0.0, 2);

@@ -1,5 +1,5 @@
 // Micro-benchmarks of the inner kernels: greedy partition, DP partition
-// table, configuration evaluation (string build + charger-aware MPP),
+// table, configuration evaluation (evaluator build + charger-aware MPP),
 // switch-fabric apply, and the predictors' fit/predict at the paper's
 // N = 100 scale.
 #include <benchmark/benchmark.h>
@@ -54,7 +54,8 @@ void BM_ConfigEvaluation(benchmark::State& state) {
   const power::Converter conv(kConv);
   const teg::ArrayConfig config = teg::ArrayConfig::uniform(kN, 10);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::config_power_w(array, conv, config));
+    benchmark::DoNotOptimize(
+        core::config_power_w(teg::ArrayEvaluator(array), conv, config));
   }
 }
 BENCHMARK(BM_ConfigEvaluation);

@@ -2,8 +2,8 @@
 // 10k-module farms.
 //
 // The paper attributes O(N^3) to EHTR (Sections I/V); this harness times
-// the legacy cubic path (full-scan DP + per-candidate SeriesString
-// scoring), the materialising path (divide-and-conquer DP + a full
+// the legacy cubic path (full-scan DP + per-candidate port summation over
+// module copies), the materialising path (divide-and-conquer DP + a full
 // std::vector<ArrayConfig> of candidates scored via ArrayEvaluator — the
 // O(N^2)-memory shape the streaming refactor replaced), and the streaming
 // path (candidates reconstructed out of a PartitionTable and scored during
@@ -44,6 +44,7 @@
 #include "teg/array.hpp"
 #include "teg/array_evaluator.hpp"
 #include "teg/config.hpp"
+#include "teg/linear_source.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -120,8 +121,26 @@ void reset_peak_rss() {
 #endif
 }
 
+// A candidate's port summed directly from copies of its module ports
+// (in_parallel per group, in_series over groups): the O(N) per-candidate
+// materialisation the legacy search paid before teg::ArrayEvaluator's
+// prefix sums.  Built here so the library keeps one scoring path.
+teg::LinearSource materialised_port(const teg::TegArray& array,
+                                    const teg::ArrayConfig& config) {
+  std::vector<teg::LinearSource> groups;
+  groups.reserve(config.num_groups());
+  for (std::size_t j = 0; j < config.num_groups(); ++j) {
+    std::vector<teg::LinearSource> members;
+    for (std::size_t i = config.group_begin(j); i < config.group_end(j); ++i) {
+      members.push_back(array.module(i).port());
+    }
+    groups.push_back(teg::in_parallel(members));
+  }
+  return teg::in_series(groups);
+}
+
 // The pre-optimisation EHTR search: cubic DP, then every candidate scored
-// by materialising a SeriesString of N module copies.
+// through a materialised port of N module copies.
 teg::ArrayConfig legacy_ehtr_search(const teg::TegArray& array,
                                     const power::Converter& converter) {
   const std::vector<teg::ArrayConfig> candidates = core::balanced_partitions(
@@ -129,7 +148,9 @@ teg::ArrayConfig legacy_ehtr_search(const teg::TegArray& array,
   double best_power = -1.0;
   const teg::ArrayConfig* best = &candidates.front();
   for (const teg::ArrayConfig& c : candidates) {
-    const double p = core::config_power_w(array, converter, c);
+    const double p =
+        power::optimal_operating_point(materialised_port(array, c), converter)
+            .output_power_w;
     if (p > best_power) {
       best_power = p;
       best = &c;

@@ -7,8 +7,8 @@
 #include <cstdlib>
 #include <vector>
 
-#include "teg/group.hpp"
-#include "teg/string.hpp"
+#include "teg/linear_source.hpp"
+#include "teg/module.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -33,14 +33,14 @@ int main(int argc, char** argv) {
   // Per-device curves.
   util::TextTable mpp({"dT (K)", "Voc (V)", "R (ohm)", "VMPP (V)", "IMPP (A)",
                        "PMPP (W)"});
-  std::vector<teg::Module> modules;
+  std::vector<teg::LinearSource> modules;
   for (double dt : dts) {
-    const teg::Module m = teg::Module::from_delta_t(device, dt);
+    const teg::LinearSource m = teg::Module::from_delta_t(device, dt).port();
     modules.push_back(m);
     mpp.begin_row()
         .add(dt, 1)
-        .add(m.open_circuit_voltage_v(), 3)
-        .add(m.internal_resistance_ohm(), 3)
+        .add(m.voc_v, 3)
+        .add(m.r_ohm, 3)
         .add(m.mpp_voltage_v(), 3)
         .add(m.mpp_current_a(), 3)
         .add(m.mpp_power_w(), 3);
@@ -52,10 +52,10 @@ int main(int argc, char** argv) {
   // What happens if these exact modules share a wire?
   double ideal = 0.0;
   for (const auto& m : modules) ideal += m.mpp_power_w();
-  const teg::ParallelGroup parallel(modules);
-  std::vector<teg::ParallelGroup> singles;
-  for (const auto& m : modules) singles.emplace_back(std::vector<teg::Module>{m});
-  const teg::SeriesString series(singles);
+  const teg::LinearSource parallel = teg::in_parallel(modules);
+  std::vector<teg::LinearSource> singles;  // one-module groups in series
+  for (const auto& m : modules) singles.push_back(teg::in_parallel({&m, 1}));
+  const teg::LinearSource series = teg::in_series(singles);
 
   util::TextTable combo({"connection", "P (W)", "vs ideal %"});
   combo.begin_row().add("each at own MPP (ideal)").add(ideal, 3).add(100.0, 1);

@@ -60,9 +60,9 @@ int main() {
   for (std::size_t r = 0; r < rows.size(); ++r) {
     std::printf("  row %zu: n=%zu groups, VMPP %.2f V (independent: n=%zu, %.2f V)\n",
                 r, matched.row_configs[r].num_groups(),
-                rows[r].mpp_voltage_v(matched.row_configs[r]),
+                matched.rows[r].mpp_voltage_v(),
                 independent.row_configs[r].num_groups(),
-                rows[r].mpp_voltage_v(independent.row_configs[r]));
+                independent.rows[r].mpp_voltage_v());
   }
 
   std::printf("\nbank output, independent rows:   %.2f W\n",
@@ -70,17 +70,18 @@ int main() {
   std::printf("bank output, voltage-matched:    %.2f W  (%+.2f%%)\n",
               matched.output_power_w,
               100.0 * (matched.output_power_w / independent.output_power_w - 1.0));
+  double module_ideal = 0.0;
+  for (const teg::TegArray& row : rows) module_ideal += row.ideal_power_w();
   std::printf("row-wise ideal (decoupled rows): %.2f W\n",
-              matched.bank.rowwise_ideal_power_w());
-  std::printf("per-module ideal:                %.2f W\n",
-              matched.bank.ideal_power_w());
+              matched.rowwise_ideal_power_w());
+  std::printf("per-module ideal:                %.2f W\n", module_ideal);
 
   // Who back-feeds whom at the shared port?
-  const auto currents =
-      matched.bank.row_currents_at_voltage(matched.bank.mpp_voltage_v());
+  const double bank_vmpp = matched.bank.mpp_voltage_v();
   std::printf("\nrow currents at the bank MPP voltage (negative = back-fed):\n");
-  for (std::size_t r = 0; r < currents.size(); ++r) {
-    std::printf("  row %zu: %+.3f A\n", r, currents[r]);
+  for (std::size_t r = 0; r < matched.rows.size(); ++r) {
+    std::printf("  row %zu: %+.3f A\n", r,
+                matched.rows[r].current_at_voltage(bank_vmpp));
   }
   return 0;
 }

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/objective.hpp"
+#include "teg/array_evaluator.hpp"
 
 namespace tegrec::core {
 
@@ -12,10 +12,10 @@ namespace {
 
 // Golden-section search for the bank's best common terminal voltage under
 // the converter's efficiency curve.
-double best_bank_power(const teg::StringBank& bank,
+double best_bank_power(const teg::LinearSource& bank,
                        const power::Converter& converter) {
   const double lo_init = 0.0;
-  const double hi_init = std::max(bank.equivalent_voc_v(), 1e-9);
+  const double hi_init = std::max(bank.voc_v, 1e-9);
   const double phi = (std::sqrt(5.0) - 1.0) / 2.0;
   auto value = [&](double v) {
     const double raw = bank.power_at_voltage(v);
@@ -45,7 +45,13 @@ double best_bank_power(const teg::StringBank& bank,
 
 }  // namespace
 
-double bank_power_w(const teg::StringBank& bank,
+double BankSearchResult::rowwise_ideal_power_w() const {
+  double total = 0.0;
+  for (const teg::LinearSource& row : rows) total += row.mpp_power_w();
+  return total;
+}
+
+double bank_power_w(const teg::LinearSource& bank,
                     const power::Converter& converter) {
   return best_bank_power(bank, converter);
 }
@@ -57,10 +63,16 @@ BankSearchResult bank_search(const std::vector<teg::TegArray>& rows,
 
   // Pass 1: the paper's reduction — independent INOR per row.
   std::vector<teg::ArrayConfig> configs;
+  std::vector<teg::ArrayEvaluator> evaluators;
   configs.reserve(rows.size());
+  evaluators.reserve(rows.size());
   for (const teg::TegArray& row : rows) {
     configs.push_back(inor_search(row, converter));
+    evaluators.emplace_back(row);
   }
+  auto row_vmpp = [&](std::size_t r, const teg::ArrayConfig& config) {
+    return evaluators[r].string_equivalent(config).mpp_voltage_v();
+  };
 
   if (strategy == BankStrategy::kVoltageMatched && rows.size() > 1) {
     // Pass 2: align row MPP voltages to the median.  For each row, scan
@@ -70,7 +82,7 @@ BankSearchResult bank_search(const std::vector<teg::TegArray>& rows,
     std::vector<double> vmpps;
     vmpps.reserve(rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
-      vmpps.push_back(rows[r].mpp_voltage_v(configs[r]));
+      vmpps.push_back(row_vmpp(r, configs[r]));
     }
     std::vector<double> sorted = vmpps;
     std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
@@ -85,7 +97,7 @@ BankSearchResult bank_search(const std::vector<teg::TegArray>& rows,
       const std::size_t n_hi = std::min(rows[r].size(), n0 + 3);
       for (std::size_t n = n_lo; n <= n_hi; ++n) {
         teg::ArrayConfig candidate = inor_partition(impp, n);
-        const double v = rows[r].mpp_voltage_v(candidate);
+        const double v = row_vmpp(r, candidate);
         const double dist = std::abs(v - target_v);
         if (dist < best_dist) {
           best_dist = dist;
@@ -96,13 +108,13 @@ BankSearchResult bank_search(const std::vector<teg::TegArray>& rows,
   }
 
   // Evaluate the bank at the chosen configurations.
-  std::vector<teg::SeriesString> strings;
-  strings.reserve(rows.size());
+  BankSearchResult result;
+  result.rows.reserve(rows.size());
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    strings.push_back(rows[r].build_string(configs[r]));
+    result.rows.push_back(evaluators[r].string_equivalent(configs[r]));
   }
-  teg::StringBank bank(std::move(strings));
-  BankSearchResult result{std::move(configs), bank, 0.0};
+  result.row_configs = std::move(configs);
+  result.bank = teg::in_parallel(result.rows);
   result.output_power_w = best_bank_power(result.bank, converter);
   return result;
 }

@@ -12,6 +12,10 @@
 //    restricted to group counts whose string MPP voltage is closest to the
 //    bank median, trading a little per-row optimality for parallel
 //    alignment.  Recovers most of the back-feed loss at O(rows * N) cost.
+//
+// Each row's port is its series string (ArrayEvaluator::string_equivalent);
+// the rows join in parallel at the charger (teg::in_parallel), so the bank
+// is again one linear source with a closed-form MPP.
 #pragma once
 
 #include <vector>
@@ -19,7 +23,7 @@
 #include "core/inor.hpp"
 #include "power/converter.hpp"
 #include "teg/array.hpp"
-#include "teg/string_bank.hpp"
+#include "teg/linear_source.hpp"
 
 namespace tegrec::core {
 
@@ -27,8 +31,13 @@ enum class BankStrategy { kIndependent, kVoltageMatched };
 
 struct BankSearchResult {
   std::vector<teg::ArrayConfig> row_configs;
-  teg::StringBank bank;          ///< evaluated at the found configuration
-  double output_power_w = 0.0;   ///< post-converter bank power
+  std::vector<teg::LinearSource> rows;  ///< each row's string port
+  teg::LinearSource bank;               ///< the rows in parallel
+  double output_power_w = 0.0;          ///< post-converter bank power
+
+  /// Sum of each row's own string MPP — what the bank would deliver if
+  /// every row could sit at its own MPP voltage.
+  double rowwise_ideal_power_w() const;
 };
 
 /// Searches per-row configurations for a bank of row arrays.  Every
@@ -38,7 +47,8 @@ BankSearchResult bank_search(const std::vector<teg::TegArray>& rows,
                              const power::Converter& converter,
                              BankStrategy strategy = BankStrategy::kVoltageMatched);
 
-/// Post-converter power of a bank at its best common operating voltage.
-double bank_power_w(const teg::StringBank& bank, const power::Converter& converter);
+/// Post-converter power of a bank port at its best common operating voltage.
+double bank_power_w(const teg::LinearSource& bank,
+                    const power::Converter& converter);
 
 }  // namespace tegrec::core

@@ -91,7 +91,8 @@ UpdateResult DnorReconfigurer::update(double time_s,
       const auto [e_old, e_new] =
           predicted_energies_j(current_, c_new, temps, forecast, ambient_c);
       const std::size_t toggles = 3 * current_.boundary_distance(c_new);
-      const double p_now = config_power_w(array, converter_, current_);
+      const double p_now =
+          config_power_w(teg::ArrayEvaluator(array), converter_, current_);
       // The estimate mirrors what the stepper would charge on actuation,
       // including this controller's own declared compute budget.
       const double e_overhead =

@@ -201,9 +201,9 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
   if (warm_ok) {
     std::vector<double> vocs(count);
     for (std::size_t i = 0; i < count && warm_ok; ++i) {
-      const teg::Module& m = array.module(i);
-      const double voc = m.open_circuit_voltage_v();
-      const double r = m.internal_resistance_ohm();
+      const teg::LinearSource& m = array.module(i).port();
+      const double voc = m.voc_v;
+      const double r = m.r_ohm;
       if (!std::isfinite(voc) || !std::isfinite(r) || r <= 0.0) {
         warm_ok = false;
       } else {

@@ -4,7 +4,7 @@
 
 #include "core/objective.hpp"
 #include "power/mppt.hpp"
-#include "teg/string.hpp"
+#include "teg/linear_source.hpp"
 
 namespace tegrec::core {
 
@@ -38,26 +38,30 @@ namespace {
 
 // Recursively assigns module `i` to an existing group or a fresh one
 // (canonical set-partition enumeration), scoring complete assignments.
+// Groups need not be contiguous, so each candidate's port is summed
+// directly from module ports instead of through an ArrayEvaluator.
 void enumerate_partitions(const teg::TegArray& array,
                           const power::Converter& converter, std::size_t i,
-                          std::vector<std::vector<teg::Module>>& groups,
+                          std::vector<std::vector<teg::LinearSource>>& groups,
                           SetPartitionResult& best) {
   if (i == array.size()) {
-    std::vector<teg::ParallelGroup> pgs;
-    pgs.reserve(groups.size());
-    for (const auto& members : groups) pgs.emplace_back(members);
-    const teg::SeriesString string(std::move(pgs));
+    std::vector<teg::LinearSource> ports;
+    ports.reserve(groups.size());
+    for (const auto& members : groups) ports.push_back(teg::in_parallel(members));
     const double p =
-        power::optimal_operating_point(string, converter).output_power_w;
+        power::optimal_operating_point(teg::in_series(ports), converter)
+            .output_power_w;
     ++best.evaluated;
     if (p > best.power_w) best.power_w = p;
     return;
   }
-  const teg::Module& m = array.module(i);
-  for (auto& g : groups) {
-    g.push_back(m);
+  const teg::LinearSource& m = array.module(i).port();
+  // Index, not iterator: the recursion appends to `groups` and may
+  // reallocate it before restoring its size.
+  for (std::size_t k = 0; k < groups.size(); ++k) {
+    groups[k].push_back(m);
     enumerate_partitions(array, converter, i + 1, groups, best);
-    g.pop_back();
+    groups[k].pop_back();
   }
   groups.push_back({m});
   enumerate_partitions(array, converter, i + 1, groups, best);
@@ -73,7 +77,7 @@ SetPartitionResult exhaustive_set_partition_search(
   }
   SetPartitionResult best;
   best.power_w = -1.0;
-  std::vector<std::vector<teg::Module>> groups;
+  std::vector<std::vector<teg::LinearSource>> groups;
   enumerate_partitions(array, converter, 0, groups, best);
   return best;
 }

@@ -18,24 +18,16 @@
 
 namespace tegrec::core {
 
-/// Post-converter power of a configuration at the array's current
-/// temperature distribution (settled MPPT assumed).
-double config_power_w(const teg::TegArray& array, const power::Converter& converter,
-                      const teg::ArrayConfig& config);
-
-/// Full operating point (current/voltage/raw/net power) of a configuration.
-power::OperatingPoint config_operating_point(const teg::TegArray& array,
-                                             const power::Converter& converter,
-                                             const teg::ArrayConfig& config);
-
-/// Cached variants: score against a prebuilt ArrayEvaluator in O(groups)
-/// instead of materialising a SeriesString of N module copies.  These are
-/// the hot-path overloads used by the candidate-scoring loops (EHTR, INOR,
-/// exhaustive) and the simulator's per-step evaluation.
+/// Post-converter power of a configuration at the evaluated array's
+/// temperature distribution (settled MPPT assumed), scored in O(groups)
+/// against a prebuilt ArrayEvaluator.  Every scorer uses this one model:
+/// the candidate loops (EHTR, INOR, exhaustive), DNOR's switch-or-hold
+/// estimates and the simulator's per-step evaluation.
 double config_power_w(const teg::ArrayEvaluator& evaluator,
                       const power::Converter& converter,
                       const teg::ArrayConfig& config);
 
+/// Full operating point (current/voltage/raw/net power) of a configuration.
 power::OperatingPoint config_operating_point(const teg::ArrayEvaluator& evaluator,
                                              const power::Converter& converter,
                                              const teg::ArrayConfig& config);

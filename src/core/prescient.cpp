@@ -59,7 +59,8 @@ UpdateResult PrescientReconfigurer::update(double time_s,
   if (has_config_ && c_new != current_) {
     const auto [e_old, e_new] = future_energies_j(current_, c_new, time_s);
     const std::size_t toggles = 3 * current_.boundary_distance(c_new);
-    const double p_now = config_power_w(array, converter_, current_);
+    const double p_now =
+        config_power_w(teg::ArrayEvaluator(array), converter_, current_);
     // Mirrors the stepper's actuation charge, own compute budget included.
     const double e_overhead =
         switchfab::reconfiguration_cost(

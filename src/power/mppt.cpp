@@ -8,35 +8,22 @@ namespace tegrec::power {
 
 namespace {
 
-OperatingPoint evaluate(double voc_v, double r_ohm, const Converter& converter,
-                        double current_a) {
+OperatingPoint evaluate(const teg::LinearSource& port,
+                        const Converter& converter, double current_a) {
   OperatingPoint pt;
   pt.current_a = current_a;
-  pt.voltage_v = voc_v - current_a * r_ohm;
+  pt.voltage_v = port.voltage_at_current(current_a);
   pt.array_power_w = std::max(0.0, pt.voltage_v * current_a);
   pt.output_power_w = converter.output_power_w(pt.voltage_v, pt.array_power_w);
   return pt;
 }
 
-OperatingPoint evaluate(const teg::SeriesString& string,
-                        const Converter& converter, double current_a) {
-  return evaluate(string.total_voc_v(), string.total_resistance_ohm(),
-                  converter, current_a);
-}
-
 }  // namespace
 
-OperatingPoint optimal_operating_point(const teg::SeriesString& string,
-                                       const Converter& converter, double tol_a) {
-  return optimal_operating_point(string.total_voc_v(),
-                                 string.total_resistance_ohm(), converter,
-                                 tol_a);
-}
-
-OperatingPoint optimal_operating_point(double voc_v, double r_ohm,
+OperatingPoint optimal_operating_point(const teg::LinearSource& port,
                                        const Converter& converter, double tol_a) {
   if (tol_a <= 0.0) throw std::invalid_argument("optimal_operating_point: tol <= 0");
-  const double isc = voc_v / r_ohm;
+  const double isc = port.voc_v / port.r_ohm;
   double lo = 0.0;
   double hi = isc;
   // Post-converter power is unimodal in I on [0, Isc]: P(I) is concave and
@@ -45,33 +32,24 @@ OperatingPoint optimal_operating_point(double voc_v, double r_ohm,
   const double phi = (std::sqrt(5.0) - 1.0) / 2.0;
   double x1 = hi - phi * (hi - lo);
   double x2 = lo + phi * (hi - lo);
-  double f1 = evaluate(voc_v, r_ohm, converter, x1).output_power_w;
-  double f2 = evaluate(voc_v, r_ohm, converter, x2).output_power_w;
+  double f1 = evaluate(port, converter, x1).output_power_w;
+  double f2 = evaluate(port, converter, x2).output_power_w;
   while (hi - lo > tol_a) {
     if (f1 < f2) {
       lo = x1;
       x1 = x2;
       f1 = f2;
       x2 = lo + phi * (hi - lo);
-      f2 = evaluate(voc_v, r_ohm, converter, x2).output_power_w;
+      f2 = evaluate(port, converter, x2).output_power_w;
     } else {
       hi = x2;
       x2 = x1;
       f2 = f1;
       x1 = hi - phi * (hi - lo);
-      f1 = evaluate(voc_v, r_ohm, converter, x1).output_power_w;
+      f1 = evaluate(port, converter, x1).output_power_w;
     }
   }
-  return evaluate(voc_v, r_ohm, converter, 0.5 * (lo + hi));
-}
-
-OperatingPoint array_mpp_operating_point(const teg::SeriesString& string) {
-  OperatingPoint pt;
-  pt.current_a = string.mpp_current_a();
-  pt.voltage_v = string.mpp_voltage_v();
-  pt.array_power_w = string.mpp_power_w();
-  pt.output_power_w = pt.array_power_w;  // ideal charger
-  return pt;
+  return evaluate(port, converter, 0.5 * (lo + hi));
 }
 
 PerturbObserveTracker::PerturbObserveTracker(double step_a) : step_a_(step_a) {
@@ -85,9 +63,9 @@ void PerturbObserveTracker::reset(double current_a) {
   primed_ = false;
 }
 
-OperatingPoint PerturbObserveTracker::step(const teg::SeriesString& string,
+OperatingPoint PerturbObserveTracker::step(const teg::LinearSource& port,
                                            const Converter& converter) {
-  const OperatingPoint now = evaluate(string, converter, current_a_);
+  const OperatingPoint now = evaluate(port, converter, current_a_);
   if (now.output_power_w <= 0.0) {
     // Converter dropout: the P&O power signal is flat at zero, so steer by
     // voltage instead.  Below the window (string loaded too hard) reduce
@@ -100,16 +78,16 @@ OperatingPoint PerturbObserveTracker::step(const teg::SeriesString& string,
     direction_ = -direction_;  // walked past the peak: turn around
   }
   prev_power_w_ = now.output_power_w;
-  const double isc = string.total_voc_v() / string.total_resistance_ohm();
+  const double isc = port.voc_v / port.r_ohm;
   current_a_ = std::clamp(current_a_ + direction_ * step_a_, 0.0, isc);
   return now;
 }
 
-OperatingPoint PerturbObserveTracker::run(const teg::SeriesString& string,
+OperatingPoint PerturbObserveTracker::run(const teg::LinearSource& port,
                                           const Converter& converter,
                                           std::size_t iters) {
   OperatingPoint pt;
-  for (std::size_t k = 0; k < iters; ++k) pt = step(string, converter);
+  for (std::size_t k = 0; k < iters; ++k) pt = step(port, converter);
   return pt;
 }
 

@@ -1,9 +1,11 @@
 // Maximum-power-point tracking for the array charger.
 //
 // The paper's charger runs perturb-and-observe MPPT (Femia et al. [10])
-// on the overall string current after each reconfiguration.  Because the
-// string of linear sources has a strictly concave P(I), P&O converges to a
-// neighbourhood of the optimum whose size is the perturbation step.
+// on the overall string current after each reconfiguration.  The string
+// is one linear source (teg::LinearSource) with a strictly concave P(I),
+// so P&O converges to a neighbourhood of the optimum whose size is the
+// perturbation step.  The ideal-charger MPP is the port's own closed form
+// (LinearSource::mpp_*).
 //
 // Two trackers are provided:
 //  * PerturbObserveTracker — the faithful iterative controller;
@@ -15,11 +17,11 @@
 #include <cstddef>
 
 #include "power/converter.hpp"
-#include "teg/string.hpp"
+#include "teg/linear_source.hpp"
 
 namespace tegrec::power {
 
-/// Result of tracking on one string/converter pair.
+/// Result of tracking on one port/converter pair.
 struct OperatingPoint {
   double current_a = 0.0;      ///< string current
   double voltage_v = 0.0;      ///< string (converter input) voltage
@@ -29,19 +31,9 @@ struct OperatingPoint {
 
 /// Golden-section search for the current maximising post-converter power.
 /// The search interval is [0, Isc]; tolerance is on current.
-OperatingPoint optimal_operating_point(const teg::SeriesString& string,
+OperatingPoint optimal_operating_point(const teg::LinearSource& port,
                                        const Converter& converter,
                                        double tol_a = 1e-6);
-
-/// Same search on a bare Thevenin port model V(I) = voc_v - I * r_ohm —
-/// the string reduced to its two scalars (e.g. by teg::ArrayEvaluator),
-/// bit-identical to the SeriesString overload for equal (voc, R).
-OperatingPoint optimal_operating_point(double voc_v, double r_ohm,
-                                       const Converter& converter,
-                                       double tol_a = 1e-6);
-
-/// Ideal-charger variant: maximises raw array power (closed form).
-OperatingPoint array_mpp_operating_point(const teg::SeriesString& string);
 
 /// Classic fixed-step perturb & observe controller.
 class PerturbObserveTracker {
@@ -52,11 +44,11 @@ class PerturbObserveTracker {
   /// Re-seeds the tracker (e.g. after a reconfiguration) at a current.
   void reset(double current_a);
 
-  /// One P&O iteration against the live string; returns the new point.
-  OperatingPoint step(const teg::SeriesString& string, const Converter& converter);
+  /// One P&O iteration against the live port; returns the new point.
+  OperatingPoint step(const teg::LinearSource& port, const Converter& converter);
 
   /// Runs `iters` iterations and returns the final point.
-  OperatingPoint run(const teg::SeriesString& string, const Converter& converter,
+  OperatingPoint run(const teg::LinearSource& port, const Converter& converter,
                      std::size_t iters);
 
   double current_a() const { return current_a_; }

@@ -255,8 +255,6 @@ std::unique_ptr<core::Reconfigurer> make_stream_controller(
   if (config.num_modules == 0) {
     throw std::invalid_argument("make_stream_controller: num_modules == 0");
   }
-  // Mirrors detail::run_comparison_direct (sim/experiment.cpp) so the
-  // streamed decision sequence is bit-identical to the batch harness.
   const teg::DeviceParams& device = config.sim.device;
   const power::ConverterParams& charger = config.sim.converter;
   switch (config.scheme) {

@@ -58,9 +58,10 @@ struct StreamConfig {
   SimulationOptions sim;
 };
 
-/// Builds the scheme's controller exactly as the batch comparison harness
-/// does (sim/experiment.cpp), so a streamed run over a trace's samples is
-/// bit-identical to the batch run over the trace.
+/// Builds the scheme's controller.  The batch comparison harness
+/// (detail::run_comparison_direct) builds through this same factory, so a
+/// streamed run over a trace's samples is bit-identical to the batch run
+/// over the trace.
 std::unique_ptr<core::Reconfigurer> make_stream_controller(
     const StreamConfig& config);
 

@@ -3,11 +3,9 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
-#include "core/dnor.hpp"
-#include "core/ehtr.hpp"
-#include "core/fixed_baseline.hpp"
-#include "core/inor.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/service.hpp"
 #include "sim/spec.hpp"
 
@@ -62,32 +60,20 @@ namespace detail {
 
 ComparisonResult run_comparison_direct(const thermal::TemperatureTrace& trace,
                                        const ComparisonOptions& options) {
-  const teg::DeviceParams device = options.sim.device;
-  const power::ConverterParams charger = options.sim.converter;
-
+  const std::pair<bool, StreamScheme> schemes[] = {
+      {options.include_dnor, StreamScheme::kDnor},
+      {options.include_inor, StreamScheme::kInor},
+      {options.include_ehtr, StreamScheme::kEhtr},
+      {options.include_baseline, StreamScheme::kBaseline},
+  };
   ComparisonResult out;
-  if (options.include_dnor) {
-    core::DnorParams p;
-    p.control_period_s = options.control_period_s;
-    core::DnorReconfigurer dnor(device, charger, p);
-    out.runs.push_back(run_simulation(dnor, trace, options.sim));
-  }
-  if (options.include_inor) {
-    core::InorReconfigurer inor(device, charger, options.control_period_s);
-    out.runs.push_back(run_simulation(inor, trace, options.sim));
-  }
-  if (options.include_ehtr) {
-    core::EhtrReconfigurer ehtr(device, charger, options.control_period_s,
-                                options.sim.num_threads,
-                                options.sim.ehtr_max_groups,
-                                options.sim.ehtr_warm_start,
-                                options.sim.ehtr_warm_width);
-    out.runs.push_back(run_simulation(ehtr, trace, options.sim));
-  }
-  if (options.include_baseline) {
-    auto baseline =
-        core::FixedBaselineReconfigurer::square_grid(trace.num_modules());
-    out.runs.push_back(run_simulation(baseline, trace, options.sim));
+  for (const auto& [selected, scheme] : schemes) {
+    if (!selected) continue;
+    const std::unique_ptr<core::Reconfigurer> controller =
+        make_stream_controller(StreamConfig{scheme, options.control_period_s,
+                                            trace.dt_s(), trace.num_modules(),
+                                            options.sim});
+    out.runs.push_back(run_simulation(*controller, trace, options.sim));
   }
   if (out.runs.empty()) {
     throw std::invalid_argument("run_standard_comparison: no schemes selected");

@@ -93,7 +93,7 @@ StepRecord SimStepper::step(const TraceSample& sample) {
   }
 
   // Electrical evaluation at this period's temperatures, through the
-  // cached prefix aggregates (no per-step SeriesString materialisation).
+  // cached prefix aggregates (no per-step O(N) port summation).
   const teg::TegArray array(options_.device, delta_t, ambient);
   const teg::ArrayEvaluator evaluator(array);
   rec.ideal_power_w = evaluator.ideal_power_w();

@@ -35,38 +35,16 @@ const Module& TegArray::module(std::size_t i) const {
   return modules_[i];
 }
 
-SeriesString TegArray::build_string(const ArrayConfig& config) const {
-  if (config.num_modules() != modules_.size()) {
-    throw std::invalid_argument("TegArray::build_string: config size mismatch");
-  }
-  std::vector<ParallelGroup> groups;
-  groups.reserve(config.num_groups());
-  for (std::size_t j = 0; j < config.num_groups(); ++j) {
-    std::vector<Module> members(modules_.begin() + static_cast<std::ptrdiff_t>(config.group_begin(j)),
-                                modules_.begin() + static_cast<std::ptrdiff_t>(config.group_end(j)));
-    groups.emplace_back(std::move(members));
-  }
-  return SeriesString(std::move(groups));
-}
-
-double TegArray::mpp_power_w(const ArrayConfig& config) const {
-  return build_string(config).mpp_power_w();
-}
-
-double TegArray::mpp_voltage_v(const ArrayConfig& config) const {
-  return build_string(config).mpp_voltage_v();
-}
-
 double TegArray::ideal_power_w() const {
   double total = 0.0;
-  for (const Module& m : modules_) total += m.mpp_power_w();
+  for (const Module& m : modules_) total += m.port().mpp_power_w();
   return total;
 }
 
 std::vector<double> TegArray::module_mpp_currents() const {
   std::vector<double> out;
   out.reserve(modules_.size());
-  for (const Module& m : modules_) out.push_back(m.mpp_current_a());
+  for (const Module& m : modules_) out.push_back(m.port().mpp_current_a());
   return out;
 }
 

@@ -1,15 +1,14 @@
-// The reconfigurable TEG array: temperatures + configuration -> port model.
+// The reconfigurable TEG array: device parameters bound to a per-module
+// temperature distribution.
 //
-// TegArray binds the device parameters to a per-module temperature
-// distribution and evaluates any ArrayConfig into a SeriesString whose MPP
-// the charger then tracks.  It also provides P_ideal (all modules at their
-// own MPP), the normaliser of the paper's Fig. 7.
+// TegArray holds one Module per position; teg::ArrayEvaluator turns it
+// into the port model of any ArrayConfig.  It also provides P_ideal (all
+// modules at their own MPP), the normaliser of the paper's Fig. 7.
 #pragma once
 
 #include <vector>
 
-#include "teg/config.hpp"
-#include "teg/string.hpp"
+#include "teg/module.hpp"
 
 namespace tegrec::teg {
 
@@ -29,14 +28,6 @@ class TegArray {
   void set_delta_t(std::vector<double> delta_t_k, double ambient_c);
 
   const Module& module(std::size_t i) const;
-
-  /// Evaluates a configuration into its series-string port model.
-  SeriesString build_string(const ArrayConfig& config) const;
-
-  /// Maximum power of the configuration with an ideal charger (closed form).
-  double mpp_power_w(const ArrayConfig& config) const;
-  /// String voltage at that maximum power point.
-  double mpp_voltage_v(const ArrayConfig& config) const;
 
   /// Sum of per-module MPPs: the P_ideal upper bound (Fig. 7 normaliser).
   double ideal_power_w() const;

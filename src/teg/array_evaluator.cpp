@@ -7,8 +7,6 @@
 #include <immintrin.h>
 #endif
 
-#include "teg/module.hpp"
-
 namespace tegrec::teg {
 
 namespace {
@@ -69,12 +67,9 @@ ArrayEvaluator::ArrayEvaluator(const TegArray& array) {
   conductance_prefix_.resize(n + 1, 0.0);
   norton_prefix_.resize(n + 1, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const Module& m = array.module(i);
-    conductance_prefix_[i + 1] =
-        conductance_prefix_[i] + 1.0 / m.internal_resistance_ohm();
-    norton_prefix_[i + 1] =
-        norton_prefix_[i] +
-        m.open_circuit_voltage_v() / m.internal_resistance_ohm();
+    const LinearSource& m = array.module(i).port();
+    conductance_prefix_[i + 1] = conductance_prefix_[i] + 1.0 / m.r_ohm;
+    norton_prefix_[i + 1] = norton_prefix_[i] + m.voc_v / m.r_ohm;
     ideal_power_w_ += m.mpp_power_w();
   }
 }

@@ -1,15 +1,16 @@
 // Cached O(groups) evaluation of array configurations.
 //
-// TegArray::build_string() aggregates a candidate configuration by copying
-// Module objects into fresh ParallelGroup containers — O(N) allocations and
-// copies per candidate, which dominates EHTR's ~N-candidate scoring loop and
-// the simulator's per-step evaluation.  The only per-module quantities those
-// aggregates actually consume are the conductance 1/R_i and the Norton
-// current Voc_i/R_i (see ParallelGroup's constructor); both are additive
-// over a parallel group, so prefix sums computed once per temperature
-// distribution turn any contiguous group's Thevenin equivalent into two
-// subtractions and a full ArrayConfig's port model into O(num_groups) work
-// with zero heap allocation.
+// A configuration's port is in_series over its groups of in_parallel over
+// module ports (teg/linear_source.hpp).  Summing module ports directly costs
+// O(N) per candidate, which would dominate EHTR's ~N-candidate scoring loop
+// and the simulator's per-step evaluation.  The only per-module quantities
+// the parallel sum consumes are the conductance 1/R_i and the Norton
+// current Voc_i/R_i; both are additive, so prefix sums computed once per
+// temperature distribution turn any contiguous group's Thevenin equivalent
+// into two subtractions and a full ArrayConfig's port model into
+// O(num_groups) work with zero heap allocation.  Prefix subtraction rounds
+// differently from direct summation, so the two agree to ~1e-12 relative,
+// not bit-for-bit; every production scorer uses this evaluator.
 //
 // The per-group arithmetic (two prefix lookups, a subtraction, a division,
 // a multiplication per prefix array) is data-parallel across group
@@ -27,18 +28,9 @@
 
 #include "teg/array.hpp"
 #include "teg/config.hpp"
+#include "teg/linear_source.hpp"
 
 namespace tegrec::teg {
-
-/// Thevenin port model V(I) = voc_v - I * r_ohm of a group or string.
-struct LinearSource {
-  double voc_v = 0.0;
-  double r_ohm = 0.0;
-
-  double mpp_current_a() const { return voc_v / (2.0 * r_ohm); }
-  double mpp_voltage_v() const { return voc_v / 2.0; }
-  double mpp_power_w() const { return voc_v * voc_v / (4.0 * r_ohm); }
-};
 
 /// Which block kernel evaluates per-group port models in the span overload.
 enum class ScoringKernel {

@@ -13,8 +13,8 @@ Module::Module(const DeviceParams& params, double hot_side_c, double cold_side_c
   if (delta_t_k_ > params.max_delta_t_k) {
     throw std::invalid_argument("Module: dT exceeds device validity range");
   }
-  voc_v_ = params.seebeck_total_v_k() * delta_t_k_;
-  r_ohm_ = params.resistance_at(0.5 * (hot_side_c + cold_side_c));
+  port_.voc_v = params.seebeck_total_v_k() * delta_t_k_;
+  port_.r_ohm = params.resistance_at(0.5 * (hot_side_c + cold_side_c));
 }
 
 Module Module::from_delta_t(const DeviceParams& params, double delta_t_k,
@@ -22,25 +22,9 @@ Module Module::from_delta_t(const DeviceParams& params, double delta_t_k,
   return Module(params, cold_side_c + delta_t_k, cold_side_c);
 }
 
-double Module::voltage_at_current(double current_a) const {
-  return voc_v_ - current_a * r_ohm_;
-}
-
-double Module::current_at_voltage(double voltage_v) const {
-  return (voc_v_ - voltage_v) / r_ohm_;
-}
-
-double Module::power_at_voltage(double voltage_v) const {
-  return voltage_v * current_at_voltage(voltage_v);
-}
-
-double Module::power_at_current(double current_a) const {
-  return voltage_at_current(current_a) * current_a;
-}
-
 double Module::power_into_load(double r_load_ohm) const {
   if (r_load_ohm < 0.0) throw std::invalid_argument("power_into_load: R < 0");
-  const double i = voc_v_ / (r_ohm_ + r_load_ohm);
+  const double i = port_.voc_v / (port_.r_ohm + r_load_ohm);
   return i * i * r_load_ohm;
 }
 
@@ -49,43 +33,12 @@ std::vector<IvPoint> Module::iv_sweep(std::size_t points) const {
   std::vector<IvPoint> out(points);
   for (std::size_t k = 0; k < points; ++k) {
     const double v =
-        voc_v_ * static_cast<double>(k) / static_cast<double>(points - 1);
+        port_.voc_v * static_cast<double>(k) / static_cast<double>(points - 1);
     out[k].voltage_v = v;
-    out[k].current_a = current_at_voltage(v);
-    out[k].power_w = power_at_voltage(v);
+    out[k].current_a = port_.current_at_voltage(v);
+    out[k].power_w = port_.power_at_voltage(v);
   }
   return out;
-}
-
-std::vector<double> mpp_currents(const DeviceParams& params,
-                                 const std::vector<double>& delta_t_k,
-                                 double cold_side_c) {
-  std::vector<double> out;
-  out.reserve(delta_t_k.size());
-  for (double dt : delta_t_k) {
-    out.push_back(Module::from_delta_t(params, dt, cold_side_c).mpp_current_a());
-  }
-  return out;
-}
-
-std::vector<double> mpp_powers(const DeviceParams& params,
-                               const std::vector<double>& delta_t_k,
-                               double cold_side_c) {
-  std::vector<double> out;
-  out.reserve(delta_t_k.size());
-  for (double dt : delta_t_k) {
-    out.push_back(Module::from_delta_t(params, dt, cold_side_c).mpp_power_w());
-  }
-  return out;
-}
-
-double ideal_power_w(const DeviceParams& params,
-                     const std::vector<double>& delta_t_k, double cold_side_c) {
-  double total = 0.0;
-  for (double dt : delta_t_k) {
-    total += Module::from_delta_t(params, dt, cold_side_c).mpp_power_w();
-  }
-  return total;
 }
 
 }  // namespace tegrec::teg

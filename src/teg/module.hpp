@@ -1,18 +1,19 @@
 // Electrical model of a single TEG module at an operating point.
 //
 // A Module is a value type binding DeviceParams to one (dT, mean
-// temperature) operating point.  It exposes the Thevenin quantities and
-// the maximum power point:
+// temperature) operating point.  Its terminals are a linear source
 //
-//   Voc = alpha_total * dT           V(I) = Voc - I * R
-//   IMPP = Voc / (2R)   VMPP = Voc/2   PMPP = Voc^2 / (4R)
+//   Voc = alpha_total * dT           V(I) = Voc - I * R(T_mean)
 //
-// plus I-V / P-V sweeps used to regenerate the paper's Fig. 1.
+// exposed as port(); the module itself keeps the device physics (validity
+// checks, Eq. 2's load power) and the I-V / P-V sweeps of the paper's
+// Fig. 1.
 #pragma once
 
 #include <vector>
 
 #include "teg/device.hpp"
+#include "teg/linear_source.hpp"
 
 namespace tegrec::teg {
 
@@ -35,45 +36,18 @@ class Module {
                              double cold_side_c = 25.0);
 
   double delta_t_k() const { return delta_t_k_; }
-  double open_circuit_voltage_v() const { return voc_v_; }
-  double internal_resistance_ohm() const { return r_ohm_; }
+  /// The module's terminals as a Thevenin source.
+  const LinearSource& port() const { return port_; }
 
-  /// Terminal voltage at a drawn current (linear source; negative values
-  /// indicate operation past short circuit).
-  double voltage_at_current(double current_a) const;
-  /// Current delivered into a terminal voltage.
-  double current_at_voltage(double voltage_v) const;
-  /// Output power P = V * I at a terminal voltage.
-  double power_at_voltage(double voltage_v) const;
-  /// Output power at a drawn current.
-  double power_at_current(double current_a) const;
   /// Output power into a load resistance (Eq. 2 of the paper).
   double power_into_load(double r_load_ohm) const;
-
-  double mpp_current_a() const { return voc_v_ / (2.0 * r_ohm_); }
-  double mpp_voltage_v() const { return voc_v_ / 2.0; }
-  double mpp_power_w() const { return voc_v_ * voc_v_ / (4.0 * r_ohm_); }
 
   /// Uniform I-V/P-V sweep from V=0 to V=Voc with `points` samples.
   std::vector<IvPoint> iv_sweep(std::size_t points) const;
 
  private:
   double delta_t_k_ = 0.0;
-  double voc_v_ = 0.0;
-  double r_ohm_ = 0.0;
+  LinearSource port_;
 };
-
-/// Vectorised helpers used by the reconfiguration algorithms: per-module
-/// MPP current / power for a temperature-difference distribution.
-std::vector<double> mpp_currents(const DeviceParams& params,
-                                 const std::vector<double>& delta_t_k,
-                                 double cold_side_c = 25.0);
-std::vector<double> mpp_powers(const DeviceParams& params,
-                               const std::vector<double>& delta_t_k,
-                               double cold_side_c = 25.0);
-/// Sum of module MPP powers == P_ideal of the paper's Fig. 7.
-double ideal_power_w(const DeviceParams& params,
-                     const std::vector<double>& delta_t_k,
-                     double cold_side_c = 25.0);
 
 }  // namespace tegrec::teg

@@ -7,7 +7,7 @@
 // configurable header imbalance — outer tubes see less flow), the air
 // stream splits evenly, and every row develops its own Eq. (1) decay
 // profile.  Each row carries its own TEG sub-array; the rows' series
-// strings join in parallel at the charger (teg/string_bank.hpp).
+// strings join in parallel at the charger (core/bank.hpp).
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace tegrec::util {
 
@@ -10,8 +11,15 @@ double Rng::uniform(double lo, double hi) {
 }
 
 double Rng::gaussian(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  // std::normal_distribution requires stddev > 0, but callers pass 0 for
+  // "no noise".  Scale a unit draw instead: libstdc++ returns exactly
+  // z * stddev + mean, so the stream is unchanged for stddev > 0, and a
+  // zero stddev still consumes the same engine draws.
+  if (!std::isfinite(stddev) || stddev < 0.0) {
+    throw std::invalid_argument("Rng::gaussian: stddev must be finite and >= 0");
+  }
+  std::normal_distribution<double> unit(0.0, 1.0);
+  return unit(engine_) * stddev + mean;
 }
 
 int Rng::uniform_int(int lo, int hi) {

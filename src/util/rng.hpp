@@ -17,6 +17,9 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x5eedu) : engine_(seed) {}
 
   double uniform(double lo, double hi);
+  /// Normal draw; stddev == 0 returns `mean` (still advancing the engine
+  /// like any draw).  Throws std::invalid_argument on a negative or
+  /// non-finite stddev.
   double gaussian(double mean, double stddev);
   int uniform_int(int lo, int hi);  ///< inclusive bounds
   bool bernoulli(double p);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "port_oracle.hpp"
+#include "teg/array_evaluator.hpp"
+
 namespace tegrec::teg {
 namespace {
 
@@ -30,33 +33,17 @@ TEST(TegArray, InvalidConstructionThrows) {
 TEST(TegArray, IdealPowerIsSumOfModuleMpps) {
   const TegArray array(kDev, {30.0, 20.0, 10.0});
   double expected = 0.0;
-  for (std::size_t i = 0; i < 3; ++i) expected += array.module(i).mpp_power_w();
+  for (std::size_t i = 0; i < 3; ++i) expected += array.module(i).port().mpp_power_w();
   EXPECT_NEAR(array.ideal_power_w(), expected, 1e-12);
-}
-
-TEST(TegArray, BuildStringMatchesManualConstruction) {
-  const TegArray array(kDev, {30.0, 28.0, 12.0, 10.0});
-  const ArrayConfig config({0, 2}, 4);
-  const SeriesString s = array.build_string(config);
-  ASSERT_EQ(s.num_groups(), 2u);
-  const ParallelGroup g0({array.module(0), array.module(1)});
-  const ParallelGroup g1({array.module(2), array.module(3)});
-  EXPECT_NEAR(s.total_voc_v(), g0.equivalent_voc_v() + g1.equivalent_voc_v(),
-              1e-12);
-  EXPECT_NEAR(s.mpp_power_w(), SeriesString({g0, g1}).mpp_power_w(), 1e-12);
-}
-
-TEST(TegArray, BuildStringSizeMismatchThrows) {
-  const TegArray array(kDev, {30.0, 20.0});
-  EXPECT_THROW(array.build_string(ArrayConfig::all_parallel(3)),
-               std::invalid_argument);
 }
 
 TEST(TegArray, ConfigMppNeverExceedsIdeal) {
   const TegArray array(kDev, ramp(12, 40.0, 8.0));
   for (std::size_t n : {1u, 2u, 3u, 4u, 6u, 12u}) {
     const ArrayConfig c = ArrayConfig::uniform(12, n);
-    EXPECT_LE(array.mpp_power_w(c), array.ideal_power_w() + 1e-9) << "n=" << n;
+    EXPECT_LE(oracle::direct_string_port(array, c).mpp_power_w(),
+              array.ideal_power_w() + 1e-9)
+        << "n=" << n;
   }
 }
 
@@ -64,8 +51,9 @@ TEST(TegArray, UniformTemperaturesAnyConfigIsIdeal) {
   // With identical modules every series/parallel arrangement reaches the
   // ideal power (no mismatch to lose).
   const TegArray array(kDev, std::vector<double>(8, 25.0));
+  const ArrayEvaluator evaluator(array);
   for (std::size_t n : {1u, 2u, 4u, 8u}) {
-    EXPECT_NEAR(array.mpp_power_w(ArrayConfig::uniform(8, n)),
+    EXPECT_NEAR(evaluator.mpp_power_w(ArrayConfig::uniform(8, n)),
                 array.ideal_power_w(), 1e-9);
   }
 }
@@ -84,15 +72,24 @@ TEST(TegArray, ModuleMppCurrentsMatchModules) {
   const auto currents = array.module_mpp_currents();
   ASSERT_EQ(currents.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(currents[i], array.module(i).mpp_current_a(), 1e-12);
+    EXPECT_NEAR(currents[i], array.module(i).port().mpp_current_a(), 1e-12);
   }
 }
 
-TEST(TegArray, MppVoltageConsistentWithString) {
-  const TegArray array(kDev, ramp(10, 35.0, 10.0));
-  const ArrayConfig c = ArrayConfig::uniform(10, 5);
-  EXPECT_NEAR(array.mpp_voltage_v(c), array.build_string(c).mpp_voltage_v(),
-              1e-12);
+TEST(TegArray, EvaluatorMatchesDirectPortSummation) {
+  // The evaluator's prefix sums against in_series(in_parallel(ports)).
+  const TegArray array(kDev, {30.0, 28.0, 12.0, 10.0, 7.5});
+  const ArrayEvaluator evaluator(array);
+  for (const ArrayConfig& c :
+       {ArrayConfig({0, 2}, 5), ArrayConfig::all_parallel(5),
+        ArrayConfig::all_series(5), ArrayConfig({0, 1, 4}, 5)}) {
+    const LinearSource direct = oracle::direct_string_port(array, c);
+    const LinearSource cached = evaluator.string_equivalent(c);
+    EXPECT_NEAR(cached.voc_v, direct.voc_v, 1e-12 * direct.voc_v);
+    EXPECT_NEAR(cached.r_ohm, direct.r_ohm, 1e-12 * direct.r_ohm);
+  }
+  EXPECT_THROW(evaluator.string_equivalent(ArrayConfig::all_parallel(4)),
+               std::invalid_argument);
 }
 
 }  // namespace

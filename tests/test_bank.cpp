@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "teg/array_evaluator.hpp"
 #include "thermal/radiator2d.hpp"
 
 namespace tegrec::core {
@@ -70,8 +71,34 @@ TEST(BankSearch, BoundedByIdeal) {
   const power::Converter conv(kConv);
   const auto rows = make_rows(0.3);
   const BankSearchResult res = bank_search(rows, conv);
-  EXPECT_LE(res.output_power_w, res.bank.ideal_power_w() + 1e-9);
-  EXPECT_LE(res.bank.mpp_power_w(), res.bank.rowwise_ideal_power_w() + 1e-9);
+  double ideal = 0.0;
+  for (const auto& row : rows) ideal += row.ideal_power_w();
+  EXPECT_LE(res.output_power_w, ideal + 1e-9);
+  EXPECT_LE(res.bank.mpp_power_w(), res.rowwise_ideal_power_w() + 1e-9);
+  EXPECT_LE(res.rowwise_ideal_power_w(), ideal + 1e-9);
+}
+
+TEST(BankSearch, BankIsRowPortsInParallel) {
+  // Each row's port is its string at the chosen configuration; the bank
+  // joins them at one terminal voltage.
+  const power::Converter conv(kConv);
+  const auto rows = make_rows(0.4);
+  const BankSearchResult res = bank_search(rows, conv);
+  ASSERT_EQ(res.rows.size(), rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const teg::LinearSource row =
+        teg::ArrayEvaluator(rows[r]).string_equivalent(res.row_configs[r]);
+    EXPECT_EQ(res.rows[r].voc_v, row.voc_v);
+    EXPECT_EQ(res.rows[r].r_ohm, row.r_ohm);
+  }
+  const teg::LinearSource bank = teg::in_parallel(res.rows);
+  EXPECT_EQ(res.bank.voc_v, bank.voc_v);
+  EXPECT_EQ(res.bank.r_ohm, bank.r_ohm);
+  // Row currents at the bank voltage sum to the bank current.
+  const double v = 0.8 * res.bank.mpp_voltage_v();
+  double total = 0.0;
+  for (const teg::LinearSource& row : res.rows) total += row.current_at_voltage(v);
+  EXPECT_NEAR(total, res.bank.current_at_voltage(v), 1e-9);
 }
 
 TEST(BankPower, MatchesBankMppUnderIdealConverter) {

@@ -7,12 +7,10 @@
 #include "core/dnor.hpp"
 #include "core/objective.hpp"
 #include "core/prescient.hpp"
-#include "predict/ensemble.hpp"
 #include "predict/evaluate.hpp"
 #include "predict/holt.hpp"
-#include "predict/mlr.hpp"
 #include "sim/simulator.hpp"
-#include "teg/string_bank.hpp"
+#include "teg/linear_source.hpp"
 #include "thermal/trace.hpp"
 
 namespace tegrec {
@@ -52,29 +50,16 @@ TEST(EdgeCases, PrescientTruncatesLookaheadAtTraceEnd) {
   }
 }
 
-TEST(EdgeCases, DnorWithEnsemblePredictor) {
-  // Controller composition: DNOR driven by an MLR+Holt ensemble.
-  std::vector<std::unique_ptr<predict::Predictor>> members;
-  members.push_back(std::make_unique<predict::MlrPredictor>());
-  members.push_back(std::make_unique<predict::HoltPredictor>());
-  core::DnorParams params;
-  params.history_window = 12;
-  core::DnorReconfigurer dnor(
-      kDev, kConv, params,
-      std::make_unique<predict::EnsemblePredictor>(std::move(members)));
-  const auto trace = mini_trace();
-  const sim::SimulationResult res = sim::run_simulation(dnor, trace);
-  EXPECT_GT(res.energy_output_j, 0.0);
-}
-
 TEST(EdgeCases, SingleModulePerGroupBankRow) {
   // A bank whose rows are full-series strings (every group a singleton).
   std::vector<double> dts{30.0, 25.0, 20.0, 15.0};
   const teg::TegArray array(kDev, dts);
-  const teg::SeriesString full_series =
-      array.build_string(teg::ArrayConfig::all_series(4));
-  const teg::StringBank bank({full_series, full_series});
-  EXPECT_NEAR(bank.mpp_power_w(), 2.0 * full_series.mpp_power_w(), 1e-9);
+  const teg::LinearSource full_series =
+      teg::ArrayEvaluator(array).string_equivalent(
+          teg::ArrayConfig::all_series(4));
+  const std::vector<teg::LinearSource> rows{full_series, full_series};
+  EXPECT_NEAR(teg::in_parallel(rows).mpp_power_w(),
+              2.0 * full_series.mpp_power_w(), 1e-9);
 }
 
 TEST(EdgeCases, BankSearchSingleRowMatchesInor) {
@@ -90,18 +75,20 @@ TEST(EdgeCases, BankSearchSingleRowMatchesInor) {
 
 TEST(EdgeCases, ModuleAtMaxValidDeltaT) {
   const teg::Module m = teg::Module::from_delta_t(kDev, kDev.max_delta_t_k);
-  EXPECT_GT(m.mpp_power_w(), 0.0);
-  EXPECT_LE(m.open_circuit_voltage_v(),
+  EXPECT_GT(m.port().mpp_power_w(), 0.0);
+  EXPECT_LE(m.port().voc_v,
             kDev.seebeck_total_v_k() * kDev.max_delta_t_k + 1e-9);
 }
 
 TEST(EdgeCases, TwoModuleArrayEndToEnd) {
   // The smallest array the switch fabric supports.
   const teg::TegArray array(kDev, {30.0, 12.0});
+  const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv(kConv);
   const teg::ArrayConfig c =
       core::inor_search(array, conv, core::InorOptions{.nmin = 1, .nmax = 2});
-  EXPECT_LE(core::config_power_w(array, conv, c), array.ideal_power_w() + 1e-9);
+  EXPECT_LE(core::config_power_w(evaluator, conv, c),
+            array.ideal_power_w() + 1e-9);
 }
 
 TEST(EdgeCases, SimulatorSingleStepTrace) {

@@ -88,9 +88,12 @@ TEST(EhtrSearch, AtLeastAsGoodAsInorPerInstant) {
     std::vector<double> dts(16);
     for (auto& dt : dts) dt = rng.uniform(6.0, 38.0);
     const teg::TegArray array(kDev, dts);
-    const double p_ehtr = config_power_w(array, conv, ehtr_search(array, conv));
+    const teg::ArrayEvaluator evaluator(array);
+    const double p_ehtr =
+        config_power_w(evaluator, conv, ehtr_search(array, conv));
     const double p_inor = config_power_w(
-        array, conv, inor_search(array, conv, InorOptions{.nmin = 1, .nmax = 16}));
+        evaluator, conv,
+        inor_search(array, conv, InorOptions{.nmin = 1, .nmax = 16}));
     EXPECT_GE(p_ehtr, p_inor - 1e-9) << "trial " << trial;
   }
 }
@@ -100,7 +103,8 @@ TEST(EhtrSearch, NeverExceedsIdeal) {
   std::vector<double> dts(20);
   for (std::size_t i = 0; i < dts.size(); ++i) dts[i] = 36.0 - 1.5 * i;
   const teg::TegArray array(kDev, dts);
-  EXPECT_LE(config_power_w(array, conv, ehtr_search(array, conv)),
+  const teg::ArrayEvaluator evaluator(array);
+  EXPECT_LE(config_power_w(evaluator, conv, ehtr_search(array, conv)),
             array.ideal_power_w() + 1e-9);
 }
 

@@ -1,8 +1,8 @@
 // Equivalence and determinism suite for the optimised EHTR hot path:
 //  * the divide-and-conquer partition DP must reproduce the legacy cubic
 //    oracle's partition costs bit-for-bit (same objective, same tie-break),
-//  * ArrayEvaluator's cached scoring must match the SeriesString path to
-//    1e-12 relative,
+//  * ArrayEvaluator's cached scoring must match direct port summation
+//    (in_series over in_parallel of module ports) to 1e-12 relative,
 //  * parallel candidate scoring must be bit-identical for every thread
 //    count, end to end through the simulator,
 //  * an all-NaN temperature field must degrade to the first candidate
@@ -15,6 +15,7 @@
 #include <limits>
 
 #include "core/objective.hpp"
+#include "port_oracle.hpp"
 #include "sim/simulator.hpp"
 #include "teg/array_evaluator.hpp"
 #include "thermal/trace.hpp"
@@ -85,7 +86,7 @@ TEST(PartitionDpEquivalence, DcMatchesLegacyWithTiesAndZeros) {
   }
 }
 
-TEST(ArrayEvaluatorSuite, MatchesBuildStringAcrossRandomFields) {
+TEST(ArrayEvaluatorSuite, MatchesDirectSummationAcrossRandomFields) {
   util::Rng rng(41);
   for (std::size_t trial = 0; trial < 10; ++trial) {
     std::vector<double> dts(40);
@@ -107,15 +108,15 @@ TEST(ArrayEvaluatorSuite, MatchesBuildStringAcrossRandomFields) {
     }
 
     for (const teg::ArrayConfig& c : configs) {
-      const teg::SeriesString string = array.build_string(c);
+      const teg::LinearSource direct = oracle::direct_string_port(array, c);
       const teg::LinearSource port = evaluator.string_equivalent(c);
-      const double tol_v = 1e-12 * std::max(1.0, std::abs(string.total_voc_v()));
-      const double tol_r =
-          1e-12 * std::max(1.0, std::abs(string.total_resistance_ohm()));
-      EXPECT_NEAR(port.voc_v, string.total_voc_v(), tol_v);
-      EXPECT_NEAR(port.r_ohm, string.total_resistance_ohm(), tol_r);
+      const double tol_v = 1e-12 * std::max(1.0, std::abs(direct.voc_v));
+      const double tol_r = 1e-12 * std::max(1.0, std::abs(direct.r_ohm));
+      EXPECT_NEAR(port.voc_v, direct.voc_v, tol_v);
+      EXPECT_NEAR(port.r_ohm, direct.r_ohm, tol_r);
 
-      const double p_string = config_power_w(array, conv, c);
+      const double p_string =
+          power::optimal_operating_point(direct, conv).output_power_w;
       const double p_cached = config_power_w(evaluator, conv, c);
       EXPECT_NEAR(p_cached, p_string, 1e-12 * std::max(1.0, std::abs(p_string)))
           << "trial " << trial << " config " << c.to_string();
@@ -123,21 +124,17 @@ TEST(ArrayEvaluatorSuite, MatchesBuildStringAcrossRandomFields) {
   }
 }
 
-TEST(ArrayEvaluatorSuite, GroupEquivalentMatchesParallelGroup) {
+TEST(ArrayEvaluatorSuite, GroupEquivalentMatchesInParallel) {
   std::vector<double> dts(12);
   for (std::size_t i = 0; i < dts.size(); ++i) dts[i] = 8.0 + 2.5 * static_cast<double>(i);
   const teg::TegArray array(kDev, dts);
   const teg::ArrayEvaluator evaluator(array);
   for (std::size_t b = 0; b < 12; ++b) {
     for (std::size_t e = b + 1; e <= 12; ++e) {
-      std::vector<teg::Module> members;
-      for (std::size_t i = b; i < e; ++i) members.push_back(array.module(i));
-      const teg::ParallelGroup group(members);
+      const teg::LinearSource group = oracle::direct_group_port(array, b, e);
       const teg::LinearSource src = evaluator.group_equivalent(b, e);
-      EXPECT_NEAR(src.voc_v, group.equivalent_voc_v(),
-                  1e-12 * std::max(1.0, group.equivalent_voc_v()));
-      EXPECT_NEAR(src.r_ohm, group.equivalent_resistance_ohm(),
-                  1e-12 * std::max(1.0, group.equivalent_resistance_ohm()));
+      EXPECT_NEAR(src.voc_v, group.voc_v, 1e-12 * std::max(1.0, group.voc_v));
+      EXPECT_NEAR(src.r_ohm, group.r_ohm, 1e-12 * std::max(1.0, group.r_ohm));
     }
   }
   EXPECT_THROW(evaluator.group_equivalent(3, 3), std::out_of_range);

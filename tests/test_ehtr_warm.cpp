@@ -49,6 +49,7 @@ TEST(EhtrWarm, BitIdenticalToColdAcrossSeedsAndDriftingFields) {
     std::size_t incumbent = 0;  // first step: no held config, window seed
     for (int step = 0; step < 5; ++step) {
       const teg::TegArray array(kDev, drifting_field(rng, n, step));
+      const teg::ArrayEvaluator evaluator(array);
       const teg::ArrayConfig cold = ehtr_search(array, conv);
 
       EhtrWarmStart warm;
@@ -61,8 +62,8 @@ TEST(EhtrWarm, BitIdenticalToColdAcrossSeedsAndDriftingFields) {
                       &stats);
 
       ASSERT_EQ(hot, cold) << "seed " << seed << " step " << step;
-      EXPECT_EQ(config_power_w(array, conv, hot),
-                config_power_w(array, conv, cold));
+      EXPECT_EQ(config_power_w(evaluator, conv, hot),
+                config_power_w(evaluator, conv, cold));
       EXPECT_TRUE(stats.warm_used);
       EXPECT_EQ(stats.max_groups, n);
       EXPECT_LE(stats.groups_certified, stats.max_groups);
@@ -81,11 +82,12 @@ TEST(EhtrWarm, BitIdenticalAcrossThreadsDpKindsAndCaps) {
   util::Rng rng(1234);
   for (unsigned trial = 0; trial < 5; ++trial) {
     const teg::TegArray array(kDev, drifting_field(rng, n, int(trial)));
+    const teg::ArrayEvaluator evaluator(array);
     for (const PartitionDp dp : kinds) {
       for (const std::size_t cap : caps) {
         // Cold reference: single-threaded full solve of this (dp, cap).
         const teg::ArrayConfig cold = ehtr_search(array, conv, 1, dp, cap);
-        const double cold_power = config_power_w(array, conv, cold);
+        const double cold_power = config_power_w(evaluator, conv, cold);
         for (const std::size_t nt : threads) {
           EhtrWarmStart warm;
           warm.enabled = true;
@@ -94,7 +96,7 @@ TEST(EhtrWarm, BitIdenticalAcrossThreadsDpKindsAndCaps) {
           const teg::ArrayConfig hot = ehtr_search(array, conv, nt, dp, cap, warm);
           ASSERT_EQ(hot, cold)
               << "dp=" << int(dp) << " cap=" << cap << " threads=" << nt;
-          EXPECT_EQ(config_power_w(array, conv, hot), cold_power);
+          EXPECT_EQ(config_power_w(evaluator, conv, hot), cold_power);
         }
       }
     }
@@ -109,8 +111,9 @@ TEST(EhtrWarm, ExtremeWarmSettingsStillMatchCold) {
   const power::Converter conv(kConv);
   util::Rng rng(77);
   const teg::TegArray array(kDev, drifting_field(rng, n, 0));
+  const teg::ArrayEvaluator evaluator(array);
   const teg::ArrayConfig cold = ehtr_search(array, conv);
-  const double cold_power = config_power_w(array, conv, cold);
+  const double cold_power = config_power_w(evaluator, conv, cold);
 
   struct Case {
     std::size_t incumbent;
@@ -128,7 +131,7 @@ TEST(EhtrWarm, ExtremeWarmSettingsStillMatchCold) {
         ehtr_search(array, conv, 1, PartitionDp::kDivideAndConquer, 0, warm,
                     &stats);
     ASSERT_EQ(hot, cold) << "incumbent=" << c.incumbent << " width=" << c.width;
-    EXPECT_EQ(config_power_w(array, conv, hot), cold_power);
+    EXPECT_EQ(config_power_w(evaluator, conv, hot), cold_power);
     EXPECT_TRUE(stats.warm_used);
   }
 }
@@ -145,6 +148,7 @@ TEST(EhtrWarm, PruningActuallyEngagesOnLargeArrays) {
     dts[i] = 4.0 + 38.0 * std::exp(-1.9 * x) + rng.uniform(0.0, 1.0);
   }
   const teg::TegArray array(kDev, dts);
+  const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv(kConv);
 
   EhtrWarmStart warm;
@@ -162,7 +166,8 @@ TEST(EhtrWarm, PruningActuallyEngagesOnLargeArrays) {
   // And the certified result still matches the cold sweep exactly.
   const teg::ArrayConfig cold = ehtr_search(array, conv, 0);
   ASSERT_EQ(hot, cold);
-  EXPECT_EQ(config_power_w(array, conv, hot), config_power_w(array, conv, cold));
+  EXPECT_EQ(config_power_w(evaluator, conv, hot),
+            config_power_w(evaluator, conv, cold));
 }
 
 TEST(EhtrWarm, DegenerateFieldsDisableWarmButStayIdentical) {
@@ -214,8 +219,9 @@ TEST(EhtrWarm, ControllerDecisionStreamIsBitIdentical) {
     EXPECT_EQ(rh.switched, rc.switched);
     EXPECT_EQ(rh.actuate, rc.actuate);
     const teg::TegArray array(kDev, dts);
-    EXPECT_EQ(config_power_w(array, conv, rh.config),
-              config_power_w(array, conv, rc.config));
+    const teg::ArrayEvaluator evaluator(array);
+    EXPECT_EQ(config_power_w(evaluator, conv, rh.config),
+              config_power_w(evaluator, conv, rc.config));
   }
 }
 

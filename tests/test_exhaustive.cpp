@@ -21,6 +21,7 @@ TEST(ExhaustiveContiguous, EnumeratesAllPartitions) {
 TEST(ExhaustiveContiguous, FindsTrueOptimum) {
   // Verify against a manual scan of all masks for a 5-module array.
   const teg::TegArray array(kDev, {35.0, 30.0, 18.0, 12.0, 8.0});
+  const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv(kConv);
   const ExhaustiveResult res = exhaustive_contiguous_search(array, conv);
   double best = -1.0;
@@ -29,8 +30,8 @@ TEST(ExhaustiveContiguous, FindsTrueOptimum) {
     for (std::size_t i = 0; i < 4; ++i) {
       if (mask & (std::size_t{1} << i)) starts.push_back(i + 1);
     }
-    best = std::max(best,
-                    config_power_w(array, conv, teg::ArrayConfig(starts, 5)));
+    best = std::max(
+        best, config_power_w(evaluator, conv, teg::ArrayConfig(starts, 5)));
   }
   EXPECT_NEAR(res.power_w, best, 1e-12);
 }

@@ -75,21 +75,23 @@ TEST(InorPartition, DeadArrayFallsBackToUniform) {
 
 TEST(InorSearch, SurvivesStoneColdArray) {
   const teg::TegArray array(kDev, std::vector<double>(20, 0.0));
+  const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv(kConv);
   const teg::ArrayConfig c =
       inor_search(array, conv, InorOptions{.nmin = 1, .nmax = 20});
   EXPECT_GE(c.num_groups(), 1u);
-  EXPECT_DOUBLE_EQ(config_power_w(array, conv, c), 0.0);
+  EXPECT_DOUBLE_EQ(config_power_w(evaluator, conv, c), 0.0);
 }
 
 TEST(InorSearch, BeatsOrMatchesFixedBaseline) {
   const teg::TegArray array(kDev, decaying_delta_t(40, 38.0, 6.0));
+  const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv(kConv);
   const teg::ArrayConfig best = inor_search(array, conv);
-  const double p_inor = config_power_w(array, conv, best);
+  const double p_inor = config_power_w(evaluator, conv, best);
   // sqrt(N) x sqrt(N) fixed grid (well inside the converter window).
   const double p_grid =
-      config_power_w(array, conv, teg::ArrayConfig::uniform(40, 6));
+      config_power_w(evaluator, conv, teg::ArrayConfig::uniform(40, 6));
   EXPECT_GE(p_inor, p_grid - 1e-9);
 }
 
@@ -103,10 +105,11 @@ TEST(InorSearch, NearOptimalVsExhaustiveContiguous) {
     std::vector<double> dts(12);
     for (auto& dt : dts) dt = rng.uniform(5.0, 40.0);
     const teg::TegArray array(kDev, dts);
+    const teg::ArrayEvaluator evaluator(array);
     const ExhaustiveResult opt = exhaustive_contiguous_search(array, conv);
     const teg::ArrayConfig c =
         inor_search(array, conv, InorOptions{.nmin = 1, .nmax = 12});
-    const double p = config_power_w(array, conv, c);
+    const double p = config_power_w(evaluator, conv, c);
     EXPECT_GE(p, 0.93 * opt.power_w) << "trial " << trial;
   }
 }
@@ -116,10 +119,11 @@ TEST(InorSearch, NearOptimalOnMonotoneProfile) {
   // boundaries are essentially optimal.
   const power::Converter conv(kConv);
   const teg::TegArray array(kDev, decaying_delta_t(12, 38.0, 6.0));
+  const teg::ArrayEvaluator evaluator(array);
   const ExhaustiveResult opt = exhaustive_contiguous_search(array, conv);
   const teg::ArrayConfig c =
       inor_search(array, conv, InorOptions{.nmin = 1, .nmax = 12});
-  EXPECT_GE(config_power_w(array, conv, c), 0.985 * opt.power_w);
+  EXPECT_GE(config_power_w(evaluator, conv, c), 0.985 * opt.power_w);
 }
 
 TEST(InorSearch, RespectsExplicitWindow) {
@@ -133,9 +137,10 @@ TEST(InorSearch, RespectsExplicitWindow) {
 
 TEST(InorSearch, DerivedWindowKeepsVoltageNearConverterBand) {
   const teg::TegArray array(kDev, decaying_delta_t(100, 36.0, 7.0));
+  const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv(kConv);
   const teg::ArrayConfig c = inor_search(array, conv);
-  const double vmpp = array.mpp_voltage_v(c);
+  const double vmpp = evaluator.string_equivalent(c).mpp_voltage_v();
   EXPECT_GT(vmpp, conv.params().min_input_v);
   EXPECT_LT(vmpp, conv.params().max_input_v);
 }
@@ -195,11 +200,13 @@ class InorWindowSweep : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(InorWindowSweep, ValidAndBounded) {
   const std::size_t nmax = GetParam();
   const teg::TegArray array(kDev, decaying_delta_t(30, 36.0, 6.0));
+  const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv(kConv);
   const teg::ArrayConfig c =
       inor_search(array, conv, InorOptions{.nmin = 1, .nmax = nmax});
   EXPECT_LE(c.num_groups(), nmax);
-  EXPECT_LE(config_power_w(array, conv, c), array.ideal_power_w() + 1e-9);
+  EXPECT_LE(config_power_w(evaluator, conv, c),
+            array.ideal_power_w() + 1e-9);
   std::size_t covered = 0;
   for (std::size_t j = 0; j < c.num_groups(); ++j) covered += c.group_size(j);
   EXPECT_EQ(covered, 30u);

@@ -2,6 +2,8 @@
 // drive must reproduce the orderings of the paper's Table I and Fig. 7.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/dnor.hpp"
 #include "core/ehtr.hpp"
 #include "core/fixed_baseline.hpp"
@@ -86,8 +88,27 @@ TEST_F(IntegrationTest, OverheadOrderingMatchesTable1) {
 }
 
 TEST_F(IntegrationTest, RuntimeOrderingMatchesTable1) {
-  EXPECT_GT(ehtr().avg_runtime_ms, inor().avg_runtime_ms);
-  EXPECT_GT(ehtr().avg_runtime_ms, dnor().avg_runtime_ms);
+  // avg_runtime_ms is wall-clock: one preemption inside a ~0.05 ms
+  // invocation can outweigh the gap between schemes on a loaded host.
+  // Re-run the three schemes round-robin and compare each one's fastest
+  // run, the usual way to read a timing through scheduler noise.
+  constexpr int kRepeats = 5;
+  double dnor_ms = dnor().avg_runtime_ms;
+  double inor_ms = inor().avg_runtime_ms;
+  double ehtr_ms = ehtr().avg_runtime_ms;
+  for (int k = 1; k < kRepeats; ++k) {
+    core::DnorReconfigurer dnor_rc(kDev, kConv);
+    core::InorReconfigurer inor_rc(kDev, kConv);
+    core::EhtrReconfigurer ehtr_rc(kDev, kConv);
+    dnor_ms = std::min(dnor_ms,
+                       sim::run_simulation(dnor_rc, *trace_).avg_runtime_ms);
+    inor_ms = std::min(inor_ms,
+                       sim::run_simulation(inor_rc, *trace_).avg_runtime_ms);
+    ehtr_ms = std::min(ehtr_ms,
+                       sim::run_simulation(ehtr_rc, *trace_).avg_runtime_ms);
+  }
+  EXPECT_GT(ehtr_ms, inor_ms);
+  EXPECT_GT(ehtr_ms, dnor_ms);
 }
 
 TEST_F(IntegrationTest, RatiosToIdealInFig7Band) {

@@ -10,18 +10,16 @@ const DeviceParams kDev = tgm_199_1_4_0_8();
 TEST(Module, OpenCircuitVoltageLinearInDeltaT) {
   const Module m20 = Module::from_delta_t(kDev, 20.0);
   const Module m40 = Module::from_delta_t(kDev, 40.0);
-  EXPECT_NEAR(m40.open_circuit_voltage_v(), 2.0 * m20.open_circuit_voltage_v(),
-              1e-12);
-  EXPECT_NEAR(m20.open_circuit_voltage_v(), kDev.seebeck_total_v_k() * 20.0,
-              1e-12);
+  EXPECT_NEAR(m40.port().voc_v, 2.0 * m20.port().voc_v, 1e-12);
+  EXPECT_NEAR(m20.port().voc_v, kDev.seebeck_total_v_k() * 20.0, 1e-12);
 }
 
 TEST(Module, Equation2PowerIntoLoad) {
   // P = (alpha dT Ncpl / (R + RL))^2 * RL, Eq. (2).
   const Module m = Module::from_delta_t(kDev, 30.0);
   const double r_load = 2.0;
-  const double e = m.open_circuit_voltage_v();
-  const double r = m.internal_resistance_ohm();
+  const double e = m.port().voc_v;
+  const double r = m.port().r_ohm;
   const double expected = e / (r + r_load) * (e / (r + r_load)) * r_load;
   EXPECT_NEAR(m.power_into_load(r_load), expected, 1e-12);
 }
@@ -30,7 +28,7 @@ TEST(Module, MaximumPowerTransferAtMatchedLoad) {
   // Sweep load resistance: the maximum must occur at RL == Rteg and equal
   // the closed-form MPP power.
   const Module m = Module::from_delta_t(kDev, 35.0);
-  const double r_int = m.internal_resistance_ohm();
+  const double r_int = m.port().r_ohm;
   double best_power = 0.0, best_r = 0.0;
   for (double rl = 0.05; rl < 10.0; rl += 0.005) {
     const double p = m.power_into_load(rl);
@@ -40,21 +38,14 @@ TEST(Module, MaximumPowerTransferAtMatchedLoad) {
     }
   }
   EXPECT_NEAR(best_r, r_int, 0.01);
-  EXPECT_NEAR(best_power, m.mpp_power_w(), 1e-4);
+  EXPECT_NEAR(best_power, m.port().mpp_power_w(), 1e-4);
 }
 
-TEST(Module, MppRelations) {
-  const Module m = Module::from_delta_t(kDev, 25.0);
-  EXPECT_NEAR(m.mpp_voltage_v(), m.open_circuit_voltage_v() / 2.0, 1e-12);
-  EXPECT_NEAR(m.mpp_current_a(),
-              m.open_circuit_voltage_v() / (2.0 * m.internal_resistance_ohm()),
-              1e-12);
-  EXPECT_NEAR(m.mpp_power_w(), m.mpp_voltage_v() * m.mpp_current_a(), 1e-12);
-  // MPP power is the max over the V sweep.
-  for (double frac = 0.0; frac <= 1.0; frac += 0.01) {
-    EXPECT_LE(m.power_at_voltage(frac * m.open_circuit_voltage_v()),
-              m.mpp_power_w() + 1e-12);
-  }
+TEST(Module, PortResistanceAtMeanTemperature) {
+  // R is the device resistance derated at the mean face temperature.
+  const Module m(kDev, 70.0, 30.0);
+  EXPECT_DOUBLE_EQ(m.port().r_ohm, kDev.resistance_at(50.0));
+  EXPECT_DOUBLE_EQ(m.delta_t_k(), 40.0);
 }
 
 TEST(Module, IvSweepShape) {
@@ -64,9 +55,9 @@ TEST(Module, IvSweepShape) {
   // Endpoints: V=0 -> I=Isc, P=0;  V=Voc -> I=0, P=0.
   EXPECT_DOUBLE_EQ(sweep.front().voltage_v, 0.0);
   EXPECT_NEAR(sweep.front().current_a,
-              m.open_circuit_voltage_v() / m.internal_resistance_ohm(), 1e-12);
+              m.port().voc_v / m.port().r_ohm, 1e-12);
   EXPECT_NEAR(sweep.front().power_w, 0.0, 1e-12);
-  EXPECT_NEAR(sweep.back().voltage_v, m.open_circuit_voltage_v(), 1e-12);
+  EXPECT_NEAR(sweep.back().voltage_v, m.port().voc_v, 1e-12);
   EXPECT_NEAR(sweep.back().current_a, 0.0, 1e-12);
   // Current strictly decreasing in V (linear source).
   for (std::size_t i = 1; i < sweep.size(); ++i) {
@@ -88,8 +79,8 @@ TEST(Module, InvalidConstructionThrows) {
 
 TEST(Module, ZeroDeltaTProducesNothing) {
   const Module m = Module::from_delta_t(kDev, 0.0);
-  EXPECT_DOUBLE_EQ(m.open_circuit_voltage_v(), 0.0);
-  EXPECT_DOUBLE_EQ(m.mpp_power_w(), 0.0);
+  EXPECT_DOUBLE_EQ(m.port().voc_v, 0.0);
+  EXPECT_DOUBLE_EQ(m.port().mpp_power_w(), 0.0);
 }
 
 TEST(Module, NegativeLoadThrows) {
@@ -102,21 +93,8 @@ TEST(Module, HotterMeanTemperatureRaisesResistance) {
   // and thus lower MPP power.
   const Module cool = Module::from_delta_t(kDev, 30.0, 25.0);
   const Module hot = Module::from_delta_t(kDev, 30.0, 60.0);
-  EXPECT_GT(hot.internal_resistance_ohm(), cool.internal_resistance_ohm());
-  EXPECT_LT(hot.mpp_power_w(), cool.mpp_power_w());
-}
-
-TEST(ModuleVectorHelpers, MatchPerModuleValues) {
-  const std::vector<double> dts{10.0, 20.0, 30.0};
-  const auto currents = mpp_currents(kDev, dts);
-  const auto powers = mpp_powers(kDev, dts);
-  ASSERT_EQ(currents.size(), 3u);
-  for (std::size_t i = 0; i < dts.size(); ++i) {
-    const Module m = Module::from_delta_t(kDev, dts[i]);
-    EXPECT_NEAR(currents[i], m.mpp_current_a(), 1e-12);
-    EXPECT_NEAR(powers[i], m.mpp_power_w(), 1e-12);
-  }
-  EXPECT_NEAR(ideal_power_w(kDev, dts), powers[0] + powers[1] + powers[2], 1e-12);
+  EXPECT_GT(hot.port().r_ohm, cool.port().r_ohm);
+  EXPECT_LT(hot.port().mpp_power_w(), cool.port().mpp_power_w());
 }
 
 // Parameterised across the paper's Fig. 1 temperature range: MPP power must
@@ -127,7 +105,7 @@ TEST_P(ModuleMppSweep, PowerScalesRoughlyQuadratically) {
   const double dt = GetParam();
   const Module m1 = Module::from_delta_t(kDev, dt);
   const Module m2 = Module::from_delta_t(kDev, 2.0 * dt);
-  const double ratio = m2.mpp_power_w() / m1.mpp_power_w();
+  const double ratio = m2.port().mpp_power_w() / m1.port().mpp_power_w();
   EXPECT_GT(ratio, 3.0);   // pure quadratic would be 4; R(T) derates a bit
   EXPECT_LT(ratio, 4.05);
 }

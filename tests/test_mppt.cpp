@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "port_oracle.hpp"
 #include "teg/array.hpp"
 
 namespace tegrec::power {
@@ -9,7 +10,7 @@ namespace {
 
 const teg::DeviceParams kDev = teg::tgm_199_1_4_0_8();
 
-teg::SeriesString make_string(std::size_t n_groups, double dt_hi, double dt_lo) {
+teg::LinearSource make_string(std::size_t n_groups, double dt_hi, double dt_lo) {
   std::vector<double> dts;
   const std::size_t n = n_groups * 5;
   for (std::size_t i = 0; i < n; ++i) {
@@ -17,7 +18,7 @@ teg::SeriesString make_string(std::size_t n_groups, double dt_hi, double dt_lo) 
                   (dt_lo - dt_hi) * static_cast<double>(i) / static_cast<double>(n));
   }
   const teg::TegArray array(kDev, dts);
-  return array.build_string(teg::ArrayConfig::uniform(n, n_groups));
+  return oracle::direct_string_port(array, teg::ArrayConfig::uniform(n, n_groups));
 }
 
 TEST(OptimalOperatingPoint, MatchesClosedFormWithIdealConverter) {
@@ -31,7 +32,7 @@ TEST(OptimalOperatingPoint, MatchesClosedFormWithIdealConverter) {
   p.max_input_v = 1000.0;
   p.max_input_power_w = 1e9;
   const Converter conv(p);
-  const teg::SeriesString s = make_string(10, 35.0, 10.0);
+  const teg::LinearSource s = make_string(10, 35.0, 10.0);
   const OperatingPoint pt = optimal_operating_point(s, conv);
   EXPECT_NEAR(pt.current_a, s.mpp_current_a(), 1e-3);
   EXPECT_NEAR(pt.array_power_w, s.mpp_power_w(), 1e-6);
@@ -42,7 +43,7 @@ TEST(OptimalOperatingPoint, RealConverterShiftsTowardOutputVoltage) {
   // With the voltage-penalty efficiency the optimum moves to a current
   // whose string voltage is closer to 13.8 V than the raw MPP voltage is.
   const Converter conv;
-  const teg::SeriesString s = make_string(20, 40.0, 15.0);  // high-voltage string
+  const teg::LinearSource s = make_string(20, 40.0, 15.0);  // high-voltage string
   const OperatingPoint pt = optimal_operating_point(s, conv);
   const double raw_v = s.mpp_voltage_v();
   const double vout = conv.params().output_voltage_v;
@@ -54,7 +55,7 @@ TEST(OptimalOperatingPoint, RealConverterShiftsTowardOutputVoltage) {
 
 TEST(OptimalOperatingPoint, NeverNegative) {
   const Converter conv;
-  const teg::SeriesString s = make_string(2, 5.0, 2.0);  // tiny voltages
+  const teg::LinearSource s = make_string(2, 5.0, 2.0);  // tiny voltages
   const OperatingPoint pt = optimal_operating_point(s, conv);
   EXPECT_GE(pt.output_power_w, 0.0);
   EXPECT_GE(pt.array_power_w, 0.0);
@@ -62,21 +63,13 @@ TEST(OptimalOperatingPoint, NeverNegative) {
 
 TEST(OptimalOperatingPoint, BadToleranceThrows) {
   const Converter conv;
-  const teg::SeriesString s = make_string(4, 20.0, 10.0);
+  const teg::LinearSource s = make_string(4, 20.0, 10.0);
   EXPECT_THROW(optimal_operating_point(s, conv, 0.0), std::invalid_argument);
-}
-
-TEST(ArrayMppOperatingPoint, ClosedForm) {
-  const teg::SeriesString s = make_string(8, 30.0, 12.0);
-  const OperatingPoint pt = array_mpp_operating_point(s);
-  EXPECT_DOUBLE_EQ(pt.current_a, s.mpp_current_a());
-  EXPECT_DOUBLE_EQ(pt.array_power_w, s.mpp_power_w());
-  EXPECT_DOUBLE_EQ(pt.output_power_w, pt.array_power_w);
 }
 
 TEST(PerturbObserve, ConvergesNearOracle) {
   const Converter conv;
-  const teg::SeriesString s = make_string(10, 35.0, 10.0);
+  const teg::LinearSource s = make_string(10, 35.0, 10.0);
   const OperatingPoint oracle = optimal_operating_point(s, conv);
 
   PerturbObserveTracker tracker(0.02);
@@ -88,7 +81,7 @@ TEST(PerturbObserve, ConvergesNearOracle) {
 
 TEST(PerturbObserve, ConvergesFromAbove) {
   const Converter conv;
-  const teg::SeriesString s = make_string(10, 35.0, 10.0);
+  const teg::LinearSource s = make_string(10, 35.0, 10.0);
   const OperatingPoint oracle = optimal_operating_point(s, conv);
   PerturbObserveTracker tracker(0.02);
   tracker.reset(1.8 * oracle.current_a);
@@ -99,7 +92,7 @@ TEST(PerturbObserve, ConvergesFromAbove) {
 
 TEST(PerturbObserve, OscillatesAroundPeakNotDiverges) {
   const Converter conv;
-  const teg::SeriesString s = make_string(10, 30.0, 15.0);
+  const teg::LinearSource s = make_string(10, 30.0, 15.0);
   const OperatingPoint oracle = optimal_operating_point(s, conv);
   PerturbObserveTracker tracker(0.05);
   tracker.reset(oracle.current_a);
@@ -127,7 +120,7 @@ class PoConvergence : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(PoConvergence, WithinFivePercentOfOracle) {
   const std::size_t n_groups = GetParam();
   const Converter conv;
-  const teg::SeriesString s = make_string(n_groups, 38.0, 9.0);
+  const teg::LinearSource s = make_string(n_groups, 38.0, 9.0);
   const OperatingPoint oracle = optimal_operating_point(s, conv);
   if (oracle.output_power_w < 1e-6) GTEST_SKIP() << "string outside window";
   PerturbObserveTracker tracker(0.01);

@@ -17,22 +17,28 @@ std::vector<double> ramp(std::size_t n, double hi, double lo) {
 
 TEST(Objective, ConfigPowerBelowIdealAndArrayMpp) {
   const teg::TegArray array(kDev, ramp(30, 35.0, 8.0));
+  const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv{power::ConverterParams{}};
   const teg::ArrayConfig c = teg::ArrayConfig::uniform(30, 6);
-  const double p = config_power_w(array, conv, c);
+  const double p = config_power_w(evaluator, conv, c);
   EXPECT_GT(p, 0.0);
-  EXPECT_LE(p, array.mpp_power_w(c) + 1e-9);       // conversion loses power
+  EXPECT_LE(p, evaluator.mpp_power_w(c) + 1e-9);  // conversion loses power
   EXPECT_LE(p, array.ideal_power_w() + 1e-9);
 }
 
 TEST(Objective, OperatingPointConsistent) {
   const teg::TegArray array(kDev, ramp(30, 35.0, 8.0));
+  const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv{power::ConverterParams{}};
   const teg::ArrayConfig c = teg::ArrayConfig::uniform(30, 6);
-  const power::OperatingPoint pt = config_operating_point(array, conv, c);
-  EXPECT_NEAR(pt.output_power_w, config_power_w(array, conv, c), 1e-9);
-  const teg::SeriesString s = array.build_string(c);
+  const power::OperatingPoint pt = config_operating_point(evaluator, conv, c);
+  EXPECT_NEAR(pt.output_power_w, config_power_w(evaluator, conv, c), 1e-9);
+  const teg::LinearSource s = evaluator.string_equivalent(c);
   EXPECT_NEAR(pt.voltage_v, s.voltage_at_current(pt.current_a), 1e-9);
+  // The span overload is the same model, bit for bit.
+  const power::OperatingPoint span_pt = config_operating_point(
+      evaluator, conv, std::span<const std::size_t>(c.group_starts()));
+  EXPECT_EQ(span_pt.output_power_w, pt.output_power_w);
 }
 
 TEST(Objective, GroupWindowBracketsConverterBand) {
@@ -44,7 +50,9 @@ TEST(Objective, GroupWindowBracketsConverterBand) {
   EXPECT_LE(window.nmin, window.nmax);
   // A uniform config at the window centre lands inside the converter range.
   const std::size_t n_mid = (window.nmin + window.nmax) / 2;
-  const double vmpp = array.mpp_voltage_v(teg::ArrayConfig::uniform(100, n_mid));
+  const double vmpp = teg::ArrayEvaluator(array)
+                          .string_equivalent(teg::ArrayConfig::uniform(100, n_mid))
+                          .mpp_voltage_v();
   EXPECT_GT(vmpp, conv.params().min_input_v);
   EXPECT_LT(vmpp, conv.params().max_input_v);
 }

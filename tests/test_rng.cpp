@@ -1,7 +1,11 @@
 #include "util/rng.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
+#include <random>
 
 #include "util/stats.hpp"
 
@@ -53,6 +57,42 @@ TEST(Rng, GaussianMoments) {
   for (int i = 0; i < 20000; ++i) rs.add(rng.gaussian(3.0, 2.0));
   EXPECT_NEAR(rs.mean(), 3.0, 0.08);
   EXPECT_NEAR(rs.stddev(), 2.0, 0.08);
+}
+
+TEST(Rng, GaussianMatchesStdNormalDistributionBitForBit) {
+  // gaussian scales a unit draw; the stream must equal a fresh
+  // std::normal_distribution(mean, sd) per call on the same engine.
+  Rng rng(29);
+  std::mt19937_64 twin(29);
+  Rng params(31);
+  for (int i = 0; i < 5000; ++i) {
+    const double mean = params.uniform(-50.0, 50.0);
+    const double sd = params.uniform(1e-6, 10.0);
+    std::normal_distribution<double> reference(mean, sd);
+    const double expected = reference(twin);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(rng.gaussian(mean, sd)),
+              std::bit_cast<std::uint64_t>(expected))
+        << "draw " << i;
+  }
+}
+
+TEST(Rng, GaussianZeroStddevReturnsMeanAndAdvancesLikeUnitDraw) {
+  Rng a(37), b(37);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(a.gaussian(4.25, 0.0), 4.25);
+    (void)b.gaussian(0.0, 1.0);
+    EXPECT_EQ(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0)) << "draw " << i;
+  }
+}
+
+TEST(Rng, GaussianRejectsNegativeOrNonFiniteStddev) {
+  Rng rng(41);
+  EXPECT_THROW(rng.gaussian(0.0, -1.0), std::invalid_argument);
+  EXPECT_THROW(rng.gaussian(0.0, -1e-300), std::invalid_argument);
+  EXPECT_THROW(rng.gaussian(0.0, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(rng.gaussian(0.0, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(Rng, BernoulliFrequency) {

@@ -1,76 +1,77 @@
-#include "teg/string.hpp"
-
+// A series string is the Thevenin sum of its groups' ports (in_series).
 #include <gtest/gtest.h>
+
+#include <vector>
+
+#include "teg/linear_source.hpp"
+#include "teg/module.hpp"
 
 namespace tegrec::teg {
 namespace {
 
 const DeviceParams kDev = tgm_199_1_4_0_8();
 
-ParallelGroup group_at(std::initializer_list<double> dts) {
-  std::vector<Module> mods;
-  for (double dt : dts) mods.push_back(Module::from_delta_t(kDev, dt));
-  return ParallelGroup(std::move(mods));
+std::vector<LinearSource> ports_at(std::initializer_list<double> dts) {
+  std::vector<LinearSource> out;
+  for (double dt : dts) out.push_back(Module::from_delta_t(kDev, dt).port());
+  return out;
 }
 
-TEST(SeriesString, EmptyThrows) {
-  EXPECT_THROW(SeriesString(std::vector<ParallelGroup>{}), std::invalid_argument);
+LinearSource group_at(std::initializer_list<double> dts) {
+  return in_parallel(ports_at(dts));
 }
 
-TEST(SeriesString, TotalsAreSums) {
-  const std::vector<ParallelGroup> groups{group_at({30.0, 28.0}),
-                                          group_at({20.0, 18.0})};
-  const SeriesString s(groups);
-  EXPECT_NEAR(s.total_voc_v(),
-              groups[0].equivalent_voc_v() + groups[1].equivalent_voc_v(), 1e-12);
-  EXPECT_NEAR(s.total_resistance_ohm(),
-              groups[0].equivalent_resistance_ohm() +
-                  groups[1].equivalent_resistance_ohm(),
-              1e-12);
+double sum_mpp_power(const std::vector<LinearSource>& sources) {
+  double total = 0.0;
+  for (const LinearSource& s : sources) total += s.mpp_power_w();
+  return total;
 }
 
-TEST(SeriesString, MppClosedForm) {
-  const SeriesString s({group_at({30.0}), group_at({20.0})});
-  EXPECT_NEAR(s.mpp_current_a(), s.total_voc_v() / (2.0 * s.total_resistance_ohm()),
-              1e-12);
-  EXPECT_NEAR(s.mpp_power_w(),
-              s.total_voc_v() * s.total_voc_v() / (4.0 * s.total_resistance_ohm()),
-              1e-12);
-  EXPECT_NEAR(s.mpp_voltage_v(), s.total_voc_v() / 2.0, 1e-12);
+TEST(InSeries, EmptyThrows) {
+  EXPECT_THROW(in_series({}), std::invalid_argument);
+}
+
+TEST(InSeries, TotalsAreSumsInGroupOrder) {
+  const std::vector<LinearSource> groups{group_at({30.0, 28.0}),
+                                         group_at({20.0, 18.0}),
+                                         group_at({9.0})};
+  const LinearSource s = in_series(groups);
+  EXPECT_EQ(s.voc_v, groups[0].voc_v + groups[1].voc_v + groups[2].voc_v);
+  EXPECT_EQ(s.r_ohm, groups[0].r_ohm + groups[1].r_ohm + groups[2].r_ohm);
+}
+
+TEST(InSeries, MppClosedForm) {
+  const LinearSource s = in_series(std::vector<LinearSource>{
+      group_at({30.0}), group_at({20.0})});
+  EXPECT_NEAR(s.mpp_current_a(), s.voc_v / (2.0 * s.r_ohm), 1e-12);
+  EXPECT_NEAR(s.mpp_power_w(), s.voc_v * s.voc_v / (4.0 * s.r_ohm), 1e-12);
+  EXPECT_NEAR(s.mpp_voltage_v(), s.voc_v / 2.0, 1e-12);
   // MPP dominates a current sweep.
   for (double frac = 0.0; frac <= 2.0; frac += 0.05) {
-    EXPECT_LE(s.power_at_current(frac * s.mpp_current_a()),
-              s.mpp_power_w() + 1e-9);
+    const double i = frac * s.mpp_current_a();
+    EXPECT_LE(s.voltage_at_current(i) * i, s.mpp_power_w() + 1e-9);
   }
 }
 
-TEST(SeriesString, GroupVoltagesSumToStringVoltage) {
-  const SeriesString s(
-      {group_at({35.0, 30.0}), group_at({22.0}), group_at({15.0, 12.0, 10.0})});
+TEST(InSeries, GroupVoltagesSumToStringVoltage) {
+  const std::vector<LinearSource> groups{group_at({35.0, 30.0}),
+                                         group_at({22.0}),
+                                         group_at({15.0, 12.0, 10.0})};
+  const LinearSource s = in_series(groups);
   const double i = 0.7;
-  const auto vs = s.group_voltages_at_current(i);
   double total = 0.0;
-  for (double v : vs) total += v;
+  for (const LinearSource& g : groups) total += g.voltage_at_current(i);
   EXPECT_NEAR(total, s.voltage_at_current(i), 1e-9);
 }
 
-TEST(SeriesString, SeriesMismatchLosesPower) {
-  // Fig. 3(b): series groups with different MPP currents cannot all be at
-  // MPP simultaneously.
-  const SeriesString s({group_at({45.0}), group_at({10.0})});
-  EXPECT_LT(s.mpp_power_w(), s.ideal_power_w() - 1e-6);
-}
-
-TEST(SeriesString, MatchedGroupsReachIdeal) {
-  const SeriesString s({group_at({25.0}), group_at({25.0})});
-  EXPECT_NEAR(s.mpp_power_w(), s.ideal_power_w(), 1e-9);
-}
-
-TEST(SeriesString, IdealPowerIsSumOverGroups) {
-  const auto g1 = group_at({30.0, 20.0});
-  const auto g2 = group_at({15.0});
-  const SeriesString s({g1, g2});
-  EXPECT_NEAR(s.ideal_power_w(), g1.ideal_power_w() + g2.ideal_power_w(), 1e-12);
+TEST(InSeries, MismatchLosesPowerMatchedReachesIdeal) {
+  // Fig. 3(b): series members with different MPP currents cannot all be at
+  // MPP simultaneously; matched members lose nothing.
+  const auto mismatched = ports_at({45.0, 10.0});
+  EXPECT_LT(in_series(mismatched).mpp_power_w(),
+            sum_mpp_power(mismatched) - 1e-6);
+  const auto matched = ports_at({25.0, 25.0});
+  EXPECT_NEAR(in_series(matched).mpp_power_w(), sum_mpp_power(matched), 1e-9);
 }
 
 }  // namespace

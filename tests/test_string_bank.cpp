@@ -1,87 +1,96 @@
-#include "teg/string_bank.hpp"
-
+// A 2-D bank is rows (series strings) joined in parallel at one port:
+// in_parallel over in_series rows.
 #include <gtest/gtest.h>
 
-#include "teg/array.hpp"
+#include <vector>
+
+#include "teg/linear_source.hpp"
+#include "teg/module.hpp"
 
 namespace tegrec::teg {
 namespace {
 
 const DeviceParams kDev = tgm_199_1_4_0_8();
 
-SeriesString string_at(double dt_hi, double dt_lo, std::size_t n = 20,
+// A row of `n` modules with dT falling linearly from dt_hi to dt_lo, wired
+// as `groups` equal contiguous parallel groups in series.
+LinearSource string_at(double dt_hi, double dt_lo, std::size_t n = 20,
                        std::size_t groups = 5) {
-  std::vector<double> dts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    dts[i] = dt_hi + (dt_lo - dt_hi) * static_cast<double>(i) /
-                         static_cast<double>(n - 1);
+  const std::size_t per_group = n / groups;
+  std::vector<LinearSource> group_ports;
+  for (std::size_t g = 0; g < groups; ++g) {
+    std::vector<LinearSource> members;
+    for (std::size_t k = 0; k < per_group; ++k) {
+      const std::size_t i = g * per_group + k;
+      const double dt = dt_hi + (dt_lo - dt_hi) * static_cast<double>(i) /
+                                    static_cast<double>(n - 1);
+      members.push_back(Module::from_delta_t(kDev, dt).port());
+    }
+    group_ports.push_back(in_parallel(members));
   }
-  const TegArray array(kDev, dts);
-  return array.build_string(ArrayConfig::uniform(n, groups));
+  return in_series(group_ports);
 }
 
-TEST(StringBank, EmptyThrows) {
-  EXPECT_THROW(StringBank(std::vector<SeriesString>{}), std::invalid_argument);
+double rowwise_ideal_power_w(const std::vector<LinearSource>& rows) {
+  double total = 0.0;
+  for (const LinearSource& r : rows) total += r.mpp_power_w();
+  return total;
 }
 
-TEST(StringBank, SingleRowEqualsString) {
-  const SeriesString s = string_at(35.0, 12.0);
-  const StringBank bank({s});
-  EXPECT_NEAR(bank.equivalent_voc_v(), s.total_voc_v(), 1e-12);
-  EXPECT_NEAR(bank.equivalent_resistance_ohm(), s.total_resistance_ohm(), 1e-12);
+TEST(RowsInParallel, SingleRowEqualsString) {
+  const LinearSource s = string_at(35.0, 12.0);
+  const LinearSource bank = in_parallel(std::vector<LinearSource>{s});
+  EXPECT_NEAR(bank.voc_v, s.voc_v, 1e-12);
+  EXPECT_NEAR(bank.r_ohm, s.r_ohm, 1e-12);
   EXPECT_NEAR(bank.mpp_power_w(), s.mpp_power_w(), 1e-9);
 }
 
-TEST(StringBank, IdenticalRowsScalePower) {
-  const SeriesString s = string_at(35.0, 12.0);
-  const StringBank bank({s, s, s});
+TEST(RowsInParallel, IdenticalRowsScalePower) {
   // Three identical rows in parallel: same voltage, triple power.
+  const LinearSource s = string_at(35.0, 12.0);
+  const LinearSource bank = in_parallel(std::vector<LinearSource>{s, s, s});
   EXPECT_NEAR(bank.mpp_voltage_v(), s.mpp_voltage_v(), 1e-9);
   EXPECT_NEAR(bank.mpp_power_w(), 3.0 * s.mpp_power_w(), 1e-9);
 }
 
-TEST(StringBank, RowCurrentsSumToBankCurrent) {
-  const StringBank bank({string_at(35.0, 12.0), string_at(28.0, 9.0)});
+TEST(RowsInParallel, RowCurrentsSumToBankCurrent) {
+  const std::vector<LinearSource> rows{string_at(35.0, 12.0),
+                                       string_at(28.0, 9.0)};
+  const LinearSource bank = in_parallel(rows);
   const double v = 0.8 * bank.mpp_voltage_v();
-  const auto currents = bank.row_currents_at_voltage(v);
   double total = 0.0;
-  for (double i : currents) total += i;
+  for (const LinearSource& r : rows) total += r.current_at_voltage(v);
   EXPECT_NEAR(total, bank.current_at_voltage(v), 1e-9);
 }
 
-TEST(StringBank, MismatchedRowsLoseVsRowwiseIdeal) {
+TEST(RowsInParallel, MismatchedRowsLoseVsRowwiseIdeal) {
   // Rows with different MPP voltages cannot all be at MPP at the shared
   // port — the 2-D analogue of Fig. 3(a).
-  const StringBank bank({string_at(40.0, 20.0), string_at(18.0, 6.0)});
-  EXPECT_LT(bank.mpp_power_w(), bank.rowwise_ideal_power_w() - 1e-9);
+  const std::vector<LinearSource> rows{string_at(40.0, 20.0),
+                                       string_at(18.0, 6.0)};
+  EXPECT_LT(in_parallel(rows).mpp_power_w(), rowwise_ideal_power_w(rows) - 1e-9);
 }
 
-TEST(StringBank, MatchedRowsReachRowwiseIdeal) {
-  const SeriesString s = string_at(30.0, 10.0);
-  const StringBank bank({s, s});
-  EXPECT_NEAR(bank.mpp_power_w(), bank.rowwise_ideal_power_w(), 1e-9);
+TEST(RowsInParallel, MatchedRowsReachRowwiseIdeal) {
+  const LinearSource s = string_at(30.0, 10.0);
+  const std::vector<LinearSource> rows{s, s};
+  EXPECT_NEAR(in_parallel(rows).mpp_power_w(), rowwise_ideal_power_w(rows),
+              1e-9);
 }
 
-TEST(StringBank, WeakRowBackFedAtHighVoltage) {
-  const SeriesString strong = string_at(40.0, 25.0);
-  const SeriesString weak = string_at(12.0, 4.0);
-  const StringBank bank({strong, weak});
-  const auto currents = bank.row_currents_at_voltage(strong.mpp_voltage_v());
-  EXPECT_GT(currents[0], 0.0);
-  EXPECT_LT(currents[1], 0.0);  // back-fed
+TEST(RowsInParallel, WeakRowBackFedAtHighVoltage) {
+  const LinearSource strong = string_at(40.0, 25.0);
+  const LinearSource weak = string_at(12.0, 4.0);
+  const double v = strong.mpp_voltage_v();
+  EXPECT_GT(strong.current_at_voltage(v), 0.0);
+  EXPECT_LT(weak.current_at_voltage(v), 0.0);  // back-fed
 }
 
-TEST(StringBank, IdealPowerIsSumOfRowIdeals) {
-  const SeriesString a = string_at(30.0, 10.0);
-  const SeriesString b = string_at(22.0, 8.0);
-  const StringBank bank({a, b});
-  EXPECT_NEAR(bank.ideal_power_w(), a.ideal_power_w() + b.ideal_power_w(), 1e-12);
-}
-
-TEST(StringBank, MppDominatesVoltageSweep) {
-  const StringBank bank({string_at(36.0, 14.0), string_at(30.0, 11.0)});
+TEST(RowsInParallel, MppDominatesVoltageSweep) {
+  const LinearSource bank = in_parallel(std::vector<LinearSource>{
+      string_at(36.0, 14.0), string_at(30.0, 11.0)});
   for (double frac = 0.0; frac <= 1.0; frac += 0.02) {
-    EXPECT_LE(bank.power_at_voltage(frac * bank.equivalent_voc_v()),
+    EXPECT_LE(bank.power_at_voltage(frac * bank.voc_v),
               bank.mpp_power_w() + 1e-9);
   }
 }

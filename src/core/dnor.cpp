@@ -178,8 +178,7 @@ void DnorReconfigurer::restore_checkpoint_state(const std::string& state) {
   }
   const double next_decision = reader.expect_double("next_decision_time_s");
   const bool has_config = reader.expect_bool("has_config");
-  std::vector<std::size_t> starts =
-      detail::split_indices(reader.expect("config_starts"));
+  std::vector<std::size_t> starts = reader.expect_indices("config_starts");
   const auto config_modules =
       static_cast<std::size_t>(reader.expect_u64("config_modules"));
   const auto decisions = static_cast<std::size_t>(reader.expect_u64("decisions"));
@@ -194,7 +193,7 @@ void DnorReconfigurer::restore_checkpoint_state(const std::string& state) {
     const auto rows = static_cast<std::size_t>(reader.expect_u64("history_rows"));
     history = std::make_unique<predict::TemperatureHistory>(modules, capacity);
     for (std::size_t r = 0; r < rows; ++r) {
-      const std::vector<double> row = detail::split_doubles(reader.expect("row"));
+      const std::vector<double> row = reader.expect_doubles("row");
       if (row.size() != modules) {
         throw std::runtime_error("DNOR: history row width mismatch");
       }

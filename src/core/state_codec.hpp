@@ -5,13 +5,15 @@
 // util::append_double, so the restored controller replays bit-identically).
 // The helpers here keep the four implementations on one dialect: emit_kv
 // appends a line, KvReader consumes lines in declaration order and throws
-// std::runtime_error on any deviation — a truncated or reordered blob must
-// fail the restore loudly, never half-apply.
+// std::runtime_error on any deviation — a truncated or reordered blob, or a
+// malformed value, must fail the restore loudly, never half-apply.
 #pragma once
 
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "teg/config.hpp"
@@ -38,17 +40,6 @@ inline std::string join_doubles(const std::vector<double>& values) {
   return joined;
 }
 
-inline std::vector<double> split_doubles(const std::string& text) {
-  std::vector<double> values;
-  if (text.empty()) return values;
-  std::istringstream is(text);
-  std::string token;
-  while (std::getline(is, token, ',')) {
-    values.push_back(util::parse_double(token));
-  }
-  return values;
-}
-
 /// Comma-joined unsigned indices (group starts).
 inline std::string join_indices(const std::vector<std::size_t>& values) {
   std::string joined;
@@ -57,17 +48,6 @@ inline std::string join_indices(const std::vector<std::size_t>& values) {
     joined += std::to_string(values[i]);
   }
   return joined;
-}
-
-inline std::vector<std::size_t> split_indices(const std::string& text) {
-  std::vector<std::size_t> values;
-  if (text.empty()) return values;
-  std::istringstream is(text);
-  std::string token;
-  while (std::getline(is, token, ',')) {
-    values.push_back(static_cast<std::size_t>(util::parse_u64(token)));
-  }
-  return values;
 }
 
 /// Sequential reader over `key = value` lines.  Keys are demanded in the
@@ -93,15 +73,40 @@ class KvReader {
   }
 
   double expect_double(const std::string& key) {
-    return util::parse_double(expect(key));
+    return parsed(key, util::parse_double);
   }
 
   std::uint64_t expect_u64(const std::string& key) {
-    return util::parse_u64(expect(key));
+    return parsed(key, util::parse_u64);
   }
 
   bool expect_bool(const std::string& key) {
-    return util::parse_bool(expect(key));
+    return parsed(key, util::parse_bool);
+  }
+
+  /// A join_doubles list; an empty field ("1,2,", ",1", "1,,2") is
+  /// malformed.
+  std::vector<double> expect_doubles(const std::string& key) {
+    return parsed(key, [](std::string_view text) {
+      std::vector<double> values;
+      if (text.empty()) return values;
+      util::for_each_field(text, ',', [&](std::string_view field) {
+        values.push_back(util::parse_double(field));
+      });
+      return values;
+    });
+  }
+
+  /// A join_indices list; an empty field is malformed.
+  std::vector<std::size_t> expect_indices(const std::string& key) {
+    return parsed(key, [](std::string_view text) {
+      std::vector<std::size_t> values;
+      if (text.empty()) return values;
+      util::for_each_field(text, ',', [&](std::string_view field) {
+        values.push_back(static_cast<std::size_t>(util::parse_u64(field)));
+      });
+      return values;
+    });
   }
 
   /// The blob must be fully consumed — trailing lines are corruption.
@@ -114,6 +119,20 @@ class KvReader {
   }
 
  private:
+  /// Reads `key`'s value through `parse`; a malformed value is a malformed
+  /// blob, reported as the std::runtime_error restores promise.
+  template <typename Parse>
+  std::invoke_result_t<Parse&, std::string_view> parsed(const std::string& key,
+                                                        Parse&& parse) {
+    const std::string text = expect(key);
+    try {
+      return parse(std::string_view(text));
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error("controller state blob: bad '" + key +
+                               "': " + e.what());
+    }
+  }
+
   std::istringstream is_;
 };
 
@@ -149,7 +168,7 @@ inline PeriodicState decode_periodic_state(const std::string& version,
   PeriodicState state;
   state.next_run_time_s = reader.expect_double("next_run_time_s");
   state.has_config = reader.expect_bool("has_config");
-  std::vector<std::size_t> starts = split_indices(reader.expect("config_starts"));
+  std::vector<std::size_t> starts = reader.expect_indices("config_starts");
   const auto modules = static_cast<std::size_t>(reader.expect_u64("config_modules"));
   reader.finish();
   if (state.has_config) {

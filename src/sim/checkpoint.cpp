@@ -426,12 +426,10 @@ DecodedCheckpoint decode_checkpoint_impl(
   out.state.has_fabric = util::parse_bool(reader.expect_kv("has_fabric"));
   const std::string starts = reader.expect_kv("fabric_group_starts");
   if (!starts.empty()) {
-    std::istringstream is(starts);
-    std::string token;
-    while (std::getline(is, token, ',')) {
+    util::for_each_field(starts, ',', [&](std::string_view token) {
       out.state.fabric_group_starts.push_back(
           static_cast<std::size_t>(util::parse_u64(token)));
-    }
+    });
   }
   out.state.battery_soc = util::parse_double(reader.expect_kv("battery_soc"));
   out.state.battery_energy_j =

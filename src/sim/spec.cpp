@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -108,10 +109,10 @@ class FieldIo {
     if (parsing_) {
       if (const std::string* raw = lookup(key)) {
         v.clear();
-        std::string token;
-        std::istringstream is(*raw);
-        while (std::getline(is, token, ',')) {
-          v.push_back(util::parse_double(token));
+        if (!raw->empty()) {
+          util::for_each_field(*raw, ',', [&](std::string_view token) {
+            v.push_back(util::parse_double(token));
+          });
         }
       }
       return;

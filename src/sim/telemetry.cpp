@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "util/float_cmp.hpp"
@@ -42,6 +42,12 @@ void set_nonblocking(int fd, const char* what) {
   }
 }
 #endif
+
+/// A line as the protocol sees it: CRLF-terminated lines lose their '\r'.
+std::string_view without_cr(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  return line;
+}
 
 }  // namespace
 
@@ -259,66 +265,65 @@ void LineTelemetrySource::enqueue_grid_sample(std::size_t index,
   ++emitted_;
 }
 
-void LineTelemetrySource::ingest(const std::string& line) {
-  ++lines_seen_;
-  const std::string where =
-      " (line " + std::to_string(lines_seen_) + " of " + feed_->describe() +
-      ")";
-  if (line.empty()) return;  // tolerate blank separator lines
+std::string LineTelemetrySource::where(std::size_t line_no) const {
+  return " (line " + std::to_string(line_no) + " of " + feed_->describe() +
+         ")";
+}
 
-  // Split on commas; every cell must be non-empty (an empty cell is a
-  // truncated row — load_csv rejects the same way).
-  std::vector<std::string> cells;
-  std::string cell;
-  std::istringstream is(line);
-  while (std::getline(is, cell, ',')) cells.push_back(cell);
-  if (!line.empty() && line.back() == ',') cells.push_back("");
+void LineTelemetrySource::ingest(std::string_view line, std::size_t line_no) {
+  if (line.empty()) return;  // tolerate blank separator lines
+  const std::size_t cells =
+      static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) + 1;
 
   if (!header_seen_) {
-    if (cells.size() < 3 || cells[0] != "time_s" || cells[1] != "ambient_c") {
+    // At least three cells, the first two named time_s and ambient_c.
+    if (!line.starts_with("time_s,ambient_c,")) {
       throw std::runtime_error(
           "telemetry: first line must be the trace CSV header "
           "'time_s,ambient_c,t0,...'" +
-          where);
+          where(line_no));
     }
-    const std::size_t n = cells.size() - 2;
+    const std::size_t n = cells - 2;
     if (num_modules_ != 0 && n != num_modules_) {
       throw std::runtime_error(
           "telemetry: header has " + std::to_string(n) +
-          " module columns, expected " + std::to_string(num_modules_) + where);
+          " module columns, expected " + std::to_string(num_modules_) +
+          where(line_no));
     }
     num_modules_ = n;
     header_seen_ = true;
     return;
   }
 
-  if (cells.size() != num_modules_ + 2) {
-    throw std::runtime_error("telemetry: row has " +
-                             std::to_string(cells.size()) + " columns, " +
-                             "expected " + std::to_string(num_modules_ + 2) +
-                             where);
+  // Every cell must be non-empty (an empty cell is a truncated row —
+  // load_csv rejects the same way); parse_double rejects it below.
+  if (cells != num_modules_ + 2) {
+    throw std::runtime_error("telemetry: row has " + std::to_string(cells) +
+                             " columns, " + "expected " +
+                             std::to_string(num_modules_ + 2) +
+                             where(line_no));
   }
+  // Cells parse in place, straight into the sample: parse_double rejects
+  // empty, partial and non-finite cells, so every value here is finite.
   double time = 0.0;
   double ambient = 0.0;
   std::vector<double> temps(num_modules_);
   try {
-    time = util::parse_double(cells[0]);
-    ambient = util::parse_double(cells[1]);
-    for (std::size_t i = 0; i < num_modules_; ++i) {
-      temps[i] = util::parse_double(cells[i + 2]);
-    }
+    std::size_t column = 0;
+    util::for_each_field(line, ',', [&](std::string_view cell) {
+      const double value = util::parse_double(cell);
+      if (column == 0) {
+        time = value;
+      } else if (column == 1) {
+        ambient = value;
+      } else {
+        temps[column - 2] = value;
+      }
+      ++column;
+    });
   } catch (const std::exception& e) {
     throw std::runtime_error(std::string("telemetry: unparseable cell: ") +
-                             e.what() + where);
-  }
-  if (!std::isfinite(time) || !std::isfinite(ambient)) {
-    throw std::runtime_error("telemetry: non-finite time or ambient" + where);
-  }
-  for (double t : temps) {
-    if (!std::isfinite(t)) {
-      throw std::runtime_error("telemetry: non-finite module temperature" +
-                               where);
-    }
+                             e.what() + where(line_no));
   }
 
   // Resolve dt before anything can be placed on the grid.  Derive mode
@@ -336,21 +341,21 @@ void LineTelemetrySource::ingest(const std::string& line) {
     if (!std::isfinite(dt) || dt <= 0.0) {
       throw std::runtime_error(
           "telemetry: cannot derive dt (second timestamp does not advance)" +
-          where);
+          where(line_no));
     }
     dt_s_ = dt;
     have_parked_ = false;
     process_on_grid(parked_time_, std::move(parked_temps_), parked_ambient_,
-                    where);
+                    line_no);
     parked_temps_.clear();
   }
-  process_on_grid(time, std::move(temps), ambient, where);
+  process_on_grid(time, std::move(temps), ambient, line_no);
 }
 
 void LineTelemetrySource::process_on_grid(double time,
                                           std::vector<double> temps,
                                           double ambient,
-                                          const std::string& where) {
+                                          std::size_t line_no) {
   if (!have_epoch_) {
     // A fresh stream: the first data line defines grid index 0.
     epoch_s_ = time;
@@ -369,7 +374,7 @@ void LineTelemetrySource::process_on_grid(double time,
     throw std::runtime_error(
         "telemetry: timestamp " + std::to_string(time) +
         " is not on the grid (epoch " + std::to_string(epoch_s_) + ", dt " +
-        std::to_string(dt_s_) + ")" + where);
+        std::to_string(dt_s_) + ")" + where(line_no));
   }
   const auto k = static_cast<std::size_t>(k_real);
 
@@ -384,7 +389,7 @@ void LineTelemetrySource::process_on_grid(double time,
     issue.kind = TelemetryIssue::Kind::kOutOfOrder;
     issue.detail = "dropped out-of-order sample for t = " +
                    std::to_string(time) + ", stream is already at step " +
-                   std::to_string(next_index_) + where;
+                   std::to_string(next_index_) + where(line_no);
     issues_.push_back(std::move(issue));
     return;
   }
@@ -394,7 +399,7 @@ void LineTelemetrySource::process_on_grid(double time,
       throw std::runtime_error(
           "telemetry: gap of " + std::to_string(missing) +
           " grid step(s) before t = " + std::to_string(time) +
-          " (GapPolicy::kReject)" + where);
+          " (GapPolicy::kReject)" + where(line_no));
     }
     if (!have_last_) {
       // A gap with nothing to hold (stream rejoins beyond the resume
@@ -402,13 +407,13 @@ void LineTelemetrySource::process_on_grid(double time,
       throw std::runtime_error(
           "telemetry: stream rejoins at step " + std::to_string(k) +
           " but the run needs step " + std::to_string(next_index_) +
-          " and there is no previous sample to hold" + where);
+          " and there is no previous sample to hold" + where(line_no));
     }
     TelemetryIssue issue;
     issue.kind = TelemetryIssue::Kind::kGap;
     issue.detail = "filled " + std::to_string(missing) +
                    " missing grid step(s) before t = " + std::to_string(time) +
-                   " by holding the last sample" + where;
+                   " by holding the last sample" + where(line_no);
     issues_.push_back(std::move(issue));
     for (std::size_t i = next_index_; i < k; ++i) {
       enqueue_grid_sample(i, last_temps_, last_ambient_);
@@ -422,27 +427,25 @@ TelemetryEvent LineTelemetrySource::poll() {
   // Deliver queued samples (gap fills, burst arrivals) one per call before
   // touching the feed again.
   while (ready_.empty() && !end_) {
-    std::string chunk;
-    const ByteFeed::Status status = feed_->poll(chunk);
-    buffer_ += chunk;
-    // Consume every complete line in the buffer.
+    // The feed appends straight into the buffer; only the new bytes can
+    // hold the next newline, and each complete line is parsed in place.
+    const std::size_t scan = buffer_.size();
+    const ByteFeed::Status status = feed_->poll(buffer_);
     std::size_t start = 0;
-    for (std::size_t nl = buffer_.find('\n', start);
-         nl != std::string::npos; nl = buffer_.find('\n', start)) {
-      std::string line = buffer_.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+    for (std::size_t nl = buffer_.find('\n', scan); nl != std::string::npos;
+         nl = buffer_.find('\n', start)) {
+      ingest(without_cr(std::string_view(buffer_).substr(start, nl - start)),
+             ++lines_seen_);
       start = nl + 1;
-      ingest(line);
     }
     buffer_.erase(0, start);
     if (status == ByteFeed::Status::kEnd) {
       // A final line without a trailing newline still counts (a file's
       // last row, a generator killed mid-flush is caught by cell checks).
       if (!buffer_.empty()) {
-        std::string line = buffer_;
-        if (!line.empty() && line.back() == '\r') line.pop_back();
+        const std::string line = std::move(buffer_);
         buffer_.clear();
-        ingest(line);
+        ingest(without_cr(line), ++lines_seen_);
       }
       end_ = true;
     } else if (status == ByteFeed::Status::kIdle && ready_.empty()) {

@@ -32,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/stepper.hpp"
@@ -52,8 +53,9 @@ class ByteFeed {
 
   virtual ~ByteFeed() = default;
 
-  /// Appends available bytes (a bounded chunk) to `chunk`.  Throws
-  /// std::runtime_error on transport errors.
+  /// Appends available bytes (a bounded chunk) to `chunk`, leaving what
+  /// it already holds untouched (LineTelemetrySource polls straight into
+  /// its line buffer).  Throws std::runtime_error on transport errors.
   virtual Status poll(std::string& chunk) = 0;
 
   /// Human-readable source description for logs ("tail:path", "stdin",
@@ -209,9 +211,12 @@ class LineTelemetrySource {
   std::string describe() const { return feed_->describe(); }
 
  private:
-  void ingest(const std::string& line);
+  /// Parses one line (no terminator), 1-based `line_no` for messages.
+  void ingest(std::string_view line, std::size_t line_no);
   void process_on_grid(double time, std::vector<double> temps, double ambient,
-                       const std::string& where);
+                       std::size_t line_no);
+  /// The " (line N of <feed>)" suffix; built only for an error or issue.
+  std::string where(std::size_t line_no) const;
   void enqueue_grid_sample(std::size_t index, std::vector<double> temps,
                            double ambient);
 
@@ -235,7 +240,7 @@ class LineTelemetrySource {
   double last_ambient_ = 0.0;
   std::size_t emitted_ = 0;
   std::size_t replayed_ = 0;
-  std::size_t lines_seen_ = 0;   ///< 1-based line number for error messages
+  std::size_t lines_seen_ = 0;   ///< lines ingested so far
   std::deque<TraceSample> ready_;
   std::vector<TelemetryIssue> issues_;
 };

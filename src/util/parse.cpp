@@ -2,15 +2,20 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <system_error>
+
+#include "util/float_cmp.hpp"
 
 namespace tegrec::util {
 
 namespace {
 
-std::string trimmed(const std::string& text) {
+std::string_view trimmed(std::string_view text) {
   std::size_t begin = 0;
   std::size_t end = text.size();
   while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
@@ -22,15 +27,20 @@ std::string trimmed(const std::string& text) {
   return text.substr(begin, end - begin);
 }
 
-[[noreturn]] void fail(const char* what, const std::string& text) {
-  throw std::invalid_argument(std::string("expected ") + what + ", got '" +
-                              text + "'");
+[[noreturn]] void fail(const char* what, std::string_view text) {
+  std::string message = "expected ";
+  message += what;
+  message += ", got '";
+  message += text;
+  message += '\'';
+  throw std::invalid_argument(message);
 }
 
-}  // namespace
-
-double parse_double(const std::string& text) {
-  const std::string token = trimmed(text);
+/// The strtod reading of a token from_chars did not settle: accepts what
+/// strtod accepts in full without ERANGE ("+1.5", "0x1p3") and throws
+/// otherwise.  strtod needs a NUL-terminated copy.
+double parse_double_strtod(std::string_view text) {
+  const std::string token(trimmed(text));
   if (token.empty()) fail("a number", text);
   errno = 0;
   char* end = nullptr;
@@ -45,8 +55,27 @@ double parse_double(const std::string& text) {
   return value;
 }
 
-std::uint64_t parse_u64(const std::string& text) {
-  const std::string token = trimmed(text);
+}  // namespace
+
+double parse_double(std::string_view text) {
+  const std::string_view token = trimmed(text);
+  const char* const last = token.data() + token.size();
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(token.data(), last, value, std::chars_format::general);
+  // Only a normal or zero value is settled here: strtod flags subnormals
+  // with ERANGE (rejected), and every other input — a sign or hex prefix
+  // from_chars refuses, junk, overflow, "nan"/"inf" — takes strtod's path
+  // so it is accepted or rejected exactly as before, with the same message.
+  if (ec == std::errc() && end == last &&
+      (std::isnormal(value) || is_exactly_zero(value))) {
+    return value;
+  }
+  return parse_double_strtod(text);
+}
+
+std::uint64_t parse_u64(std::string_view text) {
+  const std::string token(trimmed(text));
   // strtoull accepts a leading '-' (wrapping the value); reject it here.
   if (token.empty() || token[0] == '-' || token[0] == '+') {
     fail("a non-negative integer", text);
@@ -60,8 +89,8 @@ std::uint64_t parse_u64(const std::string& text) {
   return value;
 }
 
-std::int64_t parse_i64(const std::string& text) {
-  const std::string token = trimmed(text);
+std::int64_t parse_i64(std::string_view text) {
+  const std::string token(trimmed(text));
   if (token.empty()) fail("an integer", text);
   errno = 0;
   char* end = nullptr;
@@ -72,8 +101,8 @@ std::int64_t parse_i64(const std::string& text) {
   return value;
 }
 
-bool parse_bool(const std::string& text) {
-  const std::string token = trimmed(text);
+bool parse_bool(std::string_view text) {
+  const std::string_view token = trimmed(text);
   if (token == "1" || token == "true") return true;
   if (token == "0" || token == "false") return false;
   fail("a boolean (0/1/true/false)", text);

@@ -1,28 +1,59 @@
-// Checked numeric parsing shared by the CLI and the spec reader.
+// The one door through which the library reads a number from text.
 //
 // strtoul/strtod silently accept garbage ("abc" -> 0, "10x" -> 10); these
 // helpers require the whole token to parse (surrounding whitespace is
 // tolerated, trailing junk is not) and throw std::invalid_argument with
-// the offending text otherwise, so a typo in a flag or a spec file fails
-// loudly instead of running the wrong study.
+// the offending text otherwise, so a typo in a flag, a spec file, a
+// checkpoint or a telemetry cell fails loudly instead of running the wrong
+// study.  The reading counterpart of util::append_double: every decoder of
+// the library's own text (CLI flags, spec files, checkpoints, controller
+// state blobs, telemetry lines) reads numbers through here, so the dialect
+// is the strtod one in the "C" locale, defined in one place.
+//
+// parse_double takes a std::string_view and neither copies nor allocates
+// on the common path: std::from_chars reads a plain decimal token, and only
+// a token it does not fully consume as a normal or zero double (a leading
+// '+', hex, subnormals, out-of-range and non-finite text, garbage) falls
+// back to strtod, which then accepts it or throws.  Both are correctly
+// rounded, so every accepted token reads back to the same bits either way.
+//
+// The comma-list decoders split through for_each_field, which keeps empty
+// fields ("1,2," is three fields, the last one empty), so a stray comma is
+// a parse error rather than a value that re-encodes to different bytes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace tegrec::util {
 
 /// Parses a finite double; rejects empty/partial tokens ("", "10x",
-/// "1.2.3") and non-finite values ("nan", "inf").
-double parse_double(const std::string& text);
+/// "1.2.3"), out-of-range and subnormal values ("1e400", "5e-324") and
+/// non-finite values ("nan", "inf").
+double parse_double(std::string_view text);
 
 /// Parses a non-negative integer; rejects signs, junk and overflow.
-std::uint64_t parse_u64(const std::string& text);
+std::uint64_t parse_u64(std::string_view text);
 
 /// Parses a signed integer; rejects junk and overflow.
-std::int64_t parse_i64(const std::string& text);
+std::int64_t parse_i64(std::string_view text);
 
 /// Accepts 0/1/true/false (the spec-file boolean dialect).
-bool parse_bool(const std::string& text);
+bool parse_bool(std::string_view text);
+
+/// Calls `fn(std::string_view field)` once per `sep`-separated field of
+/// `text`, in order, empty fields included: "" is one empty field, "a,,b"
+/// three and "a,b," three with the last one empty.  Allocates nothing.
+template <typename Fn>
+void for_each_field(std::string_view text, char sep, Fn&& fn) {
+  std::size_t start = 0;
+  for (std::size_t end = text.find(sep); end != std::string_view::npos;
+       end = text.find(sep, start)) {
+    fn(text.substr(start, end - start));
+    start = end + 1;
+  }
+  fn(text.substr(start));
+}
 
 }  // namespace tegrec::util

@@ -181,6 +181,27 @@ TEST(Checkpoint, TruncatedAndCorruptArtifactsAreLoud) {
   EXPECT_THROW(decode_checkpoint(inconsistent, stamp), std::runtime_error);
 }
 
+// The encoder never writes a trailing comma, so a group-start list ending in
+// one is corrupt, not the list without it (which would re-encode to
+// different bytes).
+TEST(Checkpoint, TrailingCommaInFabricStartsIsLoud) {
+  const auto trace = test_trace();
+  const StreamConfig config = test_config(trace);
+  const std::string stamp = stream_config_fingerprint_text(config);
+  SteppedRun run = make_run(config, trace, 7);
+  const std::string text = encode_checkpoint(run.stepper->state(), stamp);
+  ASSERT_FALSE(decode_checkpoint(text, stamp).state.fabric_group_starts.empty());
+
+  const std::size_t key = text.find("fabric_group_starts = ");
+  ASSERT_NE(key, std::string::npos);
+  std::string trailing = text;
+  trailing.insert(trailing.find('\n', key), ",");
+  EXPECT_THROW(decode_checkpoint(trailing, stamp), std::runtime_error);
+  std::string doubled = text;
+  doubled.insert(doubled.find(',', key) + 1, ",");
+  EXPECT_THROW(decode_checkpoint(doubled, stamp), std::runtime_error);
+}
+
 // ------------------------------------------------------ incremental encoder
 //
 // CheckpointEncoder keeps the rendered step rows and log lines between

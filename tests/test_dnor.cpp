@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "predict/bpnn.hpp"
 #include "predict/svr.hpp"
 
@@ -115,6 +118,38 @@ TEST(Dnor, ResetClearsCounters) {
   EXPECT_EQ(rec.decisions_made(), 0u);
   EXPECT_EQ(rec.switches_taken(), 0u);
   EXPECT_TRUE(rec.update(0.0, profile(30.0), 25.0).invoked);
+}
+
+// Writers never emit an empty list field, so a stray comma in a state blob
+// is corruption: the restore throws the documented std::runtime_error
+// instead of reading "1,2," as [1, 2] (which would re-encode differently).
+TEST(Dnor, StateBlobRejectsEmptyListFields) {
+  DnorReconfigurer rec(kDev, kConv, fast_params());
+  for (double t = 0.0; t < 5.0; t += 0.5) {
+    rec.update(t, profile(30.0 + t), 25.0);
+  }
+  const std::string blob = rec.checkpoint_state();
+  DnorReconfigurer restored(kDev, kConv, fast_params());
+  restored.restore_checkpoint_state(blob);
+  EXPECT_EQ(restored.checkpoint_state(), blob);
+
+  const auto with_comma_after = [&](const std::string& key) {
+    const std::size_t at = blob.find("\n" + key + " = ");
+    EXPECT_NE(at, std::string::npos) << key;
+    std::string bad = blob;
+    bad.insert(bad.find('\n', at + 1), ",");
+    return bad;
+  };
+  for (const std::string key : {"row", "config_starts"}) {
+    DnorReconfigurer target(kDev, kConv, fast_params());
+    EXPECT_THROW(target.restore_checkpoint_state(with_comma_after(key)),
+                 std::runtime_error)
+        << key;
+  }
+  std::string leading = blob;
+  leading.insert(leading.find("\nrow = ") + 7, ",");
+  EXPECT_THROW(restored.restore_checkpoint_state(leading), std::runtime_error);
+  EXPECT_EQ(restored.checkpoint_state(), blob);  // nothing half-applied
 }
 
 TEST(Dnor, ParameterValidation) {

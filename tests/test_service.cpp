@@ -640,6 +640,18 @@ TEST(Spec, ParserRejectsGarbage) {
                std::invalid_argument);
   EXPECT_THROW(ExperimentSpec::from_text("kind = comparison\nkind = sweep\n"),
                std::invalid_argument);
+  // A list value with an empty field is garbage, not the list without it
+  // (canonical_text never writes one, so "1,2," would not round-trip).
+  for (const std::string values : {"1,2,", ",1,2", "1,,2", ","}) {
+    const std::string text = "kind = sweep\nsweep.values = " + values + "\n";
+    EXPECT_THROW(ExperimentSpec::from_text(text), std::invalid_argument)
+        << values;
+  }
+  EXPECT_EQ(ExperimentSpec::from_text("kind = sweep\nsweep.values = 1, 2\n")
+                .sweep_values,
+            (std::vector<double>{1.0, 2.0}));
+  EXPECT_TRUE(ExperimentSpec::from_text("kind = sweep\nsweep.values =\n")
+                  .sweep_values.empty());
   // Sparse specs are fine: defaults fill everything unstated.
   const ExperimentSpec sparse = ExperimentSpec::from_text("kind = sweep\n");
   EXPECT_EQ(sparse.kind, ExperimentKind::kSweep);

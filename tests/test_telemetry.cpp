@@ -158,6 +158,8 @@ TEST(Telemetry, MalformedLinesThrowNamingTheLine) {
         << bytes;
   };
   expect_throw_on("wrong,header,t0,t1\n");                    // bad header
+  expect_throw_on("time_s,ambient_c\n0,25\n");              // no modules
+  expect_throw_on("time_s ,ambient_c,t0\n0,25,30\n");       // padded name
   expect_throw_on(kHeader + "0,25,30\n");                     // short row
   expect_throw_on(kHeader + "0,25,30,31,7\n");                // long row
   expect_throw_on(kHeader + "0,25,nan,31\n");                 // non-finite
@@ -226,6 +228,128 @@ TEST(Telemetry, BlankLinesAreTolerated) {
   EXPECT_EQ(source->poll().kind, TelemetryEvent::Kind::kSample);
   EXPECT_EQ(source->poll().kind, TelemetryEvent::Kind::kSample);
   EXPECT_EQ(source->poll().kind, TelemetryEvent::Kind::kEnd);
+}
+
+/// Drains a closed source, returning every sample it emits.
+std::vector<TraceSample> drain(LineTelemetrySource& source) {
+  std::vector<TraceSample> samples;
+  for (TelemetryEvent event = source.poll();
+       event.kind != TelemetryEvent::Kind::kEnd; event = source.poll()) {
+    if (event.kind == TelemetryEvent::Kind::kSample) {
+      samples.push_back(std::move(event.sample));
+    }
+  }
+  return samples;
+}
+
+/// The message of the runtime_error draining `bytes` throws ("" if none).
+std::string error_of(const std::string& bytes) {
+  auto [feed, source] = make_source(bytes);
+  feed->close();
+  try {
+    drain(*source);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Lines are parsed in place from the receive buffer, so where the feed
+// splits the bytes must not matter: one byte per poll reads the same
+// samples, bit for bit, as the whole stream in one chunk.
+TEST(Telemetry, BytePerPollMatchesOneChunk) {
+  const std::string bytes = kHeader + "0,25.125,30.5,31.0625\r\n" +
+                            row(0.5, 25, 32, 33) + "\n" +
+                            "1.0, 24.75 ,1e1,3.3333333333333335\n" +
+                            "1.5,25,34,35";  // no final newline
+  auto [whole_feed, whole] = make_source(bytes);
+  whole_feed->close();
+  const std::vector<TraceSample> want = drain(*whole);
+  ASSERT_EQ(want.size(), 4u);
+
+  auto [feed, source] = make_source("");
+  std::vector<TraceSample> got;
+  for (const char byte : bytes) {
+    feed->push(std::string(1, byte));
+    const TelemetryEvent event = source->poll();
+    ASSERT_NE(event.kind, TelemetryEvent::Kind::kEnd);
+    if (event.kind == TelemetryEvent::Kind::kSample) {
+      got.push_back(event.sample);
+    }
+  }
+  feed->close();
+  for (TraceSample& sample : drain(*source)) got.push_back(std::move(sample));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].time_s, want[i].time_s);
+    EXPECT_EQ(got[i].ambient_c, want[i].ambient_c);
+    EXPECT_EQ(got[i].module_temps_c, want[i].module_temps_c);
+  }
+  EXPECT_EQ(want[0].module_temps_c, (std::vector<double>{30.5, 31.0625}));
+  EXPECT_EQ(want[2].ambient_c, 24.75);
+  EXPECT_EQ(want[2].module_temps_c,
+            (std::vector<double>{10.0, 3.3333333333333335}));
+}
+
+TEST(Telemetry, CrlfLinesParse) {
+  auto [feed, source] =
+      make_source("time_s,ambient_c,t0,t1\r\n0,25,30,31\r\n\r\n"
+                  "0.5,25,32,33\r\n");  // a blank CRLF line is blank too
+  feed->close();
+  const std::vector<TraceSample> samples = drain(*source);
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(source->num_modules(), 2u);
+  EXPECT_EQ(samples[1].module_temps_c, (std::vector<double>{32.0, 33.0}));
+}
+
+TEST(Telemetry, WhitespacePaddedCellsAreAccepted) {
+  auto [feed, source] =
+      make_source(kHeader + "0, 25 ,30,31\n" + "0.5,\t25,32 ,  33\n");
+  feed->close();
+  const std::vector<TraceSample> samples = drain(*source);
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].ambient_c, 25.0);
+  EXPECT_EQ(samples[1].module_temps_c, (std::vector<double>{32.0, 33.0}));
+}
+
+TEST(Telemetry, EmptyCellsThrow) {
+  // A trailing comma is an extra, empty column; an empty middle cell has
+  // the right column count but nothing to read.
+  EXPECT_NE(error_of(kHeader + "0,25,30,31,\n"), "");
+  EXPECT_NE(error_of(kHeader + "0,25,,31\n"), "");
+  EXPECT_NE(error_of(kHeader + "0,25,30,\n"), "");
+  EXPECT_NE(error_of(kHeader + ",25,30,31\n"), "");
+}
+
+TEST(Telemetry, ErrorsNameTheOneBasedLine) {
+  // Line 1 is the header, line 2 a blank separator, line 3 the bad row:
+  // the suffix is built only when throwing, and still counts blank lines.
+  const std::string error = error_of(kHeader + "\n" + "0,25,abc,31\n");
+  EXPECT_NE(error.find("unparseable cell"), std::string::npos) << error;
+  EXPECT_NE(error.find("(line 3 of memory)"), std::string::npos) << error;
+
+  const std::string columns = error_of(kHeader + row(0, 25, 30, 31) + "\n" +
+                                       "0.5,25,32\n");
+  EXPECT_NE(columns.find("row has 3 columns, expected 4 (line 4 of memory)"),
+            std::string::npos)
+      << columns;
+  // An unterminated last line is numbered too.
+  const std::string last = error_of(kHeader + "\n\n" + "0,25,30,x");
+  EXPECT_NE(last.find("(line 4 of memory)"), std::string::npos) << last;
+}
+
+TEST(Telemetry, IssuesNameTheirLine) {
+  TelemetryOptions options;
+  options.dt_s = 0.5;
+  auto [feed, source] = make_source(kHeader + row(0.0, 25, 30, 31), options);
+  EXPECT_EQ(source->poll().sample.time_s, 0.0);
+  feed->push("\n" + row(1.0, 25, 32, 33));  // line 4 skips grid index 1
+  feed->close();
+  const TelemetryEvent filled = source->poll();
+  ASSERT_EQ(filled.issues.size(), 1u);
+  EXPECT_NE(filled.issues[0].detail.find("(line 4 of memory)"),
+            std::string::npos)
+      << filled.issues[0].detail;
 }
 
 TEST(Telemetry, StringFeedReportsLifecycle) {

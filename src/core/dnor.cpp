@@ -33,19 +33,19 @@ DnorReconfigurer::DnorReconfigurer(const teg::DeviceParams& device,
 std::pair<double, double> DnorReconfigurer::predicted_energies_j(
     const teg::ArrayConfig& c_old, const teg::ArrayConfig& c_new,
     const std::vector<double>& now_temps,
-    const std::vector<std::vector<double>>& forecast, double ambient_c) const {
+    const std::vector<std::vector<double>>& forecast, double ambient_c) {
   const double dt = params_.control_period_s;
   double e_old = 0.0;
   double e_new = 0.0;
   auto accumulate = [&](const std::vector<double>& temps) {
-    std::vector<double> delta(temps.size());
+    row_delta_.resize(temps.size());
     for (std::size_t i = 0; i < temps.size(); ++i) {
-      delta[i] = std::max(0.0, temps[i] - ambient_c);
+      row_delta_[i] = std::max(0.0, temps[i] - ambient_c);
     }
-    const teg::TegArray array(device_, delta, ambient_c);
-    const teg::ArrayEvaluator evaluator(array);
-    e_old += config_power_w(evaluator, converter_, c_old) * dt;
-    e_new += config_power_w(evaluator, converter_, c_new) * dt;
+    teg::module_ports(device_, row_delta_, ambient_c, row_ports_);
+    row_evaluator_.assign(row_ports_);
+    e_old += config_power_w(row_evaluator_, converter_, c_old) * dt;
+    e_new += config_power_w(row_evaluator_, converter_, c_new) * dt;
   };
   // The "current second" term of Algorithm 2 plus the tp predicted steps.
   accumulate(now_temps);
@@ -62,11 +62,11 @@ UpdateResult DnorReconfigurer::update(double time_s,
   }
   // The controller senses every period and archives absolute hot-side
   // temperatures (the predictors model T, not dT).
-  std::vector<double> temps(delta_t_k.size());
+  temps_.resize(delta_t_k.size());
   for (std::size_t i = 0; i < delta_t_k.size(); ++i) {
-    temps[i] = ambient_c + delta_t_k[i];
+    temps_[i] = ambient_c + delta_t_k[i];
   }
-  history_->push(temps);
+  history_->push(temps_);
 
   UpdateResult result;
   if (has_config_ && time_s + 1e-9 < next_decision_time_s_) {
@@ -75,8 +75,10 @@ UpdateResult DnorReconfigurer::update(double time_s,
   }
 
   const util::MonotonicTimer timer;
-  const teg::TegArray array(device_, delta_t_k, ambient_c);
-  teg::ArrayConfig c_new = inor_search(array, converter_, params_.inor);
+  teg::module_ports(device_, delta_t_k, ambient_c, ports_);
+  evaluator_.assign(ports_);
+  teg::ArrayConfig c_new =
+      inor_search(ports_, evaluator_, converter_, params_.inor, inor_scratch_);
   ++decisions_;
 
   bool adopt = true;
@@ -89,10 +91,9 @@ UpdateResult DnorReconfigurer::update(double time_s,
       predictor_->fit(*history_);
       const auto forecast = predictor_->predict_horizon(*history_, horizon);
       const auto [e_old, e_new] =
-          predicted_energies_j(current_, c_new, temps, forecast, ambient_c);
+          predicted_energies_j(current_, c_new, temps_, forecast, ambient_c);
       const std::size_t toggles = 3 * current_.boundary_distance(c_new);
-      const double p_now =
-          config_power_w(teg::ArrayEvaluator(array), converter_, current_);
+      const double p_now = config_power_w(evaluator_, converter_, current_);
       // The estimate mirrors what the stepper would charge on actuation,
       // including this controller's own declared compute budget.
       const double e_overhead =

@@ -75,12 +75,21 @@ class DnorReconfigurer final : public Reconfigurer {
   std::size_t decisions_ = 0;
   std::size_t switches_ = 0;
 
+  // Per-step scratch, reused across steps; never checkpointed.
+  std::vector<double> temps_;              ///< sensed hot-side temperatures
+  std::vector<teg::LinearSource> ports_;   ///< this step's module ports
+  teg::ArrayEvaluator evaluator_;          ///< over ports_
+  InorScratch inor_scratch_;
+  std::vector<double> row_delta_;          ///< one energy row's clamped dT
+  std::vector<teg::LinearSource> row_ports_;
+  teg::ArrayEvaluator row_evaluator_;
+
   /// Predicted output energies of the hold/switch candidates over now + the
-  /// forecast rows, sharing one cached ArrayEvaluator per row.
+  /// forecast rows, sharing one evaluator snapshot per row.
   std::pair<double, double> predicted_energies_j(
       const teg::ArrayConfig& c_old, const teg::ArrayConfig& c_new,
       const std::vector<double>& now_temps,
-      const std::vector<std::vector<double>>& forecast, double ambient_c) const;
+      const std::vector<std::vector<double>>& forecast, double ambient_c);
 };
 
 }  // namespace tegrec::core

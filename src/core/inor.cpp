@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "core/objective.hpp"
 #include "core/state_codec.hpp"
@@ -9,73 +10,147 @@
 
 namespace tegrec::core {
 
+namespace {
+
+// prefix[i] = sum of the first i MPP currents, in module order.  Zero
+// currents (stone-cold modules) are legal; negatives are not.
+template <typename CurrentAt>
+void build_prefix(std::size_t count, CurrentAt current_at,
+                  std::vector<double>& prefix) {
+  prefix.resize(count + 1);
+  prefix[0] = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double current = current_at(i);
+    if (current < 0.0) {
+      throw std::invalid_argument("inor_partition: negative MPP current");
+    }
+    prefix[i + 1] = prefix[i] + current;
+  }
+}
+
+// Writes the greedy n-group partition over `prefix` (count + 1 entries,
+// 1 <= n <= count) into `starts`.
+void partition_starts(std::span<const double> prefix, std::size_t n,
+                      std::vector<std::size_t>& starts) {
+  const std::size_t count = prefix.size() - 1;
+  starts.clear();
+  if (prefix[count] <= 0.0) {
+    // Dead array: any balanced partition is as good as any other.  These
+    // are ArrayConfig::uniform(count, n)'s starts, distinct for n <= count.
+    for (std::size_t j = 0; j < n; ++j) starts.push_back(j * count / n);
+    return;
+  }
+  const double i_ideal = prefix[count] / static_cast<double>(n);
+
+  starts.push_back(0);
+  std::size_t boundary = 0;  // end (exclusive) of the previous group
+  for (std::size_t j = 1; j < n; ++j) {
+    // Group j-1 spans [boundary, g); f(g) is its sum's deviation from
+    // Iideal.  f never decreases as g grows: the prefix sums non-negative
+    // currents and every rounding step is monotone.  So f(g) <= 0 holds on
+    // a leading run of g (also when an infinite or NaN current makes the
+    // later f NaN, which compares false), and along that run |f| never
+    // grows, so the
+    // paper's walk (advance while |f(g+1)| <= |f(g)|) would step through
+    // all of it.  Gallop to the run's last g instead, then finish with the
+    // walk itself, which takes the crossing and any zero-current run after.
+    const double base = prefix[boundary];
+    const auto f = [&](std::size_t h) { return prefix[h] - base - i_ideal; };
+    std::size_t g = boundary + 1;               // at least one module per group
+    const std::size_t g_max = count - (n - j);  // one module per later group
+    if (f(g) <= 0.0) {
+      std::size_t lo = g;          // f(lo) <= 0
+      std::size_t hi = g_max + 1;  // f(hi) > 0, or past the window
+      for (std::size_t step = 1; lo + step < hi; step *= 2) {
+        if (f(lo + step) > 0.0) {
+          hi = lo + step;
+          break;
+        }
+        lo += step;
+      }
+      while (hi - lo > 1) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (f(mid) <= 0.0) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      g = lo;
+    }
+    while (g < g_max && std::abs(f(g + 1)) <= std::abs(f(g))) ++g;
+    starts.push_back(g);
+    boundary = g;
+  }
+}
+
+}  // namespace
+
 teg::ArrayConfig inor_partition(const std::vector<double>& mpp_currents,
                                 std::size_t n) {
   const std::size_t count = mpp_currents.size();
   if (n == 0 || n > count) {
     throw std::invalid_argument("inor_partition: bad group count");
   }
-  // Prefix sums of the MPP currents: prefix[i] = sum of the first i values.
-  // Zero currents (stone-cold modules) are legal; negatives are not.
-  std::vector<double> prefix(count + 1, 0.0);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (mpp_currents[i] < 0.0) {
-      throw std::invalid_argument("inor_partition: negative MPP current");
-    }
-    prefix[i + 1] = prefix[i] + mpp_currents[i];
-  }
-  if (prefix[count] <= 0.0) {
-    // Dead array: any balanced partition is as good as any other.
-    return teg::ArrayConfig::uniform(count, n);
-  }
-  const double i_ideal = prefix[count] / static_cast<double>(n);
-
-  std::vector<std::size_t> starts{0};
-  std::size_t boundary = 0;  // end (exclusive) of the previous group
-  for (std::size_t j = 1; j < n; ++j) {
-    // Group j-1 spans [starts.back(), g).  Walk g forward while moving the
-    // group sum closer to Iideal; currents are positive so the deviation is
-    // unimodal in g and the scan can stop at the first worsening step.
-    const double base = prefix[boundary];
-    std::size_t g = boundary + 1;              // at least one module per group
-    const std::size_t g_max = count - (n - j); // leave one module per later group
-    while (g < g_max && std::abs(prefix[g + 1] - base - i_ideal) <=
-                            std::abs(prefix[g] - base - i_ideal)) {
-      ++g;
-    }
-    starts.push_back(g);
-    boundary = g;
-  }
+  std::vector<double> prefix;
+  build_prefix(
+      count, [&](std::size_t i) { return mpp_currents[i]; }, prefix);
+  std::vector<std::size_t> starts;
+  partition_starts(prefix, n, starts);
   return teg::ArrayConfig(std::move(starts), count);
 }
 
 teg::ArrayConfig inor_search(const teg::TegArray& array,
                              const power::Converter& converter,
                              const InorOptions& options) {
+  std::vector<teg::LinearSource> ports(array.size());
+  for (std::size_t i = 0; i < array.size(); ++i) ports[i] = array.module(i).port();
+  const teg::ArrayEvaluator evaluator(ports);
+  InorScratch scratch;
+  return inor_search(ports, evaluator, converter, options, scratch);
+}
+
+teg::ArrayConfig inor_search(std::span<const teg::LinearSource> ports,
+                             const teg::ArrayEvaluator& evaluator,
+                             const power::Converter& converter,
+                             const InorOptions& options, InorScratch& scratch) {
+  if (evaluator.size() != ports.size()) {
+    throw std::invalid_argument("inor_search: evaluator/ports size mismatch");
+  }
   std::size_t nmin = options.nmin;
   std::size_t nmax = options.nmax;
   if (nmin == 0 && nmax == 0) {
-    const auto window = group_count_window(array, converter);
+    const auto window = group_count_window(ports, converter);
     nmin = window.nmin;
     nmax = window.nmax;
   }
-  if (nmin == 0 || nmax < nmin || nmax > array.size()) {
+  if (nmin == 0 || nmax < nmin || nmax > ports.size()) {
     throw std::invalid_argument("inor_search: bad n window");
   }
 
-  const std::vector<double> impp = array.module_mpp_currents();
-  const teg::ArrayEvaluator evaluator(array);
+  build_prefix(
+      ports.size(), [&](std::size_t i) { return ports[i].mpp_current_a(); },
+      scratch.prefix);
+  // Room for the largest possible candidate, so a window that widens from
+  // one step to the next never reallocates.
+  scratch.candidate.reserve(ports.size());
+  scratch.best.reserve(ports.size());
   double best_power = -1.0;
-  teg::ArrayConfig best;
+  bool found = false;
   for (std::size_t n = nmin; n <= nmax; ++n) {
-    teg::ArrayConfig candidate = inor_partition(impp, n);
-    const double p = config_power_w(evaluator, converter, candidate);
+    partition_starts(scratch.prefix, n, scratch.candidate);
+    const double p = config_power_w(
+        evaluator, converter, std::span<const std::size_t>(scratch.candidate));
     if (p > best_power) {
       best_power = p;
-      best = std::move(candidate);
+      std::swap(scratch.candidate, scratch.best);
+      found = true;
     }
   }
-  return best;
+  // Every candidate scoring NaN leaves no winner: the empty config, as the
+  // historical search returned.
+  if (!found) return teg::ArrayConfig();
+  return teg::ArrayConfig(scratch.best, ports.size());
 }
 
 InorReconfigurer::InorReconfigurer(const teg::DeviceParams& device,
@@ -95,8 +170,10 @@ UpdateResult InorReconfigurer::update(double time_s,
     return result;  // between periods: hold
   }
   const util::MonotonicTimer timer;
-  const teg::TegArray array(device_, delta_t_k, ambient_c);
-  teg::ArrayConfig next = inor_search(array, converter_, options_);
+  teg::module_ports(device_, delta_t_k, ambient_c, ports_);
+  evaluator_.assign(ports_);
+  teg::ArrayConfig next =
+      inor_search(ports_, evaluator_, converter_, options_, scratch_);
   result.compute_time_s = timer.seconds();
   result.invoked = true;
   result.switched = !has_config_ || next != current_;

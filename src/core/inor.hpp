@@ -7,14 +7,21 @@
 // candidate partition is scored with the charger-aware objective and the
 // best kept.  The greedy pass is O(N) per n and the window size is a
 // device constant, giving the paper's O(N) overall complexity.
+//
+// The prefix is built once per search, and each boundary gallops over it
+// (O(log group size)) to the last position whose group sum does not yet
+// exceed Iideal before finishing with the paper's stop-at-first-worsening
+// step; tests/inor_oracle.hpp keeps the plain linear walk it must equal.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/reconfigurer.hpp"
 #include "power/converter.hpp"
 #include "teg/array.hpp"
+#include "teg/array_evaluator.hpp"
 
 namespace tegrec::core {
 
@@ -28,15 +35,33 @@ struct InorOptions {
 /// One greedy partition of the modules into exactly n groups balancing the
 /// summed MPP currents (the inner loop of Algorithm 1).  Exposed for tests
 /// and for EHTR's comparison.  Requires 1 <= n <= mpp_currents.size() and
-/// strictly positive currents.
+/// non-negative currents; zero-current (stone-cold) modules are legal, and
+/// an all-zero array gets ArrayConfig::uniform(count, n).
 teg::ArrayConfig inor_partition(const std::vector<double>& mpp_currents,
                                 std::size_t n);
+
+/// Buffers one search reuses: the MPP-current prefix and two group-start
+/// lists (the candidate being scored, the best so far).  Controllers keep
+/// one as a member so a steady-state search allocates only its result.
+struct InorScratch {
+  std::vector<double> prefix;
+  std::vector<std::size_t> candidate;
+  std::vector<std::size_t> best;
+};
 
 /// Full Algorithm 1: scans the n window, scores each greedy partition with
 /// the charger-aware objective and returns the best configuration.
 teg::ArrayConfig inor_search(const teg::TegArray& array,
                              const power::Converter& converter,
                              const InorOptions& options = {});
+
+/// The same search over a module port snapshot (teg::module_ports) and an
+/// evaluator assigned from those ports; bit-identical to the TegArray
+/// overload over the same modules.
+teg::ArrayConfig inor_search(std::span<const teg::LinearSource> ports,
+                             const teg::ArrayEvaluator& evaluator,
+                             const power::Converter& converter,
+                             const InorOptions& options, InorScratch& scratch);
 
 /// Periodic controller wrapping inor_search: re-runs every `period_s`
 /// (0.5 s in the paper's evaluation, following [5]) and always adopts the
@@ -69,6 +94,10 @@ class InorReconfigurer final : public Reconfigurer {
   double next_run_time_s_ = 0.0;
   bool has_config_ = false;
   teg::ArrayConfig current_;
+  // Per-invocation scratch, reused across steps; never checkpointed.
+  std::vector<teg::LinearSource> ports_;
+  teg::ArrayEvaluator evaluator_;
+  InorScratch scratch_;
 };
 
 }  // namespace tegrec::core

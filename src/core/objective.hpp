@@ -50,4 +50,8 @@ power::OperatingPoint config_operating_point(
 power::Converter::GroupRange group_count_window(const teg::TegArray& array,
                                                 const power::Converter& converter);
 
+/// The same window from a module port snapshot (teg::module_ports).
+power::Converter::GroupRange group_count_window(
+    std::span<const teg::LinearSource> ports, const power::Converter& converter);
+
 }  // namespace tegrec::core

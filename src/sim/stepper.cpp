@@ -67,11 +67,11 @@ StepRecord SimStepper::step(const TraceSample& sample) {
   rec.time_s = expected_time_s;
 
   // TemperatureTrace::step_delta_t's clamp, applied to the live sample.
-  std::vector<double> delta_t = sample.module_temps_c;
-  for (double& t : delta_t) t = std::max(0.0, t - sample.ambient_c);
+  delta_t_.assign(sample.module_temps_c.begin(), sample.module_temps_c.end());
+  for (double& t : delta_t_) t = std::max(0.0, t - sample.ambient_c);
   const double ambient = sample.ambient_c;
   const core::UpdateResult upd =
-      controller_->update(rec.time_s, delta_t, ambient);
+      controller_->update(rec.time_s, delta_t_, ambient);
 
   rec.invoked = upd.invoked;
   rec.switched = upd.switched;
@@ -94,10 +94,10 @@ StepRecord SimStepper::step(const TraceSample& sample) {
 
   // Electrical evaluation at this period's temperatures, through the
   // cached prefix aggregates (no per-step O(N) port summation).
-  const teg::TegArray array(options_.device, delta_t, ambient);
-  const teg::ArrayEvaluator evaluator(array);
-  rec.ideal_power_w = evaluator.ideal_power_w();
-  rec.gross_power_w = core::config_power_w(evaluator, converter_, upd.config);
+  teg::module_ports(options_.device, delta_t_, ambient, ports_);
+  evaluator_.assign(ports_);
+  rec.ideal_power_w = evaluator_.ideal_power_w();
+  rec.gross_power_w = core::config_power_w(evaluator_, converter_, upd.config);
 
   // Overhead: an actuation blanks the output for sensing + compute +
   // switching + MPPT re-settle (Section III.C, model of [5]).  The compute

@@ -28,6 +28,8 @@
 #include "power/converter.hpp"
 #include "sim/simulator.hpp"
 #include "switchfab/switch_network.hpp"
+#include "teg/array_evaluator.hpp"
+#include "teg/linear_source.hpp"
 #include "util/atomic_file.hpp"
 
 namespace tegrec::sim {
@@ -123,6 +125,10 @@ class SimStepper {
   std::unique_ptr<switchfab::SwitchNetwork> fabric_;  // built on first config
   SimulationResult partial_;  ///< accumulators + steps (derived fields stale)
   double total_compute_s_ = 0.0;
+  // Per-step scratch, reused across steps; never part of state().
+  std::vector<double> delta_t_;
+  std::vector<teg::LinearSource> ports_;
+  teg::ArrayEvaluator evaluator_;
 };
 
 }  // namespace tegrec::sim

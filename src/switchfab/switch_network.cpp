@@ -5,6 +5,33 @@
 
 namespace tegrec::switchfab {
 
+namespace {
+
+// A configuration's series boundaries are exactly its non-zero group
+// starts (cell s-1 sits between modules s-1 and s).  The cells to flip are
+// the symmetric difference of the wired and target boundary lists; both
+// are strictly increasing, so one merge pass visits them in ascending
+// order in O(wired groups + target groups) — independent of the module
+// count.
+template <typename Fn>
+void for_each_flip(const std::vector<std::size_t>& wired,
+                   const std::vector<std::size_t>& next, Fn flip) {
+  std::size_t a = 1;  // skip the mandatory leading 0 of both lists
+  std::size_t b = 1;
+  while (a < wired.size() || b < next.size()) {
+    if (b == next.size() || (a < wired.size() && wired[a] < next[b])) {
+      flip(wired[a++] - 1);  // boundary opens
+    } else if (a == wired.size() || next[b] < wired[a]) {
+      flip(next[b++] - 1);   // boundary closes
+    } else {
+      ++a;  // boundary present on both sides: cell untouched
+      ++b;
+    }
+  }
+}
+
+}  // namespace
+
 SwitchNetwork::SwitchNetwork(std::size_t num_modules)
     : SwitchNetwork(num_modules, teg::ArrayConfig::all_parallel(num_modules)) {}
 
@@ -24,6 +51,8 @@ SwitchNetwork::SwitchNetwork(std::size_t num_modules,
     cells_[i].parallel_top_closed = !series;
     cells_[i].parallel_bottom_closed = !series;
   }
+  // Room for every possible boundary, so apply() never reallocates.
+  starts_.reserve(num_modules_);
   starts_ = initial.group_starts();
 }
 
@@ -46,26 +75,9 @@ ActuationPlan SwitchNetwork::diff(const teg::ArrayConfig& target) const {
   if (target.num_modules() != num_modules_) {
     throw std::invalid_argument("SwitchNetwork::diff: config size mismatch");
   }
-  // A configuration's series boundaries are exactly its non-zero group
-  // starts (cell s-1 sits between modules s-1 and s).  The cells to flip
-  // are the symmetric difference of the wired and target boundary lists;
-  // both are strictly increasing, so one merge pass finds it in
-  // O(wired groups + target groups) — independent of the module count.
-  const std::vector<std::size_t>& wired = starts_;
-  const std::vector<std::size_t>& next = target.group_starts();
   ActuationPlan plan;
-  std::size_t a = 1;  // skip the mandatory leading 0 of both lists
-  std::size_t b = 1;
-  while (a < wired.size() || b < next.size()) {
-    if (b == next.size() || (a < wired.size() && wired[a] < next[b])) {
-      plan.flip_cells.push_back(wired[a++] - 1);  // boundary opens
-    } else if (a == wired.size() || next[b] < wired[a]) {
-      plan.flip_cells.push_back(next[b++] - 1);   // boundary closes
-    } else {
-      ++a;  // boundary present on both sides: cell untouched
-      ++b;
-    }
-  }
+  for_each_flip(starts_, target.group_starts(),
+                [&](std::size_t cell) { plan.flip_cells.push_back(cell); });
   return plan;
 }
 
@@ -73,13 +85,16 @@ std::size_t SwitchNetwork::apply(const teg::ArrayConfig& config) {
   if (config.num_modules() != num_modules_) {
     throw std::invalid_argument("SwitchNetwork::apply: config size mismatch");
   }
-  const ActuationPlan plan = diff(config);
-  for (const std::size_t cell : plan.flip_cells) {
+  // diff()'s plan, applied as it is found: no plan vector, so a steady
+  // stream of actuations allocates nothing.
+  std::size_t flipped = 0;
+  for_each_flip(starts_, config.group_starts(), [&](std::size_t cell) {
     set_cell(cell, !cells_[cell].series_closed);
-  }
+    ++flipped;
+  });
   starts_ = config.group_starts();
-  if (!plan.empty()) ++events_;
-  return plan.num_switch_actuations();
+  if (flipped != 0) ++events_;
+  return 3 * flipped;
 }
 
 teg::ArrayConfig SwitchNetwork::current_config() const {

@@ -67,9 +67,9 @@ class SwitchNetwork {
   ActuationPlan diff(const teg::ArrayConfig& target) const;
 
   /// Applies a configuration; returns the number of individual switch
-  /// actuations performed (3 per adjacency whose type flips).  Internally
-  /// diff()s against the wired configuration and flips only the changed
-  /// cells.  Throws std::invalid_argument on a config sized for a
+  /// actuations performed (3 per adjacency whose type flips).  Walks the
+  /// same merge as diff() and flips only the changed cells, without
+  /// allocating.  Throws std::invalid_argument on a config sized for a
   /// different module count.
   std::size_t apply(const teg::ArrayConfig& config);
 

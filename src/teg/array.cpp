@@ -4,6 +4,18 @@
 
 namespace tegrec::teg {
 
+void module_ports(const DeviceParams& params, std::span<const double> delta_t_k,
+                  double ambient_c, std::vector<LinearSource>& ports) {
+  validate(params);
+  if (delta_t_k.empty()) throw std::invalid_argument("TegArray: empty array");
+  ports.resize(delta_t_k.size());
+  for (std::size_t i = 0; i < delta_t_k.size(); ++i) {
+    const double dt = delta_t_k[i];
+    if (dt < 0.0) throw std::invalid_argument("TegArray: negative dT");
+    ports[i] = module_port(params, ambient_c + dt, ambient_c);
+  }
+}
+
 TegArray::TegArray(const DeviceParams& params, std::vector<double> delta_t_k,
                    double ambient_c)
     : params_(params), delta_t_k_(std::move(delta_t_k)), ambient_c_(ambient_c) {

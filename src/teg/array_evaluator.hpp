@@ -41,9 +41,21 @@ enum class ScoringKernel {
 
 class ArrayEvaluator {
  public:
+  /// An evaluator over no modules; assign() a port snapshot before use.
+  ArrayEvaluator() = default;
+
   /// Snapshots the array's per-module aggregates; the evaluator owns its
   /// data and stays valid after the TegArray is destroyed.
   explicit ArrayEvaluator(const TegArray& array);
+
+  /// Snapshots module ports (teg::module_ports' output); bit-identical to
+  /// the TegArray constructor over the same modules.
+  explicit ArrayEvaluator(std::span<const LinearSource> ports);
+
+  /// Re-snapshots in place: the per-step path, which reuses the prefix
+  /// buffers (no allocation once they have grown to the array size) and
+  /// keeps the selected kernel.
+  void assign(std::span<const LinearSource> ports);
 
   std::size_t size() const { return conductance_prefix_.size() - 1; }
 
@@ -86,10 +98,19 @@ class ArrayEvaluator {
   double total_conductance_s() const { return conductance_prefix_.back(); }
 
  private:
-  std::vector<double> conductance_prefix_;  ///< prefix sums of 1/R_i
-  std::vector<double> norton_prefix_;       ///< prefix sums of Voc_i/R_i
+  std::vector<double> conductance_prefix_{0.0};  ///< prefix sums of 1/R_i
+  std::vector<double> norton_prefix_{0.0};       ///< prefix sums of Voc_i/R_i
   double ideal_power_w_ = 0.0;
   ScoringKernel kernel_ = ScoringKernel::kAuto;
+
+  /// Sizes the prefix buffers for `n` modules and zeroes the totals.
+  void start(std::size_t n);
+  /// Folds module i's port into the prefix sums (i ascending from 0).
+  void add(std::size_t i, const LinearSource& m) {
+    conductance_prefix_[i + 1] = conductance_prefix_[i] + 1.0 / m.r_ohm;
+    norton_prefix_[i + 1] = norton_prefix_[i] + m.voc_v / m.r_ohm;
+    ideal_power_w_ += m.mpp_power_w();
+  }
 };
 
 }  // namespace tegrec::teg

@@ -50,4 +50,10 @@ class Module {
   LinearSource port_;
 };
 
+/// The port Module(params, hot_side_c, cold_side_c) holds, without
+/// re-validating `params` (callers validate the device once per array).
+/// Throws std::invalid_argument with the constructor's messages.
+LinearSource module_port(const DeviceParams& params, double hot_side_c,
+                         double cold_side_c);
+
 }  // namespace tegrec::teg

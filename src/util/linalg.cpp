@@ -199,10 +199,15 @@ std::vector<double> least_squares(const Matrix& a, const std::vector<double>& b,
     throw std::invalid_argument("least_squares: dimension mismatch");
   }
   const Matrix at = a.transposed();
-  Matrix ata = at * a;
+  return solve_normal_equations(at * a, at * b, ridge);
+}
+
+std::vector<double> solve_normal_equations(Matrix ata,
+                                           const std::vector<double>& atb,
+                                           double ridge) {
   const double scale = 1.0 + ata.frobenius_norm();
   for (std::size_t i = 0; i < ata.rows(); ++i) ata(i, i) += ridge * scale;
-  return cholesky_solve(ata, at * b);
+  return cholesky_solve(ata, atb);
 }
 
 std::vector<double> qr_least_squares(const Matrix& a, const std::vector<double>& b) {

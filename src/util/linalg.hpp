@@ -77,6 +77,14 @@ std::vector<double> cholesky_solve(const Matrix& a, const std::vector<double>& b
 std::vector<double> least_squares(const Matrix& a, const std::vector<double>& b,
                                   double ridge = 1e-9);
 
+/// The second half of least_squares, for callers that accumulate A^T A and
+/// A^T b themselves: adds ridge * (1 + ||A^T A||_F) to the diagonal and
+/// solves by cholesky_solve.  Given the same matrix and vector bits it
+/// returns exactly what least_squares returns.
+std::vector<double> solve_normal_equations(Matrix ata,
+                                           const std::vector<double>& atb,
+                                           double ridge);
+
 /// Householder QR least squares: numerically sturdier than the normal
 /// equations; used by tests to cross-validate least_squares().
 std::vector<double> qr_least_squares(const Matrix& a, const std::vector<double>& b);

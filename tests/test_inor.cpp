@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "core/exhaustive.hpp"
 #include "core/objective.hpp"
+#include "inor_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace tegrec::core {
@@ -191,6 +194,138 @@ TEST(InorReconfigurer, ResetForgetsState) {
 
 TEST(InorReconfigurer, BadPeriodThrows) {
   EXPECT_THROW(InorReconfigurer(kDev, kConv, 0.0), std::invalid_argument);
+}
+
+// ---- galloping partition == the linear-walk oracle (tests/inor_oracle.hpp)
+
+// MPP currents with runs of exactly-zero (stone-cold) modules, occasional
+// repeated values (ties between neighbouring group sums) and, with
+// `cold_tail`, a dead stretch at the end of the array.
+std::vector<double> currents_with_cold_runs(util::Rng& rng, std::size_t n,
+                                            bool cold_tail) {
+  std::vector<double> out(n);
+  std::size_t i = 0;
+  while (i < n) {
+    const int kind = rng.uniform_int(0, 9);
+    const std::size_t run =
+        static_cast<std::size_t>(rng.uniform_int(1, kind == 0 ? 12 : 4));
+    const double value = kind == 0   ? 0.0
+                         : kind == 1 ? 0.5
+                                     : rng.uniform(0.01, 2.0);
+    for (std::size_t k = 0; k < run && i < n; ++k, ++i) out[i] = value;
+  }
+  if (cold_tail) {
+    for (std::size_t k = n - n / 4; k < n; ++k) out[k] = 0.0;
+  }
+  return out;
+}
+
+void expect_gallop_matches_walk(const std::vector<double>& impp, std::size_t n) {
+  EXPECT_EQ(inor_partition(impp, n), oracle::inor_partition_linear(impp, n))
+      << "N = " << impp.size() << ", n = " << n;
+}
+
+TEST(InorPartition, GallopEqualsLinearWalkOnColdRuns) {
+  util::Rng rng(16);
+  for (std::size_t size : {16u, 64u, 1000u}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::vector<double> impp =
+          currents_with_cold_runs(rng, size, trial % 3 == 2);
+      expect_gallop_matches_walk(impp, 1);
+      expect_gallop_matches_walk(impp, size);
+      if (size <= 64) {
+        for (std::size_t n = 2; n < size; ++n) expect_gallop_matches_walk(impp, n);
+      } else {
+        for (int k = 0; k < 40; ++k) {
+          expect_gallop_matches_walk(
+              impp, static_cast<std::size_t>(
+                        rng.uniform_int(2, static_cast<int>(size) - 1)));
+        }
+      }
+    }
+  }
+}
+
+TEST(InorPartition, GallopEqualsLinearWalkOnDeadArrays) {
+  for (std::size_t size : {16u, 64u, 1000u}) {
+    const std::vector<double> dead(size, 0.0);
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, size / 3, size}) {
+      expect_gallop_matches_walk(dead, n);
+    }
+  }
+}
+
+TEST(InorPartition, GallopEqualsLinearWalkOverTheDerivedWindow) {
+  // The n window the controllers actually scan, on physical profiles with
+  // a cold (dT = 0) stretch in the middle.
+  util::Rng rng(61);
+  const power::Converter conv(kConv);
+  for (std::size_t size : {16u, 64u, 1000u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> dts = decaying_delta_t(size, 40.0, 5.0);
+      for (double& dt : dts) dt = std::max(0.0, dt + rng.gaussian(0.0, 2.0));
+      for (std::size_t i = size / 3; i < size / 3 + size / 8; ++i) dts[i] = 0.0;
+      const teg::TegArray array(kDev, dts);
+      const std::vector<double> impp = array.module_mpp_currents();
+      const auto window = group_count_window(array, conv);
+      for (std::size_t n = window.nmin; n <= window.nmax; ++n) {
+        expect_gallop_matches_walk(impp, n);
+      }
+    }
+  }
+}
+
+TEST(InorPartition, GallopRejectsWhatTheWalkRejects) {
+  EXPECT_THROW(inor_partition({0.0, 1.0, -0.5}, 2), std::invalid_argument);
+  EXPECT_THROW(oracle::inor_partition_linear({0.0, 1.0, -0.5}, 2),
+               std::invalid_argument);
+}
+
+TEST(InorSearch, ScratchSearchEqualsOracleArgmax) {
+  // inor_search over a port snapshot with reused scratch must pick what
+  // the historical search picked: the oracle partition of every n in the
+  // window, scored as an ArrayConfig, first strict maximum kept.
+  util::Rng rng(7);
+  const power::Converter conv(kConv);
+  InorScratch scratch;
+  teg::ArrayEvaluator evaluator;
+  std::vector<teg::LinearSource> ports;
+  for (std::size_t size : {16u, 64u, 1000u, 64u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> dts = decaying_delta_t(size, 38.0, 4.0);
+      for (double& dt : dts) dt = std::max(0.0, dt + rng.gaussian(0.0, 3.0));
+      const double ambient = rng.uniform(-10.0, 45.0);
+      const teg::TegArray array(kDev, dts, ambient);
+      const teg::ArrayEvaluator array_evaluator(array);
+      const auto window = group_count_window(array, conv);
+      double best_power = -1.0;
+      teg::ArrayConfig expected;
+      for (std::size_t n = window.nmin; n <= window.nmax; ++n) {
+        teg::ArrayConfig candidate =
+            oracle::inor_partition_linear(array.module_mpp_currents(), n);
+        const double p = config_power_w(array_evaluator, conv, candidate);
+        if (p > best_power) {
+          best_power = p;
+          expected = std::move(candidate);
+        }
+      }
+      teg::module_ports(kDev, dts, ambient, ports);
+      evaluator.assign(ports);
+      EXPECT_EQ(inor_search(ports, evaluator, conv, {}, scratch), expected);
+      EXPECT_EQ(inor_search(array, conv), expected);
+    }
+  }
+}
+
+TEST(InorSearch, PortSearchRejectsMismatchedEvaluator) {
+  const power::Converter conv(kConv);
+  std::vector<teg::LinearSource> ports;
+  teg::module_ports(kDev, decaying_delta_t(10, 30.0, 10.0), 25.0, ports);
+  const teg::ArrayEvaluator evaluator(
+      std::span<const teg::LinearSource>(ports).first(9));
+  InorScratch scratch;
+  EXPECT_THROW(inor_search(ports, evaluator, conv, {}, scratch),
+               std::invalid_argument);
 }
 
 // Property: across window widths the INOR result never exceeds ideal power

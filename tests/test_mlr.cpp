@@ -1,8 +1,11 @@
 #include "predict/mlr.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 
+#include "mlr_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace tegrec::predict {
@@ -139,6 +142,87 @@ TEST(PredictorBase, HorizonZeroThrows) {
   const TemperatureHistory h = ar2_history(2, 25, 1.0, 0.0, 0.0);
   mlr.fit(h);
   EXPECT_THROW(mlr.predict_horizon(h, 0), std::invalid_argument);
+}
+
+// ---- fused normal equations == the design-matrix oracle, bit for bit
+
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << "[" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+void expect_fit_matches_oracle(const TemperatureHistory& h, std::size_t lags,
+                               double ridge) {
+  SCOPED_TRACE("lags " + std::to_string(lags) + ", ridge " +
+               std::to_string(ridge));
+  MlrPredictor mlr(MlrParams{.lags = lags, .ridge = ridge});
+  mlr.fit(h);
+  const std::vector<double> want = oracle::mlr_design_fit(h, lags, ridge);
+  expect_same_bits(mlr.coefficients(), want, "beta");
+  expect_same_bits(mlr.predict_next(h),
+                   oracle::mlr_lag_window_predict(h, want), "forecast");
+}
+
+// Thermal-like rows with noise; every `zero_every`-th cell (if non-zero)
+// is an exact 0.0 or -0.0, exercising X^T X's exact-zero skip.
+TemperatureHistory random_history(util::Rng& rng, std::size_t modules,
+                                  std::size_t steps, std::size_t zero_every) {
+  TemperatureHistory h(modules, steps);
+  std::size_t cell = 0;
+  for (std::size_t t = 0; t < steps; ++t) {
+    std::vector<double> row(modules);
+    for (std::size_t m = 0; m < modules; ++m, ++cell) {
+      row[m] = 60.0 + 25.0 * std::sin(0.07 * static_cast<double>(t) +
+                                      0.3 * static_cast<double>(m)) +
+               rng.gaussian(0.0, 0.8);
+      if (zero_every != 0 && cell % zero_every == 0) {
+        row[m] = cell % (2 * zero_every) == 0 ? 0.0 : -0.0;
+      }
+    }
+    h.push(row);
+  }
+  return h;
+}
+
+TEST(MlrFusedFit, MatchesDesignMatrixBitsAcrossLags) {
+  util::Rng rng(2018);
+  for (std::size_t lags : {1u, 2u, 4u, 8u}) {
+    for (std::size_t modules : {1u, 7u, 64u}) {
+      const TemperatureHistory h = random_history(rng, modules, 30, 0);
+      expect_fit_matches_oracle(h, lags, 1e-8);
+      expect_fit_matches_oracle(h, lags, 0.0);
+    }
+  }
+}
+
+TEST(MlrFusedFit, MatchesDesignMatrixBitsWithExactZeroTemperatures) {
+  util::Rng rng(7);
+  for (std::size_t lags : {1u, 2u, 4u, 8u}) {
+    for (std::size_t zero_every : {3u, 11u}) {
+      const TemperatureHistory h = random_history(rng, 9, 30, zero_every);
+      expect_fit_matches_oracle(h, lags, 1e-8);
+    }
+  }
+}
+
+TEST(MlrFusedFit, MatchesDesignMatrixBitsThroughTheJitterRetry) {
+  // A window that never changes: every lag column equals the constant.
+  // At 0 C the lag columns are all exactly zero, so X^T X has zero pivots
+  // and only cholesky_solve's jittered retry can factor it; at 80 C the
+  // columns are collinear with the intercept.  Both must still agree.
+  for (double level : {0.0, 80.0}) {
+    TemperatureHistory h(12, 30);
+    for (int t = 0; t < 30; ++t) h.push(std::vector<double>(12, level));
+    for (std::size_t lags : {1u, 2u, 4u, 8u}) {
+      expect_fit_matches_oracle(h, lags, 0.0);
+      expect_fit_matches_oracle(h, lags, 1e-8);
+    }
+  }
 }
 
 // MAPE of the 1-step MLR forecast on a smooth thermal-like signal must be

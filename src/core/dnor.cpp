@@ -10,6 +10,42 @@
 
 namespace tegrec::core {
 
+namespace {
+
+/// DNOR's checkpoint blob: decision clock, held configuration, counters
+/// and the predictor's temperature history, one line per row.
+struct DnorState {
+  double next_decision_time_s = 0.0;
+  detail::HeldConfig held;
+  std::size_t decisions = 0;
+  std::size_t switches = 0;
+  bool has_history = false;
+  std::size_t history_modules = 0;
+  std::size_t history_capacity = 0;
+  std::vector<std::vector<double>> history_rows;
+};
+
+void bind(util::FieldIo& io, DnorState& s) {
+  io.field("next_decision_time_s", s.next_decision_time_s);
+  bind(io, s.held);
+  io.field("decisions", s.decisions);
+  io.field("switches", s.switches);
+  io.field("has_history", s.has_history);
+  if (!s.has_history) return;
+  io.field("history_modules", s.history_modules);
+  io.field("history_capacity", s.history_capacity);
+  std::size_t rows = s.history_rows.size();
+  io.field("history_rows", rows);
+  // One row is added per line read, so a corrupt count cannot allocate
+  // ahead of the lines that back it.
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (io.parsing()) s.history_rows.emplace_back();
+    io.field("row", s.history_rows[r]);
+  }
+}
+
+}  // namespace
+
 DnorReconfigurer::DnorReconfigurer(const teg::DeviceParams& device,
                                    const power::ConverterParams& converter,
                                    const DnorParams& params,
@@ -142,29 +178,20 @@ std::string DnorReconfigurer::checkpoint_state() const {
         "DNOR: checkpointing unsupported over an impure-refit predictor (" +
         predictor_->name() + ")");
   }
-  std::string out;
-  detail::emit_kv(out, "state", "dnor-v1");
-  detail::emit_kv(out, "next_decision_time_s",
-                  util::format_double(next_decision_time_s_));
-  detail::emit_kv(out, "has_config", has_config_ ? "1" : "0");
-  detail::emit_kv(out, "config_starts",
-                  detail::join_indices(current_.group_starts()));
-  detail::emit_kv(out, "config_modules",
-                  std::to_string(current_.num_modules()));
-  detail::emit_kv(out, "decisions", std::to_string(decisions_));
-  detail::emit_kv(out, "switches", std::to_string(switches_));
-  detail::emit_kv(out, "has_history", history_ ? "1" : "0");
+  DnorState s;
+  s.next_decision_time_s = next_decision_time_s_;
+  s.held = detail::HeldConfig::of(has_config_, current_);
+  s.decisions = decisions_;
+  s.switches = switches_;
+  s.has_history = history_ != nullptr;
   if (history_) {
-    detail::emit_kv(out, "history_modules",
-                    std::to_string(history_->num_modules()));
-    detail::emit_kv(out, "history_capacity",
-                    std::to_string(history_->capacity()));
-    detail::emit_kv(out, "history_rows", std::to_string(history_->size()));
+    s.history_modules = history_->num_modules();
+    s.history_capacity = history_->capacity();
     for (std::size_t r = 0; r < history_->size(); ++r) {
-      detail::emit_kv(out, "row", detail::join_doubles(history_->row(r)));
+      s.history_rows.push_back(history_->row(r));
     }
   }
-  return out;
+  return detail::encode_state("dnor-v1", s);
 }
 
 void DnorReconfigurer::restore_checkpoint_state(const std::string& state) {
@@ -173,47 +200,25 @@ void DnorReconfigurer::restore_checkpoint_state(const std::string& state) {
         "DNOR: checkpointing unsupported over an impure-refit predictor (" +
         predictor_->name() + ")");
   }
-  detail::KvReader reader(state);
-  if (reader.expect("state") != "dnor-v1") {
-    throw std::runtime_error("DNOR: unknown state blob version");
-  }
-  const double next_decision = reader.expect_double("next_decision_time_s");
-  const bool has_config = reader.expect_bool("has_config");
-  std::vector<std::size_t> starts = reader.expect_indices("config_starts");
-  const auto config_modules =
-      static_cast<std::size_t>(reader.expect_u64("config_modules"));
-  const auto decisions = static_cast<std::size_t>(reader.expect_u64("decisions"));
-  const auto switches = static_cast<std::size_t>(reader.expect_u64("switches"));
-  const bool has_history = reader.expect_bool("has_history");
+  const DnorState s = detail::decode_state<DnorState>("dnor-v1", state);
   std::unique_ptr<predict::TemperatureHistory> history;
-  if (has_history) {
-    const auto modules =
-        static_cast<std::size_t>(reader.expect_u64("history_modules"));
-    const auto capacity =
-        static_cast<std::size_t>(reader.expect_u64("history_capacity"));
-    const auto rows = static_cast<std::size_t>(reader.expect_u64("history_rows"));
-    history = std::make_unique<predict::TemperatureHistory>(modules, capacity);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::vector<double> row = reader.expect_doubles("row");
-      if (row.size() != modules) {
+  if (s.has_history) {
+    history = std::make_unique<predict::TemperatureHistory>(
+        s.history_modules, s.history_capacity);
+    for (const std::vector<double>& row : s.history_rows) {
+      if (row.size() != s.history_modules) {
         throw std::runtime_error("DNOR: history row width mismatch");
       }
       history->push(row);
     }
   }
-  reader.finish();
-
-  // ArrayConfig's constructor validates the starts; only assign the members
-  // once everything parsed, so a bad blob never half-applies.
-  teg::ArrayConfig config;
-  if (has_config) {
-    config = teg::ArrayConfig(std::move(starts), config_modules);
-  }
-  next_decision_time_s_ = next_decision;
-  has_config_ = has_config;
+  teg::ArrayConfig config = s.held.config();
+  // Commit only once everything parsed, so a bad blob never half-applies.
+  next_decision_time_s_ = s.next_decision_time_s;
+  has_config_ = s.held.has_config;
   current_ = std::move(config);
-  decisions_ = decisions;
-  switches_ = switches;
+  decisions_ = s.decisions;
+  switches_ = s.switches;
   history_ = std::move(history);
 }
 

@@ -386,15 +386,17 @@ AlgorithmCost EhtrReconfigurer::algorithm_cost() const {
 }
 
 std::string EhtrReconfigurer::checkpoint_state() const {
-  return detail::encode_periodic_state(
-      "ehtr-v1", {next_run_time_s_, has_config_, current_});
+  return detail::encode_state(
+      "ehtr-v1", detail::PeriodicState{next_run_time_s_,
+                                   detail::HeldConfig::of(has_config_, current_)});
 }
 
 void EhtrReconfigurer::restore_checkpoint_state(const std::string& state) {
-  detail::PeriodicState decoded = detail::decode_periodic_state("ehtr-v1", state);
-  next_run_time_s_ = decoded.next_run_time_s;
-  has_config_ = decoded.has_config;
-  current_ = std::move(decoded.current);
+  const auto s = detail::decode_state<detail::PeriodicState>("ehtr-v1", state);
+  teg::ArrayConfig config = s.held.config();
+  next_run_time_s_ = s.next_run_time_s;
+  has_config_ = s.held.has_config;
+  current_ = std::move(config);
 }
 
 }  // namespace tegrec::core

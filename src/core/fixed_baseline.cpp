@@ -4,6 +4,17 @@
 
 namespace tegrec::core {
 
+namespace {
+
+/// The baseline's checkpoint blob: whether the wiring is still to install.
+struct BaselineState {
+  bool first = true;
+};
+
+void bind(util::FieldIo& io, BaselineState& s) { io.field("first", s.first); }
+
+}  // namespace
+
 FixedBaselineReconfigurer::FixedBaselineReconfigurer(teg::ArrayConfig config)
     : config_(std::move(config)) {}
 
@@ -31,21 +42,12 @@ UpdateResult FixedBaselineReconfigurer::update(
 void FixedBaselineReconfigurer::reset() { first_ = true; }
 
 std::string FixedBaselineReconfigurer::checkpoint_state() const {
-  std::string out;
-  detail::emit_kv(out, "state", "baseline-v1");
-  detail::emit_kv(out, "first", first_ ? "1" : "0");
-  return out;
+  return detail::encode_state("baseline-v1", BaselineState{first_});
 }
 
 void FixedBaselineReconfigurer::restore_checkpoint_state(
     const std::string& state) {
-  detail::KvReader reader(state);
-  if (reader.expect("state") != "baseline-v1") {
-    throw std::runtime_error("Baseline: unknown state blob version");
-  }
-  const bool first = reader.expect_bool("first");
-  reader.finish();
-  first_ = first;
+  first_ = detail::decode_state<BaselineState>("baseline-v1", state).first;
 }
 
 }  // namespace tegrec::core

@@ -192,15 +192,17 @@ void InorReconfigurer::reset() {
 }
 
 std::string InorReconfigurer::checkpoint_state() const {
-  return detail::encode_periodic_state(
-      "inor-v1", {next_run_time_s_, has_config_, current_});
+  return detail::encode_state(
+      "inor-v1", detail::PeriodicState{next_run_time_s_,
+                                   detail::HeldConfig::of(has_config_, current_)});
 }
 
 void InorReconfigurer::restore_checkpoint_state(const std::string& state) {
-  detail::PeriodicState decoded = detail::decode_periodic_state("inor-v1", state);
-  next_run_time_s_ = decoded.next_run_time_s;
-  has_config_ = decoded.has_config;
-  current_ = std::move(decoded.current);
+  const auto s = detail::decode_state<detail::PeriodicState>("inor-v1", state);
+  teg::ArrayConfig config = s.held.config();
+  next_run_time_s_ = s.next_run_time_s;
+  has_config_ = s.held.has_config;
+  current_ = std::move(config);
 }
 
 }  // namespace tegrec::core

@@ -1,214 +1,99 @@
 #include "sim/result_io.hpp"
 
-#include <sstream>
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "util/csv.hpp"
-#include "util/float_cmp.hpp"
-#include "util/parse.hpp"
+#include "sim/run_table.hpp"
+#include "util/field_io.hpp"
 
 namespace tegrec::sim {
 
 namespace {
 
 constexpr const char* kMagic = "# tegrec-result v1";
+constexpr std::string_view kRunPrefix = "# run algorithm = ";
 
-// ----------------------------------------------------------------- encode
+const std::pair<ExperimentKind, const char*> kKindNames[] = {
+    {ExperimentKind::kComparison, "comparison"},
+    {ExperimentKind::kMonteCarlo, "montecarlo"},
+    {ExperimentKind::kSweep, "sweep"}};
 
-void emit_table(std::ostringstream& os, const util::CsvTable& table) {
-  os << "# table rows = " << table.rows.size() << '\n'
-     << util::csv_to_string(table, util::kCsvExactPrecision);
-}
+constexpr std::uint64_t kLow32 = 0xffffffffULL;
 
-util::CsvTable simulation_summary_table(const SimulationResult& run) {
-  util::CsvTable t;
-  t.header = {"energy_output_j",   "switch_overhead_j",
-              "avg_runtime_ms",    "runtime_per_invocation_ms",
-              "ideal_energy_j",    "num_invocations",
-              "num_switch_events", "total_switch_actuations",
-              "battery_energy_j",  "final_soc"};
-  t.rows.push_back({run.energy_output_j, run.switch_overhead_j,
-                    run.avg_runtime_ms, run.runtime_per_invocation_ms,
-                    run.ideal_energy_j, static_cast<double>(run.num_invocations),
-                    static_cast<double>(run.num_switch_events),
-                    static_cast<double>(run.total_switch_actuations),
-                    run.battery_energy_j, run.final_soc});
-  return t;
-}
-
-util::CsvTable steps_table(const SimulationResult& run) {
-  util::CsvTable t;
-  t.header = {"time_s",  "gross_power_w",     "net_power_w",
-              "ideal_power_w", "invoked",     "switched",
-              "switch_actuations", "overhead_energy_j", "compute_time_s"};
-  for (const StepRecord& s : run.steps) {
-    t.rows.push_back({s.time_s, s.gross_power_w, s.net_power_w, s.ideal_power_w,
-                      s.invoked ? 1.0 : 0.0, s.switched ? 1.0 : 0.0,
-                      static_cast<double>(s.switch_actuations),
-                      s.overhead_energy_j, s.compute_time_s});
-  }
-  return t;
-}
-
-// ----------------------------------------------------------------- decode
-//
-// Internal failures throw std::runtime_error; decode_result() converts
-// every throw into nullopt (a cache miss).
-
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : is_(text) {}
-
-  std::string next() {
-    std::string line;
-    if (!std::getline(is_, line)) {
-      throw std::runtime_error("result artifact truncated");
+// Seeds are u64; cells are doubles, exact only to 2^53, so the seed
+// travels as two 32-bit halves.
+constexpr auto kSampleColumns = [](auto& s, auto&& col) {
+  std::size_t hi = s.seed >> 32;
+  std::size_t lo = s.seed & kLow32;
+  col("seed_hi", hi);
+  col("seed_lo", lo);
+  if constexpr (!std::is_const_v<std::remove_reference_t<decltype(s)>>) {
+    if (hi > kLow32 || lo > kLow32) {
+      throw std::runtime_error("result artifact: seed half out of range");
     }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    return line;
+    s.seed = (static_cast<std::uint64_t>(hi) << 32) | lo;
   }
-
-  /// Consumes a "<prefix><suffix>" line and returns the suffix.
-  std::string expect_prefix(const std::string& prefix) {
-    const std::string line = next();
-    if (line.rfind(prefix, 0) != 0) {
-      throw std::runtime_error("result artifact: expected '" + prefix +
-                               "', got '" + line + "'");
-    }
-    return line.substr(prefix.size());
-  }
-
-  util::CsvTable read_table() {
-    const std::size_t rows = static_cast<std::size_t>(
-        util::parse_u64(expect_prefix("# table rows = ")));
-    std::string csv = next();  // header
-    csv += '\n';
-    for (std::size_t i = 0; i < rows; ++i) {
-      csv += next();
-      csv += '\n';
-    }
-    util::CsvTable table = util::csv_from_string(csv);
-    if (table.rows.size() != rows) {
-      throw std::runtime_error("result artifact: row count mismatch");
-    }
-    return table;
-  }
-
- private:
-  std::istringstream is_;
+  col("dnor_energy_j", s.dnor_energy_j);
+  col("baseline_energy_j", s.baseline_energy_j);
+  col("gain", s.gain);
+  col("dnor_overhead_j", s.dnor_overhead_j);
+  col("dnor_switches", s.dnor_switches);
 };
 
-double cell(const util::CsvTable& table, std::size_t row,
-            const std::string& name) {
-  for (std::size_t c = 0; c < table.header.size(); ++c) {
-    if (table.header[c] == name) return table.rows.at(row).at(c);
-  }
-  throw std::runtime_error("result artifact: missing column " + name);
-}
+constexpr auto kPointColumns = [](auto& p, auto&& col) {
+  col("value", p.value);
+  col("dnor_energy_j", p.dnor_energy_j);
+  col("baseline_energy_j", p.baseline_energy_j);
+  col("gain", p.gain);
+  col("dnor_ratio_to_ideal", p.dnor_ratio_to_ideal);
+};
 
-SimulationResult decode_run(LineReader& reader) {
-  SimulationResult run;
-  run.algorithm = reader.expect_prefix("# run algorithm = ");
-  const util::CsvTable summary = reader.read_table();
-  if (summary.rows.size() != 1) {
-    throw std::runtime_error("result artifact: bad summary table");
-  }
-  run.energy_output_j = cell(summary, 0, "energy_output_j");
-  run.switch_overhead_j = cell(summary, 0, "switch_overhead_j");
-  run.avg_runtime_ms = cell(summary, 0, "avg_runtime_ms");
-  run.runtime_per_invocation_ms = cell(summary, 0, "runtime_per_invocation_ms");
-  run.ideal_energy_j = cell(summary, 0, "ideal_energy_j");
-  run.num_invocations =
-      static_cast<std::size_t>(cell(summary, 0, "num_invocations"));
-  run.num_switch_events =
-      static_cast<std::size_t>(cell(summary, 0, "num_switch_events"));
-  run.total_switch_actuations =
-      static_cast<std::size_t>(cell(summary, 0, "total_switch_actuations"));
-  run.battery_energy_j = cell(summary, 0, "battery_energy_j");
-  run.final_soc = cell(summary, 0, "final_soc");
-
-  const util::CsvTable steps = reader.read_table();
-  run.steps.resize(steps.rows.size());
-  for (std::size_t i = 0; i < steps.rows.size(); ++i) {
-    StepRecord& s = run.steps[i];
-    s.time_s = cell(steps, i, "time_s");
-    s.gross_power_w = cell(steps, i, "gross_power_w");
-    s.net_power_w = cell(steps, i, "net_power_w");
-    s.ideal_power_w = cell(steps, i, "ideal_power_w");
-    // 0/1 flags round-tripped at exact precision: bit-value compare.
-    s.invoked = !util::is_exactly_zero(cell(steps, i, "invoked"));
-    s.switched = !util::is_exactly_zero(cell(steps, i, "switched"));
-    s.switch_actuations =
-        static_cast<std::size_t>(cell(steps, i, "switch_actuations"));
-    s.overhead_energy_j = cell(steps, i, "overhead_energy_j");
-    s.compute_time_s = cell(steps, i, "compute_time_s");
-  }
-  return run;
-}
-
+// Every failure throws std::runtime_error; decode_result() turns each into
+// nullopt (a cache miss).
 ExperimentResult decode_or_throw(const std::string& text,
                                  const std::string& expected_fp_text) {
-  LineReader reader(text);
-  if (reader.next() != kMagic) {
-    throw std::runtime_error("result artifact: bad magic");
-  }
-  const std::string kind = reader.expect_prefix("# kind = ");
-  const std::size_t fp_lines = static_cast<std::size_t>(
-      util::parse_u64(reader.expect_prefix("# fingerprint-lines = ")));
-  std::string fp_text;
-  for (std::size_t i = 0; i < fp_lines; ++i) {
-    fp_text += reader.next();
-    fp_text += '\n';
-  }
-  if (fp_text != expected_fp_text) {
+  util::LineReader lines(text, "result artifact");
+  if (lines.next() != kMagic) lines.fail("bad magic");
+  const std::string_view kind = lines.expect_prefix("# kind = ");
+  if (lines.counted_lines("# fingerprint-lines = ") != expected_fp_text) {
     // A different spec hashed to this fingerprint (or the schema moved
     // under the artifact): miss, never a wrong result.
-    throw std::runtime_error("result artifact: fingerprint text mismatch");
+    lines.fail("fingerprint text mismatch");
   }
 
   ExperimentResult out;
-  if (kind == "comparison") {
-    out.kind = ExperimentKind::kComparison;
-    const std::size_t num_runs = static_cast<std::size_t>(
-        util::parse_u64(reader.expect_prefix("# runs = ")));
-    for (std::size_t i = 0; i < num_runs; ++i) {
-      out.comparison.runs.push_back(decode_run(reader));
-    }
-  } else if (kind == "montecarlo") {
-    out.kind = ExperimentKind::kMonteCarlo;
-    const util::CsvTable samples = reader.read_table();
-    out.monte_carlo.samples.resize(samples.rows.size());
-    for (std::size_t i = 0; i < samples.rows.size(); ++i) {
-      MonteCarloSample& s = out.monte_carlo.samples[i];
-      s.seed = (static_cast<std::uint64_t>(cell(samples, i, "seed_hi")) << 32) |
-               static_cast<std::uint64_t>(cell(samples, i, "seed_lo"));
-      s.dnor_energy_j = cell(samples, i, "dnor_energy_j");
-      s.baseline_energy_j = cell(samples, i, "baseline_energy_j");
-      s.gain = cell(samples, i, "gain");
-      s.dnor_overhead_j = cell(samples, i, "dnor_overhead_j");
-      s.dnor_switches = cell(samples, i, "dnor_switches");
-    }
-    detail::fold_monte_carlo_stats(out.monte_carlo);
-  } else if (kind == "sweep") {
-    out.kind = ExperimentKind::kSweep;
-    const util::CsvTable points = reader.read_table();
-    out.sweep.resize(points.rows.size());
-    for (std::size_t i = 0; i < points.rows.size(); ++i) {
-      SweepPoint& p = out.sweep[i];
-      p.value = cell(points, i, "value");
-      p.dnor_energy_j = cell(points, i, "dnor_energy_j");
-      p.baseline_energy_j = cell(points, i, "baseline_energy_j");
-      p.gain = cell(points, i, "gain");
-      p.dnor_ratio_to_ideal = cell(points, i, "dnor_ratio_to_ideal");
-    }
-  } else {
-    throw std::runtime_error("result artifact: unknown kind " + kind);
+  const auto named = std::find_if(
+      std::begin(kKindNames), std::end(kKindNames),
+      [&](const auto& entry) { return kind == entry.second; });
+  if (named == std::end(kKindNames)) {
+    lines.fail("unknown kind " + std::string(kind));
   }
-  if (reader.next() != "# end") {
-    throw std::runtime_error("result artifact: missing terminator");
+  out.kind = named->first;
+  switch (out.kind) {
+    case ExperimentKind::kComparison: {
+      const std::size_t num_runs = lines.expect_count("# runs = ");
+      for (std::size_t i = 0; i < num_runs; ++i) {
+        out.comparison.runs.push_back(read_run(lines, kRunPrefix));
+      }
+      break;
+    }
+    case ExperimentKind::kMonteCarlo:
+      out.monte_carlo.samples =
+          read_table<MonteCarloSample>(lines, kSampleColumns);
+      detail::fold_monte_carlo_stats(out.monte_carlo);
+      break;
+    case ExperimentKind::kSweep:
+      out.sweep = read_table<SweepPoint>(lines, kPointColumns);
+      break;
   }
+  lines.expect_end();
   return out;
 }
 
@@ -216,60 +101,31 @@ ExperimentResult decode_or_throw(const std::string& text,
 
 std::string encode_result(const ExperimentResult& result,
                           const std::string& fingerprint_text) {
-  std::ostringstream os;
-  os << kMagic << '\n';
-  std::size_t fp_lines = 0;
-  for (const char c : fingerprint_text) fp_lines += c == '\n' ? 1 : 0;
-  switch (result.kind) {
-    case ExperimentKind::kComparison: {
-      os << "# kind = comparison\n"
-         << "# fingerprint-lines = " << fp_lines << '\n'
-         << fingerprint_text;
-      os << "# runs = " << result.comparison.runs.size() << '\n';
-      for (const SimulationResult& run : result.comparison.runs) {
-        os << "# run algorithm = " << run.algorithm << '\n';
-        emit_table(os, simulation_summary_table(run));
-        emit_table(os, steps_table(run));
-      }
-      break;
-    }
-    case ExperimentKind::kMonteCarlo: {
-      os << "# kind = montecarlo\n"
-         << "# fingerprint-lines = " << fp_lines << '\n'
-         << fingerprint_text;
-      util::CsvTable samples;
-      // Seeds are u64; CSV cells are doubles, which are only exact to
-      // 2^53, so the seed travels as two 32-bit halves.
-      samples.header = {"seed_hi",         "seed_lo",
-                        "dnor_energy_j",   "baseline_energy_j",
-                        "gain",            "dnor_overhead_j",
-                        "dnor_switches"};
-      for (const MonteCarloSample& s : result.monte_carlo.samples) {
-        samples.rows.push_back({static_cast<double>(s.seed >> 32),
-                                static_cast<double>(s.seed & 0xffffffffULL),
-                                s.dnor_energy_j, s.baseline_energy_j, s.gain,
-                                s.dnor_overhead_j, s.dnor_switches});
-      }
-      emit_table(os, samples);
-      break;
-    }
-    case ExperimentKind::kSweep: {
-      os << "# kind = sweep\n"
-         << "# fingerprint-lines = " << fp_lines << '\n'
-         << fingerprint_text;
-      util::CsvTable points;
-      points.header = {"value", "dnor_energy_j", "baseline_energy_j", "gain",
-                       "dnor_ratio_to_ideal"};
-      for (const SweepPoint& p : result.sweep) {
-        points.rows.push_back({p.value, p.dnor_energy_j, p.baseline_energy_j,
-                               p.gain, p.dnor_ratio_to_ideal});
-      }
-      emit_table(os, points);
-      break;
-    }
+  std::string out = kMagic;
+  out += "\n# kind = ";
+  for (const auto& [kind, name] : kKindNames) {
+    if (kind == result.kind) out += name;
   }
-  os << "# end\n";
-  return os.str();
+  out += '\n';
+  util::append_counted_lines(out, "# fingerprint-lines = ", fingerprint_text);
+  switch (result.kind) {
+    case ExperimentKind::kComparison:
+      out += "# runs = ";
+      out += std::to_string(result.comparison.runs.size());
+      out += '\n';
+      for (const SimulationResult& run : result.comparison.runs) {
+        append_run(out, run, kRunPrefix);
+      }
+      break;
+    case ExperimentKind::kMonteCarlo:
+      append_table(out, result.monte_carlo.samples, kSampleColumns);
+      break;
+    case ExperimentKind::kSweep:
+      append_table(out, result.sweep, kPointColumns);
+      break;
+  }
+  out += "# end\n";
+  return out;
 }
 
 std::optional<ExperimentResult> decode_result(

@@ -10,201 +10,15 @@
 #include <utility>
 
 #include "thermal/scenario.hpp"
-#include "util/double_format.hpp"
+#include "util/field_io.hpp"
 #include "util/hash.hpp"
 #include "util/parse.hpp"
 
 namespace tegrec::sim {
 
+using util::FieldIo;
+
 namespace {
-
-// --------------------------------------------------------------- FieldIo
-//
-// One binding definition drives both directions: in emit mode each field
-// appends a "key = value" line; in parse mode it looks the key up in the
-// pre-split line map (missing keys keep the bound default, so sparse
-// hand-written spec files work) and consumes it, so leftovers can be
-// reported as unknown keys.  Fields marked exec_* are execution hints
-// (thread counts): serialised and parsed like any other field, but
-// skipped when emitting the fingerprint text, because they provably do
-// not affect results (the library's bit-identical-for-any-thread-count
-// guarantee) and must not fragment the cache.
-class FieldIo {
- public:
-  // Emit mode.
-  explicit FieldIo(bool include_exec)
-      : parsing_(false), include_exec_(include_exec) {}
-  // Parse mode.
-  explicit FieldIo(std::map<std::string, std::string> values)
-      : parsing_(true), include_exec_(true), values_(std::move(values)) {}
-
-  bool parsing() const { return parsing_; }
-
-  class Scope {
-   public:
-    Scope(FieldIo& io, const std::string& prefix)
-        : io_(io), saved_(io.prefix_) {
-      io_.prefix_ += prefix;
-    }
-    ~Scope() { io_.prefix_ = saved_; }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    FieldIo& io_;
-    std::string saved_;
-  };
-
-  void field(const std::string& key, double& v) {
-    if (parsing_) {
-      if (const std::string* raw = lookup(key)) v = util::parse_double(*raw);
-      return;
-    }
-    emit(key, util::format_double(v));
-  }
-
-  void field(const std::string& key, bool& v) {
-    if (parsing_) {
-      if (const std::string* raw = lookup(key)) v = util::parse_bool(*raw);
-      return;
-    }
-    emit(key, v ? "1" : "0");
-  }
-
-  void field(const std::string& key, int& v) {
-    if (parsing_) {
-      if (const std::string* raw = lookup(key)) {
-        v = static_cast<int>(util::parse_i64(*raw));
-      }
-      return;
-    }
-    emit(key, std::to_string(v));
-  }
-
-  /// One overload for every unsigned field (size_t and uint64_t are the
-  /// same type on LP64, so separate overloads would collide there).
-  template <typename T,
-            std::enable_if_t<std::is_unsigned_v<T> && !std::is_same_v<T, bool>,
-                             int> = 0>
-  void field(const std::string& key, T& v) {
-    if (parsing_) {
-      if (const std::string* raw = lookup(key)) {
-        v = static_cast<T>(util::parse_u64(*raw));
-      }
-      return;
-    }
-    emit(key, std::to_string(v));
-  }
-
-  void field(const std::string& key, std::string& v) {
-    if (parsing_) {
-      if (const std::string* raw = lookup(key)) v = *raw;
-      return;
-    }
-    emit(key, v);
-  }
-
-  /// Comma-joined double list (one line, order-preserving).
-  void field(const std::string& key, std::vector<double>& v) {
-    if (parsing_) {
-      if (const std::string* raw = lookup(key)) {
-        v.clear();
-        if (!raw->empty()) {
-          util::for_each_field(*raw, ',', [&](std::string_view token) {
-            v.push_back(util::parse_double(token));
-          });
-        }
-      }
-      return;
-    }
-    std::string joined;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i > 0) joined += ',';
-      util::append_double(joined, v[i]);
-    }
-    emit(key, joined);
-  }
-
-  template <typename Enum>
-  void enum_field(const std::string& key, Enum& v,
-                  const std::vector<std::pair<Enum, const char*>>& names) {
-    if (parsing_) {
-      if (const std::string* raw = lookup(key)) {
-        for (const auto& [value, name] : names) {
-          if (*raw == name) {
-            v = value;
-            return;
-          }
-        }
-        throw std::invalid_argument("experiment spec: bad value '" + *raw +
-                                    "' for key '" + prefix_ + key + "'");
-      }
-      return;
-    }
-    for (const auto& [value, name] : names) {
-      if (v == value) {
-        emit(key, name);
-        return;
-      }
-    }
-    throw std::logic_error("experiment spec: unmapped enum for key '" + key +
-                           "'");
-  }
-
-  /// Execution-hint variants: identical except excluded from the
-  /// fingerprint emission.
-  template <typename T>
-  void exec_field(const std::string& key, T& v) {
-    if (!parsing_ && !include_exec_) return;
-    field("exec." + key, v);
-  }
-
-  /// Parse mode: whether the key is present (and not yet consumed).  Lets
-  /// a binding distinguish "absent, keep the default" from "present but
-  /// empty", which for most fields is a parse error downstream anyway but
-  /// for strings would silently alias the default.
-  bool present(const std::string& key) const {
-    return values_.contains(prefix_ + key);
-  }
-
-  std::string take_text() { return std::move(text_); }
-
-  /// Parse mode: every key must have been consumed by now.
-  void finish_parse() const {
-    if (values_.empty()) return;
-    std::string keys;
-    for (const auto& [key, value] : values_) {
-      (void)value;
-      if (!keys.empty()) keys += ", ";
-      keys += "'" + key + "'";
-    }
-    throw std::invalid_argument("experiment spec: unknown key(s) " + keys);
-  }
-
- private:
-  void emit(const std::string& key, const std::string& value) {
-    text_ += prefix_;
-    text_ += key;
-    text_ += " = ";
-    text_ += value;
-    text_ += '\n';
-  }
-
-  const std::string* lookup(const std::string& key) {
-    const auto it = values_.find(prefix_ + key);
-    if (it == values_.end()) return nullptr;
-    consumed_ = it->second;  // keep the string alive past erase
-    values_.erase(it);
-    return &consumed_;
-  }
-
-  bool parsing_;
-  bool include_exec_;
-  std::string prefix_;
-  std::string text_;
-  std::map<std::string, std::string> values_;
-  std::string consumed_;
-};
 
 std::string trim(const std::string& text) {
   std::size_t begin = 0;
@@ -398,6 +212,8 @@ void bind(FieldIo& io, switchfab::OverheadParams& p) {
   io.field("compute_budget_s", p.compute_budget_s);
 }
 
+}  // namespace
+
 void bind(FieldIo& io, SimulationOptions& s) {
   {
     FieldIo::Scope device(io, "device.");
@@ -424,6 +240,8 @@ void bind(FieldIo& io, SimulationOptions& s) {
   io.field("ehtr_warm_width", s.ehtr_warm_width);
   io.exec_field("num_threads", s.num_threads);
 }
+
+namespace {
 
 void bind(FieldIo& io, ComparisonOptions& c) {
   {
@@ -560,23 +378,15 @@ void bind_spec(FieldIo& io, ExperimentSpec& spec) {
 }
 
 std::string emit_spec(const ExperimentSpec& spec, bool include_exec) {
-  FieldIo io(include_exec);
-  // bind_spec only mutates in parse mode; emit reads through the same
+  std::string text;
+  FieldIo io(text, include_exec);
+  // bind_spec only mutates in read mode; emit reads through the same
   // non-const reference.
   bind_spec(io, const_cast<ExperimentSpec&>(spec));
-  return io.take_text();
+  return text;
 }
 
 }  // namespace
-
-std::string simulation_options_fingerprint_text(
-    const SimulationOptions& options) {
-  FieldIo io(/*include_exec=*/false);
-  // bind only mutates in parse mode; emit reads through the same
-  // non-const reference.
-  bind(io, const_cast<SimulationOptions&>(options));
-  return io.take_text();
-}
 
 TraceSource scenario_source(const std::string& name) {
   TraceSource source;
@@ -618,10 +428,10 @@ std::string ExperimentSpec::fingerprint_text() const {
 }
 
 ExperimentSpec ExperimentSpec::from_text(const std::string& text) {
-  FieldIo io(split_lines(text));
+  FieldIo io(split_lines(text), "experiment spec");
   ExperimentSpec spec;
   bind_spec(io, spec);
-  io.finish_parse();
+  io.finish();
   return spec;
 }
 

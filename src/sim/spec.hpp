@@ -35,6 +35,10 @@
 #include "sim/sweep.hpp"
 #include "thermal/trace.hpp"
 
+namespace tegrec::util {
+class FieldIo;
+}  // namespace tegrec::util
+
 namespace tegrec::sim {
 
 /// Bump when the canonical serialisation (or the semantics of any field in
@@ -74,14 +78,13 @@ struct TraceSource {
   std::shared_ptr<const thermal::TemperatureTrace> inline_trace;
 };
 
-/// The result-affecting fields of one SimulationOptions in the canonical
-/// `key = value` dialect (doubles at %.17g, execution hints excluded) —
-/// the same bindings the experiment-spec fingerprint uses.  Streaming
-/// checkpoints (sim/checkpoint.hpp) embed this text in their
-/// configuration stamp so a checkpoint written under one physics spec can
-/// never silently resume under another.
-std::string simulation_options_fingerprint_text(
-    const SimulationOptions& options);
+/// Binds one SimulationOptions' fields (util/field_io.hpp) — the
+/// bindings the spec's canonical text uses under "comparison.sim.", with
+/// the thread count an execution hint.  Streaming checkpoints
+/// (sim/checkpoint.hpp) bind them into their configuration stamp under
+/// "sim.", so a checkpoint written under one physics spec can never
+/// silently resume under another.
+void bind(util::FieldIo& io, SimulationOptions& options);
 
 /// A generated trace source resolved from a named workload scenario:
 /// `kind = kGenerated`, `generator = thermal::scenario(name)`, and

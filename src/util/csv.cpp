@@ -30,10 +30,11 @@ std::vector<std::string> split_cells(std::string line) {
   }
 }
 
-// Empty cells read back as NaN (the in-memory marker csv_to_string writes
-// them from); anything else must parse as a complete double.
-double parse_cell(const std::string& cell) {
-  if (cell.empty()) return std::numeric_limits<double>::quiet_NaN();
+}  // namespace
+
+double parse_csv_cell(std::string_view text) {
+  if (text.empty()) return std::numeric_limits<double>::quiet_NaN();
+  const std::string cell(text);  // std::stod needs a std::string
   std::size_t consumed = 0;
   double value = 0.0;
   try {
@@ -50,8 +51,6 @@ double parse_cell(const std::string& cell) {
   }
   return value;
 }
-
-}  // namespace
 
 std::size_t CsvTable::column_index(const std::string& name) const {
   for (std::size_t i = 0; i < header.size(); ++i) {
@@ -116,7 +115,7 @@ CsvTable csv_from_string(const std::string& text) {
     }
     std::vector<double> row;
     row.reserve(cells.size());
-    for (const std::string& cell : cells) row.push_back(parse_cell(cell));
+    for (const std::string& cell : cells) row.push_back(parse_csv_cell(cell));
     if (row.size() != table.header.size()) {
       throw std::runtime_error(
           "CSV: row width " + std::to_string(row.size()) +

@@ -10,6 +10,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/double_format.hpp"
@@ -58,5 +59,9 @@ std::string csv_to_string(const CsvTable& table,
 void append_csv_row(std::string& out, std::span<const double> cells,
                     int precision);
 CsvTable csv_from_string(const std::string& text);
+
+/// One cell in this dialect: empty reads as NaN, anything else must be a
+/// complete double.  Throws std::runtime_error otherwise.
+double parse_csv_cell(std::string_view cell);
 
 }  // namespace tegrec::util

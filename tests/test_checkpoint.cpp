@@ -167,8 +167,7 @@ TEST(Checkpoint, TruncatedAndCorruptArtifactsAreLoud) {
                std::runtime_error);
   // Every truncation point must throw — the `# end` terminator guarantees
   // even a cleanly-cut tail cannot pass.
-  for (std::size_t cut : {text.size() / 4, text.size() / 2,
-                          text.size() - 10, text.size() - 1}) {
+  for (std::size_t cut = 0; cut < text.size(); ++cut) {
     EXPECT_THROW(decode_checkpoint(text.substr(0, cut), stamp),
                  std::runtime_error)
         << "cut at " << cut;
@@ -179,6 +178,32 @@ TEST(Checkpoint, TruncatedAndCorruptArtifactsAreLoud) {
   ASSERT_NE(pos, std::string::npos);
   inconsistent.replace(pos, 18, "steps_consumed = 6");
   EXPECT_THROW(decode_checkpoint(inconsistent, stamp), std::runtime_error);
+}
+
+// A controller blob cut anywhere short of its end — its final newline
+// included — is corrupt: the restore throws and leaves the controller as
+// it was.
+TEST(Checkpoint, EveryProperPrefixOfAControllerBlobIsLoud) {
+  const auto trace = test_trace();
+  for (const StreamScheme scheme :
+       {StreamScheme::kDnor, StreamScheme::kInor, StreamScheme::kEhtr,
+        StreamScheme::kBaseline}) {
+    StreamConfig config = test_config(trace);
+    config.scheme = scheme;
+    const SteppedRun source = make_run(config, trace, 20);
+    const std::string blob = source.controller->checkpoint_state();
+    const SteppedRun target = make_run(config, trace, 3);
+    const std::string before = target.controller->checkpoint_state();
+    for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+      EXPECT_THROW(
+          target.controller->restore_checkpoint_state(blob.substr(0, cut)),
+          std::runtime_error)
+          << stream_scheme_name(scheme) << " cut at " << cut;
+    }
+    EXPECT_EQ(target.controller->checkpoint_state(), before);
+    target.controller->restore_checkpoint_state(blob);
+    EXPECT_EQ(target.controller->checkpoint_state(), blob);
+  }
 }
 
 // The encoder never writes a trailing comma, so a group-start list ending in

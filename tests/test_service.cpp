@@ -298,10 +298,16 @@ TEST(Service, DiskArtifactRoundTripsEveryKind) {
     // A payload for a different spec is a miss, never a wrong result.
     EXPECT_FALSE(
         decode_result(text, comparison_spec(99).fingerprint_text()).has_value());
-    // Truncation is a miss, not an exception.
+    // Truncation anywhere — the last newline included — is a miss, not an
+    // exception, and so is anything after the terminator.
+    for (std::size_t cut = 0; cut < text.size(); ++cut) {
+      EXPECT_FALSE(decode_result(text.substr(0, cut), spec.fingerprint_text())
+                       .has_value())
+          << "prefix of " << cut << " bytes";
+    }
     EXPECT_FALSE(
-        decode_result(text.substr(0, text.size() / 2), spec.fingerprint_text())
-            .has_value());
+        decode_result(text + "# end\n", spec.fingerprint_text()).has_value());
+    EXPECT_FALSE(decode_result(text + "\n", spec.fingerprint_text()).has_value());
   }
 }
 

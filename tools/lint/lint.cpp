@@ -1088,17 +1088,19 @@ std::vector<StructSpec> default_struct_specs() {
       {"src/switchfab/overhead.hpp", "OverheadParams", {}},
       {"src/sim/simulator.hpp", "SimulationOptions", {}},
       {"src/sim/experiment.hpp", "ComparisonOptions", {}},
-      // Streaming checkpoint state: serialised by sim/checkpoint.cpp, not
-      // the spec bindings.  A StepperState/StreamConfig field missing from
-      // the codec silently resumes a different simulation; a
-      // SimulationResult/StepRecord field missing loses history across a
-      // checkpoint/restore cycle.  tests/test_checkpoint.cpp is the
-      // runtime twin (round-trip equality field by field).
+      // Streaming and cached state, bound outside the spec bindings.
+      // sim/checkpoint.cpp binds the checkpoint head (StepperState) and the
+      // configuration stamp (StreamConfig): a field missing there silently
+      // resumes a different simulation.  sim/run_table.cpp declares the
+      // SimulationResult/StepRecord columns that checkpoints and result
+      // artifacts share: a field missing there loses history across a
+      // checkpoint/restore cycle or a cache hit.  tests/test_checkpoint.cpp
+      // is the runtime twin (round-trip equality field by field).
       {"src/sim/stepper.hpp", "StepperState", {}, "src/sim/checkpoint.cpp"},
       {"src/sim/checkpoint.hpp", "StreamConfig", {}, "src/sim/checkpoint.cpp"},
       {"src/sim/simulator.hpp", "SimulationResult", {},
-       "src/sim/checkpoint.cpp"},
-      {"src/sim/simulator.hpp", "StepRecord", {}, "src/sim/checkpoint.cpp"},
+       "src/sim/run_table.cpp"},
+      {"src/sim/simulator.hpp", "StepRecord", {}, "src/sim/run_table.cpp"},
   };
 }
 

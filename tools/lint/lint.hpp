@@ -138,9 +138,9 @@ struct StructSpec {
   std::vector<std::pair<std::string, std::string>> excluded_fields;
   /// Repo-relative source whose text must name every field.  Empty uses
   /// default_bindings_path() — the experiment-spec canonical-text
-  /// bindings.  The streaming checkpoint structs point at the checkpoint
-  /// codec instead: same hazard (a field that does not serialise resumes
-  /// a different simulation), different serialiser.
+  /// bindings.  The checkpoint and run-table structs point at the files
+  /// that bind them instead: same hazard (a field that does not serialise
+  /// resumes a different simulation), different serialiser.
   std::string bindings_path;
 };
 

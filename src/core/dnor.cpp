@@ -180,7 +180,7 @@ std::string DnorReconfigurer::checkpoint_state() const {
   }
   DnorState s;
   s.next_decision_time_s = next_decision_time_s_;
-  s.held = detail::HeldConfig::of(has_config_, current_);
+  s.held = {has_config_, current_.group_starts(), current_.num_modules()};
   s.decisions = decisions_;
   s.switches = switches_;
   s.has_history = history_ != nullptr;

@@ -388,7 +388,8 @@ AlgorithmCost EhtrReconfigurer::algorithm_cost() const {
 std::string EhtrReconfigurer::checkpoint_state() const {
   return detail::encode_state(
       "ehtr-v1", detail::PeriodicState{next_run_time_s_,
-                                   detail::HeldConfig::of(has_config_, current_)});
+                                   {has_config_, current_.group_starts(),
+                                    current_.num_modules()}});
 }
 
 void EhtrReconfigurer::restore_checkpoint_state(const std::string& state) {

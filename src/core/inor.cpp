@@ -194,7 +194,8 @@ void InorReconfigurer::reset() {
 std::string InorReconfigurer::checkpoint_state() const {
   return detail::encode_state(
       "inor-v1", detail::PeriodicState{next_run_time_s_,
-                                   detail::HeldConfig::of(has_config_, current_)});
+                                   {has_config_, current_.group_starts(),
+                                    current_.num_modules()}});
 }
 
 void InorReconfigurer::restore_checkpoint_state(const std::string& state) {

@@ -57,10 +57,6 @@ struct HeldConfig {
   std::vector<std::size_t> starts;
   std::size_t modules = 0;
 
-  static HeldConfig of(bool has_config, const teg::ArrayConfig& config) {
-    return {has_config, config.group_starts(), config.num_modules()};
-  }
-
   /// The held configuration (the empty one when none is held).  Throws
   /// std::runtime_error when the starts do not describe a configuration.
   teg::ArrayConfig config() const {

@@ -15,7 +15,6 @@
 #include "sim/spec.hpp"
 #include "util/atomic_file.hpp"
 #include "util/field_io.hpp"
-#include "util/hash.hpp"
 
 namespace tegrec::sim {
 
@@ -116,9 +115,7 @@ std::string stream_config_fingerprint(const StreamConfig& config) {
   std::string text = stream_config_fingerprint_text(config);
   text += "checkpoint_schema_version = " +
           std::to_string(kCheckpointSchemaVersion) + "\n";
-  const std::uint64_t a = util::fnv1a64(text, util::kFnv1aOffsetBasis);
-  const std::uint64_t b = util::fnv1a64(text, util::kFnv1aAltBasis);
-  return util::hex64(a) + util::hex64(b);
+  return ExperimentSpec::fingerprint_of_text(text);
 }
 
 std::string CheckpointEncoder::encode(

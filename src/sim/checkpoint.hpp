@@ -1,24 +1,25 @@
 // Versioned, fingerprint-stamped on-disk checkpoints for streaming runs.
 //
 // A streamed simulation (sim/stepper.hpp, sim/stream_server.hpp) is only
-// as durable as its checkpoint: the codec here serialises one
-// StepperState — plus the caller's carry-along lines, e.g. a server's
-// decision log — into a line-structured text artifact in the result_io
-// dialect (magic line, `key = value` scalars, `# table rows = N` CSV
-// tables at exact precision), published exclusively through
-// util::atomic_write_file so a reader can never observe a torn file.
+// as durable as its checkpoint.  One checkpoint holds a StepperState and
+// the caller's carry-along lines (e.g. a server's decision log), in the
+// library's one text codec, published through util::atomic_write_file so
+// a reader never sees a torn file.  In order: a magic line; the run's
+// configuration stamp as a counted block; the head's scalars, bound once
+// through util::FieldIo; the controller's state blob as a counted block
+// (core/state_codec.hpp); the partial run in the run-table codec that
+// result artifacts share (sim/run_table.hpp); the carry-along lines; and
+// "# end".  Decoding reads it all through one util::LineReader, so the
+// framing rules are the result cache's: a cut anywhere, its final newline
+// included, or a byte after "# end" is corruption.
 //
-// Every checkpoint embeds the *configuration stamp* of the run that wrote
-// it: the StreamConfig's canonical fingerprint text, verbatim.  decode
-// compares that text (not just a hash) against the resuming run's stamp
-// and throws on any difference, so a checkpoint can never resume against
-// a different scheme, cadence, array size, or physics spec — changing any
-// result-affecting field invalidates old checkpoints loudly instead of
-// splicing two incompatible histories.  Unlike the result cache (where a
-// decode failure is just a miss), every decode failure here throws
-// std::runtime_error: silently restarting from scratch would discard the
-// operator's history, so corrupt, truncated, or mismatched checkpoints
-// must be loud.
+// The stamp is the StreamConfig's canonical text, compared verbatim (not
+// just a hash) with the resuming run's, so a checkpoint never resumes
+// under a different scheme, cadence, array size or physics spec.  Unlike
+// the result cache, where a decode failure is a miss, every failure here
+// throws std::runtime_error: silently restarting from scratch would
+// discard the operator's history, so corrupt, truncated or mismatched
+// checkpoints must be loud.
 #pragma once
 
 #include <cstddef>
@@ -66,8 +67,8 @@ std::unique_ptr<core::Reconfigurer> make_stream_controller(
     const StreamConfig& config);
 
 /// Canonical `key = value` stamp of every result-affecting StreamConfig
-/// field (doubles at %.17g; sim.* lines via
-/// simulation_options_fingerprint_text).
+/// field, rendered by its util::FieldIo binding (sim.* lines through the
+/// spec's SimulationOptions binding, execution hints excluded).
 std::string stream_config_fingerprint_text(const StreamConfig& config);
 
 /// 32-hex-digit content hash of the stamp (same dual-basis construction

@@ -1,8 +1,6 @@
 #include "sim/result_io.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -61,21 +59,16 @@ ExperimentResult decode_or_throw(const std::string& text,
                                  const std::string& expected_fp_text) {
   util::LineReader lines(text, "result artifact");
   if (lines.next() != kMagic) lines.fail("bad magic");
-  const std::string_view kind = lines.expect_prefix("# kind = ");
+  ExperimentResult out;
+  util::FieldIo head(lines);
+  const util::FieldIo::Scope comment(head, "# ");
+  head.enum_field("kind", out.kind, kKindNames);
   if (lines.counted_lines("# fingerprint-lines = ") != expected_fp_text) {
     // A different spec hashed to this fingerprint (or the schema moved
     // under the artifact): miss, never a wrong result.
     lines.fail("fingerprint text mismatch");
   }
 
-  ExperimentResult out;
-  const auto named = std::find_if(
-      std::begin(kKindNames), std::end(kKindNames),
-      [&](const auto& entry) { return kind == entry.second; });
-  if (named == std::end(kKindNames)) {
-    lines.fail("unknown kind " + std::string(kind));
-  }
-  out.kind = named->first;
   switch (out.kind) {
     case ExperimentKind::kComparison: {
       const std::size_t num_runs = lines.expect_count("# runs = ");
@@ -102,11 +95,11 @@ ExperimentResult decode_or_throw(const std::string& text,
 std::string encode_result(const ExperimentResult& result,
                           const std::string& fingerprint_text) {
   std::string out = kMagic;
-  out += "\n# kind = ";
-  for (const auto& [kind, name] : kKindNames) {
-    if (kind == result.kind) out += name;
-  }
   out += '\n';
+  util::FieldIo head(out);
+  const util::FieldIo::Scope comment(head, "# ");
+  ExperimentKind kind = result.kind;
+  head.enum_field("kind", kind, kKindNames);
   util::append_counted_lines(out, "# fingerprint-lines = ", fingerprint_text);
   switch (result.kind) {
     case ExperimentKind::kComparison:

@@ -1,22 +1,22 @@
 // Disk codec for cached experiment results.
 //
 // The ExperimentService's on-disk cache stores one artifact per spec
-// fingerprint: a line-structured text file embedding (1) the spec's
-// fingerprint text verbatim — decode_result() refuses to return a payload
-// whose embedded text differs from the expected spec, so a fingerprint
-// collision degrades to a cache miss, never a wrong result — and (2) the
-// result itself as sections of util::csv tables serialised at
-// kCsvExactPrecision, so every double round-trips bit-exactly and a
-// disk-cache hit is bit-identical to the execution that produced it.
-// Monte-Carlo summary statistics are not stored: they are refolded from
-// the samples on load through the same seed-order fold the engine uses.
+// fingerprint: a magic line, the result kind, the spec's fingerprint text
+// verbatim as a counted block — decode_result() refuses a payload whose
+// embedded text differs from the expected spec, so a fingerprint
+// collision degrades to a cache miss, never a wrong result — then the
+// result in the run-table codec checkpoints share (sim/run_table.hpp):
+// each comparison run, or the Monte-Carlo sample or sweep point table, at
+// exact precision, so a disk hit is bit-identical to the execution that
+// produced it.  Monte-Carlo summary statistics are not stored: they are
+// refolded from the samples through the engine's seed-order fold.
 //
-// Artifacts in this format are published exclusively through the
-// ArtifactStore, whose writes go through the atomic
-// temp+fsync+rename door (util/atomic_file.hpp) — a reader can never
-// observe a torn artifact, and decode_result()'s nullopt on truncation is
-// a defence for stores written by older builds or damaged media, with the
-// store removing such artifacts on detection (self-healing).
+// Decoding reads through the same util::LineReader as a checkpoint, under
+// the same framing rules, but every failure — a cut anywhere (the final
+// newline included), a byte after "# end", a count or flag cell out of
+// range — is a miss.  Artifacts are published through the ArtifactStore's
+// atomic door (util/atomic_file.hpp), which removes any artifact that
+// fails to decode (self-healing).
 #pragma once
 
 #include <optional>

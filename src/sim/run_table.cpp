@@ -70,10 +70,6 @@ std::size_t TableBlock::column(std::string_view name) const {
   lines_.fail("missing column " + std::string(name));
 }
 
-void TableBlock::read(std::size_t row, std::size_t col, double& out) const {
-  out = cell(row, col);
-}
-
 void TableBlock::read(std::size_t row, std::size_t col,
                       std::size_t& out) const {
   const double v = cell(row, col);

@@ -40,7 +40,9 @@ class TableBlock {
   /// Header index of `name`; throws when the table lacks the column.
   std::size_t column(std::string_view name) const;
 
-  void read(std::size_t row, std::size_t col, double& out) const;
+  void read(std::size_t row, std::size_t col, double& out) const {
+    out = cell(row, col);
+  }
   void read(std::size_t row, std::size_t col, std::size_t& out) const;
   void read(std::size_t row, std::size_t col, bool& out) const;
 
@@ -54,10 +56,6 @@ class TableBlock {
   std::vector<double> cells_;
   std::size_t rows_ = 0;
 };
-
-inline double cell_value(double v) { return v; }
-inline double cell_value(std::size_t v) { return static_cast<double>(v); }
-inline double cell_value(bool v) { return v ? 1.0 : 0.0; }
 
 /// "# table rows = N" and the header line of a `columns` table.
 template <typename Row, typename Columns>
@@ -81,7 +79,7 @@ void append_table_row(std::string& out, const Row& row, Columns columns) {
   std::array<double, 16> cells{};
   std::size_t n = 0;
   columns(row, [&](std::string_view, const auto& field) {
-    cells.at(n++) = cell_value(field);
+    cells.at(n++) = static_cast<double>(field);
   });
   util::append_csv_row(out, std::span(cells.data(), n),
                        util::kCsvExactPrecision);

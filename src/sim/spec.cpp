@@ -20,17 +20,6 @@ using util::FieldIo;
 
 namespace {
 
-std::string trim(const std::string& text) {
-  std::size_t begin = 0;
-  std::size_t end = text.size();
-  while (begin < end && (text[begin] == ' ' || text[begin] == '\t')) ++begin;
-  while (end > begin && (text[end - 1] == ' ' || text[end - 1] == '\t' ||
-                         text[end - 1] == '\r')) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
-}
-
 std::map<std::string, std::string> split_lines(const std::string& text) {
   std::map<std::string, std::string> values;
   std::istringstream is(text);
@@ -38,16 +27,17 @@ std::map<std::string, std::string> split_lines(const std::string& text) {
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
-    const std::string stripped = trim(line);
+    const std::string_view stripped = util::trim(line);
     if (stripped.empty() || stripped[0] == '#') continue;
     const std::size_t eq = stripped.find('=');
     if (eq == std::string::npos) {
       throw std::invalid_argument("experiment spec: line " +
                                   std::to_string(line_no) +
-                                  " is not 'key = value': '" + stripped + "'");
+                                  " is not 'key = value': '" +
+                                  std::string(stripped) + "'");
     }
-    const std::string key = trim(stripped.substr(0, eq));
-    const std::string value = trim(stripped.substr(eq + 1));
+    const std::string key(util::trim(stripped.substr(0, eq)));
+    const std::string value(util::trim(stripped.substr(eq + 1)));
     if (key.empty()) {
       throw std::invalid_argument("experiment spec: empty key on line " +
                                   std::to_string(line_no));

@@ -34,10 +34,7 @@
 #include "sim/montecarlo.hpp"
 #include "sim/sweep.hpp"
 #include "thermal/trace.hpp"
-
-namespace tegrec::util {
-class FieldIo;
-}  // namespace tegrec::util
+#include "util/field_io.hpp"
 
 namespace tegrec::sim {
 
@@ -78,12 +75,9 @@ struct TraceSource {
   std::shared_ptr<const thermal::TemperatureTrace> inline_trace;
 };
 
-/// Binds one SimulationOptions' fields (util/field_io.hpp) — the
-/// bindings the spec's canonical text uses under "comparison.sim.", with
-/// the thread count an execution hint.  Streaming checkpoints
-/// (sim/checkpoint.hpp) bind them into their configuration stamp under
-/// "sim.", so a checkpoint written under one physics spec can never
-/// silently resume under another.
+/// SimulationOptions' field bindings, shared by the spec's canonical text
+/// ("comparison.sim.*") and the stream configuration stamp ("sim.*", see
+/// sim/checkpoint.hpp); the thread count is an execution hint.
 void bind(util::FieldIo& io, SimulationOptions& options);
 
 /// A generated trace source resolved from a named workload scenario:

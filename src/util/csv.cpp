@@ -7,30 +7,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parse.hpp"
+
 namespace tegrec::util {
-
-namespace {
-
-// Splits on ',' keeping empty cells — including a trailing one, which
-// std::getline silently drops ("1,2," must be three cells: the bench
-// writers emit empty cells for unmeasured values).  A trailing '\r' from
-// CRLF files is stripped first.
-std::vector<std::string> split_cells(std::string line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  std::vector<std::string> cells;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      cells.push_back(line.substr(start));
-      return cells;
-    }
-    cells.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-}  // namespace
 
 double parse_csv_cell(std::string_view text) {
   if (text.empty()) return std::numeric_limits<double>::quiet_NaN();
@@ -106,16 +85,21 @@ CsvTable csv_from_string(const std::string& text) {
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
-    if (line.empty() || line == "\r") continue;
-    const std::vector<std::string> cells = split_cells(line);
+    // Empty cells are kept, a trailing one included ("1,2," is three
+    // cells: the bench writers emit them for unmeasured values).
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
     if (first) {
-      table.header = cells;
+      for_each_field(line, ',', [&](std::string_view name) {
+        table.header.emplace_back(name);
+      });
       first = false;
       continue;
     }
     std::vector<double> row;
-    row.reserve(cells.size());
-    for (const std::string& cell : cells) row.push_back(parse_csv_cell(cell));
+    for_each_field(line, ',', [&](std::string_view cell) {
+      row.push_back(parse_csv_cell(cell));
+    });
     if (row.size() != table.header.size()) {
       throw std::runtime_error(
           "CSV: row width " + std::to_string(row.size()) +

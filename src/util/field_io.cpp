@@ -1,6 +1,7 @@
 #include "util/field_io.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "util/double_format.hpp"
@@ -57,7 +58,7 @@ std::string LineReader::counted_lines(std::string_view prefix) {
 
 void LineReader::expect_end() {
   if (next() != "# end") fail("missing terminator (truncated?)");
-  if (pos_ != text_.size()) fail("trailing data after terminator");
+  finish();
 }
 
 void LineReader::finish() const {
@@ -96,11 +97,6 @@ std::string& FieldIo::begin_line(std::string_view key) {
   return out;
 }
 
-void FieldIo::emit(std::string_view key, std::string_view value) {
-  begin_line(key) += value;
-  *out_ += '\n';
-}
-
 std::optional<std::string_view> FieldIo::take(std::string_view key) {
   if (mode_ == Mode::kKeyed) {
     const auto it = values_.find(prefix_ + std::string(key));
@@ -120,98 +116,92 @@ std::optional<std::string_view> FieldIo::take(std::string_view key) {
   return line.substr(head + 3);
 }
 
-template <typename Parse>
-void FieldIo::read(std::string_view key, Parse&& parse) {
-  const std::optional<std::string_view> raw = take(key);
-  if (!raw) return;
-  if (mode_ == Mode::kKeyed) {
-    parse(*raw);
+template <typename T, typename Write, typename Parse>
+void FieldIo::value(std::string_view key, T& v, Write write, Parse parse) {
+  if (mode_ == Mode::kEmit) {
+    write(begin_line(key), v);
+    *out_ += '\n';
     return;
   }
+  const std::optional<std::string_view> raw = take(key);
+  if (!raw) return;
   try {
-    parse(*raw);
+    v = parse(*raw);
   } catch (const std::invalid_argument& e) {
+    if (mode_ == Mode::kKeyed) throw;
     lines_->fail("bad '" + prefix_ + std::string(key) + "': " + e.what());
   }
 }
 
-void FieldIo::field(std::string_view key, double& v) {
-  if (mode_ == Mode::kEmit) {
-    append_double(begin_line(key), v);
-    *out_ += '\n';
-    return;
+namespace {
+
+void write_item(std::string& out, double v) { append_double(out, v); }
+
+template <typename Int>
+  requires std::is_integral_v<Int>
+void write_item(std::string& out, Int v) {
+  out += std::to_string(v);
+}
+
+constexpr auto kWriteItem = [](std::string& out, auto v) { write_item(out, v); };
+
+constexpr auto kWriteList = [](std::string& out, const auto& items) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ',';
+    write_item(out, items[i]);
   }
-  read(key, [&](std::string_view raw) { v = parse_double(raw); });
+};
+
+/// Comma-joined list of `parse`d items, "" being the empty list.
+template <typename Parse>
+auto list_parser(Parse parse) {
+  return [parse](std::string_view raw) {
+    std::vector<decltype(parse(raw))> items;
+    if (raw.empty()) return items;
+    for_each_field(raw, ',',
+                   [&](std::string_view item) { items.push_back(parse(item)); });
+    return items;
+  };
+}
+
+std::size_t parse_index(std::string_view raw) {
+  return static_cast<std::size_t>(parse_u64(raw));
+}
+
+}  // namespace
+
+void FieldIo::field(std::string_view key, double& v) {
+  value(key, v, kWriteItem, parse_double);
 }
 
 void FieldIo::field(std::string_view key, bool& v) {
-  if (mode_ == Mode::kEmit) {
-    emit(key, v ? "1" : "0");
-    return;
-  }
-  read(key, [&](std::string_view raw) { v = parse_bool(raw); });
+  value(
+      key, v, [](std::string& out, bool b) { out += b ? '1' : '0'; },
+      parse_bool);
 }
 
 void FieldIo::field(std::string_view key, int& v) {
-  if (mode_ == Mode::kEmit) {
-    emit(key, std::to_string(v));
-    return;
-  }
-  read(key, [&](std::string_view raw) { v = static_cast<int>(parse_i64(raw)); });
+  value(key, v, kWriteItem, [](std::string_view raw) {
+    return static_cast<int>(parse_i64(raw));
+  });
 }
 
 void FieldIo::field_u64(std::string_view key, std::uint64_t& v) {
-  if (mode_ == Mode::kEmit) {
-    emit(key, std::to_string(v));
-    return;
-  }
-  read(key, [&](std::string_view raw) { v = parse_u64(raw); });
+  value(key, v, kWriteItem, parse_u64);
 }
 
 void FieldIo::field(std::string_view key, std::string& v) {
-  if (mode_ == Mode::kEmit) {
-    emit(key, v);
-    return;
-  }
-  read(key, [&](std::string_view raw) { v = raw; });
+  value(
+      key, v, [](std::string& out, const std::string& s) { out += s; },
+      [](std::string_view raw) { return std::string(raw); });
 }
 
 void FieldIo::field(std::string_view key, std::vector<double>& v) {
-  if (mode_ == Mode::kEmit) {
-    std::string& out = begin_line(key);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i > 0) out += ',';
-      append_double(out, v[i]);
-    }
-    out += '\n';
-    return;
-  }
-  read(key, [&](std::string_view raw) {
-    v.clear();
-    if (raw.empty()) return;
-    for_each_field(raw, ',', [&](std::string_view token) {
-      v.push_back(parse_double(token));
-    });
-  });
+  value(key, v, kWriteList, list_parser(parse_double));
 }
 
 void FieldIo::field(std::string_view key, std::vector<std::size_t>& v) {
-  if (mode_ == Mode::kEmit) {
-    std::string& out = begin_line(key);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(v[i]);
-    }
-    out += '\n';
-    return;
-  }
-  read(key, [&](std::string_view raw) {
-    v.clear();
-    if (raw.empty()) return;
-    for_each_field(raw, ',', [&](std::string_view token) {
-      v.push_back(static_cast<std::size_t>(parse_u64(token)));
-    });
-  });
+  value(key, v, kWriteList, list_parser(parse_index));
 }
 
 bool FieldIo::present(std::string_view key) const {

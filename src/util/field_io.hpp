@@ -43,8 +43,6 @@ class LineReader {
   /// cut-off write.
   LineReader(std::string_view text, std::string what);
 
-  const std::string& what() const { return what_; }
-
   /// The next line without its '\n' (and a trailing '\r', CRLF tolerance).
   std::string_view next();
 
@@ -128,26 +126,23 @@ class FieldIo {
   /// An enum spelled through `names`, a range of (value, name) pairs.
   template <typename Enum, typename Names>
   void enum_field(std::string_view key, Enum& v, const Names& names) {
-    if (mode_ == Mode::kEmit) {
-      for (const auto& [value, name] : names) {
-        if (v == value) {
-          emit(key, name);
-          return;
-        }
-      }
+    std::string spelled;
+    for (const auto& [value, name] : names) {
+      if (value == v) spelled = name;
+    }
+    if (!parsing() && spelled.empty()) {
       throw std::logic_error("FieldIo: unmapped enum value for key '" +
                              prefix_ + std::string(key) + "'");
     }
-    const std::optional<std::string_view> raw = take(key);
-    if (!raw) return;
+    field(key, spelled);
     for (const auto& [value, name] : names) {
-      if (*raw == name) {
+      if (spelled == name) {
         v = value;
         return;
       }
     }
-    fail("bad value '" + std::string(*raw) + "' for key '" + prefix_ +
-         std::string(key) + "'");
+    fail("bad value '" + spelled + "' for key '" + prefix_ + std::string(key) +
+         "'");
   }
 
   /// Execution hints (thread counts): bound as "exec.<key>" like any other
@@ -173,15 +168,14 @@ class FieldIo {
   void field_u64(std::string_view key, std::uint64_t& v);
   /// Starts an emitted line: "<prefix><key> = ".
   std::string& begin_line(std::string_view key);
-  void emit(std::string_view key, std::string_view value);
   /// Read modes: the raw value bound to `key` (nullopt when a keyed map
   /// lacks it).
   std::optional<std::string_view> take(std::string_view key);
-  /// Read modes: `parse(raw)` for `key`'s value, if present.  In ordered
-  /// mode a parser's std::invalid_argument becomes a std::runtime_error
-  /// naming the key.
-  template <typename Parse>
-  void read(std::string_view key, Parse&& parse);
+  /// Every field's two directions: `write(out, v)` renders the value;
+  /// `v = parse(raw)` reads it, where a parser's std::invalid_argument
+  /// becomes, in ordered mode, a std::runtime_error naming the key.
+  template <typename T, typename Write, typename Parse>
+  void value(std::string_view key, T& v, Write write, Parse parse);
   [[noreturn]] void fail(const std::string& message) const;
 
   Mode mode_;

@@ -15,18 +15,6 @@ namespace tegrec::util {
 
 namespace {
 
-std::string_view trimmed(std::string_view text) {
-  std::size_t begin = 0;
-  std::size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
-}
-
 [[noreturn]] void fail(const char* what, std::string_view text) {
   std::string message = "expected ";
   message += what;
@@ -40,7 +28,7 @@ std::string_view trimmed(std::string_view text) {
 /// strtod accepts in full without ERANGE ("+1.5", "0x1p3") and throws
 /// otherwise.  strtod needs a NUL-terminated copy.
 double parse_double_strtod(std::string_view text) {
-  const std::string token(trimmed(text));
+  const std::string token(trim(text));
   if (token.empty()) fail("a number", text);
   errno = 0;
   char* end = nullptr;
@@ -57,8 +45,20 @@ double parse_double_strtod(std::string_view text) {
 
 }  // namespace
 
+std::string_view trim(std::string_view text) {
+  std::size_t begin = 0;
+  std::size_t end = text.size();
+  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
+    ++begin;
+  }
+  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
+    --end;
+  }
+  return text.substr(begin, end - begin);
+}
+
 double parse_double(std::string_view text) {
-  const std::string_view token = trimmed(text);
+  const std::string_view token = trim(text);
   const char* const last = token.data() + token.size();
   double value = 0.0;
   const auto [end, ec] =
@@ -75,7 +75,7 @@ double parse_double(std::string_view text) {
 }
 
 std::uint64_t parse_u64(std::string_view text) {
-  const std::string token(trimmed(text));
+  const std::string token(trim(text));
   // strtoull accepts a leading '-' (wrapping the value); reject it here.
   if (token.empty() || token[0] == '-' || token[0] == '+') {
     fail("a non-negative integer", text);
@@ -90,7 +90,7 @@ std::uint64_t parse_u64(std::string_view text) {
 }
 
 std::int64_t parse_i64(std::string_view text) {
-  const std::string token(trimmed(text));
+  const std::string token(trim(text));
   if (token.empty()) fail("an integer", text);
   errno = 0;
   char* end = nullptr;
@@ -102,7 +102,7 @@ std::int64_t parse_i64(std::string_view text) {
 }
 
 bool parse_bool(std::string_view text) {
-  const std::string_view token = trimmed(text);
+  const std::string_view token = trim(text);
   if (token == "1" || token == "true") return true;
   if (token == "0" || token == "false") return false;
   fail("a boolean (0/1/true/false)", text);

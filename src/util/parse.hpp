@@ -5,10 +5,14 @@
 // tolerated, trailing junk is not) and throw std::invalid_argument with
 // the offending text otherwise, so a typo in a flag, a spec file, a
 // checkpoint or a telemetry cell fails loudly instead of running the wrong
-// study.  The reading counterpart of util::append_double: every decoder of
-// the library's own text (CLI flags, spec files, checkpoints, controller
-// state blobs, telemetry lines) reads numbers through here, so the dialect
-// is the strtod one in the "C" locale, defined in one place.
+// study.  The reading counterpart of util::append_double: CLI flags,
+// telemetry lines and every `key = value` field of the library's own text
+// (spec files, configuration stamps, checkpoint heads, controller state
+// blobs — all bound through util::FieldIo) read numbers here, so the
+// dialect is the strtod one in the "C" locale, defined in one place.  Only
+// CSV cells, which may spell non-finite values, read through
+// util::parse_csv_cell; the run-table codec then range-checks its count
+// and flag cells (sim/run_table.hpp).
 //
 // parse_double takes a std::string_view and neither copies nor allocates
 // on the common path: std::from_chars reads a plain decimal token, and only
@@ -27,6 +31,9 @@
 #include <string_view>
 
 namespace tegrec::util {
+
+/// `text` without leading and trailing whitespace (std::isspace).
+std::string_view trim(std::string_view text);
 
 /// Parses a finite double; rejects empty/partial tokens ("", "10x",
 /// "1.2.3"), out-of-range and subnormal values ("1e400", "5e-324") and

@@ -15,7 +15,7 @@
 // by its field's type: a double as written, a std::size_t count only when
 // integral, non-negative and at most 2^53 (the range where a double holds
 // every integer), a bool flag only when exactly 0 or 1.  Every read
-// failure throws std::runtime_error through the block's util::LineReader.
+// failure throws std::runtime_error.
 #pragma once
 
 #include <array>

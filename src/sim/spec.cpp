@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 
 #include "thermal/scenario.hpp"

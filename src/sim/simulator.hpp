@@ -33,14 +33,14 @@ struct SimulationOptions {
   /// parent arena — the dominant allocation at farm scale — at the cost of
   /// never choosing a config with more than this many series groups.
   std::size_t ehtr_max_groups = 0;
-  /// Warm-start EHTR's partition DP from the held config's group count
-  /// (docs/actuation.md).  Chosen configs are proven bit-identical to cold
-  /// search, but the knob still participates in the spec fingerprint: it
-  /// gates a certified-pruning code path whose equivalence is a theorem
-  /// about this implementation, not a schema-level identity.
-  bool ehtr_warm_start = false;
+  /// EHTR runs the certified warm search (docs/actuation.md): the partition
+  /// DP starts from the held config's group count and a provable score
+  /// bound prunes the rest.  Decisions are bit-identical to the cold full
+  /// sweep, so both knobs are execution hints, outside the spec
+  /// fingerprint and the stream stamp; `false` keeps cold as the oracle.
+  bool ehtr_warm_start = true;
   /// How far past the incumbent group count the warm pass solves before
-  /// consulting the score bound.  Fingerprinted for the same reason.
+  /// consulting the score bound.
   std::size_t ehtr_warm_width = 64;
 };
 

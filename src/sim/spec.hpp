@@ -43,7 +43,9 @@ namespace tegrec::sim {
 /// v2: named workload scenarios (trace.scenario) and the process-load /
 /// stop-start / cold-start segment fields.
 /// v3: EHTR warm-start knobs (sim.ehtr_warm_start, sim.ehtr_warm_width).
-inline constexpr int kSpecSchemaVersion = 3;
+/// v4: those knobs are execution hints (sim.exec.ehtr_warm_*), outside the
+/// fingerprint.
+inline constexpr int kSpecSchemaVersion = 4;
 
 enum class ExperimentKind { kComparison, kMonteCarlo, kSweep };
 

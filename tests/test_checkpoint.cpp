@@ -495,8 +495,9 @@ TEST_F(CheckpointFaults, CrashLeavesPreviousCheckpointIntact) {
 // ------------------------------------------- fingerprint field sensitivity
 
 // Runtime twin of the lint cache-key cross-check: every result-affecting
-// StreamConfig field must move the fingerprint, and the execution hint
-// must not (two machines with different core counts share checkpoints).
+// StreamConfig field must move the fingerprint, and the execution hints
+// must not (two machines with different core counts share checkpoints, and
+// a warm EHTR stream resumes a cold one's).
 TEST(Checkpoint, FingerprintMovesPerResultAffectingField) {
   const StreamConfig base = [] {
     StreamConfig c;
@@ -529,8 +530,11 @@ TEST(Checkpoint, FingerprintMovesPerResultAffectingField) {
   battery.sim.battery.capacity_ah *= 2.0;
   EXPECT_NE(stream_config_fingerprint(battery), fp);
 
+  // Execution hints: excluded by design.
   StreamConfig exec_hint = base;
-  exec_hint.sim.num_threads = 7;  // execution hint: excluded by design
+  exec_hint.sim.num_threads = 7;
+  exec_hint.sim.ehtr_warm_start = !exec_hint.sim.ehtr_warm_start;
+  exec_hint.sim.ehtr_warm_width = 3;
   EXPECT_EQ(stream_config_fingerprint(exec_hint), fp);
 }
 

@@ -8,9 +8,9 @@
 // table of named single-field perturbations.  Every perturbation must
 // change the fingerprint, and all perturbed fingerprints within a group
 // must be pairwise distinct (two fields aliasing onto one key would
-// collide here).  Execution hints (thread counts) must change the
-// canonical text but NOT the fingerprint — that is the contract that lets
-// a farm reuse cached results across machine shapes.
+// collide here).  Execution hints (thread counts, EHTR's warm-start knobs)
+// must change the canonical text but NOT the fingerprint — that is the
+// contract that lets a farm reuse cached results across machine shapes.
 #include <functional>
 #include <gtest/gtest.h>
 #include <map>
@@ -131,10 +131,6 @@ TEST(FingerprintFields, ComparisonSpecFields) {
        [](ExperimentSpec& s) { s.comparison.sim.charge_overhead = false; }},
       {"sim.ehtr_max_groups",
        [](ExperimentSpec& s) { s.comparison.sim.ehtr_max_groups = 12; }},
-      {"sim.ehtr_warm_start",
-       [](ExperimentSpec& s) { s.comparison.sim.ehtr_warm_start = true; }},
-      {"sim.ehtr_warm_width",
-       [](ExperimentSpec& s) { s.comparison.sim.ehtr_warm_width = 32; }},
       {"sim.device.num_couples",
        [](ExperimentSpec& s) { s.comparison.sim.device.num_couples += 1; }},
       {"sim.device.seebeck_v_k_couple",
@@ -211,9 +207,10 @@ TEST(FingerprintFields, SweepSpecFields) {
 
 // ------------------------------------------------------- execution hints
 
-/// Thread counts change how a study executes, never what it computes (the
-/// library guarantees bit-identical results across thread counts), so
-/// they serialise into the canonical text but are excluded from the
+/// Thread counts and EHTR's warm-start knobs change how a study executes,
+/// never what it computes (the library guarantees bit-identical results
+/// across thread counts and between warm and cold EHTR search), so they
+/// serialise into the canonical text but are excluded from the
 /// fingerprint — cached results stay valid across machine shapes.
 TEST(FingerprintFields, ExecHintsDoNotMoveTheFingerprint) {
   struct Case {
@@ -221,7 +218,7 @@ TEST(FingerprintFields, ExecHintsDoNotMoveTheFingerprint) {
     ExperimentSpec base;
     std::function<void(ExperimentSpec&)> apply;
   };
-  std::vector<Case> cases(3);
+  std::vector<Case> cases(5);
   cases[0].field = "exec.num_threads";
   cases[0].apply = [](ExperimentSpec& s) { s.comparison.sim.num_threads = 7; };
   cases[1].field = "exec.mc.num_threads";
@@ -232,6 +229,14 @@ TEST(FingerprintFields, ExecHintsDoNotMoveTheFingerprint) {
   cases[2].base.sweep_parameter_name = "control_period_s";
   cases[2].base.sweep_values = {0.5};
   cases[2].apply = [](ExperimentSpec& s) { s.sweep_num_threads = 7; };
+  cases[3].field = "exec.ehtr_warm_start";
+  cases[3].apply = [](ExperimentSpec& s) {
+    s.comparison.sim.ehtr_warm_start = false;
+  };
+  cases[4].field = "exec.ehtr_warm_width";
+  cases[4].apply = [](ExperimentSpec& s) {
+    s.comparison.sim.ehtr_warm_width = 32;
+  };
 
   for (Case& c : cases) {
     ExperimentSpec perturbed = c.base;
@@ -241,6 +246,26 @@ TEST(FingerprintFields, ExecHintsDoNotMoveTheFingerprint) {
     EXPECT_NE(perturbed.canonical_text(), c.base.canonical_text())
         << c.field << " must still appear in the canonical text";
   }
+}
+
+// Schema v3 bound the warm-start knobs as fingerprinted fields; v4 moved
+// them under exec.  The old spelling must fail like any unknown key rather
+// than be read as the hint.
+TEST(FingerprintFields, V3WarmStartKeysAreUnknown) {
+  for (const char* key : {"comparison.sim.ehtr_warm_start = 1\n",
+                          "comparison.sim.ehtr_warm_width = 8\n"}) {
+    try {
+      ExperimentSpec::from_text(std::string("kind = comparison\n") + key);
+      ADD_FAILURE() << "accepted " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos)
+          << e.what();
+    }
+  }
+  const ExperimentSpec hinted = ExperimentSpec::from_text(
+      "kind = comparison\ncomparison.sim.exec.ehtr_warm_start = 0\n");
+  EXPECT_FALSE(hinted.comparison.sim.ehtr_warm_start);
+  EXPECT_EQ(fp(hinted), fp(ExperimentSpec{}));
 }
 
 }  // namespace

@@ -99,15 +99,15 @@ TEST(ScenarioSpec, GoldenFingerprints) {
   // invalidate every cached result built from the name.  Update the
   // constants deliberately when that happens.
   EXPECT_EQ(scenario_spec("porter_800s").fingerprint(),
-            "4fbc85e56ecbf7714e204b9e84cad880");
+            "28656e8de75d4910210a276cf0086107");
   EXPECT_EQ(scenario_spec("urban_stop_start").fingerprint(),
-            "cfccca2a59080fcb43b5616d86ecccaa");
+            "41ffec4b2cfc2bd6bc2b10acdeefaa55");
   EXPECT_EQ(scenario_spec("winter_cold_start").fingerprint(),
-            "f047f4c8e029b8f18cd6b895806c8eb6");
+            "40c65a6b141ea50ea527497ee83e64f3");
   EXPECT_EQ(scenario_spec("boiler_economiser").fingerprint(),
-            "734a012691ab62f7556edb10cd6a4b24");
+            "ecb1dd707beaa9f0972863f8cb1152a5");
   EXPECT_EQ(scenario_spec("kiln_batch").fingerprint(),
-            "8d5523679c92c877ea9dc9afb60e34c2");
+            "d59affbb137f5912e37680a65f97dc8d");
 }
 
 TEST(ScenarioSpec, FingerprintsStableAcrossProcessesAndDistinct) {

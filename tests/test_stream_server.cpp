@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/checkpoint.hpp"
+#include "sim/run_table.hpp"
 #include "thermal/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/fault.hpp"
@@ -80,6 +82,81 @@ struct Capture {
     return [this](const std::string& message) { warnings.push_back(message); };
   }
 };
+
+struct SingleRun {
+  std::vector<std::string> lines;     ///< emitted by this process
+  std::vector<std::string> restored;  ///< decision log a resume handed back
+  StreamArrayReport report;
+};
+
+/// One array through a StreamServer, checkpointing to `ckpt` (when given)
+/// every two steps and first restoring from it under `resume`.
+SingleRun run_single(const StreamConfig& config, const std::string& csv,
+                     const std::string& ckpt = "", bool resume = false) {
+  SingleRun run;
+  Capture capture;
+  StreamServerOptions options;
+  options.warn = capture.warn();
+  StreamServer server(capture.sink(), options);
+  StreamArrayOptions array;
+  array.config = config;
+  array.feed = feed_of(csv);
+  array.checkpoint_path = ckpt;
+  array.checkpoint_every_steps = 2;
+  array.resume = resume;
+  array.on_resume = [&run](const std::vector<std::string>& lines) {
+    run.restored = lines;
+  };
+  server.add_array(std::move(array));
+  run.report = server.run().at(0);
+  run.lines = std::move(capture.lines);
+  return run;
+}
+
+/// The run as its exact-precision table, wall time zeroed.
+std::string run_text(SimulationResult run) {
+  run.avg_runtime_ms = 0.0;
+  run.runtime_per_invocation_ms = 0.0;
+  for (StepRecord& step : run.steps) step.compute_time_s = 0.0;
+  std::string out;
+  append_run(out, run, "algorithm = ");
+  return out;
+}
+
+/// Interrupts a stream run under `writer` after half the trace, resumes it
+/// under `reader` re-fed from t = 0, and expects the restored log plus the
+/// new lines, and the result, to equal an uninterrupted `reader` run's.
+void expect_resume_matches_uninterrupted(const thermal::TemperatureTrace& trace,
+                                         const StreamConfig& writer,
+                                         const StreamConfig& reader) {
+  const std::string csv = trace_csv(trace);
+  const std::string ckpt = testing::TempDir() + "/resume.ckpt";
+  std::remove(ckpt.c_str());
+
+  // Reference: the uninterrupted run.
+  const SingleRun full = run_single(reader, csv);
+  ASSERT_TRUE(full.report.error.empty()) << full.report.error;
+
+  // First process: sees only a prefix, checkpoints, "dies" at stream end.
+  const std::size_t cut = trace.num_steps() / 2;
+  const SingleRun before = run_single(writer, csv_prefix(csv, cut), ckpt);
+  ASSERT_TRUE(before.report.error.empty()) << before.report.error;
+  ASSERT_EQ(before.report.result.steps.size(), cut);
+
+  // Second process: resumes and is re-fed the whole stream from t = 0.
+  const SingleRun after = run_single(reader, csv, ckpt, /*resume=*/true);
+  ASSERT_TRUE(after.report.error.empty()) << after.report.error;
+  EXPECT_TRUE(after.report.resumed);
+  EXPECT_EQ(after.report.replayed, cut);  // prefix silently skipped
+  EXPECT_EQ(after.report.result.steps.size(), trace.num_steps());
+
+  EXPECT_EQ(after.restored, before.lines);  // the log survived intact
+  std::vector<std::string> stitched = after.restored;
+  stitched.insert(stitched.end(), after.lines.begin(), after.lines.end());
+  EXPECT_EQ(stitched, full.lines);  // byte-identical to never having died
+  EXPECT_EQ(run_text(after.report.result), run_text(full.report.result));
+  std::remove(ckpt.c_str());
+}
 
 // Three arrays with three schemes share one emitter; every line must be a
 // well-formed, single-line JSON object tagged with a known array name, and
@@ -173,69 +250,86 @@ TEST(StreamServer, CheckpointWriteFailureDegradesGracefully) {
 // uninterrupted run's log.
 TEST(StreamServer, ResumeReproducesUninterruptedDecisionLog) {
   const auto trace = test_trace();
+  const StreamConfig config = explicit_config(trace);
+  expect_resume_matches_uninterrupted(trace, config, config);
+}
+
+// ------------------------------------------- EHTR: warm search vs cold
+
+/// 200 modules: wider than the warm pass's default 64-count neighbourhood
+/// of the incumbent (about 20 groups here), so the score bound rules out
+/// roughly half of the group counts.
+thermal::TemperatureTrace ehtr_trace() {
+  thermal::TraceGeneratorConfig config;
+  config.layout.num_modules = 200;
+  config.segments = {{thermal::DriveSegment::Kind::kUrban, 15.0, 32.0, 0.0}};
+  config.seed = 9;
+  return thermal::generate_trace(config);
+}
+
+StreamConfig ehtr_config(const thermal::TemperatureTrace& trace, bool warm) {
+  StreamConfig config = explicit_config(trace, StreamScheme::kEhtr);
+  config.sim.ehtr_warm_start = warm;
+  return config;
+}
+
+// The production default is the warm search; forcing the cold oracle must
+// not change one byte of the decision log or the result.
+TEST(StreamServer, EhtrDefaultWarmStreamEqualsColdOracle) {
+  const auto trace = ehtr_trace();
   const std::string csv = trace_csv(trace);
-  const std::string ckpt = testing::TempDir() + "/resume.ckpt";
+  ASSERT_TRUE(StreamConfig{}.sim.ehtr_warm_start);
+  const SingleRun warm = run_single(ehtr_config(trace, true), csv);
+  const SingleRun cold = run_single(ehtr_config(trace, false), csv);
+  ASSERT_TRUE(warm.report.error.empty()) << warm.report.error;
+  ASSERT_TRUE(cold.report.error.empty()) << cold.report.error;
+  EXPECT_GT(warm.report.decisions, 1u);  // the stream really reconfigures
+  EXPECT_EQ(warm.lines, cold.lines);
+  EXPECT_EQ(run_text(warm.report.result), run_text(cold.report.result));
+}
+
+// The warm knobs are execution hints, outside the stamp: a checkpoint
+// written by either search resumes under the other, and the stitched log
+// equals the uninterrupted one.
+TEST(StreamServer, EhtrCheckpointResumesAcrossWarmAndCold) {
+  const auto trace = ehtr_trace();
+  for (const bool writer_warm : {true, false}) {
+    SCOPED_TRACE(writer_warm ? "written warm, resumed cold"
+                             : "written cold, resumed warm");
+    expect_resume_matches_uninterrupted(trace, ehtr_config(trace, writer_warm),
+                                        ehtr_config(trace, !writer_warm));
+  }
+}
+
+// A checkpoint stamped while the warm knobs were still stamp fields (spec
+// schema v3) was written under a different stamp text, and must say so
+// rather than resume.
+TEST(StreamServer, CheckpointStampedWithWarmKnobsIsRejected) {
+  const auto trace = ehtr_trace();
+  const std::string csv = trace_csv(trace);
+  const std::string ckpt = testing::TempDir() + "/ehtr_v3.ckpt";
   std::remove(ckpt.c_str());
+  const StreamConfig config = ehtr_config(trace, true);
+  const SingleRun before = run_single(config, csv_prefix(csv, 6), ckpt);
+  ASSERT_TRUE(before.report.error.empty()) << before.report.error;
 
-  // Reference: the uninterrupted run.
-  Capture full;
-  {
-    StreamServerOptions options;
-    options.warn = full.warn();
-    StreamServer server(full.sink(), options);
-    StreamArrayOptions array;
-    array.config = explicit_config(trace);
-    array.feed = feed_of(csv);
-    server.add_array(std::move(array));
-    const auto reports = server.run();
-    ASSERT_TRUE(reports[0].error.empty()) << reports[0].error;
-  }
+  const std::string stamp = stream_config_fingerprint_text(config);
+  const std::string anchor = "sim.ehtr_max_groups = 0\n";
+  std::string legacy = stamp;
+  const std::size_t at = legacy.find(anchor);
+  ASSERT_NE(at, std::string::npos) << stamp;
+  legacy.insert(at + anchor.size(),
+                "sim.ehtr_warm_start = 1\nsim.ehtr_warm_width = 64\n");
+  const DecodedCheckpoint decoded =
+      decode_checkpoint(util::read_file_if_exists(ckpt).value(), stamp);
+  util::atomic_write_file(
+      ckpt, encode_checkpoint(decoded.state, legacy, decoded.extra_lines));
 
-  // First process: sees only a prefix, checkpoints, "dies" at stream end.
-  const std::size_t cut = trace.num_steps() / 2;
-  Capture before;
-  {
-    StreamServerOptions options;
-    options.warn = before.warn();
-    StreamServer server(before.sink(), options);
-    StreamArrayOptions array;
-    array.config = explicit_config(trace);
-    array.feed = feed_of(csv_prefix(csv, cut));
-    array.checkpoint_path = ckpt;
-    array.checkpoint_every_steps = 2;
-    server.add_array(std::move(array));
-    const auto reports = server.run();
-    ASSERT_TRUE(reports[0].error.empty()) << reports[0].error;
-    ASSERT_EQ(reports[0].result.steps.size(), cut);
-  }
-
-  // Second process: resumes and is re-fed the whole stream from t = 0.
-  Capture after;
-  std::vector<std::string> restored;
-  {
-    StreamServerOptions options;
-    options.warn = after.warn();
-    StreamServer server(after.sink(), options);
-    StreamArrayOptions array;
-    array.config = explicit_config(trace);
-    array.feed = feed_of(csv);
-    array.checkpoint_path = ckpt;
-    array.resume = true;
-    array.on_resume = [&restored](const std::vector<std::string>& lines) {
-      restored = lines;
-    };
-    server.add_array(std::move(array));
-    const auto reports = server.run();
-    ASSERT_TRUE(reports[0].error.empty()) << reports[0].error;
-    EXPECT_TRUE(reports[0].resumed);
-    EXPECT_EQ(reports[0].replayed, cut);  // prefix silently skipped
-    EXPECT_EQ(reports[0].result.steps.size(), trace.num_steps());
-  }
-
-  EXPECT_EQ(restored, before.lines);  // the log survived the "death" intact
-  std::vector<std::string> stitched = restored;
-  stitched.insert(stitched.end(), after.lines.begin(), after.lines.end());
-  EXPECT_EQ(stitched, full.lines);  // byte-identical to never having died
+  const SingleRun after = run_single(config, csv, ckpt, /*resume=*/true);
+  EXPECT_NE(after.report.error.find("configuration stamp mismatch"),
+            std::string::npos)
+      << after.report.error;
+  EXPECT_FALSE(after.report.resumed);
   std::remove(ckpt.c_str());
 }
 

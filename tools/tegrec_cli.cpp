@@ -261,9 +261,6 @@ int cmd_simulate(const FlagMap& flags) {
       flag_size(flags, "threads", spec.comparison.sim.num_threads);
   spec.comparison.sim.ehtr_max_groups =
       flag_size(flags, "max-groups", spec.comparison.sim.ehtr_max_groups);
-  if (flags.count("ehtr-warm")) spec.comparison.sim.ehtr_warm_start = true;
-  spec.comparison.sim.ehtr_warm_width = flag_size(
-      flags, "ehtr-warm-width", spec.comparison.sim.ehtr_warm_width);
   if (flags.count("scheme")) {  // only an explicit flag overrides the spec
     const std::string& scheme = flags.at("scheme");
     spec.comparison.include_dnor = scheme == "dnor" || scheme == "all";
@@ -673,10 +670,9 @@ int cmd_stream(int argc, char** argv) {
   const FlagMap flags =
       parse_flags(static_cast<int>(rest.size()), rest.data(), 0,
                   {"scheme", "period", "dt", "modules", "threads",
-                   "max-groups", "ehtr-warm-width", "out", "checkpoint",
-                   "checkpoint-every", "poll-ms", "stall-timeout-ms",
-                   "idle-exit-ms"},
-                  {"resume", "ehtr-warm"});
+                   "max-groups", "out", "checkpoint", "checkpoint-every",
+                   "poll-ms", "stall-timeout-ms", "idle-exit-ms"},
+                  {"resume"});
 
   sim::StreamConfig config;
   config.scheme = sim::parse_stream_scheme(flag_or(flags, "scheme", "dnor"));
@@ -687,9 +683,6 @@ int cmd_stream(int argc, char** argv) {
   config.sim.num_threads = flag_size(flags, "threads", config.sim.num_threads);
   config.sim.ehtr_max_groups =
       flag_size(flags, "max-groups", config.sim.ehtr_max_groups);
-  if (flags.count("ehtr-warm")) config.sim.ehtr_warm_start = true;
-  config.sim.ehtr_warm_width =
-      flag_size(flags, "ehtr-warm-width", config.sim.ehtr_warm_width);
 
   const std::string checkpoint_dir = flag_or(flags, "checkpoint", "");
   const bool resume = flags.count("resume") != 0;
@@ -1029,7 +1022,7 @@ void usage() {
                "\n"
                "                      [--scheme dnor|inor|ehtr|baseline|all]\n"
                "                      [--threads W] [--max-groups G] "
-               "[--ehtr-warm [--ehtr-warm-width K]] [--cache DIR]\n"
+               "[--cache DIR]\n"
                "  tegrec_cli predict  [--trace F] [--method mlr|bpnn|svr|holt] "
                "[--horizon H]\n"
                "  tegrec_cli montecarlo [--scenario NAME] [--seeds K] "
@@ -1050,7 +1043,6 @@ void usage() {
                "...] [--scheme dnor|inor|ehtr|baseline]\n"
                "                      [--dt T] [--modules N] [--period T] "
                "[--threads W] [--max-groups G]\n"
-               "                      [--ehtr-warm [--ehtr-warm-width K]]\n"
                "                      [--out FILE] [--checkpoint DIR "
                "[--resume] [--checkpoint-every N]]\n"
                "                      [--poll-ms T] [--stall-timeout-ms T] "
@@ -1076,9 +1068,7 @@ int main(int argc, char** argv) {
     if (command == "simulate") {
       return cmd_simulate(parse_flags(argc, argv, 2,
                                       {"trace", "spec", "scenario", "scheme",
-                                       "threads", "max-groups",
-                                       "ehtr-warm-width", "cache"},
-                                      {"ehtr-warm"}));
+                                       "threads", "max-groups", "cache"}));
     }
     if (command == "predict") {
       return cmd_predict(parse_flags(argc, argv, 2,

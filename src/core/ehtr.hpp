@@ -182,16 +182,18 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
 /// Periodic controller wrapping ehtr_search (0.5 s period per [5]).
 /// `max_groups` bounds both the candidate sweep and the DP parent arena
 /// (0 = no cap); operators of farm-scale arrays use it to trade optimality
-/// headroom for memory.  The certified warm pass is the production path:
-/// each invocation's neighbourhood is seeded with the held config's group
-/// count (`warm_width` past it).  `warm_start = false` runs the cold full
-/// sweep, kept as the oracle; decisions are bit-identical either way.
+/// headroom for memory.  `warm_start` enables the certified warm pass,
+/// seeding each invocation's neighbourhood with the held config's group
+/// count (`warm_width` past it); decisions are bit-identical either way.
+/// Production front ends turn it on through SimulationOptions; the default
+/// here is the cold full sweep of [2], which the Table I reproduction times
+/// and the differential tests use as the oracle.
 class EhtrReconfigurer final : public Reconfigurer {
  public:
   EhtrReconfigurer(const teg::DeviceParams& device,
                    const power::ConverterParams& converter,
                    double period_s = 0.5, std::size_t num_threads = 1,
-                   std::size_t max_groups = 0, bool warm_start = true,
+                   std::size_t max_groups = 0, bool warm_start = false,
                    std::size_t warm_width = 64);
 
   std::string name() const override { return "EHTR"; }

@@ -36,8 +36,8 @@ struct SimulationOptions {
   /// EHTR runs the certified warm search (docs/actuation.md): the partition
   /// DP starts from the held config's group count and a provable score
   /// bound prunes the rest.  Decisions are bit-identical to the cold full
-  /// sweep, so both knobs are execution hints, outside the spec
-  /// fingerprint and the stream stamp; `false` keeps cold as the oracle.
+  /// sweep, so neither knob is in a spec, the fingerprint or the stream
+  /// stamp; tests and benches set `false` to run cold as the oracle.
   bool ehtr_warm_start = true;
   /// How far past the incumbent group count the warm pass solves before
   /// consulting the score bound.

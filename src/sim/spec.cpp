@@ -223,11 +223,6 @@ void bind(FieldIo& io, SimulationOptions& s) {
   io.field("charge_overhead", s.charge_overhead);
   io.field("ehtr_max_groups", s.ehtr_max_groups);
   io.exec_field("num_threads", s.num_threads);
-  // Warm EHTR decides exactly as the cold sweep does (tests/test_ehtr_warm,
-  // the EHTR rows of tests/test_decision_digest), so, like the thread
-  // count, the knobs choose how a run executes, not what it computes.
-  io.exec_field("ehtr_warm_start", s.ehtr_warm_start);
-  io.exec_field("ehtr_warm_width", s.ehtr_warm_width);
 }
 
 namespace {

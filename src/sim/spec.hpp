@@ -43,8 +43,7 @@ namespace tegrec::sim {
 /// v2: named workload scenarios (trace.scenario) and the process-load /
 /// stop-start / cold-start segment fields.
 /// v3: EHTR warm-start knobs (sim.ehtr_warm_start, sim.ehtr_warm_width).
-/// v4: those knobs are execution hints (sim.exec.ehtr_warm_*), outside the
-/// fingerprint.
+/// v4: those knobs left the spec; EHTR always runs the warm search.
 inline constexpr int kSpecSchemaVersion = 4;
 
 enum class ExperimentKind { kComparison, kMonteCarlo, kSweep };

@@ -530,7 +530,7 @@ TEST(Checkpoint, FingerprintMovesPerResultAffectingField) {
   battery.sim.battery.capacity_ah *= 2.0;
   EXPECT_NE(stream_config_fingerprint(battery), fp);
 
-  // Execution hints: excluded by design.
+  // Execution hints and the warm/cold EHTR search: excluded by design.
   StreamConfig exec_hint = base;
   exec_hint.sim.num_threads = 7;
   exec_hint.sim.ehtr_warm_start = !exec_hint.sim.ehtr_warm_start;

@@ -64,15 +64,15 @@ const std::map<std::string, std::string> kExpected = {
     {"result.comparison", "24b00f505e7519a9743df9a2c6906f3a"},
     {"result.montecarlo", "1eb986f36d29d0e317c915cf389dda86"},
     {"result.sweep", "7726c173d43669fc54778156cf432f41"},
-    {"spec.boiler_batch", "7b9bf6d84852273ecf527de1e339deb3"},
+    {"spec.boiler_batch", "dca971d077d81e7b1e3e57f93bf316d4"},
     {"spec_fingerprint_text.boiler_batch", "bd60a4269cb67b505016799b786b0137"},
-    {"spec.comparison_small", "4482e03877afacfdc7bb81f3851ceeb2"},
+    {"spec.comparison_small", "7a22ebdb92f105e273130b88142938ff"},
     {"spec_fingerprint_text.comparison_small", "cc218d27e4f17dad5e67e898cfddf364"},
-    {"spec.montecarlo_stop_start", "a6abd038194b157c45fbc049b69e8093"},
+    {"spec.montecarlo_stop_start", "99666f4fcfeedc6fb79886fec02aa75a"},
     {"spec_fingerprint_text.montecarlo_stop_start", "45ccee2e6fa4cf46cb2d68e4ba3b39df"},
-    {"spec.montecarlo_urban", "db889bc9636274f599a125075a31cbb6"},
+    {"spec.montecarlo_urban", "a568952bc7cd013ed872468e25f26063"},
     {"spec_fingerprint_text.montecarlo_urban", "505988e1d3ced7cbbbde16056f922712"},
-    {"spec.sweep_coupling", "107fdccd7c78c421a3e9673ca2bc7858"},
+    {"spec.sweep_coupling", "988376637938b6daeb9324f5e1d1d1f5"},
     {"spec_fingerprint_text.sweep_coupling", "c07fcfe658690e676db2d0bb922e170a"},
 };
 // clang-format on
@@ -175,7 +175,7 @@ TEST(CodecBytes, CheckpointsControllerBlobsAndStamps) {
   }
 
   // Non-default stamp fields and awkward doubles.  The warm-start knobs
-  // are execution hints: off their defaults here, and absent from the stamp.
+  // are not spec fields: off their defaults here, and absent from the stamp.
   StreamConfig odd = stream_config(StreamScheme::kEhtr, trace);
   odd.control_period_s = 0.1;
   odd.dt_s = 1.0 / 3.0;

@@ -8,9 +8,9 @@
 // table of named single-field perturbations.  Every perturbation must
 // change the fingerprint, and all perturbed fingerprints within a group
 // must be pairwise distinct (two fields aliasing onto one key would
-// collide here).  Execution hints (thread counts, EHTR's warm-start knobs)
-// must change the canonical text but NOT the fingerprint — that is the
-// contract that lets a farm reuse cached results across machine shapes.
+// collide here).  Execution hints (thread counts) must change the
+// canonical text but NOT the fingerprint — that is the contract that lets
+// a farm reuse cached results across machine shapes.
 #include <functional>
 #include <gtest/gtest.h>
 #include <map>
@@ -207,10 +207,9 @@ TEST(FingerprintFields, SweepSpecFields) {
 
 // ------------------------------------------------------- execution hints
 
-/// Thread counts and EHTR's warm-start knobs change how a study executes,
-/// never what it computes (the library guarantees bit-identical results
-/// across thread counts and between warm and cold EHTR search), so they
-/// serialise into the canonical text but are excluded from the
+/// Thread counts change how a study executes, never what it computes (the
+/// library guarantees bit-identical results across thread counts), so
+/// they serialise into the canonical text but are excluded from the
 /// fingerprint — cached results stay valid across machine shapes.
 TEST(FingerprintFields, ExecHintsDoNotMoveTheFingerprint) {
   struct Case {
@@ -218,7 +217,7 @@ TEST(FingerprintFields, ExecHintsDoNotMoveTheFingerprint) {
     ExperimentSpec base;
     std::function<void(ExperimentSpec&)> apply;
   };
-  std::vector<Case> cases(5);
+  std::vector<Case> cases(3);
   cases[0].field = "exec.num_threads";
   cases[0].apply = [](ExperimentSpec& s) { s.comparison.sim.num_threads = 7; };
   cases[1].field = "exec.mc.num_threads";
@@ -229,14 +228,6 @@ TEST(FingerprintFields, ExecHintsDoNotMoveTheFingerprint) {
   cases[2].base.sweep_parameter_name = "control_period_s";
   cases[2].base.sweep_values = {0.5};
   cases[2].apply = [](ExperimentSpec& s) { s.sweep_num_threads = 7; };
-  cases[3].field = "exec.ehtr_warm_start";
-  cases[3].apply = [](ExperimentSpec& s) {
-    s.comparison.sim.ehtr_warm_start = false;
-  };
-  cases[4].field = "exec.ehtr_warm_width";
-  cases[4].apply = [](ExperimentSpec& s) {
-    s.comparison.sim.ehtr_warm_width = 32;
-  };
 
   for (Case& c : cases) {
     ExperimentSpec perturbed = c.base;
@@ -248,12 +239,15 @@ TEST(FingerprintFields, ExecHintsDoNotMoveTheFingerprint) {
   }
 }
 
-// Schema v3 bound the warm-start knobs as fingerprinted fields; v4 moved
-// them under exec.  The old spelling must fail like any unknown key rather
-// than be read as the hint.
-TEST(FingerprintFields, V3WarmStartKeysAreUnknown) {
-  for (const char* key : {"comparison.sim.ehtr_warm_start = 1\n",
-                          "comparison.sim.ehtr_warm_width = 8\n"}) {
+// Schema v3 bound the warm-start knobs as fingerprinted fields; v4 dropped
+// them, since warm and cold EHTR decide identically.  Neither that spelling
+// nor an exec.* one may select the cold search from a spec, and the struct
+// fields that tests and benches set reach neither text.
+TEST(FingerprintFields, WarmStartKeysAreUnknown) {
+  for (const char* key : {"comparison.sim.ehtr_warm_start = 0\n",
+                          "comparison.sim.ehtr_warm_width = 8\n",
+                          "comparison.sim.exec.ehtr_warm_start = 0\n",
+                          "comparison.sim.exec.ehtr_warm_width = 8\n"}) {
     try {
       ExperimentSpec::from_text(std::string("kind = comparison\n") + key);
       ADD_FAILURE() << "accepted " << key;
@@ -262,10 +256,11 @@ TEST(FingerprintFields, V3WarmStartKeysAreUnknown) {
           << e.what();
     }
   }
-  const ExperimentSpec hinted = ExperimentSpec::from_text(
-      "kind = comparison\ncomparison.sim.exec.ehtr_warm_start = 0\n");
-  EXPECT_FALSE(hinted.comparison.sim.ehtr_warm_start);
-  EXPECT_EQ(fp(hinted), fp(ExperimentSpec{}));
+  ExperimentSpec cold;
+  cold.comparison.sim.ehtr_warm_start = false;
+  cold.comparison.sim.ehtr_warm_width = 8;
+  EXPECT_EQ(cold.canonical_text(), ExperimentSpec{}.canonical_text());
+  EXPECT_EQ(fp(cold), fp(ExperimentSpec{}));
 }
 
 }  // namespace

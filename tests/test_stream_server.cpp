@@ -288,7 +288,7 @@ TEST(StreamServer, EhtrDefaultWarmStreamEqualsColdOracle) {
   EXPECT_EQ(run_text(warm.report.result), run_text(cold.report.result));
 }
 
-// The warm knobs are execution hints, outside the stamp: a checkpoint
+// The warm knobs are outside the stamp: a checkpoint
 // written by either search resumes under the other, and the stitched log
 // equals the uninterrupted one.
 TEST(StreamServer, EhtrCheckpointResumesAcrossWarmAndCold) {

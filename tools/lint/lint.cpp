@@ -1086,7 +1086,11 @@ std::vector<StructSpec> default_struct_specs() {
       {"src/power/converter.hpp", "ConverterParams", {}},
       {"src/power/battery.hpp", "BatteryParams", {}},
       {"src/switchfab/overhead.hpp", "OverheadParams", {}},
-      {"src/sim/simulator.hpp", "SimulationOptions", {}},
+      {"src/sim/simulator.hpp",
+       "SimulationOptions",
+       {{"ehtr_warm_start", "selects the warm or cold EHTR search, whose "
+                            "decisions are bit-identical (test_ehtr_warm)"},
+        {"ehtr_warm_width", "tunes the warm EHTR search only"}}},
       {"src/sim/experiment.hpp", "ComparisonOptions", {}},
       // Streaming and cached state, bound outside the spec bindings.
       // sim/checkpoint.cpp binds the checkpoint head (StepperState) and the

@@ -10,6 +10,7 @@
 
 #include "core/objective.hpp"
 #include "core/state_codec.hpp"
+#include "power/mppt.hpp"
 #include "teg/array_evaluator.hpp"
 #include "teg/module.hpp"
 #include "util/parallel.hpp"
@@ -221,30 +222,6 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
     }
   }
 
-  // Upper bound on the charger-aware score of ANY n-group partition:
-  //  * string voc <= Vtop(n): each group's voc is the conductance-weighted
-  //    mean of its members (<= its max member), and n disjoint groups'
-  //    maxima are n distinct modules, so their sum <= the top-n voc sum;
-  //  * string resistance >= n^2 / G by AM-HM over the group conductances;
-  //  * the converter outputs at most eta_peak * min(P_cap, Pin), and zero
-  //    outside its input-voltage window, so the best input power is
-  //    max_{v in [vmin, vmax]} v * (voc - v) / r — concave in v, hence
-  //    attained at V/2 clamped into the window.
-  const power::ConverterParams& cpar = converter.params();
-  auto score_bound = [&](std::size_t n) {
-    const double v_top = voc_top_prefix[n];
-    const double g_over_n2 =
-        total_g / (static_cast<double>(n) * static_cast<double>(n));
-    const double v =
-        std::clamp(v_top * 0.5, cpar.min_input_v, cpar.max_input_v);
-    const double pq = v * std::max(v_top - v, 0.0) * g_over_n2;
-    // 1e-9 relative headroom absorbs prefix-sum rounding slop; true scores
-    // sit below the bound by at least the fixed-loss derating, orders of
-    // magnitude more.
-    return cpar.eta_peak * std::min(cpar.max_input_power_w, pq) *
-           (1.0 + 1e-9);
-  };
-
   // First DP frontier: a neighbourhood of the incumbent group count (or of
   // the converter's efficient window when there is no incumbent yet).
   // Cold search solves everything up front.
@@ -309,17 +286,28 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
   std::size_t solved = table.solved_groups();
   score_range(0, solved);
   fold_argmax(solved);
-  // Certified extension loop.  Any unscored n with score_bound(n) strictly
-  // below the scored best can never win: the argmax only moves on a strict
-  // improvement, and its score is at most the bound.  So extend the DP to
-  // the largest n whose bound ties or beats the best, score the new range
-  // for real, and repeat; when no bound survives, the prefix argmax IS the
-  // cold argmax.  Worst case the frontier reaches max_groups and the warm
-  // pass has performed exactly the cold computation.
+  // Certified extension loop.  Every n-group partition's port is dominated
+  // by the relaxed port (Vtop(n), n^2/G):
+  //  * string voc <= Vtop(n): each group's voc is the conductance-weighted
+  //    mean of its members (<= its max member), and n disjoint groups'
+  //    maxima are n distinct modules, so their sum <= the top-n voc sum;
+  //  * string resistance >= n^2 / G by AM-HM over the group conductances.
+  // The output-power bound rises with voc and falls with r, so its value
+  // at the relaxed port bounds every n-group score above the best.  An
+  // unscored n whose bound is strictly below the scored best can never
+  // win: the argmax only moves on a strict improvement.  So extend the DP
+  // to the largest n whose bound ties or beats the best (or is NaN), score
+  // the new range for real, and repeat; when no bound survives, the prefix
+  // argmax IS the cold argmax.  Worst case the frontier reaches max_groups
+  // and the warm pass has performed exactly the cold computation.
   while (solved < max_groups) {
+    const power::OutputPowerBound bound(converter, best_power);
     std::size_t frontier = solved;
     for (std::size_t n = solved + 1; n <= max_groups; ++n) {
-      if (score_bound(n) >= best_power) frontier = n;
+      const double nd = static_cast<double>(n);
+      if (!(bound.at(voc_top_prefix[n], nd * nd / total_g) < best_power)) {
+        frontier = n;
+      }
     }
     if (frontier == solved) break;
     table.extend_to(frontier);

@@ -161,16 +161,17 @@ struct EhtrSearchStats {
 ///
 /// With `warm.enabled`, the DP is solved only to a neighbourhood of the
 /// incumbent group count and group counts beyond the frontier are pruned
-/// by a provable score bound: any n-group config scores at most
-/// eta_peak * min(P_cap, max_{v in window} v*(Vtop(n)-v)*G/n^2), where
-/// Vtop(n) is the sum of the n largest module open-circuit voltages (each
-/// group's voc is a conductance-weighted mean <= its max member) and G the
-/// total module conductance (r_string >= n^2/G by AM-HM).  Counts whose
-/// bound ties or beats the scored best force a DP extension and real
-/// scoring; only counts the bound strictly rules out are skipped, so the
-/// strict-improvement argmax provably can't land there and the result
-/// stays bit-identical to cold search.  Degenerate inputs (non-finite
-/// vocs or conductances) disable the warm pass entirely.
+/// by a provable score bound: power::OutputPowerBound, built for the scored
+/// best, evaluated at the relaxed port (Vtop(n), n^2/G).  Vtop(n) is the
+/// sum of the n largest module open-circuit voltages (each group's voc is
+/// a conductance-weighted mean <= its max member) and G the total module
+/// conductance (r_string >= n^2/G by AM-HM); the bound rises with voc and
+/// falls with r, so it holds for every n-group config that scores above
+/// the best.  Counts whose bound ties or beats the scored best force a DP
+/// extension and real scoring; only counts the bound strictly rules out
+/// are skipped, so the strict-improvement argmax provably can't land there
+/// and the result stays bit-identical to cold search.  Degenerate inputs
+/// (non-finite vocs or conductances) disable the warm pass entirely.
 teg::ArrayConfig ehtr_search(const teg::TegArray& array,
                              const power::Converter& converter,
                              std::size_t num_threads = 1,

@@ -6,6 +6,7 @@
 
 #include "core/objective.hpp"
 #include "core/state_codec.hpp"
+#include "power/mppt.hpp"
 #include "util/runtime_clock.hpp"
 
 namespace tegrec::core {
@@ -137,14 +138,24 @@ teg::ArrayConfig inor_search(std::span<const teg::LinearSource> ports,
   scratch.best.reserve(ports.size());
   double best_power = -1.0;
   bool found = false;
+  power::OutputPowerBound bound(converter, best_power);
+  scratch.scored = 0;
   for (std::size_t n = nmin; n <= nmax; ++n) {
     partition_starts(scratch.prefix, n, scratch.candidate);
-    const double p = config_power_w(
-        evaluator, converter, std::span<const std::size_t>(scratch.candidate));
+    const teg::LinearSource port = evaluator.string_equivalent(
+        std::span<const std::size_t>(scratch.candidate));
+    // A candidate whose certified bound is strictly below the best score
+    // cannot strictly beat it, so the golden section is skipped; a NaN
+    // bound compares false and the candidate is scored.
+    if (found && bound.at(port.voc_v, port.r_ohm) < best_power) continue;
+    // config_power_w's own steps, on the port already in hand.
+    const double p = power::optimal_operating_point(port, converter).output_power_w;
+    ++scratch.scored;
     if (p > best_power) {
       best_power = p;
       std::swap(scratch.candidate, scratch.best);
       found = true;
+      bound = power::OutputPowerBound(converter, best_power);
     }
   }
   // Every candidate scoring NaN leaves no winner: the empty config, as the

@@ -47,10 +47,17 @@ struct InorScratch {
   std::vector<double> prefix;
   std::vector<std::size_t> candidate;
   std::vector<std::size_t> best;
+  /// Candidates the last search ran the golden section on; the rest were
+  /// pruned by the output-power bound.
+  std::size_t scored = 0;
 };
 
 /// Full Algorithm 1: scans the n window, scores each greedy partition with
-/// the charger-aware objective and returns the best configuration.
+/// the charger-aware objective and returns the best configuration.  Once a
+/// candidate has scored, a candidate whose power::OutputPowerBound is
+/// strictly below the best score is skipped without running the golden
+/// section: it could not strictly beat the best, so the result is the
+/// score-every-candidate argmax.
 teg::ArrayConfig inor_search(const teg::TegArray& array,
                              const power::Converter& converter,
                              const InorOptions& options = {});

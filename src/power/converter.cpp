@@ -7,14 +7,28 @@
 namespace tegrec::power {
 
 Converter::Converter(const ConverterParams& params) : params_(params) {
-  if (params_.output_voltage_v <= 0.0) {
-    throw std::invalid_argument("Converter: output voltage <= 0");
+  // Every check is written so that NaN fails it.  The ranges are what the
+  // certified output-power bound (power/mppt.hpp) relies on: the light-load
+  // factor p / (p + P_fix) must stay at most 1 and eta at most eta_peak.
+  if (!(std::isfinite(params_.output_voltage_v) && params_.output_voltage_v > 0.0)) {
+    throw std::invalid_argument("Converter: output voltage not finite and > 0");
   }
-  if (params_.eta_peak <= 0.0 || params_.eta_peak > 1.0) {
+  if (!(params_.eta_peak > 0.0 && params_.eta_peak <= 1.0)) {
     throw std::invalid_argument("Converter: eta_peak out of (0,1]");
   }
-  if (params_.min_input_v <= 0.0 || params_.max_input_v <= params_.min_input_v) {
+  if (!(std::isfinite(params_.voltage_penalty) && params_.voltage_penalty >= 0.0)) {
+    throw std::invalid_argument("Converter: voltage penalty not finite and >= 0");
+  }
+  if (!(std::isfinite(params_.fixed_loss_w) && params_.fixed_loss_w >= 0.0)) {
+    throw std::invalid_argument("Converter: fixed loss not finite and >= 0");
+  }
+  if (!(std::isfinite(params_.min_input_v) && std::isfinite(params_.max_input_v) &&
+        params_.min_input_v > 0.0 && params_.max_input_v > params_.min_input_v)) {
     throw std::invalid_argument("Converter: bad input window");
+  }
+  if (!(std::isfinite(params_.max_input_power_w) &&
+        params_.max_input_power_w > 0.0)) {
+    throw std::invalid_argument("Converter: max input power not finite and > 0");
   }
 }
 

@@ -12,6 +12,9 @@
 //  * optimal_operating_point — a golden-section oracle on the
 //    post-converter power, used by the simulator (which models a settled
 //    tracker) and by tests as the convergence reference.
+//
+// OutputPowerBound is the certificate the candidate searches (INOR, warm
+// EHTR) use to skip a candidate without running the golden section.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +37,43 @@ struct OperatingPoint {
 OperatingPoint optimal_operating_point(const teg::LinearSource& port,
                                        const Converter& converter,
                                        double tol_a = 1e-6);
+
+/// Certified upper bound on the converter output of a port, for a search
+/// that only cares about candidates beating an incumbent score `floor_w`.
+///
+/// The converter output factors as e(V) * g(Pc), with e(V) =
+/// clamp(eta_peak - k_v ln^2(V/Vout), 0, eta_peak) inside the input window
+/// (0 outside), Pc = min(P, P_cap) and g(p) = p^2 / (p + P_fix), which rises
+/// with p.  An output above floor_w > 0 therefore needs e(V) > floor_w /
+/// g(P_cap), which confines V to |ln(V/Vout)| < sqrt((eta_peak - floor_w /
+/// g(P_cap)) / k_v), intersected with [min_input_v, max_input_v].  On that
+/// window a port (voc, r) delivers at most max_V V (voc - V) / r, reached at
+/// voc/2 clamped into the window (the parabola is concave), so the output is
+/// at most eta_peak * g(min(P_cap, that power)).
+///
+/// Built once per incumbent, queried in O(1) per candidate port.  The
+/// window is widened and the bound raised by 1e-9 relative, far above the
+/// rounding of the golden section's own arithmetic, so at() is at least
+/// every output optimal_operating_point can return that exceeds floor_w.
+/// at() rises with voc and falls with r (also after rounding), so a relaxed
+/// port with a larger voc and a smaller r bounds every port it dominates.
+/// A NaN port gives a NaN bound, which compares false and never prunes,
+/// unless no port at all can exceed the floor: then at() is 0.  Relies on
+/// the Converter's validated ranges (P_fix >= 0, k_v >= 0, all finite).
+class OutputPowerBound {
+ public:
+  OutputPowerBound(const Converter& converter, double floor_w);
+
+  double at(double voc_v, double r_ohm) const;
+
+ private:
+  double eta_peak_;
+  double fixed_loss_w_;
+  double max_input_power_w_;
+  double lo_v_;  ///< input-voltage window an output above the floor needs
+  double hi_v_;
+  bool empty_ = false;  ///< no operating point can exceed the floor
+};
 
 /// Classic fixed-step perturb & observe controller.
 class PerturbObserveTracker {

@@ -14,7 +14,7 @@
 namespace tegrec::predict {
 
 struct MlrParams {
-  std::size_t lags = 4;       ///< autoregressive order L
+  std::size_t lags = 4;       ///< autoregressive order L, 1..8
   double ridge = 1e-8;        ///< regularisation of the normal equations
 };
 

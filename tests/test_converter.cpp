@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace tegrec::power {
 namespace {
 
@@ -88,6 +90,39 @@ TEST(Converter, InvalidParamsThrow) {
   p.min_input_v = 10.0;
   p.max_input_v = 5.0;
   EXPECT_THROW(Converter{p}, std::invalid_argument);
+}
+
+TEST(Converter, RejectsParamsOutsideTheModelsRanges) {
+  // Ranges the certified output-power bound (power/mppt.hpp) relies on:
+  // P_fix >= 0 keeps the light-load factor p / (p + P_fix) at most 1, and
+  // k_v >= 0 keeps eta at most eta_peak.  NaN and inf are rejected too.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto rejects = [](double ConverterParams::*field, double value) {
+    ConverterParams p;
+    p.*field = value;
+    EXPECT_THROW(Converter{p}, std::invalid_argument) << value;
+  };
+  for (double v : {-0.3, -50.0, kNan, kInf, -kInf}) {
+    rejects(&ConverterParams::fixed_loss_w, v);
+    rejects(&ConverterParams::voltage_penalty, v);
+  }
+  for (double v : {0.0, -1.0, kNan, kInf, -kInf}) {
+    rejects(&ConverterParams::max_input_power_w, v);
+    rejects(&ConverterParams::output_voltage_v, v);
+    rejects(&ConverterParams::min_input_v, v);
+    rejects(&ConverterParams::eta_peak, v);
+  }
+  for (double v : {kNan, kInf}) rejects(&ConverterParams::max_input_v, v);
+}
+
+TEST(Converter, AcceptsTheEdgesOfTheValidRanges) {
+  ConverterParams p;
+  p.fixed_loss_w = 0.0;
+  p.voltage_penalty = 0.0;
+  p.eta_peak = 1.0;
+  p.max_input_power_w = 1e-9;
+  EXPECT_NO_THROW(Converter{p});
 }
 
 TEST(Converter, GroupRangeBracketsOutputVoltage) {

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario_fixtures.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/stepper.hpp"
 #include "thermal/scenario.hpp"
@@ -268,19 +269,6 @@ const Expected kExpected[] = {
 };
 // clang-format on
 
-thermal::TemperatureTrace make_trace(const std::string& scenario,
-                                     std::uint64_t seed, std::size_t modules) {
-  thermal::TraceGeneratorConfig config = thermal::scenario(scenario);
-  config.layout.num_modules = modules;
-  config.seed = seed;
-  double total_s = 0.0;
-  for (const auto& segment : config.segments) total_s += segment.duration_s;
-  for (auto& segment : config.segments) {
-    segment.duration_s *= kDurationS / total_s;
-  }
-  return thermal::generate_trace(config);
-}
-
 std::uint64_t hash_u64(std::uint64_t value, std::uint64_t state) {
   return util::fnv1a64(&value, sizeof value, state);
 }
@@ -359,7 +347,8 @@ TEST(DecisionDigest, EverySchemeScenarioSeedAndSizeMatchesTheRecord) {
     const std::string key = c.scenario + "/" + std::to_string(c.seed) + "/" +
                             std::to_string(c.modules);
     if (key != current_trace) {
-      trace = make_trace(c.scenario, c.seed, c.modules);
+      trace = fixtures::compressed_trace(c.scenario, c.seed, c.modules,
+                                         kDurationS);
       current_trace = key;
     }
     const std::uint64_t digest = run_digest(*trace, c.scheme);

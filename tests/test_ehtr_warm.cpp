@@ -14,10 +14,14 @@
 #include <gtest/gtest.h>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/objective.hpp"
+#include "scenario_fixtures.hpp"
 #include "teg/array_evaluator.hpp"
+#include "thermal/scenario.hpp"
+#include "thermal/trace.hpp"
 #include "util/rng.hpp"
 
 namespace tegrec::core {
@@ -168,6 +172,66 @@ TEST(EhtrWarm, PruningActuallyEngagesOnLargeArrays) {
   ASSERT_EQ(hot, cold);
   EXPECT_EQ(config_power_w(evaluator, conv, hot),
             config_power_w(evaluator, conv, cold));
+}
+
+TEST(EhtrWarm, BitIdenticalToColdUnderEveryConverterVariant) {
+  // The certificate is power::OutputPowerBound at the relaxed port, so it
+  // must hold for every converter shape the bound's math special-cases.
+  for (const fixtures::ConverterVariant& variant :
+       fixtures::converter_variants()) {
+    const power::Converter conv(variant.params);
+    for (const std::string& scenario : thermal::scenario_names()) {
+      for (std::size_t n : {16u, 64u, 256u}) {
+        std::size_t incumbent = 0;
+        for (const fixtures::Field& field :
+             fixtures::scenario_fields(scenario, 2, n, 3)) {
+          const teg::TegArray array(kDev, field.delta_t_k, field.ambient_c);
+          const teg::ArrayConfig cold = ehtr_search(array, conv);
+          EhtrWarmStart warm;
+          warm.enabled = true;
+          warm.incumbent_groups = incumbent;
+          warm.width = 8;
+          const teg::ArrayConfig hot = ehtr_search(
+              array, conv, 1, PartitionDp::kDivideAndConquer, 0, warm);
+          ASSERT_EQ(hot, cold)
+              << variant.name << ", " << scenario << ", N = " << n;
+          incumbent = hot.num_groups();
+        }
+      }
+    }
+  }
+}
+
+TEST(EhtrWarm, KiloStreamSolvesAtMostThirteenPercentOfTheLayers) {
+  // The stream_kilo benchmark's EHTR input: porter_800s at generator seed
+  // 1001, 1,000 modules, the first 1,000 steps, the incumbent threaded
+  // from each decision to the next as the controller does.  The optimum
+  // sits at 10-26 groups.  With the light-load derating g(p) and the
+  // efficiency window inside the bound, few layers past it survive; the
+  // bound without them solved 16.6 % of the layers here.
+  thermal::TraceGeneratorConfig config = thermal::scenario("porter_800s");
+  config.layout.num_modules = 1000;
+  config.seed = 1001;
+  const thermal::TemperatureTrace trace = thermal::generate_trace(config);
+  ASSERT_GE(trace.num_steps(), 1000u);
+  const power::Converter conv(kConv);
+  std::size_t incumbent = 0;
+  std::size_t solved = 0;
+  std::size_t layers = 0;
+  for (std::size_t t = 0; t < 1000; ++t) {
+    const teg::TegArray array(kDev, trace.step_delta_t(t), trace.ambient_c(t));
+    EhtrWarmStart warm;
+    warm.enabled = true;
+    warm.incumbent_groups = incumbent;
+    EhtrSearchStats stats;
+    const teg::ArrayConfig hot = ehtr_search(
+        array, conv, 1, PartitionDp::kDivideAndConquer, 0, warm, &stats);
+    ASSERT_TRUE(stats.warm_used);
+    solved += stats.groups_certified;
+    layers += stats.max_groups;
+    incumbent = hot.num_groups();
+  }
+  EXPECT_LE(static_cast<double>(solved), 0.13 * static_cast<double>(layers));
 }
 
 TEST(EhtrWarm, DegenerateFieldsDisableWarmButStayIdentical) {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <span>
+#include <string>
 
 #include "core/exhaustive.hpp"
 #include "core/objective.hpp"
 #include "inor_oracle.hpp"
+#include "scenario_fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace tegrec::core {
@@ -315,6 +318,69 @@ TEST(InorSearch, ScratchSearchEqualsOracleArgmax) {
       EXPECT_EQ(inor_search(array, conv), expected);
     }
   }
+}
+
+// ---- bound-pruned search == the score-every-candidate argmax
+
+TEST(InorSearch, PrunedSearchEqualsScoreEveryCandidateArgmax) {
+  // The search skips the golden section on candidates whose certified
+  // output-power bound is below the best score; the chosen config must
+  // still be the first strict maximum over every candidate, scored.
+  const std::vector<fixtures::ConverterVariant> variants =
+      fixtures::converter_variants();
+  std::vector<std::size_t> candidates(variants.size(), 0);
+  std::vector<std::size_t> scored(variants.size(), 0);
+  InorScratch scratch;
+  teg::ArrayEvaluator evaluator;
+  std::vector<teg::LinearSource> ports;
+  for (const std::string& scenario : thermal::scenario_names()) {
+    for (std::size_t size : {16u, 64u, 100u, 1000u}) {
+      for (const fixtures::Field& field :
+           fixtures::scenario_fields(scenario, 1, size, 4)) {
+        const teg::TegArray array(kDev, field.delta_t_k, field.ambient_c);
+        const teg::ArrayEvaluator array_evaluator(array);
+        const std::vector<double> impp = array.module_mpp_currents();
+        teg::module_ports(kDev, field.delta_t_k, field.ambient_c, ports);
+        evaluator.assign(ports);
+        for (std::size_t v = 0; v < variants.size(); ++v) {
+          const power::Converter conv(variants[v].params);
+          const auto window = group_count_window(array, conv);
+          double best_power = -1.0;
+          teg::ArrayConfig expected;
+          for (std::size_t n = window.nmin; n <= window.nmax; ++n) {
+            teg::ArrayConfig candidate = oracle::inor_partition_linear(impp, n);
+            const double p = config_power_w(array_evaluator, conv, candidate);
+            if (p > best_power) {
+              best_power = p;
+              expected = std::move(candidate);
+            }
+          }
+          ASSERT_EQ(inor_search(ports, evaluator, conv, {}, scratch), expected)
+              << scenario << ", N = " << size << ", " << variants[v].name;
+          candidates[v] += window.nmax - window.nmin + 1;
+          scored[v] += scratch.scored;
+        }
+      }
+    }
+  }
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    EXPECT_LT(scored[v], candidates[v])
+        << "pruning never fired under " << variants[v].name;
+  }
+}
+
+TEST(InorSearch, NanPortsAreScoredNeverPruned) {
+  // NaN ports give NaN bounds, which compare false: every candidate runs
+  // the golden section (each scores 0, outside the converter window), and
+  // the first one stays the winner.
+  const power::Converter conv(kConv);
+  const std::vector<teg::LinearSource> ports(
+      10, teg::LinearSource{std::numeric_limits<double>::quiet_NaN(), 1.0});
+  const teg::ArrayEvaluator evaluator(ports);
+  InorScratch scratch;
+  EXPECT_EQ(inor_search(ports, evaluator, conv, {.nmin = 1, .nmax = 10}, scratch),
+            teg::ArrayConfig::uniform(10, 1));
+  EXPECT_EQ(scratch.scored, 10u);
 }
 
 TEST(InorSearch, PortSearchRejectsMismatchedEvaluator) {

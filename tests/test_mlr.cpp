@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "mlr_oracle.hpp"
 #include "util/rng.hpp"
@@ -223,6 +226,74 @@ TEST(MlrFusedFit, MatchesDesignMatrixBitsThroughTheJitterRetry) {
       expect_fit_matches_oracle(h, lags, 1e-8);
     }
   }
+}
+
+// ---- the fixed-lag kernel, every instantiated lag count, special values
+
+// A thermal-like history with special values planted so that some design
+// row holds an exact zero next to a non-finite lag (where the oracle's
+// exact-zero skip and a plain 0 * x differ) and some squares overflow.
+TemperatureHistory special_history(util::Rng& rng, int pattern) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  TemperatureHistory h = random_history(rng, 6, 30, 0);
+  std::vector<std::vector<double>> rows;
+  for (std::size_t t = 0; t < h.size(); ++t) rows.push_back(h.row(t));
+  switch (pattern) {
+    case 0:  // a zero lag beside an infinite one, in one module
+      rows[10][0] = 0.0;
+      rows[12][0] = kInf;
+      rows[20][3] = -0.0;
+      rows[21][3] = -kInf;
+      break;
+    case 1:  // NaN beside -0
+      rows[8][1] = -0.0;
+      rows[9][1] = kNan;
+      break;
+    case 2:  // squares that overflow, with a zero nearby
+      rows[14][2] = 1e200;
+      rows[15][2] = 0.0;
+      rows[16][4] = -1e160;
+      break;
+    default:  // a non-finite target only (the newest row)
+      rows.back()[5] = kInf;
+      break;
+  }
+  TemperatureHistory out(h.num_modules(), h.capacity());
+  for (const std::vector<double>& row : rows) out.push(row);
+  return out;
+}
+
+TEST(MlrFusedFit, EveryLagCountMatchesTheOracleThroughSpecialValues) {
+  // Finite rows take the mirrored upper-triangle pass; patterns 0-2 make a
+  // diagonal sum non-finite and force the full pass, while a non-finite
+  // target alone (pattern 3) does not, as X^T y is the same in both
+  // passes.  Either way beta (or the exception) must be the oracle's.
+  util::Rng rng(88);
+  for (std::size_t lags = 1; lags <= 8; ++lags) {
+    SCOPED_TRACE("lags " + std::to_string(lags));
+    const TemperatureHistory finite = random_history(rng, 7, 30, 5);
+    expect_fit_matches_oracle(finite, lags, 1e-8);
+    for (int pattern = 0; pattern < 4; ++pattern) {
+      SCOPED_TRACE("pattern " + std::to_string(pattern));
+      const TemperatureHistory h = special_history(rng, pattern);
+      MlrPredictor mlr(MlrParams{.lags = lags});
+      std::vector<double> want;
+      try {
+        want = oracle::mlr_design_fit(h, lags, MlrParams{}.ridge);
+      } catch (const std::runtime_error&) {
+        EXPECT_THROW(mlr.fit(h), std::runtime_error);
+        continue;
+      }
+      mlr.fit(h);
+      expect_same_bits(mlr.coefficients(), want, "beta");
+    }
+  }
+}
+
+TEST(Mlr, RejectsMoreLagsThanTheKernelInstantiates) {
+  EXPECT_NO_THROW(MlrPredictor(MlrParams{.lags = 8}));
+  EXPECT_THROW(MlrPredictor(MlrParams{.lags = 9}), std::invalid_argument);
 }
 
 // MAPE of the 1-step MLR forecast on a smooth thermal-like signal must be

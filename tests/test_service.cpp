@@ -663,6 +663,19 @@ TEST(Spec, ParserRejectsGarbage) {
   EXPECT_EQ(sparse.kind, ExperimentKind::kSweep);
 }
 
+TEST(Spec, RunRejectsConverterParamsOutsideTheModelsRanges) {
+  // The parser reads any finite number; the Converter the run builds
+  // rejects what its model and the certified power bound cannot take.
+  for (const std::string line :
+       {"comparison.sim.converter.fixed_loss_w = -0.3\n",
+        "comparison.sim.converter.voltage_penalty = -0.01\n",
+        "comparison.sim.converter.max_input_power_w = 0\n"}) {
+    ExperimentSpec spec = ExperimentSpec::from_text("kind = comparison\n" + line);
+    spec.trace.generator = tiny_config();
+    EXPECT_THROW(run_experiment(spec), std::invalid_argument) << line;
+  }
+}
+
 TEST(Spec, InlineTraceSourcesAreContentAddressed) {
   const thermal::TemperatureTrace trace =
       thermal::generate_trace(tiny_config());

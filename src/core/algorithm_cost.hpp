@@ -34,13 +34,12 @@ struct AlgorithmCost {
   double budget_s(const switchfab::OverheadParams& overhead) const;
 
   // Canonical weights, ordered by algorithmic work per invocation:
-  // threshold rule < window sweep < global DP < brute force.
+  // threshold rule < window sweep < global DP.
   static AlgorithmCost baseline() { return {0.0}; }    ///< never computes
   static AlgorithmCost dnor() { return {1.0}; }        ///< threshold rule
   static AlgorithmCost prescient() { return {1.0}; }   ///< oracle lookup
   static AlgorithmCost inor() { return {2.0}; }        ///< [nmin,nmax] sweep
   static AlgorithmCost ehtr() { return {4.0}; }        ///< global partition DP
-  static AlgorithmCost exhaustive() { return {8.0}; }  ///< brute-force oracle
 };
 
 }  // namespace tegrec::core

@@ -51,11 +51,6 @@ double BankSearchResult::rowwise_ideal_power_w() const {
   return total;
 }
 
-double bank_power_w(const teg::LinearSource& bank,
-                    const power::Converter& converter) {
-  return best_bank_power(bank, converter);
-}
-
 BankSearchResult bank_search(const std::vector<teg::TegArray>& rows,
                              const power::Converter& converter,
                              BankStrategy strategy) {

@@ -47,8 +47,4 @@ BankSearchResult bank_search(const std::vector<teg::TegArray>& rows,
                              const power::Converter& converter,
                              BankStrategy strategy = BankStrategy::kVoltageMatched);
 
-/// Post-converter power of a bank port at its best common operating voltage.
-double bank_power_w(const teg::LinearSource& bank,
-                    const power::Converter& converter);
-
 }  // namespace tegrec::core

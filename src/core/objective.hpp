@@ -21,7 +21,7 @@ namespace tegrec::core {
 /// Post-converter power of a configuration at the evaluated array's
 /// temperature distribution (settled MPPT assumed), scored in O(groups)
 /// against a prebuilt ArrayEvaluator.  Every scorer uses this one model:
-/// the candidate loops (EHTR, INOR, exhaustive), DNOR's switch-or-hold
+/// the candidate loops (EHTR, INOR), DNOR's switch-or-hold
 /// estimates and the simulator's per-step evaluation.
 double config_power_w(const teg::ArrayEvaluator& evaluator,
                       const power::Converter& converter,

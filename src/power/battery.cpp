@@ -19,10 +19,6 @@ Battery::Battery(const BatteryParams& params)
   }
 }
 
-double Battery::open_circuit_voltage_v() const {
-  return 12.0 + 0.9 * soc_;
-}
-
 double Battery::absorb(double power_w, double dt_s) {
   if (dt_s <= 0.0) throw std::invalid_argument("Battery::absorb: dt <= 0");
   if (power_w < 0.0) throw std::invalid_argument("Battery::absorb: power < 0");

@@ -24,10 +24,6 @@ class Battery {
   double soc() const { return soc_; }
   double charge_voltage_v() const { return params_.charge_voltage_v; }
 
-  /// Resting open-circuit voltage for the current SOC (12.0 V empty,
-  /// 12.9 V full, linear in between — standard flooded lead-acid rule).
-  double open_circuit_voltage_v() const;
-
   /// Offers `power_w` at the charging rail for `dt_s`; returns the power
   /// actually absorbed (clipped by the charge-current limit and by a full
   /// battery).  SOC and the absorbed-energy counter advance accordingly.

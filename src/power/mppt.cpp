@@ -101,43 +101,4 @@ double OutputPowerBound::at(double voc_v, double r_ohm) const {
          (1.0 + kBoundHeadroom);
 }
 
-PerturbObserveTracker::PerturbObserveTracker(double step_a) : step_a_(step_a) {
-  if (step_a <= 0.0) throw std::invalid_argument("PerturbObserveTracker: step <= 0");
-}
-
-void PerturbObserveTracker::reset(double current_a) {
-  current_a_ = std::max(0.0, current_a);
-  prev_power_w_ = 0.0;
-  direction_ = 1.0;
-  primed_ = false;
-}
-
-OperatingPoint PerturbObserveTracker::step(const teg::LinearSource& port,
-                                           const Converter& converter) {
-  const OperatingPoint now = evaluate(port, converter, current_a_);
-  if (now.output_power_w <= 0.0) {
-    // Converter dropout: the P&O power signal is flat at zero, so steer by
-    // voltage instead.  Below the window (string loaded too hard) reduce
-    // the current; above it (string nearly open) increase it.
-    direction_ = now.voltage_v < converter.params().output_voltage_v ? -1.0 : 1.0;
-    primed_ = false;  // re-prime once power reappears
-  } else if (!primed_) {
-    primed_ = true;
-  } else if (now.output_power_w < prev_power_w_) {
-    direction_ = -direction_;  // walked past the peak: turn around
-  }
-  prev_power_w_ = now.output_power_w;
-  const double isc = port.voc_v / port.r_ohm;
-  current_a_ = std::clamp(current_a_ + direction_ * step_a_, 0.0, isc);
-  return now;
-}
-
-OperatingPoint PerturbObserveTracker::run(const teg::LinearSource& port,
-                                          const Converter& converter,
-                                          std::size_t iters) {
-  OperatingPoint pt;
-  for (std::size_t k = 0; k < iters; ++k) pt = step(port, converter);
-  return pt;
-}
-
 }  // namespace tegrec::power

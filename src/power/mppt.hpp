@@ -3,21 +3,15 @@
 // The paper's charger runs perturb-and-observe MPPT (Femia et al. [10])
 // on the overall string current after each reconfiguration.  The string
 // is one linear source (teg::LinearSource) with a strictly concave P(I),
-// so P&O converges to a neighbourhood of the optimum whose size is the
-// perturbation step.  The ideal-charger MPP is the port's own closed form
-// (LinearSource::mpp_*).
-//
-// Two trackers are provided:
-//  * PerturbObserveTracker — the faithful iterative controller;
-//  * optimal_operating_point — a golden-section oracle on the
-//    post-converter power, used by the simulator (which models a settled
-//    tracker) and by tests as the convergence reference.
+// so P&O settles in a neighbourhood of the optimum whose size is the
+// perturbation step.  The simulator models that settled tracker:
+// optimal_operating_point is a golden-section search on the
+// post-converter power.  The ideal-charger MPP is the port's own closed
+// form (LinearSource::mpp_*).
 //
 // OutputPowerBound is the certificate the candidate searches (INOR, warm
 // EHTR) use to skip a candidate without running the golden section.
 #pragma once
-
-#include <cstddef>
 
 #include "power/converter.hpp"
 #include "teg/linear_source.hpp"
@@ -73,32 +67,6 @@ class OutputPowerBound {
   double lo_v_;  ///< input-voltage window an output above the floor needs
   double hi_v_;
   bool empty_ = false;  ///< no operating point can exceed the floor
-};
-
-/// Classic fixed-step perturb & observe controller.
-class PerturbObserveTracker {
- public:
-  /// `step_a` is the current perturbation per iteration.
-  explicit PerturbObserveTracker(double step_a = 0.02);
-
-  /// Re-seeds the tracker (e.g. after a reconfiguration) at a current.
-  void reset(double current_a);
-
-  /// One P&O iteration against the live port; returns the new point.
-  OperatingPoint step(const teg::LinearSource& port, const Converter& converter);
-
-  /// Runs `iters` iterations and returns the final point.
-  OperatingPoint run(const teg::LinearSource& port, const Converter& converter,
-                     std::size_t iters);
-
-  double current_a() const { return current_a_; }
-
- private:
-  double step_a_;
-  double current_a_ = 0.0;
-  double prev_power_w_ = 0.0;
-  double direction_ = 1.0;
-  bool primed_ = false;
 };
 
 }  // namespace tegrec::power

@@ -44,6 +44,4 @@ std::vector<double> TemperatureHistory::lag_window(std::size_t module,
   return out;
 }
 
-void TemperatureHistory::clear() { rows_.clear(); }
-
 }  // namespace tegrec::predict

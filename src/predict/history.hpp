@@ -33,8 +33,6 @@ class TemperatureHistory {
   /// { T_t, T_{t-1}, ..., T_{t-lags+1} }.  Throws if fewer rows exist.
   std::vector<double> lag_window(std::size_t module, std::size_t lags) const;
 
-  void clear();
-
  private:
   std::size_t num_modules_;
   std::size_t capacity_;

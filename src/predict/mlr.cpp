@@ -17,10 +17,11 @@ constexpr std::size_t kMaxLags = 8;
 // The normal equations of the design matrix X (one row per (t, m):
 // [1, T_{t-1}, ..., T_{t-L}] for module m) and targets y = T_t, summed row
 // by row into register accumulators without building X.  Every cell sums
-// its products in the row order of util::least_squares(X, y, ridge), which
-// forms X^T X through Matrix::operator* (skipping an exactly-zero left
-// factor) and X^T y with no skip; tests/mlr_oracle.hpp keeps that
-// design-matrix fit, and beta must match it bit for bit.
+// its products in the row order of the design-matrix fit in
+// tests/mlr_oracle.hpp (oracle::least_squares in
+// tests/least_squares_oracle.hpp), which forms X^T X with a dense product
+// that skips an exactly-zero left factor and X^T y with no skip; beta must
+// match that fit bit for bit.
 //
 // kMirror sums only the upper triangle and mirrors it.  A skipped product
 // is 0 * x, which is +-0 whenever x is finite, and adding +-0 to a sum that

@@ -1,6 +1,5 @@
 #include "sim/checkpoint.hpp"
 
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -13,7 +12,6 @@
 #include "core/inor.hpp"
 #include "sim/run_table.hpp"
 #include "sim/spec.hpp"
-#include "util/atomic_file.hpp"
 #include "util/field_io.hpp"
 
 namespace tegrec::sim {
@@ -109,13 +107,6 @@ std::string stream_config_fingerprint_text(const StreamConfig& config) {
   // bind only mutates in read mode.
   bind(io, const_cast<StreamConfig&>(config));
   return out;
-}
-
-std::string stream_config_fingerprint(const StreamConfig& config) {
-  std::string text = stream_config_fingerprint_text(config);
-  text += "checkpoint_schema_version = " +
-          std::to_string(kCheckpointSchemaVersion) + "\n";
-  return ExperimentSpec::fingerprint_of_text(text);
 }
 
 std::string CheckpointEncoder::encode(
@@ -218,30 +209,6 @@ DecodedCheckpoint decode_checkpoint(
   }
   lines.expect_end();
   return out;
-}
-
-// SimStepper's disk door lives here with the codec (stepper.cpp stays
-// pure simulation).
-
-void SimStepper::save(const std::string& path,
-                      const std::string& fingerprint_text,
-                      const util::AtomicWriteOptions& write_options) const {
-  const std::string content =
-      encode_checkpoint(state(), fingerprint_text, /*extra_lines=*/{});
-  util::AtomicWriteOptions options = write_options;
-  if (options.fault_site.empty()) options.fault_site = "stream.checkpoint";
-  util::atomic_write_file(path, content, options);
-}
-
-void SimStepper::restore(const std::string& path,
-                         const std::string& fingerprint_text) {
-  const std::optional<std::string> text = util::read_file_if_exists(path);
-  if (!text) {
-    throw std::runtime_error("SimStepper::restore: cannot read checkpoint '" +
-                             path + "'");
-  }
-  const DecodedCheckpoint decoded = decode_checkpoint(*text, fingerprint_text);
-  restore_state(decoded.state);
 }
 
 }  // namespace tegrec::sim

@@ -71,12 +71,6 @@ std::unique_ptr<core::Reconfigurer> make_stream_controller(
 /// spec's SimulationOptions binding, execution hints excluded).
 std::string stream_config_fingerprint_text(const StreamConfig& config);
 
-/// 32-hex-digit content hash of the stamp (same dual-basis construction
-/// as the experiment-spec fingerprint, plus the checkpoint schema
-/// version).  Convenience for naming checkpoint files; the codec always
-/// compares the full text, never just this hash.
-std::string stream_config_fingerprint(const StreamConfig& config);
-
 /// A decoded checkpoint: the stepper snapshot plus the caller's
 /// carry-along lines, byte-preserved in order.
 struct DecodedCheckpoint {

@@ -25,24 +25,17 @@ namespace detail {
 // writer and no lock is needed.  Everything below `mutex` is guarded.
 // Lock order where both are held: service registry mutex, then job mutex.
 struct Job {
-  Job(std::uint64_t job_id, ExperimentSpec job_spec, ConfigMutator job_mutator,
-      bool job_has_mutator, std::string job_fingerprint,
-      std::string job_fingerprint_text)
+  Job(std::uint64_t job_id, ExperimentSpec job_spec,
+      std::string job_fingerprint, std::string job_fingerprint_text)
       : id(job_id),
         spec(std::move(job_spec)),
-        mutator(std::move(job_mutator)),
-        has_mutator(job_has_mutator),
         fingerprint(std::move(job_fingerprint)),
-        fingerprint_text(std::move(job_fingerprint_text)),
-        cacheable(!has_mutator) {}
+        fingerprint_text(std::move(job_fingerprint_text)) {}
 
   const std::uint64_t id;
   const ExperimentSpec spec;
-  const ConfigMutator mutator;  ///< opaque sweep mutator (uncacheable only)
-  const bool has_mutator;
   const std::string fingerprint;
   const std::string fingerprint_text;
-  const bool cacheable;
 
   mutable util::Mutex mutex;
   mutable std::condition_variable done_cv;
@@ -137,7 +130,7 @@ struct ExperimentService::State {
   std::unique_ptr<ArtifactStore> store = std::make_unique<ArtifactStore>();
 
   util::Mutex registry_mutex;
-  /// Queued/running cacheable jobs by fingerprint — the coalescing table.
+  /// Queued/running jobs by fingerprint — the coalescing table.
   std::unordered_map<std::string, std::shared_ptr<detail::Job>> inflight
       TEGREC_GUARDED_BY(registry_mutex);
 
@@ -176,7 +169,7 @@ void erase_inflight(ExperimentService::State& state,
 
 void fail_job(ExperimentService::State& state,
               const std::shared_ptr<detail::Job>& job, std::exception_ptr error) {
-  if (job->cacheable) erase_inflight(state, job);
+  erase_inflight(state, job);
   util::MutexLock lock(job->mutex);
   if (job->status == JobStatus::kCancelled) return;  // cancel won the race
   job->error = std::move(error);
@@ -272,94 +265,76 @@ ExperimentService::~ExperimentService() {
 }
 
 JobHandle ExperimentService::submit(const ExperimentSpec& spec) {
-  return submit_impl(spec, nullptr);
-}
-
-JobHandle ExperimentService::submit(const ExperimentSpec& spec,
-                                    ConfigMutator mutator) {
-  return submit_impl(spec, &mutator);
-}
-
-JobHandle ExperimentService::submit_impl(const ExperimentSpec& spec,
-                                         const ConfigMutator* mutator) {
   // The job's identity is computed up front so detail::Job can be
   // constructed with const fields — immutable by type, not by promise.
   const std::uint64_t id =
       state_->next_id.fetch_add(1, std::memory_order_relaxed);
   ExperimentSpec job_spec = spec;
-  std::string fingerprint;
-  std::string fingerprint_text;
-  if (mutator) {
-    fingerprint = "uncached-" + std::to_string(id);
-  } else {
-    if (job_spec.trace.kind == TraceSource::Kind::kCsvFile) {
-      // Materialise CSV sources before fingerprinting (throws here, on the
-      // submitter, if the file is unreadable).  Hashing the path's bytes
-      // and re-reading the file at execution time would let an edit in
-      // between store a result under the other content's fingerprint —
-      // the one way a wrong result could enter the cache.  The in-memory
-      // trace is both the content address and what executes.
-      job_spec.trace.inline_trace = materialize_trace(job_spec.trace);
-      job_spec.trace.kind = TraceSource::Kind::kInline;
-      job_spec.trace.csv_path.clear();
-    }
-    fingerprint_text = job_spec.fingerprint_text();
-    fingerprint = ExperimentSpec::fingerprint_of_text(fingerprint_text);
+  if (job_spec.trace.kind == TraceSource::Kind::kCsvFile) {
+    // Materialise CSV sources before fingerprinting (throws here, on the
+    // submitter, if the file is unreadable).  Hashing the path's bytes
+    // and re-reading the file at execution time would let an edit in
+    // between store a result under the other content's fingerprint —
+    // the one way a wrong result could enter the cache.  The in-memory
+    // trace is both the content address and what executes.
+    job_spec.trace.inline_trace = materialize_trace(job_spec.trace);
+    job_spec.trace.kind = TraceSource::Kind::kInline;
+    job_spec.trace.csv_path.clear();
   }
-  auto job = std::make_shared<detail::Job>(
-      id, std::move(job_spec), mutator ? *mutator : ConfigMutator(),
-      mutator != nullptr, std::move(fingerprint), std::move(fingerprint_text));
+  std::string fingerprint_text = job_spec.fingerprint_text();
+  std::string fingerprint =
+      ExperimentSpec::fingerprint_of_text(fingerprint_text);
+  auto job = std::make_shared<detail::Job>(id, std::move(job_spec),
+                                           std::move(fingerprint),
+                                           std::move(fingerprint_text));
 
-  if (job->cacheable) {
-    {
-      util::MutexLock lock(state_->registry_mutex);
-      const auto hit = state_->cache.find(job->fingerprint);
-      if (hit != state_->cache.end() &&
-          hit->second.fingerprint_text == job->fingerprint_text) {
-        state_->lru.splice(state_->lru.begin(), state_->lru,
-                           hit->second.lru_it);
-        state_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-        util::MutexLock job_lock(job->mutex);
-        job->result = hit->second.result;
-        job->from_cache = true;
-        job->status = JobStatus::kDone;
-        return JobHandle(job);
-      }
-      const auto in_it = state_->inflight.find(job->fingerprint);
-      if (in_it != state_->inflight.end()) {
-        const std::shared_ptr<detail::Job> existing = in_it->second;
-        // Same text check as the cache paths: attaching on the hash alone
-        // would let a fingerprint collision hand this submitter the other
-        // spec's result.  A collider (or a cancelled job still parked in
-        // the queue) must not swallow new submissions; claim the slot.
-        // The status read gets its own scope (no mid-scope unlock): the
-        // verdict cannot change once computed, because a queued job only
-        // leaves kCancelled via this registry lock, which we still hold.
-        bool attach = false;
-        {
-          util::MutexLock existing_lock(existing->mutex);
-          attach = existing->status != JobStatus::kCancelled &&
-                   existing->fingerprint_text == job->fingerprint_text;
-        }
-        if (attach) {
-          state_->coalesced.fetch_add(1, std::memory_order_relaxed);
-          return JobHandle(existing);
-        }
-        in_it->second = job;
-      } else {
-        state_->inflight.emplace(job->fingerprint, job);
-      }
+  {
+    util::MutexLock lock(state_->registry_mutex);
+    const auto hit = state_->cache.find(job->fingerprint);
+    if (hit != state_->cache.end() &&
+        hit->second.fingerprint_text == job->fingerprint_text) {
+      state_->lru.splice(state_->lru.begin(), state_->lru, hit->second.lru_it);
+      state_->cache_hits.fetch_add(1, std::memory_order_relaxed);
+      util::MutexLock job_lock(job->mutex);
+      job->result = hit->second.result;
+      job->from_cache = true;
+      job->status = JobStatus::kDone;
+      return JobHandle(job);
     }
-    // Disk probe outside the registry lock (file IO must not stall other
-    // submitters); the fingerprint is already claimed in `inflight`, so
-    // concurrent duplicates coalesce onto this job while we read.
-    if (!options_.cache_dir.empty()) {
-      if (auto result = load_disk(*state_->store, *job)) {
-        state_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-        state_->disk_hits.fetch_add(1, std::memory_order_relaxed);
-        complete_job(job, std::move(result), /*from_cache=*/true);
-        return JobHandle(job);
+    const auto in_it = state_->inflight.find(job->fingerprint);
+    if (in_it != state_->inflight.end()) {
+      const std::shared_ptr<detail::Job> existing = in_it->second;
+      // Same text check as the cache paths: attaching on the hash alone
+      // would let a fingerprint collision hand this submitter the other
+      // spec's result.  A collider (or a cancelled job still parked in
+      // the queue) must not swallow new submissions; claim the slot.
+      // The status read gets its own scope (no mid-scope unlock): the
+      // verdict cannot change once computed, because a queued job only
+      // leaves kCancelled via this registry lock, which we still hold.
+      bool attach = false;
+      {
+        util::MutexLock existing_lock(existing->mutex);
+        attach = existing->status != JobStatus::kCancelled &&
+                 existing->fingerprint_text == job->fingerprint_text;
       }
+      if (attach) {
+        state_->coalesced.fetch_add(1, std::memory_order_relaxed);
+        return JobHandle(existing);
+      }
+      in_it->second = job;
+    } else {
+      state_->inflight.emplace(job->fingerprint, job);
+    }
+  }
+  // Disk probe outside the registry lock (file IO must not stall other
+  // submitters); the fingerprint is already claimed in `inflight`, so
+  // concurrent duplicates coalesce onto this job while we read.
+  if (!options_.cache_dir.empty()) {
+    if (auto result = load_disk(*state_->store, *job)) {
+      state_->cache_hits.fetch_add(1, std::memory_order_relaxed);
+      state_->disk_hits.fetch_add(1, std::memory_order_relaxed);
+      complete_job(job, std::move(result), /*from_cache=*/true);
+      return JobHandle(job);
     }
   }
 
@@ -383,30 +358,27 @@ void ExperimentService::run_job(const std::shared_ptr<detail::Job>& job) {
   }
   if (cancelled) {
     // Drop its coalescing claim so an identical future submit re-runs.
-    if (job->cacheable) erase_inflight(*state_, job);
+    erase_inflight(*state_, job);
     return;
   }
 
   state_->executions.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<const ExperimentResult> result;
   try {
-    result = std::make_shared<const ExperimentResult>(
-        detail::run_experiment_impl(job->spec,
-                                    job->has_mutator ? &job->mutator : nullptr));
+    result =
+        std::make_shared<const ExperimentResult>(run_experiment(job->spec));
   } catch (...) {
     fail_job(*state_, job, std::current_exception());
     return;
   }
-  if (job->cacheable && !options_.cache_dir.empty()) {
-    store_disk(*state_->store, *job, *result);
-  }
+  if (!options_.cache_dir.empty()) store_disk(*state_->store, *job, *result);
   complete_job(job, std::move(result), /*from_cache=*/false);
 }
 
 void ExperimentService::complete_job(
     const std::shared_ptr<detail::Job>& job,
     std::shared_ptr<const ExperimentResult> result, bool from_cache) {
-  if (job->cacheable) {
+  {
     util::MutexLock lock(state_->registry_mutex);
     insert_cache_locked(*state_, options_.memory_cache_entries, *job, result);
     const auto it = state_->inflight.find(job->fingerprint);

@@ -17,9 +17,11 @@
 //    a lookup.  Cache hits additionally compare the spec's fingerprint
 //    text, so a hash collision degrades to a miss, never a wrong result.
 //
-// The blocking entry points (run_standard_comparison, run_monte_carlo,
-// sweep_parameter) are thin submit-and-wait wrappers over shared(), so
-// every existing caller inherits the cache for free.
+// The blocking entry points (run_standard_comparison, run_monte_carlo)
+// are thin submit-and-wait wrappers over shared(), so every existing
+// caller inherits the cache for free.  Sweeps have no wrapper: they are
+// specs naming a registered parameter (`sweep.parameter`), so every job
+// the service runs has a content address.
 #pragma once
 
 #include <cstddef>
@@ -89,7 +91,7 @@ class JobHandle {
   /// True once the job completed without executing (memory or disk hit).
   bool from_cache() const;
 
-  /// Spec fingerprint ("uncached-<id>" for jobs with an opaque mutator).
+  /// Spec fingerprint (the cache and coalescing key).
   const std::string& fingerprint() const;
 
   /// Service-unique job id; coalesced handles share it.
@@ -122,11 +124,6 @@ class ExperimentService {
   /// CSV trace source cannot be read (fingerprinting hashes the file).
   JobHandle submit(const ExperimentSpec& spec);
 
-  /// Sweep variant carrying an opaque config mutator (the blocking
-  /// sweep_parameter path).  Such jobs have no content address: they queue
-  /// and run normally but are never cached or coalesced.
-  JobHandle submit(const ExperimentSpec& spec, ConfigMutator mutator);
-
   // Counters (monotonic; for tests and operational introspection).
   std::size_t executions() const;   ///< jobs that actually simulated
   std::size_t cache_hits() const;   ///< memory + disk hits
@@ -147,8 +144,6 @@ class ExperimentService {
   static ExperimentService& shared();
 
  private:
-  JobHandle submit_impl(const ExperimentSpec& spec,
-                        const ConfigMutator* mutator);
   void run_job(const std::shared_ptr<detail::Job>& job);
   void complete_job(const std::shared_ptr<detail::Job>& job,
                     std::shared_ptr<const ExperimentResult> result,

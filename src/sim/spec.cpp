@@ -451,10 +451,7 @@ std::shared_ptr<const thermal::TemperatureTrace> materialize_trace(
   throw std::logic_error("materialize_trace: bad source kind");
 }
 
-namespace detail {
-
-ExperimentResult run_experiment_impl(const ExperimentSpec& spec,
-                                     const ConfigMutator* mutator_override) {
+ExperimentResult run_experiment(const ExperimentSpec& spec) {
   ExperimentResult out;
   out.kind = spec.kind;
   switch (spec.kind) {
@@ -484,22 +481,14 @@ ExperimentResult run_experiment_impl(const ExperimentSpec& spec,
             "run_experiment: a sweep needs a generated trace source (the "
             "swept parameter mutates the generator config)");
       }
-      const ConfigMutator mutate = mutator_override
-                                       ? *mutator_override
-                                       : sweep_mutator(spec.sweep_parameter_name);
-      out.sweep = detail::sweep_direct(spec.trace.generator, spec.sweep_values,
-                                       mutate, spec.comparison,
-                                       spec.sweep_num_threads);
+      out.sweep = detail::sweep_direct(
+          spec.trace.generator, spec.sweep_values,
+          spec.sweep_parameter_name, spec.comparison,
+          spec.sweep_num_threads);
       break;
     }
   }
   return out;
-}
-
-}  // namespace detail
-
-ExperimentResult run_experiment(const ExperimentSpec& spec) {
-  return detail::run_experiment_impl(spec, nullptr);
 }
 
 }  // namespace tegrec::sim

@@ -149,16 +149,4 @@ std::shared_ptr<const thermal::TemperatureTrace> materialize_trace(
 /// uncached reference path the service's results are bit-identical to.
 ExperimentResult run_experiment(const ExperimentSpec& spec);
 
-namespace detail {
-
-/// run_experiment with an optional override for the sweep mutator: the
-/// blocking sweep_parameter wrapper carries its caller's opaque lambda
-/// through the service this way (such jobs are never cached, because an
-/// arbitrary std::function has no content address).  Service workers call
-/// this; everyone else wants run_experiment.
-ExperimentResult run_experiment_impl(const ExperimentSpec& spec,
-                                     const ConfigMutator* mutator_override);
-
-}  // namespace detail
-
 }  // namespace tegrec::sim

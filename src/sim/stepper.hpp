@@ -13,9 +13,9 @@
 //
 // Checkpoint/restore: state() snapshots every mutable field into a
 // StepperState (the controller contributes an opaque blob via its
-// checkpoint hooks); save()/restore() move that snapshot through the
-// versioned, fingerprint-stamped on-disk codec in sim/checkpoint.hpp using
-// the util::atomic_write_file publication door.
+// checkpoint hooks); the versioned, fingerprint-stamped codec in
+// sim/checkpoint.hpp turns that snapshot into bytes, and the stream server
+// (sim/stream_server.hpp) owns the file they are published to.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +30,6 @@
 #include "switchfab/switch_network.hpp"
 #include "teg/array_evaluator.hpp"
 #include "teg/linear_source.hpp"
-#include "util/atomic_file.hpp"
 
 namespace tegrec::sim {
 
@@ -102,18 +101,6 @@ class SimStepper {
   /// a corrupt one (nothing is applied on failure).
   StepperState state() const;
   void restore_state(const StepperState& state);
-
-  /// Checkpoint to/from disk through the versioned codec
-  /// (sim/checkpoint.hpp) and the atomic publication door.
-  /// `fingerprint_text` is the configuration stamp (for streaming runs,
-  /// stream_config_fingerprint_text()); restore() refuses a checkpoint
-  /// whose stamp differs — a checkpoint can never resume against a
-  /// different spec.  save() publishes under fault site
-  /// "stream.checkpoint" unless `write_options` names another; corrupt or
-  /// truncated files make restore() throw std::runtime_error.
-  void save(const std::string& path, const std::string& fingerprint_text,
-            const util::AtomicWriteOptions& write_options = {}) const;
-  void restore(const std::string& path, const std::string& fingerprint_text);
 
  private:
   core::Reconfigurer* controller_;

@@ -1,16 +1,18 @@
 #include "sim/sweep.hpp"
 
-#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <map>
 #include <stdexcept>
 
-#include "sim/service.hpp"
-#include "sim/spec.hpp"
 #include "util/parallel.hpp"
 
 namespace tegrec::sim {
 
 namespace {
+
+using ConfigMutator =
+    std::function<void(thermal::TraceGeneratorConfig&, double value)>;
 
 // Registered sweep parameters: every entry is a pure scalar write into the
 // trace-generator config, so a spec naming one is fully content-addressed.
@@ -18,6 +20,11 @@ const std::map<std::string, ConfigMutator>& mutator_registry() {
   static const std::map<std::string, ConfigMutator> registry = {
       {"num_modules",
        [](thermal::TraceGeneratorConfig& c, double v) {
+         // 2^53: every whole double below it is exact and fits size_t.
+         if (!(v >= 1.0 && v < 0x1p53) || v != std::floor(v)) {
+           throw std::invalid_argument(
+               "sweep num_modules: values must be whole numbers >= 1");
+         }
          c.layout.num_modules = static_cast<std::size_t>(v);
        }},
       {"surface_coupling",
@@ -39,27 +46,31 @@ const std::map<std::string, ConfigMutator>& mutator_registry() {
        }},
       {"duration_scale",
        [](thermal::TraceGeneratorConfig& c, double v) {
+         // Too long a cycle is left to generate_drive_cycle, which knows dt.
+         if (!(v >= 0.0) || !std::isfinite(v)) {
+           throw std::invalid_argument(
+               "sweep duration_scale: values must be finite and >= 0");
+         }
          for (auto& segment : c.segments) segment.duration_s *= v;
        }},
   };
   return registry;
 }
 
-}  // namespace
-
-ConfigMutator sweep_mutator(const std::string& name) {
+const ConfigMutator& sweep_mutator(const std::string& name) {
   const auto& registry = mutator_registry();
   const auto it = registry.find(name);
   if (it != registry.end()) return it->second;
   std::string known;
-  for (const auto& [key, fn] : registry) {
-    (void)fn;
+  for (const std::string& key : sweep_parameter_names()) {
     if (!known.empty()) known += ", ";
     known += key;
   }
-  throw std::invalid_argument("sweep_mutator: unknown parameter '" + name +
+  throw std::invalid_argument("sweep: unknown parameter '" + name +
                               "' (registered: " + known + ")");
 }
+
+}  // namespace
 
 std::vector<std::string> sweep_parameter_names() {
   std::vector<std::string> names;
@@ -70,45 +81,24 @@ std::vector<std::string> sweep_parameter_names() {
   return names;  // std::map iterates sorted
 }
 
-std::vector<SweepPoint> sweep_parameter(
-    const thermal::TraceGeneratorConfig& base, const std::vector<double>& values,
-    const ConfigMutator& mutate, const ComparisonOptions& comparison,
-    std::size_t num_threads) {
-  ExperimentSpec spec;
-  spec.kind = ExperimentKind::kSweep;
-  spec.trace.kind = TraceSource::Kind::kGenerated;
-  spec.trace.generator = base;
-  spec.comparison = comparison;
-  spec.sweep_parameter_name = "<custom>";  // opaque mutator: uncacheable
-  spec.sweep_values = values;
-  spec.sweep_num_threads = num_threads;
-  return ExperimentService::shared().submit(spec, mutate).wait()->sweep;
-}
-
-util::CsvTable sweep_to_csv(const std::string& value_name,
-                            const std::vector<SweepPoint>& points) {
-  util::CsvTable table;
-  table.header = {value_name, "dnor_j", "baseline_j", "gain_percent",
-                  "dnor_ratio"};
-  for (const SweepPoint& p : points) {
-    table.rows.push_back({p.value, p.dnor_energy_j, p.baseline_energy_j,
-                          100.0 * p.gain, p.dnor_ratio_to_ideal});
-  }
-  return table;
-}
-
 namespace detail {
 
 std::vector<SweepPoint> sweep_direct(const thermal::TraceGeneratorConfig& base,
                                      const std::vector<double>& values,
-                                     const ConfigMutator& mutate,
+                                     const std::string& parameter,
                                      const ComparisonOptions& comparison,
                                      std::size_t num_threads) {
-  if (values.empty()) throw std::invalid_argument("sweep_parameter: no values");
-  if (!mutate) throw std::invalid_argument("sweep_parameter: null mutator");
+  if (values.empty()) throw std::invalid_argument("sweep: no values");
   if (!comparison.include_dnor || !comparison.include_baseline) {
     throw std::invalid_argument(
-        "sweep_parameter: DNOR and baseline must both be enabled");
+        "sweep: DNOR and baseline must both be enabled");
+  }
+  const ConfigMutator& mutate = sweep_mutator(parameter);
+  // Fail fast: a bad value anywhere in the list throws before any point
+  // simulates.
+  for (const double value : values) {
+    thermal::TraceGeneratorConfig config = base;
+    mutate(config, value);
   }
   std::vector<SweepPoint> out(values.size());
   util::parallel_for(values.size(), num_threads, [&](std::size_t i) {

@@ -1,20 +1,20 @@
 // Scalar parameter sweeps over the end-to-end comparison.
 //
-// Answers "how does the reconfiguration gain move with X?" for any scalar
-// X of the trace-generator configuration (surface coupling, heat-transfer
-// coefficient, module count, ambient...).  The caller supplies a mutator
-// that applies the swept value to a config; the sweep returns one point
-// per value with the headline quantities, ready for CSV/plotting.
+// Answers "how does the reconfiguration gain move with X?" for a scalar X
+// of the trace-generator configuration (surface coupling, heat-transfer
+// coefficient, module count, ambient...).  X is one of the registered
+// parameter names below; a sweep runs as an ExperimentSpec with
+// `sweep.parameter = <name>` through the ExperimentService, so every sweep
+// has a content address and is cached like any other study.  The sweep
+// returns one point per value with the headline quantities.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "sim/experiment.hpp"
 #include "thermal/trace.hpp"
-#include "util/csv.hpp"
 
 namespace tegrec::sim {
 
@@ -26,45 +26,24 @@ struct SweepPoint {
   double dnor_ratio_to_ideal = 0.0;
 };
 
-using ConfigMutator =
-    std::function<void(thermal::TraceGeneratorConfig&, double value)>;
-
-/// Runs the DNOR-vs-baseline comparison for every value in `values`,
-/// applying `mutate(config, value)` to a copy of `base` each time.  Points
-/// are independent simulations evaluated across `num_threads` workers
-/// (0 = one per hardware thread, 1 = serial); each point writes only its
-/// own output slot, so the result is bit-identical for any thread count.
-/// The mutator may be called concurrently and must not touch shared state.
-///
-/// Thin blocking wrapper over the shared ExperimentService.  An opaque
-/// mutator has no content address, so these jobs queue but are never cached
-/// or coalesced; use a registered parameter name (sweep_mutator / an
-/// ExperimentSpec with sweep.parameter) to get caching.
-std::vector<SweepPoint> sweep_parameter(
-    const thermal::TraceGeneratorConfig& base, const std::vector<double>& values,
-    const ConfigMutator& mutate, const ComparisonOptions& comparison = {},
-    std::size_t num_threads = 0);
-
-/// Looks up a registered, content-addressable sweep parameter by name — the
+/// Registered, content-addressable sweep parameters, sorted: the
 /// vocabulary ExperimentSpec sweep files use (`sweep.parameter = <name>`).
-/// Throws std::invalid_argument for unknown names, listing what exists.
-ConfigMutator sweep_mutator(const std::string& name);
-
-/// Names accepted by sweep_mutator, sorted.
 std::vector<std::string> sweep_parameter_names();
-
-/// Packs sweep points into a CSV table (columns: value, dnor_j, baseline_j,
-/// gain_percent, dnor_ratio).  `value_name` becomes the first header.
-util::CsvTable sweep_to_csv(const std::string& value_name,
-                            const std::vector<SweepPoint>& points);
 
 namespace detail {
 
-/// The actual sweep engine, uncached and synchronous (service workers call
-/// this; per-point comparisons use run_comparison_direct).
+/// The actual sweep engine, uncached and synchronous (run_experiment calls
+/// this; per-point comparisons use run_comparison_direct).  `parameter`
+/// must be one of sweep_parameter_names(); every value is written into a
+/// copy of `base` before any point runs, so an unknown name or a value
+/// outside the parameter's range throws std::invalid_argument up front.
+/// Points are independent simulations evaluated across `num_threads`
+/// workers (0 = one per hardware thread, 1 = serial); each point writes
+/// only its own output slot, so the result is bit-identical for any thread
+/// count.
 std::vector<SweepPoint> sweep_direct(const thermal::TraceGeneratorConfig& base,
                                      const std::vector<double>& values,
-                                     const ConfigMutator& mutate,
+                                     const std::string& parameter,
                                      const ComparisonOptions& comparison,
                                      std::size_t num_threads);
 

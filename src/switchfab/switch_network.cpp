@@ -1,7 +1,6 @@
 #include "switchfab/switch_network.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace tegrec::switchfab {
 
@@ -71,22 +70,12 @@ void SwitchNetwork::set_cell(std::size_t i, bool series) {
   total_actuations_ += 3;
 }
 
-ActuationPlan SwitchNetwork::diff(const teg::ArrayConfig& target) const {
-  if (target.num_modules() != num_modules_) {
-    throw std::invalid_argument("SwitchNetwork::diff: config size mismatch");
-  }
-  ActuationPlan plan;
-  for_each_flip(starts_, target.group_starts(),
-                [&](std::size_t cell) { plan.flip_cells.push_back(cell); });
-  return plan;
-}
-
 std::size_t SwitchNetwork::apply(const teg::ArrayConfig& config) {
   if (config.num_modules() != num_modules_) {
     throw std::invalid_argument("SwitchNetwork::apply: config size mismatch");
   }
-  // diff()'s plan, applied as it is found: no plan vector, so a steady
-  // stream of actuations allocates nothing.
+  // Each flip is applied as the merge finds it: no plan vector, so a
+  // steady stream of actuations allocates nothing.
   std::size_t flipped = 0;
   for_each_flip(starts_, config.group_starts(), [&](std::size_t cell) {
     set_cell(cell, !cells_[cell].series_closed);

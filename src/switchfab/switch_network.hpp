@@ -8,9 +8,9 @@
 // applies ArrayConfigs, counts actuations, and rejects invalid states.
 //
 // Reconfiguration is incremental: the wired configuration's series
-// boundaries are cached, so diff() computes the set of adjacencies whose
-// connection type flips by merging two sorted boundary lists — O(groups) —
-// and apply() touches only those cells.  Per-actuation cost therefore
+// boundaries are cached, so apply() finds the adjacencies whose connection
+// type flips by merging two sorted boundary lists — O(groups) — and
+// touches only those cells.  Per-actuation cost therefore
 // scales with the size of the change, not the module count; a 10k-module
 // fabric whose optimum drifts by two boundaries actuates 6 switches and
 // does O(groups) bookkeeping instead of an O(N) rebuild.
@@ -38,17 +38,6 @@ struct SwitchCell {
   }
 };
 
-/// The actuation plan of one reconfiguration: the adjacency cells whose
-/// connection type must flip to move the wired configuration onto a
-/// target.  Applying a plan actuates all three switches of each listed
-/// cell and nothing else.
-struct ActuationPlan {
-  std::vector<std::size_t> flip_cells;  ///< ascending cell indices to flip
-
-  std::size_t num_switch_actuations() const { return 3 * flip_cells.size(); }
-  bool empty() const { return flip_cells.empty(); }
-};
-
 class SwitchNetwork {
  public:
   /// Initial state: the given configuration applied (default all-parallel).
@@ -59,16 +48,10 @@ class SwitchNetwork {
   std::size_t num_cells() const { return cells_.size(); }
   const SwitchCell& cell(std::size_t i) const;
 
-  /// Computes the actuation plan from the wired configuration to `target`
-  /// without touching any switch: the symmetric difference of the two
-  /// configurations' series-boundary lists, merged in O(groups).  Throws
-  /// std::invalid_argument when `target` is sized for a different module
-  /// count.  plan.num_switch_actuations() == 3 * boundary_distance.
-  ActuationPlan diff(const teg::ArrayConfig& target) const;
-
   /// Applies a configuration; returns the number of individual switch
-  /// actuations performed (3 per adjacency whose type flips).  Walks the
-  /// same merge as diff() and flips only the changed cells, without
+  /// actuations performed (3 per adjacency whose type flips, so 3 *
+  /// boundary_distance).  Merges the wired and target series-boundary
+  /// lists in O(groups) and flips only the changed cells, without
   /// allocating.  Throws std::invalid_argument on a config sized for a
   /// different module count.
   std::size_t apply(const teg::ArrayConfig& config);
@@ -89,7 +72,7 @@ class SwitchNetwork {
   std::size_t num_modules_ = 0;
   std::vector<SwitchCell> cells_;
   /// Group starts of the wired configuration — the cached mirror of
-  /// cells_ that makes diff() and current_config() O(groups).
+  /// cells_ that makes apply() and current_config() O(groups).
   std::vector<std::size_t> starts_;
   std::size_t total_actuations_ = 0;
   std::size_t events_ = 0;

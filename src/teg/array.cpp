@@ -24,15 +24,6 @@ TegArray::TegArray(const DeviceParams& params, std::vector<double> delta_t_k,
   rebuild_modules();
 }
 
-void TegArray::set_delta_t(std::vector<double> delta_t_k, double ambient_c) {
-  if (delta_t_k.size() != delta_t_k_.size()) {
-    throw std::invalid_argument("TegArray::set_delta_t: size change not allowed");
-  }
-  delta_t_k_ = std::move(delta_t_k);
-  ambient_c_ = ambient_c;
-  rebuild_modules();
-}
-
 void TegArray::rebuild_modules() {
   modules_.clear();
   modules_.reserve(delta_t_k_.size());

@@ -39,9 +39,6 @@ class TegArray {
   const std::vector<double>& delta_t_k() const { return delta_t_k_; }
   double ambient_c() const { return ambient_c_; }
 
-  /// Updates the temperature distribution (array geometry unchanged).
-  void set_delta_t(std::vector<double> delta_t_k, double ambient_c);
-
   const Module& module(std::size_t i) const;
 
   /// Sum of per-module MPPs: the P_ideal upper bound (Fig. 7 normaliser).

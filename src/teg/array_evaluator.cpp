@@ -100,19 +100,6 @@ void ArrayEvaluator::set_kernel(ScoringKernel kernel) {
   kernel_ = kernel;
 }
 
-LinearSource ArrayEvaluator::group_equivalent(std::size_t begin,
-                                              std::size_t end) const {
-  if (begin >= end || end > size()) {
-    throw std::out_of_range("ArrayEvaluator::group_equivalent: bad range");
-  }
-  const double g_sum = conductance_prefix_[end] - conductance_prefix_[begin];
-  const double norton = norton_prefix_[end] - norton_prefix_[begin];
-  LinearSource out;
-  out.r_ohm = 1.0 / g_sum;
-  out.voc_v = norton * out.r_ohm;
-  return out;
-}
-
 LinearSource ArrayEvaluator::string_equivalent(const ArrayConfig& config) const {
   if (config.num_modules() != size()) {
     throw std::invalid_argument(
@@ -129,15 +116,16 @@ LinearSource ArrayEvaluator::string_equivalent(
   }
   const std::size_t m = group_starts.size();
   // Validate every range up front so the block kernels can assume clean
-  // input; a non-increasing or out-of-range start raises the same
-  // exception group_equivalent would have raised mid-scan.
+  // input: a non-increasing or out-of-range start is out_of_range.
   for (std::size_t j = 1; j < m; ++j) {
     if (group_starts[j] <= group_starts[j - 1]) {
-      throw std::out_of_range("ArrayEvaluator::group_equivalent: bad range");
+      throw std::out_of_range(
+          "ArrayEvaluator::string_equivalent: bad group range");
     }
   }
   if (group_starts.back() >= size()) {
-    throw std::out_of_range("ArrayEvaluator::group_equivalent: bad range");
+    throw std::out_of_range(
+        "ArrayEvaluator::string_equivalent: bad group range");
   }
 
 #if defined(__x86_64__) || defined(__i386__)

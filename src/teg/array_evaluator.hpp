@@ -69,9 +69,6 @@ class ArrayEvaluator {
   void set_kernel(ScoringKernel kernel);
   ScoringKernel kernel() const { return kernel_; }
 
-  /// Thevenin equivalent of modules [begin, end) wired in parallel.
-  LinearSource group_equivalent(std::size_t begin, std::size_t end) const;
-
   /// Port model of a configuration's series string of parallel groups.
   LinearSource string_equivalent(const ArrayConfig& config) const;
 
@@ -91,11 +88,6 @@ class ArrayEvaluator {
 
   /// Sum of per-module MPPs: the P_ideal normaliser (config-independent).
   double ideal_power_w() const { return ideal_power_w_; }
-
-  /// Total module conductance sum(1/R_i) — the whole-array prefix value.
-  /// Feeds EHTR's warm-start score bound (r_string >= n^2 / conductance
-  /// for any n-group partition, by AM-HM).
-  double total_conductance_s() const { return conductance_prefix_.back(); }
 
  private:
   std::vector<double> conductance_prefix_{0.0};  ///< prefix sums of 1/R_i

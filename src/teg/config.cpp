@@ -1,7 +1,6 @@
 #include "teg/config.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace tegrec::teg {
@@ -58,17 +57,6 @@ std::size_t ArrayConfig::group_end(std::size_t j) const {
   return j + 1 < starts_.size() ? starts_[j + 1] : num_modules_;
 }
 
-std::size_t ArrayConfig::group_size(std::size_t j) const {
-  return group_end(j) - group_begin(j);
-}
-
-std::size_t ArrayConfig::group_of(std::size_t i) const {
-  if (i >= num_modules_) throw std::out_of_range("ArrayConfig::group_of");
-  // starts_ is sorted; find the last start <= i.
-  const auto it = std::upper_bound(starts_.begin(), starts_.end(), i);
-  return static_cast<std::size_t>(it - starts_.begin()) - 1;
-}
-
 bool ArrayConfig::is_series_boundary(std::size_t i) const {
   if (i + 1 >= num_modules_) {
     throw std::out_of_range("ArrayConfig::is_series_boundary");
@@ -85,16 +73,6 @@ std::size_t ArrayConfig::boundary_distance(const ArrayConfig& other) const {
     if (is_series_boundary(i) != other.is_series_boundary(i)) ++diff;
   }
   return diff;
-}
-
-std::string ArrayConfig::to_string() const {
-  std::ostringstream os;
-  os << "C(n=" << num_groups() << ": ";
-  for (std::size_t j = 0; j < starts_.size(); ++j) {
-    os << starts_[j] << (j + 1 < starts_.size() ? "," : "");
-  }
-  os << " of N=" << num_modules_ << ")";
-  return os.str();
 }
 
 }  // namespace tegrec::teg

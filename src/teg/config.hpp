@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace tegrec::teg {
@@ -36,9 +35,6 @@ class ArrayConfig {
   std::size_t group_begin(std::size_t j) const;
   /// One-past-last module index of group j.
   std::size_t group_end(std::size_t j) const;
-  std::size_t group_size(std::size_t j) const;
-  /// Group containing module i.
-  std::size_t group_of(std::size_t i) const;
 
   /// True if the adjacency between modules i and i+1 is a series boundary
   /// (the S_S,i switch closed); false means parallel (S_PT/S_PB closed).
@@ -50,9 +46,6 @@ class ArrayConfig {
   std::size_t boundary_distance(const ArrayConfig& other) const;
 
   bool operator==(const ArrayConfig& other) const = default;
-
-  /// "C(g1=0, g5=..., ...)" style debug string.
-  std::string to_string() const;
 
  private:
   std::vector<std::size_t> starts_;

@@ -30,12 +30,6 @@ Module Module::from_delta_t(const DeviceParams& params, double delta_t_k,
   return Module(params, cold_side_c + delta_t_k, cold_side_c);
 }
 
-double Module::power_into_load(double r_load_ohm) const {
-  if (r_load_ohm < 0.0) throw std::invalid_argument("power_into_load: R < 0");
-  const double i = port_.voc_v / (port_.r_ohm + r_load_ohm);
-  return i * i * r_load_ohm;
-}
-
 std::vector<IvPoint> Module::iv_sweep(std::size_t points) const {
   if (points < 2) throw std::invalid_argument("iv_sweep: need >= 2 points");
   std::vector<IvPoint> out(points);

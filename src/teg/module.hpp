@@ -39,9 +39,6 @@ class Module {
   /// The module's terminals as a Thevenin source.
   const LinearSource& port() const { return port_; }
 
-  /// Output power into a load resistance (Eq. 2 of the paper).
-  double power_into_load(double r_load_ohm) const;
-
   /// Uniform I-V/P-V sweep from V=0 to V=Voc with `points` samples.
   std::vector<IvPoint> iv_sweep(std::size_t points) const;
 

@@ -27,7 +27,4 @@ FluidProperties ambient_air();
 /// meter) to m^3/s.
 double lpm_to_m3s(double lpm);
 
-/// Converts m^3/s to litres-per-minute.
-double m3s_to_lpm(double m3s);
-
 }  // namespace tegrec::thermal

@@ -227,18 +227,47 @@ bool stop_start_engine_off(const DriveSegment& seg, double t_in_segment,
 DriveCycle generate_drive_cycle(const std::vector<DriveSegment>& segments,
                                 const VehicleParams& vehicle, double dt_s,
                                 std::uint64_t seed) {
-  if (dt_s <= 0.0) throw std::invalid_argument("generate_drive_cycle: dt <= 0");
+  if (!(dt_s > 0.0) || !std::isfinite(dt_s)) {
+    throw std::invalid_argument(
+        "generate_drive_cycle: dt must be finite and > 0");
+  }
   if (segments.empty()) {
     throw std::invalid_argument("generate_drive_cycle: no segments");
+  }
+  // Durations come from spec files and sweeps: reject what would reach
+  // llround out of range (UB), a negative step count (a near-endless loop
+  // once cast to size_t) or a cycle too long to hold in memory, before
+  // generating anything.
+  std::vector<std::size_t> segment_steps;
+  segment_steps.reserve(segments.size());
+  std::size_t total_steps = 0;
+  for (const DriveSegment& seg : segments) {
+    const double steps = seg.duration_s / dt_s;
+    if (!(seg.duration_s >= 0.0) ||
+        !(steps <= static_cast<double>(kMaxDriveCycleSteps))) {
+      throw std::invalid_argument(
+          "generate_drive_cycle: segment durations must be finite, >= 0 and "
+          "at most 2^28 steps");
+    }
+    segment_steps.push_back(static_cast<std::size_t>(std::llround(steps)));
+    total_steps += segment_steps.back();
+    if (total_steps > kMaxDriveCycleSteps) {
+      throw std::invalid_argument(
+          "generate_drive_cycle: the cycle exceeds 2^28 steps");
+    }
   }
   util::Rng rng(seed);
   SpeedTracker tracker(rng);
 
   DriveCycle cycle;
   cycle.dt_s = dt_s;
+  cycle.speed_kmh.reserve(total_steps);
+  cycle.engine_power_kw.reserve(total_steps);
+  cycle.engine_on.reserve(total_steps);
   double prev_speed = 0.0;
-  for (const DriveSegment& seg : segments) {
-    const auto steps = static_cast<std::size_t>(std::llround(seg.duration_s / dt_s));
+  for (std::size_t j = 0; j < segments.size(); ++j) {
+    const DriveSegment& seg = segments[j];
+    const std::size_t steps = segment_steps[j];
     for (std::size_t k = 0; k < steps; ++k) {
       const double t_in = static_cast<double>(k) * dt_s;
       const double v = tracker.step(seg, t_in, dt_s);
@@ -291,13 +320,6 @@ segment_kind_names() {
        {DriveSegment::Kind::kLoadRamp, "load_ramp"},
        {DriveSegment::Kind::kBatchCycle, "batch_cycle"}};
   return names;
-}
-
-std::string to_string(DriveSegment::Kind kind) {
-  for (const auto& [value, name] : segment_kind_names()) {
-    if (kind == value) return name;
-  }
-  return "unknown";
 }
 
 }  // namespace tegrec::thermal

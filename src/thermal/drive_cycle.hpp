@@ -115,9 +115,15 @@ struct DriveCycle {
 /// 120 s plots (Figs. 6-7).
 std::vector<DriveSegment> default_porter_cycle();
 
+/// Most steps one generated drive cycle may hold: 310 days at the default
+/// 0.1 s step, about 4.6 GB for the cycle's three series.
+inline constexpr std::size_t kMaxDriveCycleSteps = std::size_t{1} << 28;
+
 /// Generates the speed/power profile for the given segments.  `seed`
 /// controls stochastic fluctuation; the same seed reproduces the same
-/// cycle.
+/// cycle.  Throws std::invalid_argument for a non-finite or non-positive
+/// dt, a negative or non-finite segment duration, or a cycle of more than
+/// kMaxDriveCycleSteps steps.
 DriveCycle generate_drive_cycle(const std::vector<DriveSegment>& segments,
                                 const VehicleParams& vehicle, double dt_s,
                                 std::uint64_t seed);
@@ -136,13 +142,9 @@ double process_power_kw(const DriveSegment& segment, double t_in_segment);
 /// model (speed identically zero, power from the firing schedule).
 bool is_process_kind(DriveSegment::Kind kind);
 
-/// All (kind, canonical name) pairs — the single table both to_string and
-/// the spec serialiser (`trace.gen.segment.<i>.kind` values) read, so the
-/// two can never drift when a kind is added.
+/// All (kind, canonical name) pairs: the names the spec serialiser writes
+/// and reads as `trace.gen.segment.<i>.kind` values.
 const std::vector<std::pair<DriveSegment::Kind, const char*>>&
 segment_kind_names();
-
-/// Human-readable name of a segment kind (bench/report/spec output).
-std::string to_string(DriveSegment::Kind kind);
 
 }  // namespace tegrec::thermal

@@ -4,12 +4,6 @@
 
 namespace tegrec::thermal {
 
-double RadiatorLayout::module_position_m(std::size_t i) const {
-  if (i >= num_modules) throw std::out_of_range("RadiatorLayout: module index");
-  const double pitch = exchanger.tube_length_m / static_cast<double>(num_modules);
-  return (static_cast<double>(i) + 0.5) * pitch;
-}
-
 std::vector<double> module_hot_side_temperatures(const RadiatorLayout& layout,
                                                  const StreamConditions& cond) {
   if (layout.num_modules == 0) {
@@ -25,13 +19,6 @@ std::vector<double> module_hot_side_temperatures(const RadiatorLayout& layout,
     hot[i] = cond.cold_inlet_c +
              layout.surface_coupling * (coolant[i] - cond.cold_inlet_c);
   }
-  return hot;
-}
-
-std::vector<double> module_delta_t(const RadiatorLayout& layout,
-                                   const StreamConditions& cond) {
-  std::vector<double> hot = module_hot_side_temperatures(layout, cond);
-  for (double& t : hot) t -= cond.cold_inlet_c;
   return hot;
 }
 

@@ -174,9 +174,9 @@ TraceGeneratorConfig scenario(const std::string& name) {
     if (name == entry.name) return entry.build();
   }
   std::string known;
-  for (const ScenarioEntry& entry : kScenarios) {
+  for (const std::string& known_name : scenario_names()) {
     if (!known.empty()) known += ", ";
-    known += entry.name;
+    known += known_name;
   }
   throw std::invalid_argument("unknown scenario '" + name +
                               "' (registered: " + known + ")");

@@ -48,15 +48,6 @@ double TemperatureTrace::ambient_c(std::size_t step) const {
   return ambient_c_[step];
 }
 
-std::vector<double> TemperatureTrace::module_series(std::size_t module) const {
-  if (module >= num_modules_) throw std::out_of_range("TemperatureTrace::module_series");
-  std::vector<double> out(num_steps());
-  for (std::size_t t = 0; t < num_steps(); ++t) {
-    out[t] = temps_c_[t * num_modules_ + module];
-  }
-  return out;
-}
-
 std::size_t TemperatureTrace::step_at_time(double time_s) const {
   if (time_s <= 0.0) return 0;
   const auto idx = static_cast<std::size_t>(time_s / dt_s_);

@@ -31,24 +31,6 @@ double parse_csv_cell(std::string_view text) {
   return value;
 }
 
-std::size_t CsvTable::column_index(const std::string& name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  throw std::out_of_range("CsvTable: no column named '" + name + "'");
-}
-
-std::vector<double> CsvTable::column(const std::string& name) const {
-  const std::size_t idx = column_index(name);
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) {
-    if (idx >= row.size()) throw std::runtime_error("CsvTable: short row");
-    out.push_back(row[idx]);
-  }
-  return out;
-}
-
 std::string csv_to_string(const CsvTable& table, int precision) {
   std::string out;
   for (std::size_t i = 0; i < table.header.size(); ++i) {

@@ -29,13 +29,9 @@ std::uint64_t fnv1a64(const void* data, std::size_t size,
 std::uint64_t fnv1a64(std::string_view text,
                       std::uint64_t state = kFnv1aOffsetBasis);
 
-/// Hashes a file's raw bytes, continuing from `state`; throws
-/// std::runtime_error if the file cannot be read.
-std::uint64_t fnv1a64_file(const std::string& path,
-                           std::uint64_t state = kFnv1aOffsetBasis);
-
-/// Dual-state variant: one pass over the file advances both fingerprint
-/// halves (reading the file twice would double the IO of every submit).
+/// Hashes a file's raw bytes in one pass that advances both fingerprint
+/// halves (reading the file twice would double the IO of every submit);
+/// throws std::runtime_error if the file cannot be read.
 void fnv1a64_file(const std::string& path, std::uint64_t& state_a,
                   std::uint64_t& state_b);
 

@@ -55,15 +55,6 @@ const Value& Value::at(const std::string& key) const {
   throw std::out_of_range("json: no member '" + key + "'");
 }
 
-bool Value::contains(const std::string& key) const {
-  if (kind_ != Kind::kObject) return false;
-  for (const auto& [name, value] : *object_) {
-    (void)value;
-    if (name == key) return true;
-  }
-  return false;
-}
-
 // ----------------------------------------------------------------- dump
 
 namespace {

@@ -49,8 +49,6 @@ class Value {
 
   /// Object member lookup; throws std::out_of_range if absent.
   const Value& at(const std::string& key) const;
-  /// True if this is an object containing `key`.
-  bool contains(const std::string& key) const;
 
  private:
   Kind kind_;

@@ -39,11 +39,4 @@ double Rng::ou_step(double x, double mean, double reversion, double sigma,
   return x + drift + diffusion;
 }
 
-std::vector<double> Rng::gaussian_vector(std::size_t n, double mean,
-                                         double stddev) {
-  std::vector<double> out(n);
-  for (double& x : out) x = gaussian(mean, stddev);
-  return out;
-}
-
 }  // namespace tegrec::util

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace tegrec::util {
 
@@ -27,8 +26,6 @@ class Rng {
   /// Ornstein-Uhlenbeck step: mean-reverting noise used for coolant
   /// temperature fluctuation.  `x` is the current value; returns the next.
   double ou_step(double x, double mean, double reversion, double sigma, double dt);
-
-  std::vector<double> gaussian_vector(std::size_t n, double mean, double stddev);
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -13,14 +13,6 @@ double mean(const std::vector<double>& v) {
   return acc / static_cast<double>(v.size());
 }
 
-double stddev(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  const double m = mean(v);
-  double acc = 0.0;
-  for (double x : v) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(v.size() - 1));
-}
-
 double min_value(const std::vector<double>& v) {
   if (v.empty()) throw std::invalid_argument("min_value: empty");
   return *std::min_element(v.begin(), v.end());
@@ -29,12 +21,6 @@ double min_value(const std::vector<double>& v) {
 double max_value(const std::vector<double>& v) {
   if (v.empty()) throw std::invalid_argument("max_value: empty");
   return *std::max_element(v.begin(), v.end());
-}
-
-double sum(const std::vector<double>& v) {
-  double acc = 0.0;
-  for (double x : v) acc += x;
-  return acc;
 }
 
 double mape_percent(const std::vector<double>& actual,
@@ -51,31 +37,6 @@ double mape_percent(const std::vector<double>& actual,
   }
   if (used == 0) return 0.0;
   return 100.0 * acc / static_cast<double>(used);
-}
-
-double rmse(const std::vector<double>& actual, const std::vector<double>& forecast) {
-  if (actual.size() != forecast.size()) {
-    throw std::invalid_argument("rmse: size mismatch");
-  }
-  if (actual.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    const double d = actual[i] - forecast[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(actual.size()));
-}
-
-double max_abs_error(const std::vector<double>& actual,
-                     const std::vector<double>& forecast) {
-  if (actual.size() != forecast.size()) {
-    throw std::invalid_argument("max_abs_error: size mismatch");
-  }
-  double best = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    best = std::max(best, std::abs(actual[i] - forecast[i]));
-  }
-  return best;
 }
 
 void RunningStats::add(double x) {

@@ -1,15 +1,41 @@
-#include "core/exhaustive.hpp"
+// Exhaustive configuration search: test-only validation oracles for small N.
+//
+// Two searches back the near-optimality claims:
+//  * exhaustive_contiguous_search — enumerates all 2^(N-1) contiguous
+//    partitions (every subset of series boundaries).  This is the true
+//    optimum of the space INOR/EHTR search; tests assert both heuristics
+//    land within a small factor of it.
+//  * exhaustive_set_partition_search — enumerates all set partitions
+//    (non-contiguous grouping, Bell(N) candidates) to quantify how much
+//    the fabric's contiguity restriction costs at all.  Only feasible for
+//    N <~ 12.
+#pragma once
 
+#include <cstddef>
 #include <stdexcept>
+#include <vector>
 
 #include "core/objective.hpp"
+#include "power/converter.hpp"
 #include "power/mppt.hpp"
+#include "teg/array.hpp"
+#include "teg/array_evaluator.hpp"
+#include "teg/config.hpp"
 #include "teg/linear_source.hpp"
 
-namespace tegrec::core {
+namespace tegrec::oracle {
 
-ExhaustiveResult exhaustive_contiguous_search(const teg::TegArray& array,
-                                              const power::Converter& converter) {
+/// Result of an exhaustive search.
+struct ExhaustiveResult {
+  teg::ArrayConfig config;      ///< best contiguous representative
+  double power_w = 0.0;         ///< charger-aware power of the best
+  std::size_t evaluated = 0;    ///< number of candidates scored
+};
+
+/// Optimum over all contiguous partitions.  Throws for N > 24 (2^23
+/// candidates) to keep runtimes sane.
+inline ExhaustiveResult exhaustive_contiguous_search(
+    const teg::TegArray& array, const power::Converter& converter) {
   const std::size_t n = array.size();
   if (n > 24) {
     throw std::invalid_argument("exhaustive_contiguous_search: N > 24");
@@ -24,7 +50,7 @@ ExhaustiveResult exhaustive_contiguous_search(const teg::TegArray& array,
       if (mask & (std::size_t{1} << i)) starts.push_back(i + 1);
     }
     teg::ArrayConfig candidate(std::move(starts), n);
-    const double p = config_power_w(evaluator, converter, candidate);
+    const double p = core::config_power_w(evaluator, converter, candidate);
     ++best.evaluated;
     if (p > best.power_w) {
       best.power_w = p;
@@ -34,16 +60,25 @@ ExhaustiveResult exhaustive_contiguous_search(const teg::TegArray& array,
   return best;
 }
 
-namespace {
+/// Best power over all set partitions (groups need not be contiguous).
+/// The returned power is what a fully flexible fabric could reach; no
+/// ArrayConfig can represent it in general, so only the power and the
+/// candidate count are returned.  Throws for N > 12.
+struct SetPartitionResult {
+  double power_w = 0.0;
+  std::size_t evaluated = 0;
+};
+
+namespace detail {
 
 // Recursively assigns module `i` to an existing group or a fresh one
 // (canonical set-partition enumeration), scoring complete assignments.
 // Groups need not be contiguous, so each candidate's port is summed
 // directly from module ports instead of through an ArrayEvaluator.
-void enumerate_partitions(const teg::TegArray& array,
-                          const power::Converter& converter, std::size_t i,
-                          std::vector<std::vector<teg::LinearSource>>& groups,
-                          SetPartitionResult& best) {
+inline void enumerate_partitions(
+    const teg::TegArray& array, const power::Converter& converter,
+    std::size_t i, std::vector<std::vector<teg::LinearSource>>& groups,
+    SetPartitionResult& best) {
   if (i == array.size()) {
     std::vector<teg::LinearSource> ports;
     ports.reserve(groups.size());
@@ -68,9 +103,9 @@ void enumerate_partitions(const teg::TegArray& array,
   groups.pop_back();
 }
 
-}  // namespace
+}  // namespace detail
 
-SetPartitionResult exhaustive_set_partition_search(
+inline SetPartitionResult exhaustive_set_partition_search(
     const teg::TegArray& array, const power::Converter& converter) {
   if (array.size() > 12) {
     throw std::invalid_argument("exhaustive_set_partition_search: N > 12");
@@ -78,8 +113,8 @@ SetPartitionResult exhaustive_set_partition_search(
   SetPartitionResult best;
   best.power_w = -1.0;
   std::vector<std::vector<teg::LinearSource>> groups;
-  enumerate_partitions(array, converter, 0, groups, best);
+  detail::enumerate_partitions(array, converter, 0, groups, best);
   return best;
 }
 
-}  // namespace tegrec::core
+}  // namespace tegrec::oracle

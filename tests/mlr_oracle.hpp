@@ -1,7 +1,7 @@
 // Test-only reference for predict::MlrPredictor::fit: the design-matrix
 // formulation.  It builds X (one row per (t, m): [1, T_{t-1}, ...,
 // T_{t-L}]) and y = T_t in the fit's row order and hands them to
-// util::least_squares.  The library accumulates X^T X and X^T y row by row
+// oracle::least_squares.  The library accumulates X^T X and X^T y row by row
 // instead; tests/test_mlr.cpp checks the coefficients agree bit for bit,
 // and checks predict_next against the per-module lag-window forecast.
 #pragma once
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "predict/history.hpp"
+#include "least_squares_oracle.hpp"
 #include "util/linalg.hpp"
 
 namespace tegrec::oracle {
@@ -29,7 +30,7 @@ inline std::vector<double> mlr_design_fit(
       y[r] = history.row(t)[m];
     }
   }
-  return util::least_squares(x, y, ridge);
+  return least_squares(x, y, ridge);
 }
 
 /// One-step forecast through per-module lag windows: b0 + sum_k b_k * T_{t-k+1}.

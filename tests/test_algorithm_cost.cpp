@@ -47,14 +47,12 @@ TEST(AlgorithmCost, BudgetsAreStrictlyOrderedBySearchEffort) {
   const double prescient = core::AlgorithmCost::prescient().budget_s(p);
   const double inor = core::AlgorithmCost::inor().budget_s(p);
   const double ehtr = core::AlgorithmCost::ehtr().budget_s(p);
-  const double exhaustive = core::AlgorithmCost::exhaustive().budget_s(p);
 
   EXPECT_DOUBLE_EQ(baseline, 0.0);  // never invokes, never pays
   EXPECT_GT(dnor, baseline);
   EXPECT_DOUBLE_EQ(prescient, dnor);  // same single-pass decision rule
   EXPECT_GT(inor, dnor);
   EXPECT_GT(ehtr, inor);
-  EXPECT_GT(exhaustive, ehtr);
 
   // The budget is a declared multiple of the door parameter — linear in it,
   // and zero when the experiment zeroes the door.

@@ -58,15 +58,6 @@ TEST(TegArray, UniformTemperaturesAnyConfigIsIdeal) {
   }
 }
 
-TEST(TegArray, SetDeltaTUpdatesModules) {
-  TegArray array(kDev, {30.0, 20.0});
-  const double before = array.ideal_power_w();
-  array.set_delta_t({15.0, 10.0}, 25.0);
-  EXPECT_LT(array.ideal_power_w(), before);
-  EXPECT_NEAR(array.module(0).delta_t_k(), 15.0, 1e-12);
-  EXPECT_THROW(array.set_delta_t({1.0}, 25.0), std::invalid_argument);
-}
-
 TEST(TegArray, ModuleMppCurrentsMatchModules) {
   const TegArray array(kDev, {33.0, 22.0, 11.0});
   const auto currents = array.module_mpp_currents();

@@ -112,7 +112,7 @@ TEST(BankPower, MatchesBankMppUnderIdealConverter) {
   const power::Converter conv(ideal);
   const auto rows = make_rows(0.2);
   const BankSearchResult res = bank_search(rows, conv);
-  EXPECT_NEAR(bank_power_w(res.bank, conv), res.bank.mpp_power_w(),
+  EXPECT_NEAR(res.output_power_w, res.bank.mpp_power_w(),
               0.01 * res.bank.mpp_power_w());
 }
 

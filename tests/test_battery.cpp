@@ -12,16 +12,6 @@ TEST(Battery, DefaultsPlausible) {
   EXPECT_DOUBLE_EQ(b.energy_absorbed_j(), 0.0);
 }
 
-TEST(Battery, OpenCircuitVoltageTracksSoc) {
-  BatteryParams p;
-  p.initial_soc = 0.0;
-  EXPECT_NEAR(Battery(p).open_circuit_voltage_v(), 12.0, 1e-9);
-  p.initial_soc = 1.0;
-  EXPECT_NEAR(Battery(p).open_circuit_voltage_v(), 12.9, 1e-9);
-  p.initial_soc = 0.5;
-  EXPECT_NEAR(Battery(p).open_circuit_voltage_v(), 12.45, 1e-9);
-}
-
 TEST(Battery, AbsorbAccountsEnergyAndSoc) {
   Battery b;
   const double before_soc = b.soc();

@@ -35,11 +35,9 @@ TEST(Coolant, TypicalRadiatorCapacityRate) {
   EXPECT_LT(c, 3000.0);
 }
 
-TEST(Coolant, FlowUnitConversionsRoundTrip) {
+TEST(Coolant, FlowUnitConversion) {
   EXPECT_NEAR(lpm_to_m3s(60.0), 1e-3, 1e-12);
-  for (double lpm : {0.0, 1.0, 37.5, 95.0}) {
-    EXPECT_NEAR(m3s_to_lpm(lpm_to_m3s(lpm)), lpm, 1e-9);
-  }
+  EXPECT_NEAR(lpm_to_m3s(37.5), 37.5 / 60000.0, 1e-15);
 }
 
 }  // namespace

@@ -26,13 +26,6 @@ TEST(Csv, StringRoundTrip) {
   }
 }
 
-TEST(Csv, ColumnAccess) {
-  const CsvTable t = sample_table();
-  EXPECT_EQ(t.column_index("value"), 1u);
-  EXPECT_EQ(t.column("time"), (std::vector<double>{0.0, 0.5, 1.0}));
-  EXPECT_THROW(t.column_index("missing"), std::out_of_range);
-}
-
 TEST(Csv, MalformedCellThrows) {
   EXPECT_THROW(csv_from_string("a,b\n1,xyz\n"), std::runtime_error);
 }
@@ -126,9 +119,10 @@ TEST(Csv, RuntimeScalingBenchOutputRoundTrips) {
   const CsvTable t = csv_from_string(bench_csv);
   ASSERT_EQ(t.num_rows(), 2u);
   ASSERT_EQ(t.num_cols(), 10u);
-  EXPECT_DOUBLE_EQ(t.column("speedup")[0], 5.3);
-  EXPECT_TRUE(std::isnan(t.column("legacy_dp_s")[1]));
-  EXPECT_TRUE(std::isnan(t.column("speedup")[1]));
+  EXPECT_EQ(t.header[9], "speedup");
+  EXPECT_DOUBLE_EQ(t.rows[0][9], 5.3);
+  EXPECT_TRUE(std::isnan(t.rows[1][7]));  // legacy_dp_s
+  EXPECT_TRUE(std::isnan(t.rows[1][9]));
   // And the in-memory table round-trips through its own serialisation.
   const CsvTable back = csv_from_string(csv_to_string(t));
   ASSERT_EQ(back.num_rows(), 2u);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/stats.hpp"
 
 namespace tegrec::thermal {
@@ -130,15 +135,54 @@ TEST(DriveCycle, InvalidArgsThrow) {
 }
 
 TEST(DriveCycle, SegmentKindNames) {
-  EXPECT_EQ(to_string(DriveSegment::Kind::kIdle), "idle");
-  EXPECT_EQ(to_string(DriveSegment::Kind::kUrban), "urban");
-  EXPECT_EQ(to_string(DriveSegment::Kind::kCruise), "cruise");
-  EXPECT_EQ(to_string(DriveSegment::Kind::kHill), "hill");
-  EXPECT_EQ(to_string(DriveSegment::Kind::kStopStart), "stop_start");
-  EXPECT_EQ(to_string(DriveSegment::Kind::kColdStart), "cold_start");
-  EXPECT_EQ(to_string(DriveSegment::Kind::kSteadyProcess), "steady_process");
-  EXPECT_EQ(to_string(DriveSegment::Kind::kLoadRamp), "load_ramp");
-  EXPECT_EQ(to_string(DriveSegment::Kind::kBatchCycle), "batch_cycle");
+  const std::vector<std::pair<DriveSegment::Kind, std::string>> expected = {
+      {DriveSegment::Kind::kIdle, "idle"},
+      {DriveSegment::Kind::kUrban, "urban"},
+      {DriveSegment::Kind::kCruise, "cruise"},
+      {DriveSegment::Kind::kHill, "hill"},
+      {DriveSegment::Kind::kStopStart, "stop_start"},
+      {DriveSegment::Kind::kColdStart, "cold_start"},
+      {DriveSegment::Kind::kSteadyProcess, "steady_process"},
+      {DriveSegment::Kind::kLoadRamp, "load_ramp"},
+      {DriveSegment::Kind::kBatchCycle, "batch_cycle"}};
+  const auto& names = segment_kind_names();
+  ASSERT_EQ(names.size(), expected.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(names[i].first, expected[i].first);
+    EXPECT_EQ(names[i].second, expected[i].second);
+  }
+}
+
+// Segment durations come from spec files and sweeps.  A negative, NaN or
+// infinite duration, or one too long to count in steps, must throw before
+// any step is generated: none of them may hang or reach llround out of
+// range.
+TEST(DriveCycle, BadSegmentDurationsThrow) {
+  // 1e12 s is finite and llround can count it, but 1e13 steps could never
+  // be held in memory: it must fail up front, not grow vectors until then.
+  for (const double bad : {-30.0, -1e-9, 1e12, 1e300,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<DriveSegment> segments = default_porter_cycle();
+    segments.back().duration_s = bad;
+    EXPECT_THROW(generate_drive_cycle(segments, VehicleParams{}, 0.1, 1),
+                 std::invalid_argument)
+        << bad;
+  }
+  // Each segment under the cap, their sum over it.
+  std::vector<DriveSegment> long_laps = default_porter_cycle();
+  for (DriveSegment& seg : long_laps) {
+    seg.duration_s = 0.6 * static_cast<double>(kMaxDriveCycleSteps) * 0.1;
+  }
+  EXPECT_THROW(generate_drive_cycle(long_laps, VehicleParams{}, 0.1, 1),
+               std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(
+      generate_drive_cycle(default_porter_cycle(), VehicleParams{}, nan, 1),
+      std::invalid_argument);
+  std::vector<DriveSegment> zero = default_porter_cycle();
+  zero.front().duration_s = 0.0;
+  EXPECT_NO_THROW(generate_drive_cycle(zero, VehicleParams{}, 0.1, 1));
 }
 
 TEST(StopStart, DwellsAreEngineOffWithZeroPower) {

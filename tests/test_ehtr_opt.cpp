@@ -13,6 +13,8 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "core/objective.hpp"
 #include "port_oracle.hpp"
@@ -119,26 +121,36 @@ TEST(ArrayEvaluatorSuite, MatchesDirectSummationAcrossRandomFields) {
           power::optimal_operating_point(direct, conv).output_power_w;
       const double p_cached = config_power_w(evaluator, conv, c);
       EXPECT_NEAR(p_cached, p_string, 1e-12 * std::max(1.0, std::abs(p_string)))
-          << "trial " << trial << " config " << c.to_string();
+          << "trial " << trial << " config "
+          << testing::PrintToString(c.group_starts());
     }
   }
 }
 
-TEST(ArrayEvaluatorSuite, GroupEquivalentMatchesInParallel) {
+TEST(ArrayEvaluatorSuite, InteriorGroupsMatchInParallel) {
+  // Three-group strings {0, b, e} put every interior range [b, e) of the
+  // prefix sums into one group.
   std::vector<double> dts(12);
   for (std::size_t i = 0; i < dts.size(); ++i) dts[i] = 8.0 + 2.5 * static_cast<double>(i);
   const teg::TegArray array(kDev, dts);
   const teg::ArrayEvaluator evaluator(array);
-  for (std::size_t b = 0; b < 12; ++b) {
-    for (std::size_t e = b + 1; e <= 12; ++e) {
-      const teg::LinearSource group = oracle::direct_group_port(array, b, e);
-      const teg::LinearSource src = evaluator.group_equivalent(b, e);
-      EXPECT_NEAR(src.voc_v, group.voc_v, 1e-12 * std::max(1.0, group.voc_v));
-      EXPECT_NEAR(src.r_ohm, group.r_ohm, 1e-12 * std::max(1.0, group.r_ohm));
+  for (std::size_t b = 1; b < 12; ++b) {
+    for (std::size_t e = b + 1; e < 12; ++e) {
+      const teg::ArrayConfig config({0, b, e}, 12);
+      const teg::LinearSource string =
+          oracle::direct_string_port(array, config);
+      const teg::LinearSource src = evaluator.string_equivalent(config);
+      EXPECT_NEAR(src.voc_v, string.voc_v, 1e-12 * std::max(1.0, string.voc_v));
+      EXPECT_NEAR(src.r_ohm, string.r_ohm, 1e-12 * std::max(1.0, string.r_ohm));
     }
   }
-  EXPECT_THROW(evaluator.group_equivalent(3, 3), std::out_of_range);
-  EXPECT_THROW(evaluator.group_equivalent(0, 13), std::out_of_range);
+  const std::vector<std::size_t> repeated{0, 3, 3};
+  const std::vector<std::size_t> past_end{0, 12};
+  using Starts = std::span<const std::size_t>;
+  EXPECT_THROW(evaluator.string_equivalent(Starts(repeated)),
+               std::out_of_range);
+  EXPECT_THROW(evaluator.string_equivalent(Starts(past_end)),
+               std::out_of_range);
 }
 
 TEST(ArrayEvaluatorSuite, IdealPowerMatchesArray) {

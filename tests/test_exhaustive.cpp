@@ -1,11 +1,15 @@
-#include "core/exhaustive.hpp"
-
 #include <gtest/gtest.h>
 
 #include "core/objective.hpp"
+#include "exhaustive_oracle.hpp"
 
 namespace tegrec::core {
 namespace {
+
+using oracle::exhaustive_contiguous_search;
+using oracle::exhaustive_set_partition_search;
+using oracle::ExhaustiveResult;
+using oracle::SetPartitionResult;
 
 const teg::DeviceParams kDev = teg::tgm_199_1_4_0_8();
 const power::ConverterParams kConv;

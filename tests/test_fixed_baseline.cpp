@@ -9,7 +9,9 @@ TEST(FixedBaseline, SquareGridFor100Modules) {
   auto rec = FixedBaselineReconfigurer::square_grid(100);
   const UpdateResult r = rec.update(0.0, std::vector<double>(100, 20.0), 25.0);
   EXPECT_EQ(r.config.num_groups(), 10u);
-  for (std::size_t j = 0; j < 10; ++j) EXPECT_EQ(r.config.group_size(j), 10u);
+  for (std::size_t j = 0; j < 10; ++j) {
+    EXPECT_EQ(r.config.group_end(j) - r.config.group_begin(j), 10u);
+  }
 }
 
 TEST(FixedBaseline, FirstCallInstallsThenNothing) {
@@ -56,7 +58,7 @@ TEST(FixedBaseline, NonSquareCounts) {
   const UpdateResult r = rec.update(0.0, std::vector<double>(20, 10.0), 25.0);
   std::size_t total = 0;
   for (std::size_t j = 0; j < r.config.num_groups(); ++j) {
-    total += r.config.group_size(j);
+    total += r.config.group_end(j) - r.config.group_begin(j);
   }
   EXPECT_EQ(total, 20u);
 }

@@ -50,10 +50,8 @@ TEST(History, ConstructionValidation) {
   EXPECT_THROW(TemperatureHistory(3, 1), std::invalid_argument);
 }
 
-TEST(History, ClearEmptiesBuffer) {
-  TemperatureHistory h(1, 4);
-  h.push({1.0});
-  h.clear();
+TEST(History, FreshHistoryIsEmpty) {
+  const TemperatureHistory h(1, 4);
   EXPECT_TRUE(h.empty());
   EXPECT_THROW(h.latest(), std::out_of_range);
   EXPECT_THROW(h.row(0), std::out_of_range);

@@ -6,14 +6,17 @@
 #include <span>
 #include <string>
 
-#include "core/exhaustive.hpp"
 #include "core/objective.hpp"
+#include "exhaustive_oracle.hpp"
 #include "inor_oracle.hpp"
 #include "scenario_fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace tegrec::core {
 namespace {
+
+using oracle::exhaustive_contiguous_search;
+using oracle::ExhaustiveResult;
 
 const teg::DeviceParams kDev = teg::tgm_199_1_4_0_8();
 const power::ConverterParams kConv;
@@ -39,7 +42,9 @@ TEST(InorPartition, ExactGroupCount) {
 TEST(InorPartition, UniformCurrentsGiveUniformGroups) {
   const std::vector<double> impp(12, 0.7);
   const teg::ArrayConfig c = inor_partition(impp, 4);
-  for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(c.group_size(j), 3u);
+  for (std::size_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(c.group_end(j) - c.group_begin(j), 3u);
+  }
 }
 
 TEST(InorPartition, BalancesGroupSums) {
@@ -48,7 +53,8 @@ TEST(InorPartition, BalancesGroupSums) {
   const std::vector<double> impp{2.0, 1.8, 1.5, 1.2, 1.0, 0.8, 0.6, 0.5, 0.4, 0.3};
   const teg::ArrayConfig c = inor_partition(impp, 3);
   ASSERT_EQ(c.num_groups(), 3u);
-  EXPECT_LE(c.group_size(0), c.group_size(2));
+  EXPECT_LE(c.group_end(0) - c.group_begin(0),
+            c.group_end(2) - c.group_begin(2));
   // Every group sum within 1 module-current of Iideal.
   double total = 0.0;
   for (double x : impp) total += x;
@@ -409,7 +415,9 @@ TEST_P(InorWindowSweep, ValidAndBounded) {
   EXPECT_LE(config_power_w(evaluator, conv, c),
             array.ideal_power_w() + 1e-9);
   std::size_t covered = 0;
-  for (std::size_t j = 0; j < c.num_groups(); ++j) covered += c.group_size(j);
+  for (std::size_t j = 0; j < c.num_groups(); ++j) {
+    covered += c.group_end(j) - c.group_begin(j);
+  }
   EXPECT_EQ(covered, 30u);
 }
 

@@ -37,8 +37,6 @@ TEST(Json, AccessorsAndLookup) {
   EXPECT_EQ(doc.at("schema").as_number(), 1.0);
   EXPECT_TRUE(doc.at("ok").as_bool());
   EXPECT_EQ(doc.at("name").as_string(), "sweep \"x\"\nline2\t\\end");
-  EXPECT_TRUE(doc.contains("points"));
-  EXPECT_FALSE(doc.contains("missing"));
   EXPECT_THROW(doc.at("missing"), std::out_of_range);
   const Array& points = doc.at("points").as_array();
   ASSERT_EQ(points.size(), 2u);

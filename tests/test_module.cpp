@@ -14,33 +14,6 @@ TEST(Module, OpenCircuitVoltageLinearInDeltaT) {
   EXPECT_NEAR(m20.port().voc_v, kDev.seebeck_total_v_k() * 20.0, 1e-12);
 }
 
-TEST(Module, Equation2PowerIntoLoad) {
-  // P = (alpha dT Ncpl / (R + RL))^2 * RL, Eq. (2).
-  const Module m = Module::from_delta_t(kDev, 30.0);
-  const double r_load = 2.0;
-  const double e = m.port().voc_v;
-  const double r = m.port().r_ohm;
-  const double expected = e / (r + r_load) * (e / (r + r_load)) * r_load;
-  EXPECT_NEAR(m.power_into_load(r_load), expected, 1e-12);
-}
-
-TEST(Module, MaximumPowerTransferAtMatchedLoad) {
-  // Sweep load resistance: the maximum must occur at RL == Rteg and equal
-  // the closed-form MPP power.
-  const Module m = Module::from_delta_t(kDev, 35.0);
-  const double r_int = m.port().r_ohm;
-  double best_power = 0.0, best_r = 0.0;
-  for (double rl = 0.05; rl < 10.0; rl += 0.005) {
-    const double p = m.power_into_load(rl);
-    if (p > best_power) {
-      best_power = p;
-      best_r = rl;
-    }
-  }
-  EXPECT_NEAR(best_r, r_int, 0.01);
-  EXPECT_NEAR(best_power, m.port().mpp_power_w(), 1e-4);
-}
-
 TEST(Module, PortResistanceAtMeanTemperature) {
   // R is the device resistance derated at the mean face temperature.
   const Module m(kDev, 70.0, 30.0);
@@ -81,11 +54,6 @@ TEST(Module, ZeroDeltaTProducesNothing) {
   const Module m = Module::from_delta_t(kDev, 0.0);
   EXPECT_DOUBLE_EQ(m.port().voc_v, 0.0);
   EXPECT_DOUBLE_EQ(m.port().mpp_power_w(), 0.0);
-}
-
-TEST(Module, NegativeLoadThrows) {
-  const Module m = Module::from_delta_t(kDev, 10.0);
-  EXPECT_THROW(m.power_into_load(-1.0), std::invalid_argument);
 }
 
 TEST(Module, HotterMeanTemperatureRaisesResistance) {

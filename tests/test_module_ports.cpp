@@ -96,14 +96,13 @@ void expect_paths_agree(util::Rng& rng, const DeviceParams& device,
                      "port " + std::to_string(i));
   }
   EXPECT_EQ(bits(evaluator.ideal_power_w()), bits(reference.ideal_power_w()));
-  EXPECT_EQ(bits(evaluator.total_conductance_s()),
-            bits(reference.total_conductance_s()));
   EXPECT_EQ(bits(ArrayEvaluator(ports).ideal_power_w()),
             bits(reference.ideal_power_w()));
   for (int k = 0; k < 8; ++k) {
     const ArrayConfig config = random_config(rng, ports.size());
     expect_same_port(evaluator.string_equivalent(config),
-                     reference.string_equivalent(config), config.to_string());
+                     reference.string_equivalent(config),
+                     testing::PrintToString(config.group_starts()));
   }
 }
 

@@ -3,7 +3,7 @@
 #include <limits>
 
 #include "sim/montecarlo.hpp"
-#include "sim/sweep.hpp"
+#include "sim/spec.hpp"
 
 namespace tegrec::sim {
 namespace {
@@ -22,6 +22,18 @@ ComparisonOptions fast_comparison() {
   options.include_inor = false;
   options.include_ehtr = false;
   return options;
+}
+
+ExperimentSpec coupling_sweep(std::vector<double> values,
+                              const ComparisonOptions& comparison) {
+  ExperimentSpec spec;
+  spec.kind = ExperimentKind::kSweep;
+  spec.trace.kind = TraceSource::Kind::kGenerated;
+  spec.trace.generator = tiny_config();
+  spec.comparison = comparison;
+  spec.sweep_parameter_name = "surface_coupling";
+  spec.sweep_values = std::move(values);
+  return spec;
 }
 
 TEST(MonteCarlo, AggregatesAcrossSeeds) {
@@ -79,12 +91,9 @@ TEST(MonteCarlo, Validation) {
 }
 
 TEST(Sweep, CouplingSweepMonotoneEnergy) {
-  const auto points = sweep_parameter(
-      tiny_config(), {0.55, 0.7, 0.85},
-      [](thermal::TraceGeneratorConfig& config, double value) {
-        config.layout.surface_coupling = value;
-      },
-      fast_comparison());
+  const auto points =
+      run_experiment(coupling_sweep({0.55, 0.7, 0.85}, fast_comparison()))
+          .sweep;
   ASSERT_EQ(points.size(), 3u);
   // Better thermal coupling -> more dT -> more energy for both schemes.
   EXPECT_LT(points[0].dnor_energy_j, points[1].dnor_energy_j);
@@ -96,32 +105,15 @@ TEST(Sweep, CouplingSweepMonotoneEnergy) {
 }
 
 TEST(Sweep, Validation) {
-  EXPECT_THROW(
-      sweep_parameter(tiny_config(), {},
-                      [](thermal::TraceGeneratorConfig&, double) {}),
-      std::invalid_argument);
-  EXPECT_THROW(sweep_parameter(tiny_config(), {1.0}, nullptr),
+  EXPECT_THROW(run_experiment(coupling_sweep({}, fast_comparison())),
                std::invalid_argument);
+  ExperimentSpec unknown = coupling_sweep({1.0}, fast_comparison());
+  unknown.sweep_parameter_name = "warp_factor";
+  EXPECT_THROW(run_experiment(unknown), std::invalid_argument);
   ComparisonOptions no_base = fast_comparison();
   no_base.include_baseline = false;
-  EXPECT_THROW(
-      sweep_parameter(tiny_config(), {1.0},
-                      [](thermal::TraceGeneratorConfig&, double) {}, no_base),
-      std::invalid_argument);
-}
-
-TEST(Sweep, CsvExport) {
-  const auto points = sweep_parameter(
-      tiny_config(), {0.5, 0.7},
-      [](thermal::TraceGeneratorConfig& config, double value) {
-        config.layout.surface_coupling = value;
-      },
-      fast_comparison());
-  const util::CsvTable table = sweep_to_csv("coupling", points);
-  EXPECT_EQ(table.header.front(), "coupling");
-  ASSERT_EQ(table.num_rows(), 2u);
-  EXPECT_DOUBLE_EQ(table.rows[0][0], 0.5);
-  EXPECT_NEAR(table.rows[1][3], 100.0 * points[1].gain, 1e-9);
+  EXPECT_THROW(run_experiment(coupling_sweep({1.0}, no_base)),
+               std::invalid_argument);
 }
 
 }  // namespace

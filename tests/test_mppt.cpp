@@ -72,53 +72,6 @@ TEST(OptimalOperatingPoint, BadToleranceThrows) {
   EXPECT_THROW(optimal_operating_point(s, conv, 0.0), std::invalid_argument);
 }
 
-TEST(PerturbObserve, ConvergesNearOracle) {
-  const Converter conv;
-  const teg::LinearSource s = make_string(10, 35.0, 10.0);
-  const OperatingPoint oracle = optimal_operating_point(s, conv);
-
-  PerturbObserveTracker tracker(0.02);
-  tracker.reset(0.2 * oracle.current_a);  // start well below the peak
-  const OperatingPoint tracked = tracker.run(s, conv, 600);
-  EXPECT_NEAR(tracked.output_power_w, oracle.output_power_w,
-              0.02 * oracle.output_power_w);
-}
-
-TEST(PerturbObserve, ConvergesFromAbove) {
-  const Converter conv;
-  const teg::LinearSource s = make_string(10, 35.0, 10.0);
-  const OperatingPoint oracle = optimal_operating_point(s, conv);
-  PerturbObserveTracker tracker(0.02);
-  tracker.reset(1.8 * oracle.current_a);
-  const OperatingPoint tracked = tracker.run(s, conv, 600);
-  EXPECT_NEAR(tracked.output_power_w, oracle.output_power_w,
-              0.02 * oracle.output_power_w);
-}
-
-TEST(PerturbObserve, OscillatesAroundPeakNotDiverges) {
-  const Converter conv;
-  const teg::LinearSource s = make_string(10, 30.0, 15.0);
-  const OperatingPoint oracle = optimal_operating_point(s, conv);
-  PerturbObserveTracker tracker(0.05);
-  tracker.reset(oracle.current_a);
-  // After many iterations the tracker must remain within a few perturbation
-  // steps of the optimum (the textbook P&O limit cycle).
-  OperatingPoint last;
-  for (int i = 0; i < 500; ++i) last = tracker.step(s, conv);
-  EXPECT_NEAR(last.current_a, oracle.current_a, 0.25);
-}
-
-TEST(PerturbObserve, ResetClampsNegativeCurrent) {
-  PerturbObserveTracker tracker(0.02);
-  tracker.reset(-5.0);
-  EXPECT_DOUBLE_EQ(tracker.current_a(), 0.0);
-}
-
-TEST(PerturbObserve, BadStepThrows) {
-  EXPECT_THROW(PerturbObserveTracker(0.0), std::invalid_argument);
-  EXPECT_THROW(PerturbObserveTracker(-0.1), std::invalid_argument);
-}
-
 // ---- OutputPowerBound: a certified bound on every output above a floor
 
 // The converter output at one string current, computed as the golden
@@ -235,24 +188,6 @@ TEST(OutputPowerBound, RisesWithVocAndFallsWithResistance) {
     }
   }
 }
-
-// P&O convergence property across string shapes (group counts).
-class PoConvergence : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(PoConvergence, WithinFivePercentOfOracle) {
-  const std::size_t n_groups = GetParam();
-  const Converter conv;
-  const teg::LinearSource s = make_string(n_groups, 38.0, 9.0);
-  const OperatingPoint oracle = optimal_operating_point(s, conv);
-  if (oracle.output_power_w < 1e-6) GTEST_SKIP() << "string outside window";
-  PerturbObserveTracker tracker(0.01);
-  tracker.reset(0.5 * oracle.current_a);
-  const OperatingPoint tracked = tracker.run(s, conv, 1500);
-  EXPECT_GT(tracked.output_power_w, 0.95 * oracle.output_power_w);
-}
-
-INSTANTIATE_TEST_SUITE_P(GroupCounts, PoConvergence,
-                         ::testing::Values(5, 8, 10, 14, 18));
 
 }  // namespace
 }  // namespace tegrec::power

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "sim/montecarlo.hpp"
-#include "sim/sweep.hpp"
+#include "sim/spec.hpp"
 #include "util/parallel.hpp"
 
 namespace tegrec {
@@ -133,16 +133,18 @@ TEST(ParallelDeterminism, MonteCarloBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDeterminism, SweepBitIdenticalAcrossThreadCounts) {
   const sim::MonteCarloOptions base = tiny_mc_options();
-  const std::vector<double> values = {16, 20, 24, 28};
-  const sim::ConfigMutator mutate = [](thermal::TraceGeneratorConfig& config,
-                                       double value) {
-    config.layout.num_modules = static_cast<std::size_t>(value);
-  };
+  sim::ExperimentSpec spec;
+  spec.kind = sim::ExperimentKind::kSweep;
+  spec.trace.kind = sim::TraceSource::Kind::kGenerated;
+  spec.trace.generator = base.base_trace;
+  spec.comparison = base.comparison;
+  spec.sweep_parameter_name = "num_modules";
+  spec.sweep_values = {16, 20, 24, 28};
 
-  const std::vector<sim::SweepPoint> serial = sim::sweep_parameter(
-      base.base_trace, values, mutate, base.comparison, /*num_threads=*/1);
-  const std::vector<sim::SweepPoint> parallel = sim::sweep_parameter(
-      base.base_trace, values, mutate, base.comparison, /*num_threads=*/4);
+  spec.sweep_num_threads = 1;
+  const std::vector<sim::SweepPoint> serial = sim::run_experiment(spec).sweep;
+  spec.sweep_num_threads = 4;
+  const std::vector<sim::SweepPoint> parallel = sim::run_experiment(spec).sweep;
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

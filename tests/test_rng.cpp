@@ -102,12 +102,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(hits / 10000.0, 0.25, 0.02);
 }
 
-TEST(Rng, GaussianVectorShape) {
-  Rng rng(17);
-  const auto v = rng.gaussian_vector(64, 0.0, 1.0);
-  EXPECT_EQ(v.size(), 64u);
-}
-
 TEST(OuStep, MeanReverts) {
   // With zero diffusion the OU step is a pure pull toward the mean.
   Rng rng(19);

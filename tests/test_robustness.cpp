@@ -68,32 +68,6 @@ TEST_P(SeedSweep, DnorSwitchesSparselyOnEveryDrive) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
                          ::testing::Values(1u, 7u, 42u, 1337u, 99999u));
 
-// MPPT cross-validation: P&O must agree with the golden-section oracle on
-// random strings.
-class TrackerAgreement : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(TrackerAgreement, PerturbObserveReachesOracle) {
-  util::Rng rng(GetParam());
-  const teg::DeviceParams dev = teg::tgm_199_1_4_0_8();
-  std::vector<double> dts(30);
-  for (auto& dt : dts) dt = rng.uniform(8.0, 40.0);
-  const teg::TegArray array(dev, dts);
-  const std::size_t n_groups = static_cast<std::size_t>(rng.uniform_int(6, 12));
-  const teg::LinearSource s =
-      oracle::direct_string_port(array, teg::ArrayConfig::uniform(30, n_groups));
-  const power::Converter conv{power::ConverterParams{}};
-  const power::OperatingPoint best = power::optimal_operating_point(s, conv);
-  if (best.output_power_w < 0.5) GTEST_SKIP() << "string outside window";
-
-  power::PerturbObserveTracker po(0.01);
-  po.reset(0.4 * best.current_a);
-  EXPECT_GT(po.run(s, conv, 1500).output_power_w, 0.95 * best.output_power_w)
-      << "P&O, seed " << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TrackerAgreement,
-                         ::testing::Values(3u, 11u, 29u, 71u));
-
 // INOR near-optimality across group windows and random profiles, checked
 // against the DP optimum (cheaper than the exhaustive oracle, so we can
 // afford larger N here).

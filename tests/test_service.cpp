@@ -6,7 +6,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/experiment.hpp"
@@ -210,13 +214,15 @@ TEST(Service, BlockingWrappersMatchDirectEngines) {
               wrapped_mc.samples[i].dnor_energy_j);
   }
 
-  const auto mutate = [](thermal::TraceGeneratorConfig& config, double value) {
-    config.layout.surface_coupling = value;
-  };
+  // Sweeps have no blocking wrapper: a spec naming a registered parameter
+  // is the one sweep path, and the shared service runs it like the rest.
+  ExperimentSpec sweep = sweep_spec();
+  sweep.sweep_values = {0.6, 0.8};
   const auto direct_sweep = detail::sweep_direct(
-      tiny_config(), {0.6, 0.8}, mutate, fast_comparison(), /*num_threads=*/1);
+      sweep.trace.generator, sweep.sweep_values,
+      "surface_coupling", fast_comparison(), /*num_threads=*/1);
   const auto wrapped_sweep =
-      sweep_parameter(tiny_config(), {0.6, 0.8}, mutate, fast_comparison());
+      ExperimentService::shared().submit(sweep).wait()->sweep;
   ASSERT_EQ(direct_sweep.size(), wrapped_sweep.size());
   for (std::size_t i = 0; i < direct_sweep.size(); ++i) {
     EXPECT_EQ(direct_sweep[i].gain, wrapped_sweep[i].gain);
@@ -230,7 +236,9 @@ TEST(Service, WrapperValidationErrorsPropagate) {
   mc.base_trace = tiny_config();
   mc.num_seeds = 0;
   EXPECT_THROW(run_monte_carlo(mc), std::invalid_argument);
-  EXPECT_THROW(sweep_parameter(tiny_config(), {1.0}, nullptr),
+  ExperimentSpec unknown = sweep_spec();
+  unknown.sweep_parameter_name = "warp_factor";
+  EXPECT_THROW(ExperimentService::shared().submit(unknown).wait(),
                std::invalid_argument);
   ComparisonOptions none = fast_comparison();
   none.include_dnor = false;
@@ -258,6 +266,19 @@ TEST(Service, CacheHitSkipsExecution) {
   EXPECT_EQ(service.cache_hits(), 1u);
   EXPECT_TRUE(second.from_cache());
   // Same stored object, so trivially bit-identical — including timing.
+  EXPECT_EQ(first_result.get(), second_result.get());
+}
+
+TEST(Service, SweepSpecSubmittedTwiceIsACacheHit) {
+  ExperimentService service((ServiceOptions()));
+  const JobHandle first = service.submit(sweep_spec());
+  const auto first_result = first.wait();
+  const JobHandle second = service.submit(sweep_spec());
+  const auto second_result = second.wait();
+  EXPECT_EQ(first.fingerprint(), second.fingerprint());
+  EXPECT_EQ(service.executions(), 1u) << "cache hit must not re-simulate";
+  EXPECT_EQ(service.cache_hits(), 1u);
+  EXPECT_TRUE(second.from_cache());
   EXPECT_EQ(first_result.get(), second_result.get());
 }
 
@@ -700,14 +721,93 @@ TEST(Spec, InlineTraceSourcesAreContentAddressed) {
 }
 
 TEST(Sweep, MutatorRegistryKnowsItsVocabulary) {
-  for (const std::string& name : sweep_parameter_names()) {
-    EXPECT_NO_THROW(sweep_mutator(name));
+  // Unknown names throw before anything runs, listing what exists.
+  try {
+    detail::sweep_direct(tiny_config(), {1.0}, "warp_factor",
+                         fast_comparison(), 1);
+    ADD_FAILURE() << "unknown sweep parameter accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("surface_coupling"),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_THROW(sweep_mutator("warp_factor"), std::invalid_argument);
-  // Registered mutators actually mutate.
-  thermal::TraceGeneratorConfig config = tiny_config();
-  sweep_mutator("num_modules")(config, 48.0);
-  EXPECT_EQ(config.layout.num_modules, 48u);
+  // Every registered parameter reaches the simulation: two values give two
+  // baseline energies.
+  const std::map<std::string, std::vector<double>> values = {
+      {"ambient_base_c", {25.0, 40.0}},
+      {"duration_scale", {1.0, 2.0}},
+      {"exchanger_k_per_length", {1400.0, 700.0}},
+      {"num_modules", {24.0, 36.0}},
+      {"surface_coupling", {0.72, 0.5}},
+      {"thermal_mass_j_k", {110000.0, 20000.0}}};
+  ASSERT_EQ(sweep_parameter_names().size(), values.size());
+  for (const std::string& name : sweep_parameter_names()) {
+    ASSERT_EQ(values.count(name), 1u) << name;
+    const auto points = detail::sweep_direct(tiny_config(), values.at(name),
+                                             name, fast_comparison(), 1);
+    ASSERT_EQ(points.size(), 2u);
+    EXPECT_NE(points[0].baseline_energy_j, points[1].baseline_energy_j)
+        << name;
+  }
+}
+
+// Sweep values come from spec files, so out-of-range ones must fail fast
+// with std::invalid_argument: a module count that is not a whole number
+// >= 1, or a duration scale that makes a segment negative or too long to
+// count in steps.  None of these may hang or reach an overflowing cast.
+TEST(Sweep, OutOfRangeValuesFailFast) {
+  const auto run = [](const std::string& parameter, double value) {
+    ExperimentSpec spec = sweep_spec();
+    spec.sweep_parameter_name = parameter;
+    spec.sweep_values = {value};
+    return run_experiment(spec);
+  };
+  for (const double bad : {-1.0, 0.0, 3.7, 1e300,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(run("num_modules", bad), std::invalid_argument) << bad;
+  }
+  for (const double bad : {-1.0, 1e300,
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(run("duration_scale", bad), std::invalid_argument) << bad;
+  }
+  ExperimentSpec spec = sweep_spec();
+  spec.sweep_parameter_name = "num_modules";
+  spec.sweep_values = {24.0, -1.0};
+  EXPECT_THROW(ExperimentService::shared().submit(spec).wait(),
+               std::invalid_argument);
+
+  // Every value is checked before the first point runs.  The base config
+  // here cannot generate a trace, so the bad last value can only be the
+  // reported error if no point was simulated before it.
+  thermal::TraceGeneratorConfig broken = tiny_config();
+  broken.segments.front().duration_s = -30.0;
+  for (const char* parameter : {"num_modules", "duration_scale"}) {
+    try {
+      detail::sweep_direct(broken, {1.0, 1.0, 1.0, -1.0}, parameter,
+                           fast_comparison(), /*num_threads=*/1);
+      ADD_FAILURE() << parameter << ": bad value accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(parameter), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // The same guard holds for a comparison spec file with a negative
+  // segment duration.
+  const std::string canonical = comparison_spec().canonical_text();
+  std::string text;
+  for (std::string_view rest = canonical; !rest.empty();) {
+    const std::size_t eol = rest.find('\n');
+    std::string_view line = rest.substr(0, eol);
+    rest = eol == std::string_view::npos ? "" : rest.substr(eol + 1);
+    if (line.starts_with("trace.gen.segment.0.duration_s")) {
+      line = "trace.gen.segment.0.duration_s = -30";
+    }
+    text.append(line).push_back('\n');
+  }
+  ASSERT_NE(text.find("duration_s = -30"), std::string::npos);
+  EXPECT_THROW(run_experiment(ExperimentSpec::from_text(text)),
+               std::invalid_argument);
 }
 
 }  // namespace

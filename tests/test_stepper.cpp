@@ -281,9 +281,10 @@ TEST(Stepper, RestoreIsAllOrNothing) {
   EXPECT_EQ(stepper.steps_consumed(), 7u);
 }
 
-// The disk round-trip door: save() then restore() into a fresh stepper
-// continues bit-identically, and the stamp is enforced.
-TEST(Stepper, SaveRestoreRoundTripsThroughDisk) {
+// The codec round trip: encode_checkpoint() of a half-run stepper, then
+// decode_checkpoint() + restore_state() into a fresh stepper, continues
+// bit-identically, and the stamp is enforced.
+TEST(Stepper, CheckpointCodecRoundTripContinuesBitIdentically) {
   const auto trace = urban_trace();
   StreamConfig config;
   config.scheme = StreamScheme::kDnor;
@@ -291,10 +292,6 @@ TEST(Stepper, SaveRestoreRoundTripsThroughDisk) {
   config.num_modules = trace.num_modules();
   config.sim.num_threads = 1;
   const std::string stamp = stream_config_fingerprint_text(config);
-  const std::string path =
-      testing::TempDir() + "/stepper_roundtrip_" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-      ".ckpt";
 
   const auto reference_controller = make_stream_controller(config);
   SimStepper reference(*reference_controller, config.dt_s, config.num_modules,
@@ -308,27 +305,23 @@ TEST(Stepper, SaveRestoreRoundTripsThroughDisk) {
   SimStepper first(*first_controller, config.dt_s, config.num_modules,
                    config.sim);
   for (std::size_t t = 0; t < cut; ++t) first.step(sample_at(trace, t));
-  first.save(path, stamp);
+  const std::string bytes =
+      encode_checkpoint(first.state(), stamp, /*extra_lines=*/{});
 
   const auto second_controller = make_stream_controller(config);
   SimStepper second(*second_controller, config.dt_s, config.num_modules,
                     config.sim);
-  second.restore(path, stamp);
+  second.restore_state(decode_checkpoint(bytes, stamp).state);
   for (std::size_t t = cut; t < trace.num_steps(); ++t) {
     second.step(sample_at(trace, t));
   }
   expect_bit_identical(reference.result(), second.result());
 
-  // A different configuration must refuse the same file.
+  // A different configuration must refuse the same bytes.
   StreamConfig other = config;
   other.control_period_s *= 2.0;
-  const auto third_controller = make_stream_controller(other);
-  SimStepper third(*third_controller, other.dt_s, other.num_modules,
-                   other.sim);
-  EXPECT_THROW(third.restore(path, stream_config_fingerprint_text(other)),
+  EXPECT_THROW(decode_checkpoint(bytes, stream_config_fingerprint_text(other)),
                std::runtime_error);
-  EXPECT_THROW(third.restore(path + ".missing", stamp), std::runtime_error);
-  std::remove(path.c_str());
 }
 
 }  // namespace

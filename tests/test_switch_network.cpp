@@ -46,37 +46,31 @@ TEST(SwitchNetwork, TooSmallThrows) {
 TEST(SwitchNetwork, SizeMismatchThrows) {
   SwitchNetwork net(5);
   EXPECT_THROW(net.apply(ArrayConfig::all_parallel(6)), std::invalid_argument);
-  // diff shares apply's validation: a wrong-module-count config must be
-  // rejected before any plan is computed.
-  EXPECT_THROW(net.diff(ArrayConfig::all_parallel(6)), std::invalid_argument);
-  EXPECT_THROW(net.diff(ArrayConfig::all_parallel(4)), std::invalid_argument);
+  EXPECT_THROW(net.apply(ArrayConfig::all_parallel(4)), std::invalid_argument);
+  // A rejected config actuates nothing.
+  EXPECT_EQ(net.total_actuations(), 0u);
+  EXPECT_EQ(net.current_config(), ArrayConfig::all_parallel(5));
 }
 
-TEST(SwitchNetwork, DiffReturnsTheFlipSetWithoutActuating) {
+TEST(SwitchNetwork, ApplyFlipsExactlyTheSymmetricDifference) {
   SwitchNetwork net(12);
   const ArrayConfig a({0, 4, 8}, 12);
   const ArrayConfig b({0, 3, 6, 9}, 12);
   net.apply(a);
-  const ActuationPlan plan = net.diff(b);
+  std::vector<bool> before(net.num_cells());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    before[i] = net.cell(i).series_closed;
+  }
   // Symmetric difference of series boundaries {4,8} and {3,6,9}: all five
-  // differ, i.e. cells 2, 3, 5, 7, 8 — ascending.
-  const std::vector<std::size_t> expected{2, 3, 5, 7, 8};
-  EXPECT_EQ(plan.flip_cells, expected);
-  EXPECT_EQ(plan.num_switch_actuations(), 3u * a.boundary_distance(b));
-  // diff is a pure query: nothing actuated, nothing counted.
-  EXPECT_EQ(net.current_config(), a);
-  EXPECT_EQ(net.total_actuations(), 3u * 2u);  // only the initial apply(a)
-  // The plan agrees with what apply then actually performs.
-  EXPECT_EQ(net.apply(b), plan.num_switch_actuations());
-}
-
-TEST(SwitchNetwork, DiffOfCurrentConfigIsEmpty) {
-  SwitchNetwork net(8);
-  const ArrayConfig c({0, 2, 5}, 8);
-  net.apply(c);
-  const ActuationPlan plan = net.diff(c);
-  EXPECT_TRUE(plan.empty());
-  EXPECT_EQ(plan.num_switch_actuations(), 0u);
+  // differ, i.e. cells 2, 3, 5, 7, 8.
+  EXPECT_EQ(net.apply(b), 3u * a.boundary_distance(b));
+  std::vector<std::size_t> flipped;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    if (net.cell(i).series_closed != before[i]) flipped.push_back(i);
+  }
+  EXPECT_EQ(flipped, (std::vector<std::size_t>{2, 3, 5, 7, 8}));
+  EXPECT_EQ(net.total_actuations(), 3u * (2u + 5u));
+  EXPECT_EQ(net.current_config(), b);
 }
 
 TEST(SwitchNetwork, ApplyCountsThreeSwitchesPerFlippedAdjacency) {

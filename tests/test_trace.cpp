@@ -38,12 +38,6 @@ TEST(TemperatureTrace, DeltaTClampedAtZero) {
   EXPECT_DOUBLE_EQ(dt[1], 5.0);
 }
 
-TEST(TemperatureTrace, ModuleSeries) {
-  const TemperatureTrace trace = tiny_trace();
-  EXPECT_EQ(trace.module_series(1), (std::vector<double>{40.0, 41.0, 42.0}));
-  EXPECT_THROW(trace.module_series(3), std::out_of_range);
-}
-
 TEST(TemperatureTrace, StepAtTime) {
   const TemperatureTrace trace = tiny_trace();
   EXPECT_EQ(trace.step_at_time(-1.0), 0u);

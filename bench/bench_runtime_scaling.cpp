@@ -27,6 +27,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,14 +126,14 @@ void reset_peak_rss() {
 // (in_parallel per group, in_series over groups): the O(N) per-candidate
 // materialisation the legacy search paid before teg::ArrayEvaluator's
 // prefix sums.  Built here so the library keeps one scoring path.
-teg::LinearSource materialised_port(const teg::TegArray& array,
+teg::LinearSource materialised_port(std::span<const teg::LinearSource> ports,
                                     const teg::ArrayConfig& config) {
   std::vector<teg::LinearSource> groups;
   groups.reserve(config.num_groups());
   for (std::size_t j = 0; j < config.num_groups(); ++j) {
     std::vector<teg::LinearSource> members;
     for (std::size_t i = config.group_begin(j); i < config.group_end(j); ++i) {
-      members.push_back(array.module(i).port());
+      members.push_back(ports[i]);
     }
     groups.push_back(teg::in_parallel(members));
   }

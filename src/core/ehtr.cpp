@@ -175,21 +175,23 @@ std::vector<teg::ArrayConfig> balanced_partitions(
   return out;
 }
 
-teg::ArrayConfig ehtr_search(const teg::TegArray& array,
+teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
                              const power::Converter& converter,
                              std::size_t num_threads, PartitionDp dp_kind,
                              std::size_t max_groups,
                              const EhtrWarmStart& warm,
                              EhtrSearchStats* stats) {
-  std::vector<double> impp = array.module_mpp_currents();
   // The DP only accepts finite currents; treat non-finite modules (NaN
   // temperatures, open faults) as stone cold, the same way inor_partition
   // treats dead modules.  Scoring below still sees the true NaN powers, so
   // a fully degenerate array falls back to the first candidate.
-  for (double& x : impp) {
-    if (!std::isfinite(x)) x = 0.0;
+  std::vector<double> impp;
+  impp.reserve(ports.size());
+  for (const teg::LinearSource& m : ports) {
+    const double x = m.mpp_current_a();
+    impp.push_back(std::isfinite(x) ? x : 0.0);
   }
-  const std::size_t count = array.size();
+  const std::size_t count = ports.size();
   if (max_groups == 0 || max_groups > count) max_groups = count;
 
   // Warm-start prerequisites.  The score bound below needs every module's
@@ -202,7 +204,7 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
   if (warm_ok) {
     std::vector<double> vocs(count);
     for (std::size_t i = 0; i < count && warm_ok; ++i) {
-      const teg::LinearSource& m = array.module(i).port();
+      const teg::LinearSource& m = ports[i];
       const double voc = m.voc_v;
       const double r = m.r_ohm;
       if (!std::isfinite(voc) || !std::isfinite(r) || r <= 0.0) {
@@ -229,12 +231,12 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
   if (warm_ok) {
     std::size_t base = warm.incumbent_groups;
     if (base == 0 || base > max_groups) {
-      base = group_count_window(array, converter).nmax;
+      base = group_count_window(ports, converter).nmax;
     }
     initial = std::min(max_groups, std::max<std::size_t>(1, base + warm.width));
   }
   PartitionTable table(impp, max_groups, dp_kind, initial);
-  const teg::ArrayEvaluator evaluator(array);
+  const teg::ArrayEvaluator evaluator(ports);
 
   // Streamed scoring: candidates are reconstructed chunk by chunk into
   // per-chunk scratch and scored immediately — only the score table (O(N)
@@ -344,12 +346,12 @@ UpdateResult EhtrReconfigurer::update(double time_s,
     return result;
   }
   const util::MonotonicTimer timer;
-  const teg::TegArray array(device_, delta_t_k, ambient_c);
+  teg::module_ports(device_, delta_t_k, ambient_c, ports_);
   EhtrWarmStart warm;
   warm.enabled = warm_start_;
   warm.incumbent_groups = has_config_ ? current_.num_groups() : 0;
   warm.width = warm_width_;
-  teg::ArrayConfig next = ehtr_search(array, converter_, num_threads_,
+  teg::ArrayConfig next = ehtr_search(ports_, converter_, num_threads_,
                                       PartitionDp::kDivideAndConquer,
                                       max_groups_, warm);
   result.compute_time_s = timer.seconds();

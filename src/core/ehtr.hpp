@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/reconfigurer.hpp"
@@ -148,8 +149,9 @@ struct EhtrSearchStats {
   bool warm_used = false;            ///< warm pass engaged (prereqs held)
 };
 
-/// Full EHTR search: group counts 1..max_groups (0 = all N, values above N
-/// clamp to N), charger-aware scoring over a cached ArrayEvaluator.
+/// Full EHTR search over a module port snapshot (teg::module_ports or a
+/// TegArray): group counts 1..max_groups (0 = all N, values above N clamp
+/// to N), charger-aware scoring over a cached ArrayEvaluator.
 /// Candidates are streamed out of a PartitionTable and scored in parallel
 /// chunks with per-thread scratch (`num_threads` as in util::parallel_for:
 /// 0 = hardware, 1 = inline), so only the chosen config is ever
@@ -172,7 +174,7 @@ struct EhtrSearchStats {
 /// are skipped, so the strict-improvement argmax provably can't land there
 /// and the result stays bit-identical to cold search.  Degenerate inputs
 /// (non-finite vocs or conductances) disable the warm pass entirely.
-teg::ArrayConfig ehtr_search(const teg::TegArray& array,
+teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
                              const power::Converter& converter,
                              std::size_t num_threads = 1,
                              PartitionDp dp = PartitionDp::kDivideAndConquer,
@@ -224,6 +226,8 @@ class EhtrReconfigurer final : public Reconfigurer {
   double next_run_time_s_ = 0.0;
   bool has_config_ = false;
   teg::ArrayConfig current_;
+  // Per-invocation port snapshot, reused across steps; never checkpointed.
+  std::vector<teg::LinearSource> ports_;
 };
 
 }  // namespace tegrec::core

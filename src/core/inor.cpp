@@ -101,11 +101,9 @@ teg::ArrayConfig inor_partition(const std::vector<double>& mpp_currents,
   return teg::ArrayConfig(std::move(starts), count);
 }
 
-teg::ArrayConfig inor_search(const teg::TegArray& array,
+teg::ArrayConfig inor_search(std::span<const teg::LinearSource> ports,
                              const power::Converter& converter,
                              const InorOptions& options) {
-  std::vector<teg::LinearSource> ports(array.size());
-  for (std::size_t i = 0; i < array.size(); ++i) ports[i] = array.module(i).port();
   const teg::ArrayEvaluator evaluator(ports);
   InorScratch scratch;
   return inor_search(ports, evaluator, converter, options, scratch);

@@ -58,13 +58,14 @@ struct InorScratch {
 /// strictly below the best score is skipped without running the golden
 /// section: it could not strictly beat the best, so the result is the
 /// score-every-candidate argmax.
-teg::ArrayConfig inor_search(const teg::TegArray& array,
+/// Runs over a module port snapshot (teg::module_ports or a TegArray) with
+/// an evaluator and scratch of its own.
+teg::ArrayConfig inor_search(std::span<const teg::LinearSource> ports,
                              const power::Converter& converter,
                              const InorOptions& options = {});
 
-/// The same search over a module port snapshot (teg::module_ports) and an
-/// evaluator assigned from those ports; bit-identical to the TegArray
-/// overload over the same modules.
+/// The same search with a caller-owned evaluator, assigned from `ports`,
+/// and scratch: the per-step path, which reuses both.
 teg::ArrayConfig inor_search(std::span<const teg::LinearSource> ports,
                              const teg::ArrayEvaluator& evaluator,
                              const power::Converter& converter,

@@ -29,39 +29,12 @@ power::OperatingPoint config_operating_point(
       evaluator.string_equivalent(group_starts), converter);
 }
 
-namespace {
-
-// Mean module MPP voltage, summed in module order, then the converter's
-// window for it.
-template <typename PortAt>
-power::Converter::GroupRange window_of(std::size_t size, PortAt port_at,
-                                       const power::Converter& converter) {
-  double mean_vmpp = 0.0;
-  for (std::size_t i = 0; i < size; ++i) {
-    mean_vmpp += port_at(i).mpp_voltage_v();
-  }
-  mean_vmpp /= static_cast<double>(size);
-  return converter.efficient_group_range(mean_vmpp, size);
-}
-
-}  // namespace
-
-power::Converter::GroupRange group_count_window(const teg::TegArray& array,
-                                                const power::Converter& converter) {
-  return window_of(
-      array.size(),
-      [&](std::size_t i) -> const teg::LinearSource& {
-        return array.module(i).port();
-      },
-      converter);
-}
-
 power::Converter::GroupRange group_count_window(
     std::span<const teg::LinearSource> ports, const power::Converter& converter) {
-  return window_of(
-      ports.size(),
-      [&](std::size_t i) -> const teg::LinearSource& { return ports[i]; },
-      converter);
+  double mean_vmpp = 0.0;
+  for (const teg::LinearSource& m : ports) mean_vmpp += m.mpp_voltage_v();
+  mean_vmpp /= static_cast<double>(ports.size());
+  return converter.efficient_group_range(mean_vmpp, ports.size());
 }
 
 }  // namespace tegrec::core

@@ -12,7 +12,6 @@
 
 #include "power/converter.hpp"
 #include "power/mppt.hpp"
-#include "teg/array.hpp"
 #include "teg/array_evaluator.hpp"
 #include "teg/config.hpp"
 
@@ -45,12 +44,9 @@ power::OperatingPoint config_operating_point(
     std::span<const std::size_t> group_starts);
 
 /// The [nmin, nmax] group-count window of Algorithm 1, derived from the
-/// converter's efficient input range and the array's mean module MPP
-/// voltage (Section III.B / V.A).
-power::Converter::GroupRange group_count_window(const teg::TegArray& array,
-                                                const power::Converter& converter);
-
-/// The same window from a module port snapshot (teg::module_ports).
+/// converter's efficient input range and the mean module MPP voltage of a
+/// port snapshot (teg::module_ports or a TegArray), summed in module order
+/// (Section III.B / V.A).
 power::Converter::GroupRange group_count_window(
     std::span<const teg::LinearSource> ports, const power::Converter& converter);
 

@@ -53,14 +53,16 @@ UpdateResult PrescientReconfigurer::update(double time_s,
   }
   const util::MonotonicTimer timer;
   const teg::TegArray array(device_, delta_t_k, ambient_c);
-  teg::ArrayConfig c_new = inor_search(array, converter_, params_.inor);
+  const teg::ArrayEvaluator evaluator(array);
+  InorScratch scratch;
+  teg::ArrayConfig c_new =
+      inor_search(array, evaluator, converter_, params_.inor, scratch);
 
   bool adopt = true;
   if (has_config_ && c_new != current_) {
     const auto [e_old, e_new] = future_energies_j(current_, c_new, time_s);
     const std::size_t toggles = 3 * current_.boundary_distance(c_new);
-    const double p_now =
-        config_power_w(teg::ArrayEvaluator(array), converter_, current_);
+    const double p_now = config_power_w(evaluator, converter_, current_);
     // Mirrors the stepper's actuation charge, own compute budget included.
     const double e_overhead =
         switchfab::reconfiguration_cost(

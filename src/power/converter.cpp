@@ -54,7 +54,11 @@ double Converter::output_power_w(double vin_v, double pin_w) const {
 Converter::GroupRange Converter::efficient_group_range(
     double group_vmpp_v, std::size_t max_groups, double width_factor) const {
   GroupRange range;
-  if (group_vmpp_v <= 0.0 || max_groups == 0) return range;
+  // A NaN voltage (a NaN module anywhere in the mean) would survive the
+  // clamps below and reach the size_t cast, which is undefined for NaN.
+  if (!std::isfinite(group_vmpp_v) || group_vmpp_v <= 0.0 || max_groups == 0) {
+    return range;
+  }
   const double lo = std::max(params_.output_voltage_v / width_factor,
                              params_.min_input_v);
   const double hi = std::min(params_.output_voltage_v * width_factor,

@@ -47,7 +47,8 @@ class Converter {
   /// per-group MPP voltage ~`group_vmpp_v` lands inside the efficient
   /// window [vout/width_factor, vout*width_factor]: the paper's
   /// [nmin, nmax].  Returns {1, 1} degenerately if the group voltage is
-  /// non-positive.
+  /// non-positive or non-finite (a dead array, or a NaN module in the
+  /// mean), or if max_groups is 0.
   struct GroupRange {
     std::size_t nmin = 1;
     std::size_t nmax = 1;

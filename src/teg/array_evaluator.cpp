@@ -62,26 +62,23 @@ __attribute__((target("avx2"))) void group_block_avx2(
 
 }  // namespace
 
-ArrayEvaluator::ArrayEvaluator(const TegArray& array) {
-  start(array.size());
-  for (std::size_t i = 0; i < array.size(); ++i) add(i, array.module(i).port());
-}
-
 ArrayEvaluator::ArrayEvaluator(std::span<const LinearSource> ports) {
   assign(ports);
 }
 
 void ArrayEvaluator::assign(std::span<const LinearSource> ports) {
-  start(ports.size());
-  for (std::size_t i = 0; i < ports.size(); ++i) add(i, ports[i]);
-}
-
-void ArrayEvaluator::start(std::size_t n) {
+  const std::size_t n = ports.size();
   conductance_prefix_.resize(n + 1);
   norton_prefix_.resize(n + 1);
   conductance_prefix_[0] = 0.0;
   norton_prefix_[0] = 0.0;
   ideal_power_w_ = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const LinearSource& m = ports[i];
+    conductance_prefix_[i + 1] = conductance_prefix_[i] + 1.0 / m.r_ohm;
+    norton_prefix_[i + 1] = norton_prefix_[i] + m.voc_v / m.r_ohm;
+    ideal_power_w_ += m.mpp_power_w();
+  }
 }
 
 bool ArrayEvaluator::simd_available() {

@@ -26,7 +26,6 @@
 #include <span>
 #include <vector>
 
-#include "teg/array.hpp"
 #include "teg/config.hpp"
 #include "teg/linear_source.hpp"
 
@@ -44,12 +43,8 @@ class ArrayEvaluator {
   /// An evaluator over no modules; assign() a port snapshot before use.
   ArrayEvaluator() = default;
 
-  /// Snapshots the array's per-module aggregates; the evaluator owns its
-  /// data and stays valid after the TegArray is destroyed.
-  explicit ArrayEvaluator(const TegArray& array);
-
-  /// Snapshots module ports (teg::module_ports' output); bit-identical to
-  /// the TegArray constructor over the same modules.
+  /// Snapshots module ports (teg::module_ports' output or a TegArray); the
+  /// evaluator owns its data and stays valid after the ports are destroyed.
   explicit ArrayEvaluator(std::span<const LinearSource> ports);
 
   /// Re-snapshots in place: the per-step path, which reuses the prefix
@@ -94,15 +89,6 @@ class ArrayEvaluator {
   std::vector<double> norton_prefix_{0.0};       ///< prefix sums of Voc_i/R_i
   double ideal_power_w_ = 0.0;
   ScoringKernel kernel_ = ScoringKernel::kAuto;
-
-  /// Sizes the prefix buffers for `n` modules and zeroes the totals.
-  void start(std::size_t n);
-  /// Folds module i's port into the prefix sums (i ascending from 0).
-  void add(std::size_t i, const LinearSource& m) {
-    conductance_prefix_[i + 1] = conductance_prefix_[i] + 1.0 / m.r_ohm;
-    norton_prefix_[i + 1] = norton_prefix_[i] + m.voc_v / m.r_ohm;
-    ideal_power_w_ += m.mpp_power_w();
-  }
 };
 
 }  // namespace tegrec::teg

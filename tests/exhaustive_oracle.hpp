@@ -12,13 +12,13 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "core/objective.hpp"
 #include "power/converter.hpp"
 #include "power/mppt.hpp"
-#include "teg/array.hpp"
 #include "teg/array_evaluator.hpp"
 #include "teg/config.hpp"
 #include "teg/linear_source.hpp"
@@ -35,14 +35,15 @@ struct ExhaustiveResult {
 /// Optimum over all contiguous partitions.  Throws for N > 24 (2^23
 /// candidates) to keep runtimes sane.
 inline ExhaustiveResult exhaustive_contiguous_search(
-    const teg::TegArray& array, const power::Converter& converter) {
-  const std::size_t n = array.size();
+    std::span<const teg::LinearSource> ports,
+    const power::Converter& converter) {
+  const std::size_t n = ports.size();
   if (n > 24) {
     throw std::invalid_argument("exhaustive_contiguous_search: N > 24");
   }
   ExhaustiveResult best;
   best.power_w = -1.0;
-  const teg::ArrayEvaluator evaluator(array);
+  const teg::ArrayEvaluator evaluator(ports);
   const std::size_t masks = std::size_t{1} << (n - 1);
   for (std::size_t mask = 0; mask < masks; ++mask) {
     std::vector<std::size_t> starts{0};
@@ -76,10 +77,10 @@ namespace detail {
 // Groups need not be contiguous, so each candidate's port is summed
 // directly from module ports instead of through an ArrayEvaluator.
 inline void enumerate_partitions(
-    const teg::TegArray& array, const power::Converter& converter,
+    std::span<const teg::LinearSource> ports, const power::Converter& converter,
     std::size_t i, std::vector<std::vector<teg::LinearSource>>& groups,
     SetPartitionResult& best) {
-  if (i == array.size()) {
+  if (i == ports.size()) {
     std::vector<teg::LinearSource> ports;
     ports.reserve(groups.size());
     for (const auto& members : groups) ports.push_back(teg::in_parallel(members));
@@ -90,30 +91,31 @@ inline void enumerate_partitions(
     if (p > best.power_w) best.power_w = p;
     return;
   }
-  const teg::LinearSource& m = array.module(i).port();
+  const teg::LinearSource& m = ports[i];
   // Index, not iterator: the recursion appends to `groups` and may
   // reallocate it before restoring its size.
   for (std::size_t k = 0; k < groups.size(); ++k) {
     groups[k].push_back(m);
-    enumerate_partitions(array, converter, i + 1, groups, best);
+    enumerate_partitions(ports, converter, i + 1, groups, best);
     groups[k].pop_back();
   }
   groups.push_back({m});
-  enumerate_partitions(array, converter, i + 1, groups, best);
+  enumerate_partitions(ports, converter, i + 1, groups, best);
   groups.pop_back();
 }
 
 }  // namespace detail
 
 inline SetPartitionResult exhaustive_set_partition_search(
-    const teg::TegArray& array, const power::Converter& converter) {
-  if (array.size() > 12) {
+    std::span<const teg::LinearSource> ports,
+    const power::Converter& converter) {
+  if (ports.size() > 12) {
     throw std::invalid_argument("exhaustive_set_partition_search: N > 12");
   }
   SetPartitionResult best;
   best.power_w = -1.0;
   std::vector<std::vector<teg::LinearSource>> groups;
-  detail::enumerate_partitions(array, converter, 0, groups, best);
+  detail::enumerate_partitions(ports, converter, 0, groups, best);
   return best;
 }
 

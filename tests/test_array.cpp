@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "port_oracle.hpp"
 #include "teg/array_evaluator.hpp"
 
@@ -20,9 +22,11 @@ std::vector<double> ramp(std::size_t n, double hi, double lo) {
 
 TEST(TegArray, ConstructionAndAccess) {
   const TegArray array(kDev, {30.0, 20.0, 10.0});
+  const std::span<const LinearSource> ports = array;
   EXPECT_EQ(array.size(), 3u);
-  EXPECT_NEAR(array.module(0).delta_t_k(), 30.0, 1e-12);
-  EXPECT_THROW(array.module(3), std::out_of_range);
+  ASSERT_EQ(ports.size(), 3u);
+  EXPECT_EQ(ports[0].voc_v, Module::from_delta_t(kDev, 30.0).port().voc_v);
+  EXPECT_EQ(ports[2].r_ohm, Module::from_delta_t(kDev, 10.0).port().r_ohm);
 }
 
 TEST(TegArray, InvalidConstructionThrows) {
@@ -33,7 +37,7 @@ TEST(TegArray, InvalidConstructionThrows) {
 TEST(TegArray, IdealPowerIsSumOfModuleMpps) {
   const TegArray array(kDev, {30.0, 20.0, 10.0});
   double expected = 0.0;
-  for (std::size_t i = 0; i < 3; ++i) expected += array.module(i).port().mpp_power_w();
+  for (const LinearSource& port : array) expected += port.mpp_power_w();
   EXPECT_NEAR(array.ideal_power_w(), expected, 1e-12);
 }
 
@@ -60,10 +64,11 @@ TEST(TegArray, UniformTemperaturesAnyConfigIsIdeal) {
 
 TEST(TegArray, ModuleMppCurrentsMatchModules) {
   const TegArray array(kDev, {33.0, 22.0, 11.0});
+  const std::span<const LinearSource> ports = array;
   const auto currents = array.module_mpp_currents();
   ASSERT_EQ(currents.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(currents[i], array.module(i).port().mpp_current_a(), 1e-12);
+    EXPECT_NEAR(currents[i], ports[i].mpp_current_a(), 1e-12);
   }
 }
 

@@ -155,6 +155,14 @@ TEST(Converter, GroupRangeDegenerateInputs) {
   const auto r2 = conv.efficient_group_range(1.0, 0);
   EXPECT_EQ(r2.nmin, 1u);
   EXPECT_EQ(r2.nmax, 1u);
+  // Non-finite voltages get the dead-array window instead of reaching the
+  // size_t cast (undefined for NaN).
+  for (double v : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    const auto r = conv.efficient_group_range(v, 100);
+    EXPECT_EQ(r.nmin, 1u) << v;
+    EXPECT_EQ(r.nmax, 1u) << v;
+  }
 }
 
 // The converter-aware group window shrinks as modules get hotter (higher

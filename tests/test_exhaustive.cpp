@@ -2,6 +2,7 @@
 
 #include "core/objective.hpp"
 #include "exhaustive_oracle.hpp"
+#include "teg/array.hpp"
 
 namespace tegrec::core {
 namespace {

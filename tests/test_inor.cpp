@@ -389,6 +389,17 @@ TEST(InorSearch, NanPortsAreScoredNeverPruned) {
   EXPECT_EQ(scratch.scored, 10u);
 }
 
+TEST(InorSearch, NanModuleGetsTheDeadArrayWindow) {
+  // One NaN module makes the mean module MPP voltage NaN; the derived
+  // window is then {1, 1}, as for a dead array.
+  std::vector<double> dts = decaying_delta_t(12, 36.0, 8.0);
+  dts[5] = std::numeric_limits<double>::quiet_NaN();
+  const teg::TegArray array(kDev, dts);
+  const power::Converter conv(kConv);
+  EXPECT_EQ(inor_search(array, conv),
+            inor_search(array, conv, InorOptions{.nmin = 1, .nmax = 1}));
+}
+
 TEST(InorSearch, PortSearchRejectsMismatchedEvaluator) {
   const power::Converter conv(kConv);
   std::vector<teg::LinearSource> ports;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "teg/array.hpp"
+
 namespace tegrec::core {
 namespace {
 

@@ -6,7 +6,7 @@
 // simulator used to charge every controller the same flat
 // OverheadParams::compute_budget_s, which made that asymmetry invisible —
 // and worse, engineering speedups to EHTR's implementation (warm starts,
-// SIMD scoring) would have silently *changed simulated physics* had the
+// faster scoring) would have silently *changed simulated physics* had the
 // simulator charged measured wall-clock time instead.
 //
 // AlgorithmCost decouples the two: each controller declares a

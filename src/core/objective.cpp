@@ -5,28 +5,17 @@ namespace tegrec::core {
 double config_power_w(const teg::ArrayEvaluator& evaluator,
                       const power::Converter& converter,
                       const teg::ArrayConfig& config) {
-  return config_operating_point(evaluator, converter, config).output_power_w;
-}
-
-power::OperatingPoint config_operating_point(const teg::ArrayEvaluator& evaluator,
-                                             const power::Converter& converter,
-                                             const teg::ArrayConfig& config) {
   return power::optimal_operating_point(evaluator.string_equivalent(config),
-                                        converter);
+                                        converter)
+      .output_power_w;
 }
 
 double config_power_w(const teg::ArrayEvaluator& evaluator,
                       const power::Converter& converter,
                       std::span<const std::size_t> group_starts) {
-  return config_operating_point(evaluator, converter, group_starts)
-      .output_power_w;
-}
-
-power::OperatingPoint config_operating_point(
-    const teg::ArrayEvaluator& evaluator, const power::Converter& converter,
-    std::span<const std::size_t> group_starts) {
   return power::optimal_operating_point(
-      evaluator.string_equivalent(group_starts), converter);
+             evaluator.string_equivalent(group_starts), converter)
+      .output_power_w;
 }
 
 power::Converter::GroupRange group_count_window(

@@ -57,7 +57,8 @@ TEST(TegArray, UniformTemperaturesAnyConfigIsIdeal) {
   const TegArray array(kDev, std::vector<double>(8, 25.0));
   const ArrayEvaluator evaluator(array);
   for (std::size_t n : {1u, 2u, 4u, 8u}) {
-    EXPECT_NEAR(evaluator.mpp_power_w(ArrayConfig::uniform(8, n)),
+    const ArrayConfig c = ArrayConfig::uniform(8, n);
+    EXPECT_NEAR(evaluator.string_equivalent(c).mpp_power_w(),
                 array.ideal_power_w(), 1e-9);
   }
 }

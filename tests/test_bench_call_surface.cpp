@@ -9,6 +9,7 @@
 //   ehtr_search(array, conv, 1, kDivideAndConquer, max_groups, warm, &stats)
 //                                            -> ehtr_search(ports, ...)
 //   array.module_mpp_currents()              -> ports[i].mpp_current_a()
+//   ArrayEvaluator::simd_available()         -> printed as a host fact only
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -90,6 +91,13 @@ TEST(BenchCallSurface, PerfbenchReplayShapesMatchThePortSpanApi) {
       EXPECT_EQ(bits(impp[i]), bits(ports[i].mpp_current_a())) << i;
     }
   }
+}
+
+TEST(BenchCallSurface, SimdAvailableStaysAHostFact) {
+  // perfbench's host-facts line is the only caller; no scoring path reads
+  // it, so all it owes is a stable answer per process.
+  const bool simd = teg::ArrayEvaluator::simd_available();
+  EXPECT_EQ(simd, teg::ArrayEvaluator::simd_available());
 }
 
 }  // namespace

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/objective.hpp"
@@ -88,42 +90,80 @@ TEST(PartitionDpEquivalence, DcMatchesLegacyWithTiesAndZeros) {
   }
 }
 
+/// Random strictly increasing group starts over n modules beginning at 0:
+/// each later module opens a group with probability `density`.
+std::vector<std::size_t> random_starts(util::Rng& rng, std::size_t n,
+                                       double density) {
+  std::vector<std::size_t> starts{0};
+  for (std::size_t i = 1; i < n; ++i) {
+    if (rng.uniform(0.0, 1.0) < density) starts.push_back(i);
+  }
+  return starts;
+}
+
+/// Every config's cached port and score match direct port summation to
+/// 1e-12 relative, and the span overload matches the ArrayConfig overload
+/// bit for bit.
+void expect_matches_direct(const teg::TegArray& array,
+                           const std::vector<teg::ArrayConfig>& configs) {
+  const teg::ArrayEvaluator evaluator(array);
+  const power::Converter conv(kConv);
+  for (const teg::ArrayConfig& c : configs) {
+    SCOPED_TRACE("N " + std::to_string(c.num_modules()) + " groups " +
+                 std::to_string(c.num_groups()));
+    const teg::LinearSource direct = oracle::direct_string_port(array, c);
+    const teg::LinearSource port = evaluator.string_equivalent(c);
+    const double tol_v = 1e-12 * std::max(1.0, std::abs(direct.voc_v));
+    const double tol_r = 1e-12 * std::max(1.0, std::abs(direct.r_ohm));
+    EXPECT_NEAR(port.voc_v, direct.voc_v, tol_v);
+    EXPECT_NEAR(port.r_ohm, direct.r_ohm, tol_r);
+
+    const teg::LinearSource span_port = evaluator.string_equivalent(
+        std::span<const std::size_t>(c.group_starts()));
+    EXPECT_EQ(span_port.voc_v, port.voc_v);
+    EXPECT_EQ(span_port.r_ohm, port.r_ohm);
+
+    const double p_string =
+        power::optimal_operating_point(direct, conv).output_power_w;
+    const double p_cached = config_power_w(evaluator, conv, c);
+    EXPECT_NEAR(p_cached, p_string, 1e-12 * std::max(1.0, std::abs(p_string)))
+        << "config " << testing::PrintToString(c.group_starts());
+  }
+}
+
 TEST(ArrayEvaluatorSuite, MatchesDirectSummationAcrossRandomFields) {
   util::Rng rng(41);
   for (std::size_t trial = 0; trial < 10; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
     std::vector<double> dts(40);
     for (auto& dt : dts) dt = rng.uniform(2.0, 45.0);
-    const teg::TegArray array(kDev, dts);
-    const teg::ArrayEvaluator evaluator(array);
-    const power::Converter conv(kConv);
 
     // A spread of configurations: extremes, uniform grids, random partitions.
     std::vector<teg::ArrayConfig> configs{
         teg::ArrayConfig::all_parallel(40), teg::ArrayConfig::all_series(40),
         teg::ArrayConfig::uniform(40, 5), teg::ArrayConfig::uniform(40, 13)};
     for (int extra = 0; extra < 4; ++extra) {
-      std::vector<std::size_t> starts{0};
-      for (std::size_t i = 1; i < 40; ++i) {
-        if (rng.uniform(0.0, 1.0) < 0.3) starts.push_back(i);
-      }
-      configs.emplace_back(std::move(starts), 40);
+      configs.emplace_back(random_starts(rng, 40, 0.3), 40);
     }
+    expect_matches_direct(teg::TegArray(kDev, dts), configs);
+  }
 
-    for (const teg::ArrayConfig& c : configs) {
-      const teg::LinearSource direct = oracle::direct_string_port(array, c);
-      const teg::LinearSource port = evaluator.string_equivalent(c);
-      const double tol_v = 1e-12 * std::max(1.0, std::abs(direct.voc_v));
-      const double tol_r = 1e-12 * std::max(1.0, std::abs(direct.r_ohm));
-      EXPECT_NEAR(port.voc_v, direct.voc_v, tol_v);
-      EXPECT_NEAR(port.r_ohm, direct.r_ohm, tol_r);
+  // Many groups: one group per module, uniform counts either side of 64
+  // and 128, and dense random partitions with hundreds of groups.
+  constexpr std::size_t kN = 1024;
+  for (std::size_t trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE("N 1024 trial " + std::to_string(trial));
+    std::vector<double> dts(kN);
+    for (auto& dt : dts) dt = rng.uniform(2.0, 45.0);
 
-      const double p_string =
-          power::optimal_operating_point(direct, conv).output_power_w;
-      const double p_cached = config_power_w(evaluator, conv, c);
-      EXPECT_NEAR(p_cached, p_string, 1e-12 * std::max(1.0, std::abs(p_string)))
-          << "trial " << trial << " config "
-          << testing::PrintToString(c.group_starts());
+    std::vector<teg::ArrayConfig> configs{teg::ArrayConfig::all_series(kN)};
+    for (std::size_t groups : {63u, 64u, 65u, 129u}) {
+      configs.push_back(teg::ArrayConfig::uniform(kN, groups));
     }
+    for (int extra = 0; extra < 4; ++extra) {
+      configs.emplace_back(random_starts(rng, kN, rng.uniform(0.3, 0.95)), kN);
+    }
+    expect_matches_direct(teg::TegArray(kDev, dts), configs);
   }
 }
 
@@ -146,10 +186,15 @@ TEST(ArrayEvaluatorSuite, InteriorGroupsMatchInParallel) {
   }
   const std::vector<std::size_t> repeated{0, 3, 3};
   const std::vector<std::size_t> past_end{0, 12};
+  // An interior start beyond the prefix arrays is rejected before the
+  // group ending there reads them.
+  const std::vector<std::size_t> interior_past_end{0, 40, 5};
   using Starts = std::span<const std::size_t>;
   EXPECT_THROW(evaluator.string_equivalent(Starts(repeated)),
                std::out_of_range);
   EXPECT_THROW(evaluator.string_equivalent(Starts(past_end)),
+               std::out_of_range);
+  EXPECT_THROW(evaluator.string_equivalent(Starts(interior_past_end)),
                std::out_of_range);
 }
 

@@ -3,17 +3,15 @@
 // The warm-start machinery in ehtr_search is an equivalence theorem, not a
 // behaviour: for every input and every warm setting the chosen config and
 // its charger-aware score must be *bit-identical* to the cold full sweep.
-// Likewise the SIMD scoring kernel in ArrayEvaluator must return port
-// models bit-identical to the scalar oracle.  Every comparison here is
-// EXPECT_EQ on exact doubles — no tolerances, by design: the moment either
-// path diverges in the last ulp the caching/fingerprint story breaks.
+// Every comparison here is EXPECT_EQ on exact doubles — no tolerances, by
+// design: the moment the two paths diverge in the last ulp the
+// caching/fingerprint story breaks.
 #include "core/ehtr.hpp"
 
 #include <cmath>
 #include <cstddef>
 #include <gtest/gtest.h>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -287,89 +285,6 @@ TEST(EhtrWarm, ControllerDecisionStreamIsBitIdentical) {
     EXPECT_EQ(config_power_w(evaluator, conv, rh.config),
               config_power_w(evaluator, conv, rc.config));
   }
-}
-
-// ---------------------------------------------------------- SIMD kernels
-
-/// Random strictly increasing group starts beginning at 0.
-std::vector<std::size_t> random_starts(util::Rng& rng, std::size_t n,
-                                       double density) {
-  std::vector<std::size_t> starts{0};
-  for (std::size_t i = 1; i < n; ++i) {
-    if (rng.bernoulli(density)) starts.push_back(i);
-  }
-  return starts;
-}
-
-TEST(ArrayEvaluatorKernels, SimdMatchesScalarBitwise) {
-  if (!teg::ArrayEvaluator::simd_available()) {
-    GTEST_SKIP() << "host CPU lacks the SIMD ISA; scalar-only build path";
-  }
-  util::Rng rng(42);
-  for (const std::size_t n : {std::size_t{64}, std::size_t{1024},
-                              std::size_t{10000}}) {
-    std::vector<double> dts(n);
-    for (std::size_t i = 0; i < n; ++i) dts[i] = rng.uniform(2.0, 45.0);
-    const teg::TegArray array(kDev, dts);
-    teg::ArrayEvaluator ev(array);
-
-    std::vector<std::vector<std::size_t>> cases;
-    cases.push_back({0});  // one big parallel group
-    std::vector<std::size_t> all(n);
-    for (std::size_t i = 0; i < n; ++i) all[i] = i;
-    cases.push_back(all);  // all-series: n singleton groups
-    for (int trial = 0; trial < 12; ++trial) {
-      cases.push_back(random_starts(rng, n, rng.uniform(0.02, 0.98)));
-    }
-
-    for (const std::vector<std::size_t>& starts : cases) {
-      ev.set_kernel(teg::ScoringKernel::kScalar);
-      const teg::LinearSource a = ev.string_equivalent(starts);
-      ev.set_kernel(teg::ScoringKernel::kSimd);
-      const teg::LinearSource b = ev.string_equivalent(starts);
-      ev.set_kernel(teg::ScoringKernel::kAuto);
-      const teg::LinearSource c = ev.string_equivalent(starts);
-      EXPECT_EQ(a.voc_v, b.voc_v) << "n=" << n << " groups=" << starts.size();
-      EXPECT_EQ(a.r_ohm, b.r_ohm) << "n=" << n << " groups=" << starts.size();
-      EXPECT_EQ(a.voc_v, c.voc_v);
-      EXPECT_EQ(a.r_ohm, c.r_ohm);
-    }
-  }
-}
-
-TEST(ArrayEvaluatorKernels, KernelSelectionContract) {
-  std::vector<double> dts(16, 20.0);
-  const teg::TegArray array(kDev, dts);
-  teg::ArrayEvaluator ev(array);
-  EXPECT_EQ(ev.kernel(), teg::ScoringKernel::kAuto);
-  ev.set_kernel(teg::ScoringKernel::kScalar);
-  EXPECT_EQ(ev.kernel(), teg::ScoringKernel::kScalar);
-  if (teg::ArrayEvaluator::simd_available()) {
-    EXPECT_NO_THROW(ev.set_kernel(teg::ScoringKernel::kSimd));
-    EXPECT_EQ(ev.kernel(), teg::ScoringKernel::kSimd);
-  } else {
-    EXPECT_THROW(ev.set_kernel(teg::ScoringKernel::kSimd),
-                 std::invalid_argument);
-    EXPECT_EQ(ev.kernel(), teg::ScoringKernel::kScalar);  // unchanged
-  }
-  EXPECT_NO_THROW(ev.set_kernel(teg::ScoringKernel::kAuto));
-}
-
-TEST(ArrayEvaluatorKernels, KernelChoiceDoesNotMoveEhtrDecisions) {
-  // Belt and braces on top of bitwise port-model identity: the full search
-  // built over the evaluator lands on the same config under every kernel
-  // (ehtr_search constructs its own evaluator with kAuto, so this pins the
-  // dispatch default against the scalar oracle via config scoring).
-  const std::size_t n = 96;
-  util::Rng rng(9);
-  const teg::TegArray array(kDev, drifting_field(rng, n, 0));
-  const power::Converter conv(kConv);
-  const teg::ArrayConfig chosen = ehtr_search(array, conv);
-  teg::ArrayEvaluator ev(array);
-  ev.set_kernel(teg::ScoringKernel::kScalar);
-  const double scalar_power = config_power_w(ev, conv, chosen);
-  teg::ArrayEvaluator ev2(array);  // kAuto
-  EXPECT_EQ(config_power_w(ev2, conv, chosen), scalar_power);
 }
 
 }  // namespace

@@ -24,7 +24,8 @@ TEST(Objective, ConfigPowerBelowIdealAndArrayMpp) {
   const teg::ArrayConfig c = teg::ArrayConfig::uniform(30, 6);
   const double p = config_power_w(evaluator, conv, c);
   EXPECT_GT(p, 0.0);
-  EXPECT_LE(p, evaluator.mpp_power_w(c) + 1e-9);  // conversion loses power
+  // Conversion loses power.
+  EXPECT_LE(p, evaluator.string_equivalent(c).mpp_power_w() + 1e-9);
   EXPECT_LE(p, array.ideal_power_w() + 1e-9);
 }
 
@@ -33,14 +34,14 @@ TEST(Objective, OperatingPointConsistent) {
   const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv{power::ConverterParams{}};
   const teg::ArrayConfig c = teg::ArrayConfig::uniform(30, 6);
-  const power::OperatingPoint pt = config_operating_point(evaluator, conv, c);
-  EXPECT_NEAR(pt.output_power_w, config_power_w(evaluator, conv, c), 1e-9);
   const teg::LinearSource s = evaluator.string_equivalent(c);
+  const power::OperatingPoint pt = power::optimal_operating_point(s, conv);
+  EXPECT_EQ(pt.output_power_w, config_power_w(evaluator, conv, c));
   EXPECT_NEAR(pt.voltage_v, s.voltage_at_current(pt.current_a), 1e-9);
   // The span overload is the same model, bit for bit.
-  const power::OperatingPoint span_pt = config_operating_point(
-      evaluator, conv, std::span<const std::size_t>(c.group_starts()));
-  EXPECT_EQ(span_pt.output_power_w, pt.output_power_w);
+  EXPECT_EQ(config_power_w(evaluator, conv,
+                           std::span<const std::size_t>(c.group_starts())),
+            pt.output_power_w);
 }
 
 TEST(Objective, GroupWindowBracketsConverterBand) {

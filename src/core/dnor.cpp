@@ -25,6 +25,10 @@ struct DnorState {
   std::vector<std::vector<double>> history_rows;
 };
 
+static_assert(util::field_count<DnorState>() == 8,
+              "bind(FieldIo&, DnorState&): DnorState gained or lost a field; "
+              "bind it, then update this count");
+
 void bind(util::FieldIo& io, DnorState& s) {
   io.field("next_decision_time_s", s.next_decision_time_s);
   bind(io, s.held);

@@ -11,6 +11,10 @@ struct BaselineState {
   bool first = true;
 };
 
+static_assert(util::field_count<BaselineState>() == 1,
+              "bind(FieldIo&, BaselineState&): BaselineState gained or lost a "
+              "field; bind it, then update this count");
+
 void bind(util::FieldIo& io, BaselineState& s) { io.field("first", s.first); }
 
 }  // namespace

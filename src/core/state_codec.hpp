@@ -71,6 +71,10 @@ struct HeldConfig {
   }
 };
 
+static_assert(util::field_count<HeldConfig>() == 3,
+              "bind(FieldIo&, HeldConfig&): HeldConfig gained or lost a field; "
+              "bind it, then update this count");
+
 inline void bind(util::FieldIo& io, HeldConfig& c) {
   io.field("has_config", c.has_config);
   io.field("config_starts", c.starts);
@@ -84,6 +88,10 @@ struct PeriodicState {
   double next_run_time_s = 0.0;
   HeldConfig held;
 };
+
+static_assert(util::field_count<PeriodicState>() == 2,
+              "bind(FieldIo&, PeriodicState&): PeriodicState gained or lost a "
+              "field; bind it, then update this count");
 
 inline void bind(util::FieldIo& io, PeriodicState& s) {
   io.field("next_run_time_s", s.next_run_time_s);

@@ -26,6 +26,10 @@ const std::vector<std::pair<StreamScheme, const char*>> kSchemeNames = {
     {StreamScheme::kEhtr, "ehtr"},
     {StreamScheme::kBaseline, "baseline"}};
 
+static_assert(util::field_count<StreamConfig>() == 5,
+              "bind(FieldIo&, StreamConfig&): StreamConfig gained or lost a "
+              "field; bind it, then update this count");
+
 // The configuration stamp.  The physics options reuse the experiment-spec
 // bindings (execution hints excluded from the stamp), under "sim.".
 void bind(util::FieldIo& io, StreamConfig& c) {
@@ -36,6 +40,10 @@ void bind(util::FieldIo& io, StreamConfig& c) {
   const util::FieldIo::Scope sim(io, "sim.");
   bind(io, c.sim);
 }
+
+static_assert(util::field_count<StepperState>() == 8,
+              "bind(FieldIo&, StepperState&): StepperState gained or lost a "
+              "field; bind it, then update this count");
 
 // The checkpoint head: StepperState's scalars.  Its controller_state and
 // partial follow as a counted block and a run (sim/run_table.hpp).

@@ -25,6 +25,10 @@ const std::pair<ExperimentKind, const char*> kKindNames[] = {
 
 constexpr std::uint64_t kLow32 = 0xffffffffULL;
 
+static_assert(util::field_count<MonteCarloSample>() == 6,
+              "kSampleColumns: MonteCarloSample gained or lost a field; bind "
+              "it, then update this count");
+
 // Seeds are u64; cells are doubles, exact only to 2^53, so the seed
 // travels as two 32-bit halves.
 constexpr auto kSampleColumns = [](auto& s, auto&& col) {
@@ -44,6 +48,10 @@ constexpr auto kSampleColumns = [](auto& s, auto&& col) {
   col("dnor_overhead_j", s.dnor_overhead_j);
   col("dnor_switches", s.dnor_switches);
 };
+
+static_assert(util::field_count<SweepPoint>() == 5,
+              "kPointColumns: SweepPoint gained or lost a field; bind it, then "
+              "update this count");
 
 constexpr auto kPointColumns = [](auto& p, auto&& col) {
   col("value", p.value);

@@ -12,9 +12,17 @@ namespace tegrec::sim {
 
 namespace {
 
-// Field-complete column lists of SimulationResult and StepRecord — the
-// tegrec_lint cache-key rule cross-checks both structs against this file,
-// so growing either without extending its columns fails the lint gate.
+// Field-complete column lists of SimulationResult and StepRecord: growing
+// either struct fails these asserts until its column is added.  A run's
+// other two fields travel outside the summary table: `algorithm` as the
+// line before it, `steps` as the step table after it.
+static_assert(util::field_count<SimulationResult>() == 12,
+              "kSummaryColumns: SimulationResult gained or lost a field; bind "
+              "it, then update this count");
+static_assert(util::field_count<StepRecord>() == 9,
+              "kStepColumns: StepRecord gained or lost a field; bind it, then "
+              "update this count");
+
 constexpr auto kSummaryColumns = [](auto& run, auto&& col) {
   col("energy_output_j", run.energy_output_j);
   col("switch_overhead_j", run.switch_overhead_j);

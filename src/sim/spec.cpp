@@ -65,12 +65,23 @@ const std::vector<std::pair<TraceSource::Kind, const char*>> kSourceNames = {
 // shared with to_string, so a new kind cannot reach the enum without
 // reaching the spec vocabulary.
 
+static_assert(util::field_count<thermal::RadiatorLayout>() == 3,
+              "bind(FieldIo&, RadiatorLayout&): RadiatorLayout gained or lost "
+              "a field; bind it, then update this count");
+static_assert(util::field_count<thermal::HeatExchangerParams>() == 2,
+              "bind(FieldIo&, RadiatorLayout&): HeatExchangerParams gained or "
+              "lost a field; bind it, then update this count");
+
 void bind(FieldIo& io, thermal::RadiatorLayout& p) {
   io.field("num_modules", p.num_modules);
   io.field("surface_coupling", p.surface_coupling);
   io.field("exchanger.k_per_length_w_mk", p.exchanger.k_per_length_w_mk);
   io.field("exchanger.tube_length_m", p.exchanger.tube_length_m);
 }
+
+static_assert(util::field_count<thermal::EngineThermalParams>() == 17,
+              "bind(FieldIo&, EngineThermalParams&): EngineThermalParams "
+              "gained or lost a field; bind it, then update this count");
 
 void bind(FieldIo& io, thermal::EngineThermalParams& p) {
   io.field("thermal_mass_j_k", p.thermal_mass_j_k);
@@ -92,6 +103,10 @@ void bind(FieldIo& io, thermal::EngineThermalParams& p) {
   io.field("process_noise_reversion", p.process_noise_reversion);
 }
 
+static_assert(util::field_count<thermal::VehicleParams>() == 8,
+              "bind(FieldIo&, VehicleParams&): VehicleParams gained or lost a "
+              "field; bind it, then update this count");
+
 void bind(FieldIo& io, thermal::VehicleParams& p) {
   io.field("mass_kg", p.mass_kg);
   io.field("frontal_area_m2", p.frontal_area_m2);
@@ -102,6 +117,13 @@ void bind(FieldIo& io, thermal::VehicleParams& p) {
   io.field("idle_power_kw", p.idle_power_kw);
   io.field("max_engine_power_kw", p.max_engine_power_kw);
 }
+
+static_assert(util::field_count<thermal::AmbientProfile>() == 7,
+              "bind(FieldIo&, AmbientProfile&): AmbientProfile gained or lost "
+              "a field; bind it, then update this count");
+static_assert(util::field_count<thermal::AmbientStepEvent>() == 2,
+              "bind(FieldIo&, AmbientProfile&): AmbientStepEvent gained or "
+              "lost a field; bind it, then update this count");
 
 void bind(FieldIo& io, thermal::AmbientProfile& p) {
   io.field("base_c", p.base_c);
@@ -123,6 +145,13 @@ void bind(FieldIo& io, thermal::AmbientProfile& p) {
     io.field("delta_c", p.steps[i].delta_c);
   }
 }
+
+static_assert(util::field_count<thermal::TraceGeneratorConfig>() == 9,
+              "bind(FieldIo&, TraceGeneratorConfig&): TraceGeneratorConfig "
+              "gained or lost a field; bind it, then update this count");
+static_assert(util::field_count<thermal::DriveSegment>() == 7,
+              "bind(FieldIo&, TraceGeneratorConfig&): DriveSegment gained or "
+              "lost a field; bind it, then update this count");
 
 void bind(FieldIo& io, thermal::TraceGeneratorConfig& g, bool pin_seed) {
   {
@@ -166,6 +195,10 @@ void bind(FieldIo& io, thermal::TraceGeneratorConfig& g, bool pin_seed) {
   if (io.parsing()) g.seed = seed;
 }
 
+static_assert(util::field_count<teg::DeviceParams>() == 6,
+              "bind(FieldIo&, DeviceParams&): DeviceParams gained or lost a "
+              "field; bind it, then update this count");
+
 void bind(FieldIo& io, teg::DeviceParams& p) {
   io.field("num_couples", p.num_couples);
   io.field("seebeck_v_k_couple", p.seebeck_v_k_couple);
@@ -174,6 +207,10 @@ void bind(FieldIo& io, teg::DeviceParams& p) {
   io.field("reference_temp_c", p.reference_temp_c);
   io.field("max_delta_t_k", p.max_delta_t_k);
 }
+
+static_assert(util::field_count<power::ConverterParams>() == 7,
+              "bind(FieldIo&, ConverterParams&): ConverterParams gained or "
+              "lost a field; bind it, then update this count");
 
 void bind(FieldIo& io, power::ConverterParams& p) {
   io.field("output_voltage_v", p.output_voltage_v);
@@ -185,6 +222,10 @@ void bind(FieldIo& io, power::ConverterParams& p) {
   io.field("max_input_power_w", p.max_input_power_w);
 }
 
+static_assert(util::field_count<power::BatteryParams>() == 5,
+              "bind(FieldIo&, BatteryParams&): BatteryParams gained or lost a "
+              "field; bind it, then update this count");
+
 void bind(FieldIo& io, power::BatteryParams& p) {
   io.field("capacity_ah", p.capacity_ah);
   io.field("charge_voltage_v", p.charge_voltage_v);
@@ -192,6 +233,10 @@ void bind(FieldIo& io, power::BatteryParams& p) {
   io.field("internal_resistance_ohm", p.internal_resistance_ohm);
   io.field("initial_soc", p.initial_soc);
 }
+
+static_assert(util::field_count<switchfab::OverheadParams>() == 5,
+              "bind(FieldIo&, OverheadParams&): OverheadParams gained or lost "
+              "a field; bind it, then update this count");
 
 void bind(FieldIo& io, switchfab::OverheadParams& p) {
   io.field("sensing_delay_s", p.sensing_delay_s);
@@ -202,6 +247,14 @@ void bind(FieldIo& io, switchfab::OverheadParams& p) {
 }
 
 }  // namespace
+
+// Binds 7 of the 9 fields.  ehtr_warm_start and ehtr_warm_width only pick
+// the warm or cold EHTR search, whose decisions are bit-identical
+// (test_ehtr_warm), so they stay out of the spec and the fingerprint.
+// make_stream_controller reads them; tests and perfbench set them.
+static_assert(util::field_count<SimulationOptions>() == 9,
+              "bind(FieldIo&, SimulationOptions&): SimulationOptions gained or "
+              "lost a field; bind it, then update this count");
 
 void bind(FieldIo& io, SimulationOptions& s) {
   {
@@ -226,6 +279,10 @@ void bind(FieldIo& io, SimulationOptions& s) {
 }
 
 namespace {
+
+static_assert(util::field_count<ComparisonOptions>() == 6,
+              "bind(FieldIo&, ComparisonOptions&): ComparisonOptions gained or "
+              "lost a field; bind it, then update this count");
 
 void bind(FieldIo& io, ComparisonOptions& c) {
   {
@@ -253,6 +310,13 @@ std::uint64_t inline_trace_hash(const thermal::TemperatureTrace& trace,
   }
   return h;
 }
+
+static_assert(util::field_count<ExperimentSpec>() == 9,
+              "bind(FieldIo&, ExperimentSpec&): ExperimentSpec gained or lost "
+              "a field; bind it, then update this count");
+static_assert(util::field_count<TraceSource>() == 6,
+              "bind(FieldIo&, ExperimentSpec&): TraceSource gained or lost a "
+              "field; bind it, then update this count");
 
 void bind_spec(FieldIo& io, ExperimentSpec& spec) {
   std::string format = "tegrec-spec-v1";

@@ -42,10 +42,9 @@ struct TraceSample {
 };
 
 /// Snapshot of a SimStepper's entire mutable state.  Serialised field by
-/// field in src/sim/checkpoint.cpp — tegrec_lint's cache-key rule
-/// cross-checks this struct against that file, so adding a state field
-/// without serialising it fails the gate instead of silently resuming a
-/// different simulation.
+/// field in src/sim/checkpoint.cpp, whose field-count static_assert fails
+/// the build when a state field is added without serialising it, instead
+/// of silently resuming a different simulation.
 struct StepperState {
   std::size_t steps_consumed = 0;
   double total_compute_s = 0.0;          ///< wall-clock stats accumulator

@@ -19,6 +19,12 @@
 //     LineReader, so a missing, reordered or trailing line throws, and a
 //     malformed value throws std::runtime_error naming its key.
 // Values read through util/parse.hpp, the library's one number reader.
+//
+// field_count<T>() makes binding completeness a compile-time fact: next to
+// each bind() (or run-table column list) a
+//   static_assert(util::field_count<X>() == N, "...");
+// fails the build as soon as X gains or loses a data member, so a field
+// can never silently miss its serialisation.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +35,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace tegrec::util {
@@ -187,5 +194,37 @@ class FieldIo {
   std::string what_;                     // keyed
   LineReader* lines_ = nullptr;          // ordered
 };
+
+namespace detail {
+
+/// Converts to any member type; declared only, for unevaluated use.
+struct AnyField {
+  template <typename T>
+  operator T() const;
+};
+
+template <std::size_t>
+using AnyFieldAt = AnyField;
+
+template <typename T, std::size_t... I>
+consteval bool brace_initializable(std::index_sequence<I...> /*unused*/) {
+  return requires { T{AnyFieldAt<I>{}...}; };
+}
+
+}  // namespace detail
+
+/// The number of data members of aggregate `T`: the largest N for which
+/// `T{f1, ..., fN}` is well-formed.  Nested types, static members and
+/// member functions do not count.
+template <typename T, std::size_t N = 0>
+consteval std::size_t field_count() {
+  static_assert(std::is_aggregate_v<T>, "field_count needs an aggregate");
+  if constexpr (detail::brace_initializable<T>(
+                    std::make_index_sequence<N + 1>{})) {
+    return field_count<T, N + 1>();
+  } else {
+    return N;
+  }
+}
 
 }  // namespace tegrec::util

@@ -513,7 +513,7 @@ TEST_F(CheckpointFaults, CrashLeavesPreviousCheckpointIntact) {
 
 // ------------------------------------------- fingerprint field sensitivity
 
-// Runtime twin of the lint cache-key cross-check: every result-affecting
+// Runtime twin of the compile-time field-count guards: every result-affecting
 // StreamConfig field must move the fingerprint, and the execution hints
 // must not (two machines with different core counts share checkpoints, and
 // a warm EHTR stream resumes a cold one's).

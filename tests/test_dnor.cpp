@@ -147,7 +147,9 @@ TEST(Dnor, StateBlobRejectsEmptyListFields) {
         << key;
   }
   std::string leading = blob;
-  leading.insert(leading.find("\nrow = ") + 7, ",");
+  const std::size_t row = leading.find("\nrow = ");
+  ASSERT_NE(row, std::string::npos);
+  leading.insert(row + 7, ",");
   EXPECT_THROW(restored.restore_checkpoint_state(leading), std::runtime_error);
   EXPECT_EQ(restored.checkpoint_state(), blob);  // nothing half-applied
 }

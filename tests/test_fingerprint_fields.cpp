@@ -1,8 +1,9 @@
-// Runtime twin of tegrec_lint's cache-key rule: the lint proves every
-// config field is *mentioned* in src/sim/spec.cpp; this suite proves each
-// one actually *moves the fingerprint*.  A field could pass the textual
-// check while being bound under a condition that never emits it — this is
-// the check the linter cannot do statically.
+// Runtime twin of the field-count guards in src/sim/spec.cpp: they prove
+// at compile time that every config struct has as many fields as its
+// bind() was written for; this suite proves each field actually *moves
+// the fingerprint*.  A field could be counted while its binding is missing
+// or sits under a condition that never emits it — this is the check the
+// compiler cannot do.
 //
 // Structure: per base spec (comparison / csv / monte-carlo / sweep), a
 // table of named single-field perturbations.  Every perturbation must
@@ -95,8 +96,8 @@ TEST(FingerprintFields, ComparisonSpecFields) {
       {"segment.process_power_end_kw",
        [&](ExperimentSpec& s) { seg(s).process_power_end_kw += 0.75; }},
       {"segment.period_s", [&](ExperimentSpec& s) { seg(s).period_s += 11; }},
-      // Nested generator structs (full field rosters are covered by the
-      // cache-key lint; one probe per struct proves the block is emitted):
+      // Nested generator structs (full field counts are guarded at compile
+      // time in spec.cpp; one probe per struct proves the block is emitted):
       {"gen.layout.num_modules",
        [](ExperimentSpec& s) { s.trace.generator.layout.num_modules += 1; }},
       {"gen.layout.exchanger.tube_length_m",

@@ -290,97 +290,6 @@ TEST(LintAnnotationDrift, OnlyConcurrencyLayerHeadersAreChecked) {
   EXPECT_TRUE(lines_of(outside, "guarded-member").empty()) << dump(outside);
 }
 
-// ------------------------------------------------------------- cache-key
-
-TEST(LintCacheKey, ParsesDataMembersOnly) {
-  const auto fields =
-      parse_struct_fields(fixture("cache_key_config.hpp"), "DemoConfig");
-  std::vector<std::string> names;
-  names.reserve(fields.size());
-  for (const FieldDecl& f : fields) names.push_back(f.name);
-  // Member functions, the nested enum, the static member, and operator==
-  // must all be skipped; declaration lines must be exact.
-  EXPECT_EQ(names, (std::vector<std::string>{"mode", "duration_s", "gains",
-                                             "not_serialised_w",
-                                             "debug_label"}));
-  for (const FieldDecl& f : fields) {
-    if (f.name == "not_serialised_w") {
-      EXPECT_EQ(f.line, 19u);
-    }
-    if (f.name == "mode") {
-      EXPECT_EQ(f.line, 16u);
-    }
-  }
-}
-
-TEST(LintCacheKey, FlagsUnserialisedFieldButHonoursExclusions) {
-  const StructSpec spec{"tests/lint_fixtures/cache_key_config.hpp",
-                        "DemoConfig",
-                        {{"debug_label", "execution hint, not physics"}}};
-  const auto findings =
-      check_cache_key(spec, fixture("cache_key_config.hpp"),
-                      fixture("cache_key_bindings.cpp"), "bindings.cpp");
-  // Exactly one violation: not_serialised_w is only mentioned in comments
-  // of the bindings file, which must not count.
-  ASSERT_EQ(findings.size(), 1u) << dump(findings);
-  EXPECT_EQ(findings[0].rule, "cache-key");
-  EXPECT_EQ(findings[0].line, 19u);
-  EXPECT_EQ(findings[0].detail, "DemoConfig.not_serialised_w");
-}
-
-TEST(LintCacheKey, FlagsStaleExclusionsAndRenamedStructs) {
-  StructSpec spec{"cache_key_config.hpp",
-                  "DemoConfig",
-                  {{"debug_label", "exec"}, {"ghost_field", "obsolete"}}};
-  auto findings =
-      check_cache_key(spec, fixture("cache_key_config.hpp"),
-                      fixture("cache_key_bindings.cpp"), "bindings.cpp");
-  bool stale_flagged = false;
-  for (const Finding& f : findings) {
-    if (f.detail == "stale-exclusion:DemoConfig.ghost_field") {
-      stale_flagged = true;
-    }
-  }
-  EXPECT_TRUE(stale_flagged) << dump(findings);
-
-  // A renamed struct must fail loudly, not silently stop being checked.
-  spec.struct_name = "RenamedConfig";
-  findings = check_cache_key(spec, fixture("cache_key_config.hpp"),
-                             fixture("cache_key_bindings.cpp"),
-                             "bindings.cpp");
-  ASSERT_EQ(findings.size(), 1u) << dump(findings);
-  EXPECT_EQ(findings[0].detail, "struct:RenamedConfig");
-}
-
-TEST(LintCacheKey, RealStructTableParsesKnownFields) {
-  // Contains-checks (not exact sets) so future fields do not break this
-  // test; their serialisation is covered by the repo-clean test below and
-  // by tests/test_fingerprint_fields.cpp at runtime.
-  struct Expect {
-    const char* header;
-    const char* name;
-    std::vector<std::string> some_fields;
-  };
-  const std::vector<Expect> expects = {
-      {"src/sim/spec.hpp", "ExperimentSpec", {"kind", "trace", "mc_num_seeds"}},
-      {"src/thermal/trace.hpp",
-       "TraceGeneratorConfig",
-       {"sample_dt_s", "sim_dt_s", "seed"}},
-      {"src/thermal/drive_cycle.hpp", "DriveSegment", {"duration_s"}},
-  };
-  for (const Expect& e : expects) {
-    const auto fields = parse_struct_fields(
-        read_file(fs::path(TEGREC_SOURCE_DIR) / e.header), e.name);
-    ASSERT_FALSE(fields.empty()) << e.name << " not found in " << e.header;
-    std::set<std::string> names;
-    for (const FieldDecl& f : fields) names.insert(f.name);
-    for (const std::string& want : e.some_fields) {
-      EXPECT_EQ(names.count(want), 1u)
-          << e.name << " missing expected field " << want;
-    }
-  }
-}
-
 // ------------------------------------------------------ baseline mechanics
 
 TEST(LintBaseline, ParseIgnoresCommentsAndFiltersFindings) {

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -901,215 +900,6 @@ std::vector<Finding> scan_source(const std::string& relpath,
   return findings;
 }
 
-// ------------------------------------------------------ cache-key checking
-
-std::vector<FieldDecl> parse_struct_fields(const std::string& header_content,
-                                           const std::string& struct_name) {
-  const std::string stripped = strip_comments_and_strings(header_content);
-
-  // Locate `struct <name> ... {` (skipping forward declarations).
-  std::size_t body_begin = std::string::npos;
-  for (const char* kw : {"struct", "class"}) {
-    std::size_t pos = 0;
-    while ((pos = stripped.find(kw, pos)) != std::string::npos) {
-      const std::size_t name_pos = pos + std::string(kw).size();
-      pos += 1;
-      if (name_pos >= stripped.size() ||
-          (stripped[name_pos] != ' ' && stripped[name_pos] != '\t' &&
-           stripped[name_pos] != '\n')) {
-        continue;
-      }
-      const std::string name = token_after(stripped, name_pos);
-      if (name != struct_name) continue;
-      // Scan forward for '{' before any ';' (else: forward declaration).
-      std::size_t p = stripped.find(name, name_pos);
-      p += name.size();
-      while (p < stripped.size() && stripped[p] != '{' && stripped[p] != ';') {
-        ++p;
-      }
-      if (p < stripped.size() && stripped[p] == '{') {
-        body_begin = p + 1;
-        break;
-      }
-    }
-    if (body_begin != std::string::npos) break;
-  }
-  if (body_begin == std::string::npos) return {};
-
-  std::size_t line = 1;
-  for (std::size_t i = 0; i < body_begin; ++i) {
-    if (stripped[i] == '\n') ++line;
-  }
-
-  // Walk the body at depth 1, splitting statements on ';'.
-  std::vector<FieldDecl> fields;
-  int depth = 1;
-  std::string statement;
-  std::size_t statement_line = line;
-  bool statement_has_nested_braces = false;
-  for (std::size_t i = body_begin; i < stripped.size() && depth > 0; ++i) {
-    const char c = stripped[i];
-    if (c == '\n') ++line;
-    if (c == '{') {
-      ++depth;
-      if (depth > 1) statement_has_nested_braces = true;
-      continue;
-    }
-    if (c == '}') {
-      --depth;
-      continue;
-    }
-    if (depth != 1) continue;
-    if (c == ';') {
-      std::string stmt = normalize_ws(statement);
-      statement.clear();
-      // Strip access labels glued to the front of the statement.
-      for (const char* label : {"public:", "private:", "protected:"}) {
-        if (starts_with(stmt, label)) {
-          stmt = stmt.substr(std::string(label).size());
-          while (!stmt.empty() && stmt.front() == ' ') stmt.erase(0, 1);
-        }
-      }
-      const bool skip =
-          stmt.empty() || statement_has_nested_braces ||
-          starts_with(stmt, "enum") || starts_with(stmt, "struct") ||
-          starts_with(stmt, "class") || starts_with(stmt, "union") ||
-          starts_with(stmt, "template") || starts_with(stmt, "using") ||
-          starts_with(stmt, "typedef") || starts_with(stmt, "friend") ||
-          starts_with(stmt, "static") || starts_with(stmt, "explicit") ||
-          starts_with(stmt, "virtual") || starts_with(stmt, "operator") ||
-          stmt.find("operator") != std::string::npos;
-      statement_has_nested_braces = false;
-      if (!skip) {
-        // Data member iff no '(' before the initialising '=' (functions
-        // have their parameter list before any default/delete token).
-        const std::size_t eq = stmt.find('=');
-        const std::string lhs =
-            eq == std::string::npos ? stmt : stmt.substr(0, eq);
-        if (lhs.find('(') == std::string::npos &&
-            lhs.find(' ') != std::string::npos) {
-          std::size_t end = lhs.size();
-          while (end > 0 && !is_word_char(lhs[end - 1])) --end;
-          std::size_t begin = end;
-          while (begin > 0 && is_word_char(lhs[begin - 1])) --begin;
-          if (end > begin) {
-            fields.push_back({lhs.substr(begin, end - begin), statement_line});
-          }
-        }
-      }
-      statement_line = line;
-      continue;
-    }
-    if (statement.empty() && (c == ' ' || c == '\t' || c == '\n')) {
-      statement_line = line;
-      continue;
-    }
-    statement += c == '\n' ? ' ' : c;
-  }
-  return fields;
-}
-
-std::vector<Finding> check_cache_key(const StructSpec& spec,
-                                     const std::string& header_content,
-                                     const std::string& bindings_content,
-                                     const std::string& bindings_path) {
-  std::vector<Finding> findings;
-  const std::vector<FieldDecl> fields =
-      parse_struct_fields(header_content, spec.struct_name);
-  if (fields.empty()) {
-    findings.push_back(
-        {spec.header_path, 0, "cache-key", "struct:" + spec.struct_name,
-         "struct '" + spec.struct_name +
-             "' not found (renamed? update tools/lint's struct table so the "
-             "serialisation check keeps covering it)"});
-    return findings;
-  }
-  const std::string stripped_bindings =
-      strip_comments_and_strings(bindings_content);
-  std::set<std::string> field_names;
-  for (const FieldDecl& f : fields) {
-    field_names.insert(f.name);
-    std::string justification;
-    bool excluded = false;
-    for (const auto& [name, why] : spec.excluded_fields) {
-      if (name == f.name) {
-        excluded = true;
-        justification = why;
-        break;
-      }
-    }
-    if (excluded) continue;
-    if (!contains_word(stripped_bindings, f.name)) {
-      findings.push_back(
-          {spec.header_path, f.line, "cache-key",
-           spec.struct_name + "." + f.name,
-           "field '" + spec.struct_name + "::" + f.name +
-               "' is not mentioned in " + bindings_path +
-               " — an unserialised field silently poisons every cached "
-               "result (add a binding, or add it to the documented "
-               "exclusion list in tools/lint with a justification)"});
-    }
-  }
-  for (const auto& [name, why] : spec.excluded_fields) {
-    (void)why;
-    if (field_names.count(name) == 0) {
-      findings.push_back(
-          {spec.header_path, 0, "cache-key",
-           "stale-exclusion:" + spec.struct_name + "." + name,
-           "exclusion-list entry '" + spec.struct_name + "::" + name +
-               "' matches no field — remove it so it cannot mask a future "
-               "field of that name"});
-    }
-  }
-  return findings;
-}
-
-std::vector<StructSpec> default_struct_specs() {
-  // Every struct whose values reach ExperimentSpec::canonical_text().  The
-  // bindings file serialises each listed struct field by field; a field
-  // missing from it never reaches the fingerprint, so equal cache keys
-  // could describe different experiments.  tests/test_fingerprint_fields
-  // is the runtime twin: it perturbs each field and asserts the
-  // fingerprint moves (and that exec.* hints do not).
-  return {
-      {"src/sim/spec.hpp", "ExperimentSpec", {}},
-      {"src/sim/spec.hpp", "TraceSource", {}},
-      {"src/thermal/trace.hpp", "TraceGeneratorConfig", {}},
-      {"src/thermal/drive_cycle.hpp", "DriveSegment", {}},
-      {"src/thermal/drive_cycle.hpp", "VehicleParams", {}},
-      {"src/thermal/ambient.hpp", "AmbientProfile", {}},
-      {"src/thermal/ambient.hpp", "AmbientStepEvent", {}},
-      {"src/thermal/engine_thermal.hpp", "EngineThermalParams", {}},
-      {"src/thermal/radiator.hpp", "RadiatorLayout", {}},
-      {"src/thermal/heat_exchanger.hpp", "HeatExchangerParams", {}},
-      {"src/teg/device.hpp", "DeviceParams", {}},
-      {"src/power/converter.hpp", "ConverterParams", {}},
-      {"src/power/battery.hpp", "BatteryParams", {}},
-      {"src/switchfab/overhead.hpp", "OverheadParams", {}},
-      {"src/sim/simulator.hpp",
-       "SimulationOptions",
-       {{"ehtr_warm_start", "selects the warm or cold EHTR search, whose "
-                            "decisions are bit-identical (test_ehtr_warm)"},
-        {"ehtr_warm_width", "tunes the warm EHTR search only"}}},
-      {"src/sim/experiment.hpp", "ComparisonOptions", {}},
-      // Streaming and cached state, bound outside the spec bindings.
-      // sim/checkpoint.cpp binds the checkpoint head (StepperState) and the
-      // configuration stamp (StreamConfig): a field missing there silently
-      // resumes a different simulation.  sim/run_table.cpp declares the
-      // SimulationResult/StepRecord columns that checkpoints and result
-      // artifacts share: a field missing there loses history across a
-      // checkpoint/restore cycle or a cache hit.  tests/test_checkpoint.cpp
-      // is the runtime twin (round-trip equality field by field).
-      {"src/sim/stepper.hpp", "StepperState", {}, "src/sim/checkpoint.cpp"},
-      {"src/sim/checkpoint.hpp", "StreamConfig", {}, "src/sim/checkpoint.cpp"},
-      {"src/sim/simulator.hpp", "SimulationResult", {},
-       "src/sim/run_table.cpp"},
-      {"src/sim/simulator.hpp", "StepRecord", {}, "src/sim/run_table.cpp"},
-  };
-}
-
-std::string default_bindings_path() { return "src/sim/spec.cpp"; }
-
 // --------------------------------------------------------------- repo run
 
 namespace {
@@ -1154,26 +944,6 @@ RepoReport run_repo_lint(const std::string& root,
         scan_source(relpath, read_file(path), options);
     all.insert(all.end(), found.begin(), found.end());
     ++report.files_scanned;
-  }
-
-  // Bindings sources are read once each, however many specs share them.
-  std::map<std::string, std::string> bindings_cache;
-  const auto bindings_content =
-      [&](const std::string& path) -> const std::string& {
-    auto it = bindings_cache.find(path);
-    if (it == bindings_cache.end()) {
-      it = bindings_cache.emplace(path, read_file(root_path / path)).first;
-    }
-    return it->second;
-  };
-  for (const StructSpec& spec : default_struct_specs()) {
-    const std::string bindings_path =
-        spec.bindings_path.empty() ? default_bindings_path()
-                                   : spec.bindings_path;
-    const std::vector<Finding> found = check_cache_key(
-        spec, read_file(root_path / spec.header_path),
-        bindings_content(bindings_path), bindings_path);
-    all.insert(all.end(), found.begin(), found.end());
   }
 
   std::set<std::string> used_baseline;

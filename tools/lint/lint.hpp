@@ -19,13 +19,6 @@
 //                    class).
 //  * float-tol     — std::abs(a - b) compared against a bare numeric
 //                    literal: tolerances must be named constants.
-//  * cache-key     — every field of the content-addressed config structs
-//                    (sim::ExperimentSpec and the option structs it
-//                    embeds) must appear in sim/spec.cpp's canonical-text
-//                    bindings or on a documented exclusion list.  A new
-//                    struct field that does not serialise fails the build
-//                    instead of silently poisoning every cached result
-//                    (the hazard PR 4/5 defended against by hand).
 //  * api-io        — no std::cout/printf-family console I/O in library
 //                    code under src/ (snprintf-style string formatting is
 //                    fine).
@@ -71,7 +64,6 @@
 #include <cstddef>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace tegrec::lint {
@@ -81,9 +73,9 @@ struct Finding {
   std::size_t line = 0; ///< 1-based; 0 for file-level findings
   std::string rule;     ///< rule id, e.g. "float-eq"
   /// Stable token for baseline keys: the whitespace-normalised offending
-  /// line for line rules, the field name for cache-key findings.  Keyed on
-  /// content, not line numbers, so unrelated edits do not churn the
-  /// baseline.
+  /// line for line rules, "Class.member" for guarded-member findings and a
+  /// fixed token for file-level findings.  Keyed on content, not line
+  /// numbers, so unrelated edits do not churn the baseline.
   std::string detail;
   std::string message;
 };
@@ -126,54 +118,6 @@ std::vector<Finding> scan_source(const std::string& relpath,
                                  const std::string& content,
                                  const Options& options = {});
 
-// ------------------------------------------------------ cache-key checking
-
-/// One content-addressed struct to cross-check against the bindings file.
-struct StructSpec {
-  std::string header_path;  ///< repo-relative header declaring the struct
-  std::string struct_name;  ///< unqualified name, e.g. "TraceGeneratorConfig"
-  /// Fields that intentionally do not appear in the bindings, each with a
-  /// documented justification (rendered in the finding message if the
-  /// field disappears, and in --list-rules output).
-  std::vector<std::pair<std::string, std::string>> excluded_fields;
-  /// Repo-relative source whose text must name every field.  Empty uses
-  /// default_bindings_path() — the experiment-spec canonical-text
-  /// bindings.  The checkpoint and run-table structs point at the files
-  /// that bind them instead: same hazard (a field that does not serialise
-  /// resumes a different simulation), different serialiser.
-  std::string bindings_path;
-};
-
-struct FieldDecl {
-  std::string name;
-  std::size_t line = 0;  ///< 1-based declaration line
-};
-
-/// Extracts the data-member names of `struct_name` from a header.  Skips
-/// nested types, member functions, static members and using-declarations.
-/// Returns an empty list if the struct is not found (the caller reports
-/// that as a finding: a renamed struct must not silently disable its
-/// check).
-std::vector<FieldDecl> parse_struct_fields(const std::string& header_content,
-                                           const std::string& struct_name);
-
-/// Cross-checks one struct's fields against the bindings source: every
-/// field name must appear as a whole word in `bindings_content` or be on
-/// the exclusion list.  Also flags exclusion-list entries that no longer
-/// match any field (stale exclusions hide future bugs).
-std::vector<Finding> check_cache_key(const StructSpec& spec,
-                                     const std::string& header_content,
-                                     const std::string& bindings_content,
-                                     const std::string& bindings_path);
-
-/// The repo's content-addressed structs (headers under src/, bindings in
-/// src/sim/spec.cpp).  Execution hints (thread counts) still appear in the
-/// bindings — they serialise but are excluded from the *fingerprint* by
-/// spec.cpp's exec_field mechanism, which the runtime twin of this check
-/// (tests/test_fingerprint_fields.cpp) verifies field by field.
-std::vector<StructSpec> default_struct_specs();
-std::string default_bindings_path();
-
 // --------------------------------------------------------------- repo run
 
 struct RepoReport {
@@ -183,8 +127,8 @@ struct RepoReport {
   std::size_t files_scanned = 0;
 };
 
-/// Scans every .hpp/.cpp under <root>/src plus the cache-key cross-check,
-/// filtering findings against `baseline`.  Stale baseline entries are
+/// Scans every .hpp/.cpp under <root>/src, filtering findings against
+/// `baseline`.  Stale baseline entries are
 /// reported so the ratchet only ever tightens.
 RepoReport run_repo_lint(const std::string& root,
                          const std::set<std::string>& baseline,

@@ -36,9 +36,6 @@ void print_rules() {
          "util/float_cmp.hpp\n"
       << "  float-tol        |a-b| compared against a bare literal; name the "
          "tolerance\n"
-      << "  cache-key        every field of the content-addressed config "
-         "structs must appear\n"
-      << "                   in src/sim/spec.cpp's canonical-text bindings\n"
       << "  api-io           no console I/O (std::cout/printf family) in "
          "library code\n"
       << "  raw-publish      no raw file publication (std::ofstream / rename "
@@ -56,15 +53,7 @@ void print_rules() {
          ".detach() anywhere\n"
       << "  annotation-drift concurrency-layer headers that name a mutex "
          "must use TEGREC_*\n"
-      << "                   thread-safety annotations\n"
-      << "\ncache-key covers these structs:\n";
-  for (const auto& spec : tegrec::lint::default_struct_specs()) {
-    std::cout << "  " << spec.header_path << ": " << spec.struct_name;
-    for (const auto& [field, why] : spec.excluded_fields) {
-      std::cout << "\n    excluded field '" << field << "': " << why;
-    }
-    std::cout << "\n";
-  }
+      << "                   thread-safety annotations\n";
 }
 
 int usage() {

@@ -1,12 +1,14 @@
 #include "sim/stream_server.hpp"
 
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 #include "util/runtime_clock.hpp"
 
 namespace tegrec::sim {
@@ -40,6 +42,91 @@ util::json::Value decision_line(const std::string& array,
   obj.emplace_back("net_power_w", rec.net_power_w);
   return util::json::Value(std::move(obj));
 }
+
+/// Publishes one array's checkpoints off the array thread.  The caller
+/// takes each snapshot (the stepper is not thread-safe) and hands it over
+/// with the log lines emitted since the previous checkpoint; one writer
+/// thread encodes it and writes it through util::atomic_write_file.  At
+/// most one write is in flight: each call first waits for the previous
+/// one and rethrows its failure, so every checkpoint is written in order
+/// with the bytes a synchronous writer would produce.  The other members
+/// belong to the writer thread while a write is in flight and to the
+/// caller otherwise; the pool's submit() and wait_idle() order the two.
+class CheckpointPublisher {
+ public:
+  CheckpointPublisher(std::string path, util::FaultInjector* faults)
+      : path_(std::move(path)) {
+    options_.fault_site = "stream.checkpoint";
+    options_.faults = faults;
+  }
+  CheckpointPublisher(const CheckpointPublisher&) = delete;
+  CheckpointPublisher& operator=(const CheckpointPublisher&) = delete;
+
+  /// The configuration stamp every checkpoint carries.
+  void set_stamp(std::string stamp) { stamp_ = std::move(stamp); }
+
+  /// Seeds the log with the lines a resume restored.
+  void restore_log(std::vector<std::string> lines) { log_ = std::move(lines); }
+
+  /// Waits for the previous write and rethrows its failure (then nothing
+  /// new is written).  Otherwise moves `fresh` into the log and writes
+  /// `state`: on the writer thread when `in_background`, else here.
+  /// `fresh` comes back empty.
+  void publish(StepperState state, std::vector<std::string>& fresh,
+               bool in_background) {
+    if (writer_) {
+      writer_->wait_idle();
+      if (error_) {
+        const std::string what = *std::exchange(error_, std::nullopt);
+        if (crashed_) throw util::AtomicWriteCrash(what);
+        throw std::runtime_error(what);
+      }
+    }
+    state_ = std::move(state);
+    handed_.swap(fresh);
+    if (!in_background) {
+      write();
+      return;
+    }
+    if (!writer_) writer_.emplace(1);
+    writer_->submit([this] {
+      try {
+        write();
+      } catch (const std::exception& e) {
+        crashed_ = dynamic_cast<const util::AtomicWriteCrash*>(&e) != nullptr;
+        error_ = e.what();
+      }
+    });
+  }
+
+ private:
+  /// Appends the handed lines to the log (leaving `handed_` empty with its
+  /// capacity, for the next swap), then encodes and publishes.
+  void write() {
+    for (std::string& line : handed_) log_.push_back(std::move(line));
+    handed_.clear();
+    util::atomic_write_file(path_, encoder_.encode(state_, stamp_, log_),
+                            options_);
+  }
+
+  std::string path_;
+  util::AtomicWriteOptions options_;
+  std::string stamp_;
+  StepperState state_;               ///< the snapshot being written
+  // Renders only the step rows and log lines new since the last checkpoint.
+  CheckpointEncoder encoder_;
+  std::vector<std::string> log_;     ///< full decision log incl. restored
+  std::vector<std::string> handed_;  ///< new lines for the write in flight
+  // What the last background write threw, rethrown by the caller as a new
+  // exception of the same kind: no exception object is shared between
+  // threads.
+  std::optional<std::string> error_;
+  bool crashed_ = false;
+  // Started at the first background write; last, so that it is destroyed
+  // first: the destructor finishes the write in flight and joins the
+  // thread on every exit path.
+  std::optional<util::ThreadPool> writer_;
+};
 
 }  // namespace
 
@@ -127,15 +214,17 @@ void StreamServer::run_array(StreamArrayOptions& array,
   std::unique_ptr<core::Reconfigurer> controller;
   std::unique_ptr<SimStepper> stepper;
   std::string fingerprint_text;
-  std::vector<std::string> log_lines;  // full decision log incl. restored
-  // Renders only the step rows and log lines new since the last checkpoint.
-  CheckpointEncoder encoder;
+  // Decision-log lines emitted since the last checkpoint; the publisher
+  // keeps the full log.
+  std::vector<std::string> log_lines;
+  CheckpointPublisher publisher(array.checkpoint_path, array.faults);
   bool checkpointing = !array.checkpoint_path.empty();
   std::size_t steps_at_checkpoint = 0;
 
   // Builds controller + stepper once dt and module count are known.
   const auto build = [&] {
     fingerprint_text = stream_config_fingerprint_text(config);
+    publisher.set_stamp(fingerprint_text);
     controller = make_stream_controller(config);
     stepper = std::make_unique<SimStepper>(*controller, config.dt_s,
                                            config.num_modules, config.sim);
@@ -149,18 +238,16 @@ void StreamServer::run_array(StreamArrayOptions& array,
     }
   };
 
-  // Publishes the current state + log.  A write failure warns once and
-  // disables checkpointing — the stream itself must keep flowing.  The
-  // injected crash fault models the process dying and is not caught.
-  const auto save_checkpoint = [&] {
+  // Snapshots the current state and publishes it with the log, in the
+  // background or (on exit) on this thread.  A failed write surfaces when
+  // the next checkpoint collects it: it warns once and disables
+  // checkpointing — the stream itself must keep flowing.  The injected
+  // crash fault models the process dying and is not caught.
+  const auto save_checkpoint = [&](bool in_background) {
     if (!checkpointing || !stepper) return;
+    StepperState state = stepper->state();
     try {
-      const std::string content =
-          encoder.encode(stepper->state(), fingerprint_text, log_lines);
-      util::AtomicWriteOptions write_options;
-      write_options.fault_site = "stream.checkpoint";
-      write_options.faults = array.faults;
-      util::atomic_write_file(array.checkpoint_path, content, write_options);
+      publisher.publish(std::move(state), log_lines, in_background);
       steps_at_checkpoint = stepper->steps_consumed();
     } catch (const util::AtomicWriteCrash&) {
       throw;
@@ -191,17 +278,17 @@ void StreamServer::run_array(StreamArrayOptions& array,
       // decode_checkpoint throws loudly on corruption or a stamp
       // mismatch; that failure fails the whole array on purpose.
       build();
-      const DecodedCheckpoint decoded =
+      DecodedCheckpoint decoded =
           decode_checkpoint(*text, fingerprint_text);
       stepper->restore_state(decoded.state);
-      log_lines = decoded.extra_lines;
       report.resumed = true;
       // Replayed telemetry below the restored position is expected, not
       // an ordering incident; grid index 0 is t = 0 by the trace time
       // base.
       telemetry_options.epoch_s = 0.0;
       telemetry_options.start_index = stepper->steps_consumed();
-      if (array.on_resume) array.on_resume(log_lines);
+      if (array.on_resume) array.on_resume(decoded.extra_lines);
+      publisher.restore_log(std::move(decoded.extra_lines));
     }
     // Missing checkpoint: a fresh start (first boot of a new deployment).
   }
@@ -215,7 +302,7 @@ void StreamServer::run_array(StreamArrayOptions& array,
   const auto emit_line = [&](const util::json::Value& value) {
     std::string line = util::json::dump(value);
     emitter_->emit(line);
-    log_lines.push_back(std::move(line));
+    if (checkpointing) log_lines.push_back(std::move(line));
   };
 
   while (true) {
@@ -264,11 +351,11 @@ void StreamServer::run_array(StreamArrayOptions& array,
     if (array.checkpoint_every_steps != 0 &&
         stepper->steps_consumed() - steps_at_checkpoint >=
             array.checkpoint_every_steps) {
-      save_checkpoint();
+      save_checkpoint(/*in_background=*/true);
     }
   }
 
-  save_checkpoint();
+  save_checkpoint(/*in_background=*/false);
   report.replayed = source.replayed();
   if (stepper) report.result = stepper->result();
 }

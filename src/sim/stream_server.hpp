@@ -11,15 +11,23 @@
 // stepper snapshot AND its decision log so far — through the
 // fingerprint-stamped codec (sim/checkpoint.hpp) every
 // `checkpoint_every_steps` steps and once more on exit (including a stop
-// requested by signal).  On resume the restored log is handed to the
-// caller *before* any new line is emitted, so a file-backed sink can be
+// requested by signal).  Only the snapshot is taken on the array's
+// thread; encoding and the fsync'd write run on one writer thread per
+// checkpointing array, one write at a time, and the loop waits only when
+// the previous write has not finished by the next checkpoint.  Every
+// checkpoint is written, in order, with the bytes a synchronous write
+// would produce; the one on exit is written synchronously.  A kill -9 can
+// therefore find the previous generation on disk, from which resume is
+// just as exact.  On resume the restored log is handed to the caller
+// *before* any new line is emitted, so a file-backed sink can be
 // atomically rewritten to the exact checkpointed prefix and the
 // concatenated log ends up identical to an uninterrupted run, no matter
 // where the previous process died.  A checkpoint *write* failure degrades
-// gracefully: one warning, checkpointing disabled, streaming continues
-// (availability over durability, matching the cache-dir policy); only the
-// injected crash fault (stream.checkpoint.crash) aborts, because it
-// models the process dying mid-write.
+// gracefully once the next checkpoint collects it: one warning,
+// checkpointing disabled, streaming continues (availability over
+// durability, matching the cache-dir policy); only the injected crash
+// fault (stream.checkpoint.crash) aborts, because it models the process
+// dying mid-write.
 //
 // The decision log deliberately contains only deterministic,
 // stream-derived events (decisions, gaps, out-of-order drops) — no
@@ -81,7 +89,9 @@ struct StreamArrayOptions {
   /// fresh start; a corrupt, truncated, or differently-configured one is
   /// a loud failure (the array errors out rather than silently restart).
   bool resume = false;
-  /// Checkpoint every N consumed steps (0 = only on exit).
+  /// Checkpoint every N consumed steps (0 = only on exit).  A periodic
+  /// checkpoint is encoded and written in the background; when N steps
+  /// take less time than one write, the loop waits for the previous one.
   std::size_t checkpoint_every_steps = 0;
   /// Called from the array's thread, before any new line is emitted, with
   /// the decision-log lines restored from the checkpoint — the hook for

@@ -7,14 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/checkpoint.hpp"
 #include "sim/run_table.hpp"
+#include "sim/stepper.hpp"
 #include "thermal/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/fault.hpp"
@@ -92,7 +96,8 @@ struct SingleRun {
 /// One array through a StreamServer, checkpointing to `ckpt` (when given)
 /// every two steps and first restoring from it under `resume`.
 SingleRun run_single(const StreamConfig& config, const std::string& csv,
-                     const std::string& ckpt = "", bool resume = false) {
+                     const std::string& ckpt = "", bool resume = false,
+                     util::FaultInjector* faults = nullptr) {
   SingleRun run;
   Capture capture;
   StreamServerOptions options;
@@ -104,6 +109,7 @@ SingleRun run_single(const StreamConfig& config, const std::string& csv,
   array.checkpoint_path = ckpt;
   array.checkpoint_every_steps = 2;
   array.resume = resume;
+  array.faults = faults;
   array.on_resume = [&run](const std::vector<std::string>& lines) {
     run.restored = lines;
   };
@@ -121,6 +127,15 @@ std::string run_text(SimulationResult run) {
   std::string out;
   append_run(out, run, "algorithm = ");
   return out;
+}
+
+/// Expects a resumed run's restored log plus its new lines to be
+/// byte-identical to the uninterrupted run's log, and the results equal.
+void expect_resumed_equals(const SingleRun& after, const SingleRun& full) {
+  std::vector<std::string> stitched = after.restored;
+  stitched.insert(stitched.end(), after.lines.begin(), after.lines.end());
+  EXPECT_EQ(stitched, full.lines);  // byte-identical to never having died
+  EXPECT_EQ(run_text(after.report.result), run_text(full.report.result));
 }
 
 /// Interrupts a stream run under `writer` after half the trace, resumes it
@@ -151,10 +166,7 @@ void expect_resume_matches_uninterrupted(const thermal::TemperatureTrace& trace,
   EXPECT_EQ(after.report.result.steps.size(), trace.num_steps());
 
   EXPECT_EQ(after.restored, before.lines);  // the log survived intact
-  std::vector<std::string> stitched = after.restored;
-  stitched.insert(stitched.end(), after.lines.begin(), after.lines.end());
-  EXPECT_EQ(stitched, full.lines);  // byte-identical to never having died
-  EXPECT_EQ(run_text(after.report.result), run_text(full.report.result));
+  expect_resumed_equals(after, full);
   std::remove(ckpt.c_str());
 }
 
@@ -242,6 +254,187 @@ TEST(StreamServer, CheckpointWriteFailureDegradesGracefully) {
     }
   }
   EXPECT_EQ(degrade_warnings, 1u);  // warn once, not once per period
+}
+
+// ------------------------------------------ background checkpoint writes
+
+/// A stepper fed the CSV's data lines parsed as the server parses them.
+struct ReferenceRun {
+  std::unique_ptr<core::Reconfigurer> controller;
+  std::unique_ptr<SimStepper> stepper;
+};
+
+ReferenceRun reference_run(const StreamConfig& config, const std::string& csv) {
+  ReferenceRun run;
+  run.controller = make_stream_controller(config);
+  run.stepper = std::make_unique<SimStepper>(*run.controller, config.dt_s,
+                                             config.num_modules, config.sim);
+  TelemetryOptions options;
+  options.dt_s = config.dt_s;
+  options.num_modules = config.num_modules;
+  LineTelemetrySource source(feed_of(csv), options);
+  for (TelemetryEvent event = source.poll();
+       event.kind == TelemetryEvent::Kind::kSample; event = source.poll()) {
+    run.stepper->step(event.sample);
+  }
+  return run;
+}
+
+/// `state` with its measured controller time zeroed: the one part of a
+/// checkpoint that two runs of the same stream do not share.
+StepperState without_wall_time(StepperState state) {
+  state.total_compute_s = 0.0;
+  state.partial.avg_runtime_ms = 0.0;
+  state.partial.runtime_per_invocation_ms = 0.0;
+  for (StepRecord& step : state.partial.steps) step.compute_time_s = 0.0;
+  return state;
+}
+
+DecodedCheckpoint read_checkpoint(const std::string& path,
+                                  const StreamConfig& config) {
+  return decode_checkpoint(util::read_file_if_exists(path).value(),
+                           stream_config_fingerprint_text(config));
+}
+
+/// Hands over `bytes` in one chunk, then answers every later poll with
+/// `after` (throw, or raise a stop flag and idle).
+class ScriptedFeed final : public ByteFeed {
+ public:
+  ScriptedFeed(std::string bytes, std::function<Status()> after)
+      : bytes_(std::move(bytes)), after_(std::move(after)) {}
+  Status poll(std::string& chunk) override {
+    if (bytes_.empty()) return after_();
+    chunk += bytes_;
+    bytes_.clear();
+    return Status::kData;
+  }
+  std::string describe() const override { return "scripted"; }
+
+ private:
+  std::string bytes_;
+  std::function<Status()> after_;
+};
+
+/// Runs one array over `feed`, checkpointing to `ckpt` every two steps.
+StreamArrayReport run_scripted(const StreamConfig& config,
+                               std::unique_ptr<ByteFeed> feed,
+                               const std::string& ckpt,
+                               util::FaultInjector& faults, Capture& capture,
+                               const std::atomic<bool>* stop = nullptr) {
+  StreamServerOptions options;
+  options.warn = capture.warn();
+  options.poll_ms = 1;
+  StreamServer server(capture.sink(), options);
+  StreamArrayOptions array;
+  array.config = config;
+  array.feed = std::move(feed);
+  array.checkpoint_path = ckpt;
+  array.checkpoint_every_steps = 2;
+  array.faults = &faults;
+  server.add_array(std::move(array));
+  return server.run(stop).at(0);
+}
+
+// The process "dies" during a write that runs behind the stepping loop:
+// the array fails with the crash, the previous generation stays on disk
+// with its bytes (measured controller time aside), and resuming from it
+// reproduces the uninterrupted log.
+TEST(StreamServer, CrashDuringABackgroundWriteKeepsThePreviousGeneration) {
+  const auto trace = test_trace();
+  const StreamConfig config = explicit_config(trace);
+  const std::string csv = trace_csv(trace);
+  const std::string ckpt = testing::TempDir() + "/crash_in_flight.ckpt";
+  std::remove(ckpt.c_str());
+  const SingleRun full = run_single(config, csv);
+  ASSERT_TRUE(full.report.error.empty()) << full.report.error;
+
+  // Writes at steps 2, 4, 6, ...: the third dies before its rename.
+  util::FaultInjector faults;
+  faults.arm("stream.checkpoint.crash", 3, 3);
+  const SingleRun crashed = run_single(config, csv, ckpt, false, &faults);
+  EXPECT_NE(crashed.report.error.find("injected crash"), std::string::npos)
+      << crashed.report.error;
+
+  // On disk: the step-4 generation, the log up to step 4 included.
+  constexpr std::size_t kKept = 4;
+  const ReferenceRun reference = reference_run(config, csv_prefix(csv, kKept));
+  std::vector<std::string> prefix;
+  for (const std::string& line : full.lines) {
+    const double time_s = util::json::parse(line).at("time_s").as_number();
+    if (time_s < static_cast<double>(kKept) * trace.dt_s()) {
+      prefix.push_back(line);
+    }
+  }
+  const std::string stamp = stream_config_fingerprint_text(config);
+  const DecodedCheckpoint on_disk = read_checkpoint(ckpt, config);
+  EXPECT_EQ(encode_checkpoint(without_wall_time(on_disk.state), stamp,
+                              on_disk.extra_lines),
+            encode_checkpoint(without_wall_time(reference.stepper->state()),
+                              stamp, prefix));
+
+  const SingleRun after = run_single(config, csv, ckpt, /*resume=*/true);
+  ASSERT_TRUE(after.report.error.empty()) << after.report.error;
+  EXPECT_EQ(after.report.replayed, kKept);
+  EXPECT_EQ(after.restored, prefix);
+  expect_resumed_equals(after, full);
+  std::remove(ckpt.c_str());
+}
+
+// A feed that fails while a write is in flight fails the array; unwinding
+// joins the write (no hang, no std::terminate), and that write completes.
+TEST(StreamServer, FeedFailureJoinsTheWriteInFlight) {
+  const auto trace = test_trace();
+  const StreamConfig config = explicit_config(trace);
+  const std::string ckpt = testing::TempDir() + "/feed_failure.ckpt";
+  std::remove(ckpt.c_str());
+  // The step-6 write's first attempt fails, so it is still retrying after
+  // its backoff when the feed throws.
+  util::FaultInjector faults;
+  faults.arm("stream.checkpoint.write_fail", 3, 3);
+  Capture capture;
+  const StreamArrayReport report = run_scripted(
+      config,
+      std::make_unique<ScriptedFeed>(
+          csv_prefix(trace_csv(trace), 6),
+          []() -> ByteFeed::Status { throw std::runtime_error("feed broke"); }),
+      ckpt, faults, capture);
+
+  EXPECT_NE(report.error.find("feed broke"), std::string::npos)
+      << report.error;
+  EXPECT_FALSE(report.checkpointing_disabled);
+  EXPECT_EQ(read_checkpoint(ckpt, config).state.steps_consumed, 6u);
+  std::remove(ckpt.c_str());
+}
+
+// A stop request waits for the write in flight, then writes the final
+// checkpoint: it decodes to the stepper's end state and the full log.
+TEST(StreamServer, StopFlagWritesTheFinalCheckpointAfterTheWriteInFlight) {
+  const auto trace = test_trace();
+  const StreamConfig config = explicit_config(trace);
+  const std::string ckpt = testing::TempDir() + "/stop_flag.ckpt";
+  std::remove(ckpt.c_str());
+  util::FaultInjector faults;
+  faults.arm("stream.checkpoint.write_fail", 3, 3);  // slows the step-6 write
+  std::atomic<bool> stop{false};
+  Capture capture;
+  const StreamArrayReport report = run_scripted(
+      config,
+      std::make_unique<ScriptedFeed>(csv_prefix(trace_csv(trace), 7),
+                                     [&stop] {
+                                       stop = true;
+                                       return ByteFeed::Status::kIdle;
+                                     }),
+      ckpt, faults, capture, &stop);
+
+  ASSERT_TRUE(report.error.empty()) << report.error;
+  EXPECT_FALSE(report.checkpointing_disabled);
+  ASSERT_EQ(report.result.steps.size(), 7u);
+  const DecodedCheckpoint final_checkpoint = read_checkpoint(ckpt, config);
+  EXPECT_EQ(final_checkpoint.state.steps_consumed, 7u);
+  EXPECT_EQ(run_text(final_checkpoint.state.partial), run_text(report.result));
+  EXPECT_EQ(final_checkpoint.extra_lines, capture.lines);
+  EXPECT_TRUE(capture.warnings.empty());
+  std::remove(ckpt.c_str());
 }
 
 // The durability contract, in-process: interrupt a stream after a prefix,

@@ -74,54 +74,46 @@ class CheckpointPublisher {
   /// `fresh` comes back empty.
   void publish(StepperState state, std::vector<std::string>& fresh,
                bool in_background) {
-    if (writer_) {
-      writer_->wait_idle();
-      if (error_) {
-        const std::string what = *std::exchange(error_, std::nullopt);
-        if (crashed_) throw util::AtomicWriteCrash(what);
-        throw std::runtime_error(what);
-      }
-    }
-    state_ = std::move(state);
+    if (writer_) writer_->wait_idle();
     handed_.swap(fresh);
     if (!in_background) {
-      write();
+      write(state);
       return;
     }
     if (!writer_) writer_.emplace(1);
-    writer_->submit([this] {
-      try {
-        write();
-      } catch (const std::exception& e) {
-        crashed_ = dynamic_cast<const util::AtomicWriteCrash*>(&e) != nullptr;
-        error_ = e.what();
-      }
-    });
+    // The task owns the snapshot, so it is freed as soon as it is written.
+    writer_->submit([this, state = std::move(state)] { write(state); });
+  }
+
+  /// Waits for the write in flight and returns what it threw, if anything,
+  /// for an exit path that is already failing for another reason.
+  std::optional<std::string> settle() {
+    if (!writer_) return std::nullopt;
+    try {
+      writer_->wait_idle();
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    return std::nullopt;
   }
 
  private:
   /// Appends the handed lines to the log (leaving `handed_` empty with its
   /// capacity, for the next swap), then encodes and publishes.
-  void write() {
+  void write(const StepperState& state) {
     for (std::string& line : handed_) log_.push_back(std::move(line));
     handed_.clear();
-    util::atomic_write_file(path_, encoder_.encode(state_, stamp_, log_),
+    util::atomic_write_file(path_, encoder_.encode(state, stamp_, log_),
                             options_);
   }
 
   std::string path_;
   util::AtomicWriteOptions options_;
   std::string stamp_;
-  StepperState state_;               ///< the snapshot being written
   // Renders only the step rows and log lines new since the last checkpoint.
   CheckpointEncoder encoder_;
   std::vector<std::string> log_;     ///< full decision log incl. restored
   std::vector<std::string> handed_;  ///< new lines for the write in flight
-  // What the last background write threw, rethrown by the caller as a new
-  // exception of the same kind: no exception object is shared between
-  // threads.
-  std::optional<std::string> error_;
-  bool crashed_ = false;
   // Started at the first background write; last, so that it is destroyed
   // first: the destructor finishes the write in flight and joins the
   // thread on every exit path.
@@ -242,7 +234,8 @@ void StreamServer::run_array(StreamArrayOptions& array,
   // background or (on exit) on this thread.  A failed write surfaces when
   // the next checkpoint collects it: it warns once and disables
   // checkpointing — the stream itself must keep flowing.  The injected
-  // crash fault models the process dying and is not caught.
+  // crash fault models the process dying and is not caught.  If the array
+  // fails first, the handler around the loop reports the write's failure.
   const auto save_checkpoint = [&](bool in_background) {
     if (!checkpointing || !stepper) return;
     StepperState state = stepper->state();
@@ -305,57 +298,69 @@ void StreamServer::run_array(StreamArrayOptions& array,
     if (checkpointing) log_lines.push_back(std::move(line));
   };
 
-  while (true) {
-    if (stop_flag != nullptr && stop_flag->load()) break;
-    TelemetryEvent event = source.poll();
-    for (const TelemetryIssue& issue : event.issues) {
-      if (issue.kind == TelemetryIssue::Kind::kGap) {
-        ++report.gaps;
-      } else {
-        ++report.out_of_order;
+  try {
+    while (true) {
+      if (stop_flag != nullptr && stop_flag->load()) break;
+      TelemetryEvent event = source.poll();
+      for (const TelemetryIssue& issue : event.issues) {
+        if (issue.kind == TelemetryIssue::Kind::kGap) {
+          ++report.gaps;
+        } else {
+          ++report.out_of_order;
+        }
+        emit_line(issue_line(array.name, issue));
       }
-      emit_line(issue_line(array.name, issue));
-    }
-    if (event.kind == TelemetryEvent::Kind::kEnd) break;
-    if (event.kind == TelemetryEvent::Kind::kIdle) {
-      if (options_.idle_exit_ms != 0 && idle_exit.expired()) break;
-      if (options_.stall_timeout_ms != 0 && stall.expired() &&
-          !stall_warned) {
-        ++report.stalls;
-        stall_warned = true;
-        emitter_->warn("array '" + array.name + "': no telemetry from " +
-                       source.describe() + " for " +
-                       std::to_string(stall.elapsed_ms()) + " ms");
+      if (event.kind == TelemetryEvent::Kind::kEnd) break;
+      if (event.kind == TelemetryEvent::Kind::kIdle) {
+        if (options_.idle_exit_ms != 0 && idle_exit.expired()) break;
+        if (options_.stall_timeout_ms != 0 && stall.expired() &&
+            !stall_warned) {
+          ++report.stalls;
+          stall_warned = true;
+          emitter_->warn("array '" + array.name + "': no telemetry from " +
+                         source.describe() + " for " +
+                         std::to_string(stall.elapsed_ms()) + " ms");
+        }
+        util::sleep_for_ms(options_.poll_ms);
+        continue;
       }
-      util::sleep_for_ms(options_.poll_ms);
-      continue;
+
+      // kSample.
+      stall.reset();
+      idle_exit.reset();
+      stall_warned = false;
+      if (!stepper) {
+        config.dt_s = source.dt_s();
+        config.num_modules = source.num_modules();
+        build();
+      }
+      const util::MonotonicTimer timer;
+      const StepRecord rec = stepper->step(event.sample);
+      report.step_latency_ms.add(timer.seconds() * 1000.0);
+      if (rec.switched) {
+        ++report.decisions;
+        emit_line(
+            decision_line(array.name, rec, stepper->current_group_starts()));
+      }
+      if (array.checkpoint_every_steps != 0 &&
+          stepper->steps_consumed() - steps_at_checkpoint >=
+              array.checkpoint_every_steps) {
+        save_checkpoint(/*in_background=*/true);
+      }
     }
 
-    // kSample.
-    stall.reset();
-    idle_exit.reset();
-    stall_warned = false;
-    if (!stepper) {
-      config.dt_s = source.dt_s();
-      config.num_modules = source.num_modules();
-      build();
+    save_checkpoint(/*in_background=*/false);
+  } catch (...) {
+    // The array is failing while a write may still be in flight.  Report
+    // that write's own failure now: it would otherwise vanish with the
+    // publisher, which only joins the write.
+    if (const std::optional<std::string> failure = publisher.settle()) {
+      emitter_->warn("array '" + array.name +
+                     "': checkpoint write failed: " + *failure);
+      report.checkpointing_disabled = true;
     }
-    const util::MonotonicTimer timer;
-    const StepRecord rec = stepper->step(event.sample);
-    report.step_latency_ms.add(timer.seconds() * 1000.0);
-    if (rec.switched) {
-      ++report.decisions;
-      emit_line(
-          decision_line(array.name, rec, stepper->current_group_starts()));
-    }
-    if (array.checkpoint_every_steps != 0 &&
-        stepper->steps_consumed() - steps_at_checkpoint >=
-            array.checkpoint_every_steps) {
-      save_checkpoint(/*in_background=*/true);
-    }
+    throw;
   }
-
-  save_checkpoint(/*in_background=*/false);
   report.replayed = source.replayed();
   if (stepper) report.result = stepper->result();
 }

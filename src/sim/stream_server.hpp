@@ -27,7 +27,8 @@
 // checkpointing disabled, streaming continues (availability over
 // durability, matching the cache-dir policy); only the injected crash
 // fault (stream.checkpoint.crash) aborts, because it models the process
-// dying mid-write.
+// dying mid-write.  An array that fails for another reason while a write
+// is in flight waits for it and warns about that write's failure, if any.
 //
 // The decision log deliberately contains only deterministic,
 // stream-derived events (decisions, gaps, out-of-order drops) — no

@@ -60,9 +60,14 @@ void ThreadPool::worker_loop() {
     } catch (...) {
       error = std::current_exception();
     }
+    // Release the task's captures and this thread's hold on its exception
+    // before the task counts as finished: once wait_idle() returns, the
+    // caller may destroy what the task captured or rethrow the exception.
+    task = nullptr;
     {
       MutexLock lock(mutex_);
-      if (error && !first_error_) first_error_ = error;
+      if (error && !first_error_) first_error_ = std::move(error);
+      error = nullptr;
       --in_flight_;
       if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
     }

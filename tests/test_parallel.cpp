@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/montecarlo.hpp"
@@ -73,6 +75,21 @@ TEST(ThreadPool, WaitIdleRethrowsFirstTaskException) {
   pool.submit([&] { ++counter; });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 1);
+}
+
+TEST(ThreadPool, WaitIdleReturnsOnlyAfterTheTaskIsReleased) {
+  // The worker destroys a task's captures before wait_idle() returns, so
+  // the caller may free what they point at; repeated to give a late
+  // release the chance to show.
+  util::ThreadPool pool(1);
+  for (int i = 0; i < 2000; ++i) {
+    auto token = std::make_shared<int>(i);
+    pool.submit([token] {
+      throw std::runtime_error("task " + std::to_string(*token));
+    });
+    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 1);
+  }
 }
 
 TEST(ThreadPool, AtLeastOneWorker) {

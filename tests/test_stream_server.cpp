@@ -406,6 +406,39 @@ TEST(StreamServer, FeedFailureJoinsTheWriteInFlight) {
   std::remove(ckpt.c_str());
 }
 
+// A write that fails in the background is not lost when the feed fails
+// before the next checkpoint collects it: the array reports the feed error
+// and warns once about the write.
+TEST(StreamServer, FeedFailureReportsTheWriteThatFailedInFlight) {
+  const auto trace = test_trace();
+  const StreamConfig config = explicit_config(trace);
+  const std::string ckpt = testing::TempDir() + "/feed_and_write.ckpt";
+  std::remove(ckpt.c_str());
+  // Every attempt of the step-2 write fails; the feed throws after step 3,
+  // before the step-4 checkpoint.
+  util::FaultInjector faults;
+  faults.arm("stream.checkpoint.write_fail", 1, 1000000);
+  Capture capture;
+  const StreamArrayReport report = run_scripted(
+      config,
+      std::make_unique<ScriptedFeed>(
+          csv_prefix(trace_csv(trace), 3),
+          []() -> ByteFeed::Status { throw std::runtime_error("feed broke"); }),
+      ckpt, faults, capture);
+
+  EXPECT_NE(report.error.find("feed broke"), std::string::npos)
+      << report.error;
+  EXPECT_TRUE(report.checkpointing_disabled);
+  EXPECT_FALSE(util::read_file_if_exists(ckpt).has_value());
+  std::size_t write_warnings = 0;
+  for (const std::string& warning : capture.warnings) {
+    if (warning.find("checkpoint write failed") != std::string::npos) {
+      ++write_warnings;
+    }
+  }
+  EXPECT_EQ(write_warnings, 1u);
+}
+
 // A stop request waits for the write in flight, then writes the final
 // checkpoint: it decodes to the stepper's end state and the full log.
 TEST(StreamServer, StopFlagWritesTheFinalCheckpointAfterTheWriteInFlight) {

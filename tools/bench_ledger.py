@@ -3,14 +3,16 @@
 
 Usage (from the checkout root):
     python3 tools/bench_ledger.py --workload stream_ckpt_hour \\
-        [--checkout DIR] [--seeds 1-10] [--seconds N] [--label TEXT]
+        [--checkout DIR] [--label TEXT]
 
 Runs `perfbench/run.py --trace 0` in DIR (default: this checkout) once per
-seed, then `--trace 1` at seed 1.  The row holds the measured commit, the
-host facts perfbench prints as `# host` lines, the median and interquartile
-range of each end-to-end metric over the seeds, and the traced work
-counters: every per-layer metric counted in `count` or `B`, plus the EHTR
-share of groups solved, the same set perfbench/check_counters.py compares.
+seed 1-10, then `--trace 1` at seed 1, each for DIR's BENCHMARK.json
+`run_seconds`, so every row of a ledger is measured the same way.  The row
+holds the measured commit, the host facts perfbench prints as `# host`
+lines, the median and interquartile range of each end-to-end metric over
+the seeds, and the traced work counters: every per-layer metric counted in
+`count` or `B`, plus the EHTR share of groups solved, the same set
+perfbench/check_counters.py compares.
 The row is appended to BENCH_<workload>.json in the current directory, so
 a parent checkout can be measured into this checkout's ledger with
 --checkout.  perfbench builds into $CARGO_TARGET_DIR, default DIR's
@@ -27,22 +29,12 @@ import sys
 
 COUNTER_UNITS = ("count", "B")
 COUNTER_EXTRA = ("core.ehtr.groups_solved_frac",)
+SEEDS = list(range(1, 11))
 RUN_TIMEOUT_S = 600
 
 
 def fail(message):
     sys.exit(f"bench_ledger: {message}")
-
-
-def parse_seeds(text):
-    """'1-10' or '1,3,5' -> list of ints."""
-    seeds = []
-    for part in text.split(","):
-        first, _, last = part.partition("-")
-        seeds.extend(range(int(first), int(last or first) + 1))
-    if not seeds:
-        fail(f"no seeds in {text!r}")
-    return seeds
 
 
 def run_perfbench(checkout, workload, seed, seconds, trace):
@@ -91,9 +83,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--checkout", default=".")
-    parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--seconds", type=int,
-                        help="per run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--label", default="",
                         help="what the measured commit changed")
     args = parser.parse_args()
@@ -101,14 +90,13 @@ def main():
     checkout = os.path.abspath(args.checkout)
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as f:
         benchmark = json.load(f)
-    seconds = args.seconds or benchmark["run_seconds"]
-    seeds = parse_seeds(args.seeds)
+    seconds = benchmark["run_seconds"]
 
     host = []
     samples = {}
     units = {}
     attempted = failed = 0
-    for seed in seeds:
+    for seed in SEEDS:
         notes, result = run_perfbench(checkout, args.workload, seed, seconds, 0)
         host = host or [n for n in notes if n.startswith("host")]
         attempted += result["attempted"]
@@ -135,7 +123,7 @@ def main():
         "recorded_utc": datetime.datetime.now(datetime.timezone.utc)
                         .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "host": host,
-        "seeds": seeds,
+        "seeds": SEEDS,
         "seconds": seconds,
         "attempted": attempted,
         "failed": failed,

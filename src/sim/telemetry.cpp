@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "util/double_format.hpp"
 #include "util/float_cmp.hpp"
 #include "util/parse.hpp"
 
@@ -49,6 +50,17 @@ std::string_view without_cr(std::string_view line) {
   return line;
 }
 
+std::size_t count_cells(std::string_view line) {
+  return static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) +
+         1;
+}
+
+[[noreturn]] void throw_column_count(std::size_t cells, std::size_t expected) {
+  throw std::runtime_error("telemetry: row has " + std::to_string(cells) +
+                           " columns, " + "expected " +
+                           std::to_string(expected));
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ FileTailFeed
@@ -72,14 +84,15 @@ ByteFeed::Status FileTailFeed::poll(std::string& chunk) {
   const std::size_t want =
       static_cast<std::size_t>(std::min<std::uint64_t>(size - offset_,
                                                        kChunkBytes));
-  std::string buf(want, '\0');
+  // Read straight into the chunk's tail, then keep only what arrived.
+  const std::size_t held = chunk.size();
+  chunk.resize(held + want);
   in.seekg(static_cast<std::streamoff>(offset_));
-  in.read(buf.data(), static_cast<std::streamsize>(want));
+  in.read(chunk.data() + held, static_cast<std::streamsize>(want));
   const auto got = static_cast<std::size_t>(in.gcount());
+  chunk.resize(held + got);
   if (got == 0) return Status::kIdle;
-  buf.resize(got);
   offset_ += got;
-  chunk += buf;
   return Status::kData;
 }
 
@@ -225,6 +238,47 @@ ByteFeed::Status StringFeed::poll(std::string& chunk) {
   return Status::kData;
 }
 
+// ------------------------------------------------------ parse_telemetry_row
+
+void parse_telemetry_row(std::string_view line, double& time, double& ambient,
+                         std::span<double> temps) {
+  const std::size_t expected = temps.size() + 2;
+  const char* cell = line.data();
+  const char* const last = cell + line.size();
+  for (std::size_t column = 0;; ++column) {
+    // Too many cells: the column count wins, as it would over a bad cell.
+    if (column == expected) throw_column_count(count_cells(line), expected);
+    double value = 0.0;
+    // from_chars stops at the comma, so a cell is settled when the number
+    // it read stops exactly there (or at the end of the line).
+    const char* end = util::read_settled_double(cell, last, value);
+    if (end == nullptr || (end != last && *end != ',')) {
+      end = std::find(cell, last, ',');
+      try {
+        value = util::parse_double(
+            std::string_view(cell, static_cast<std::size_t>(end - cell)));
+      } catch (const std::exception& e) {
+        const std::size_t cells = count_cells(line);
+        if (cells != expected) throw_column_count(cells, expected);
+        throw std::runtime_error(
+            std::string("telemetry: unparseable cell: ") + e.what());
+      }
+    }
+    if (column == 0) {
+      time = value;
+    } else if (column == 1) {
+      ambient = value;
+    } else {
+      temps[column - 2] = value;
+    }
+    if (end == last) {
+      if (column + 1 != expected) throw_column_count(column + 1, expected);
+      return;
+    }
+    cell = end + 1;
+  }
+}
+
 // ----------------------------------------------------- LineTelemetrySource
 
 LineTelemetrySource::LineTelemetrySource(std::unique_ptr<ByteFeed> feed,
@@ -248,21 +302,21 @@ LineTelemetrySource::LineTelemetrySource(std::unique_ptr<ByteFeed> feed,
 }
 
 void LineTelemetrySource::enqueue_grid_sample(std::size_t index,
+                                              std::size_t held,
                                               std::vector<double> temps,
                                               double ambient) {
   // Emitted times are grid-snapped and rebased to t = 0, so the stream is
   // byte-for-byte the time base a generated TemperatureTrace has and the
   // stepper's grid check is exact.
-  TraceSample sample;
-  sample.time_s = static_cast<double>(index) * dt_s_;
-  sample.module_temps_c = std::move(temps);
-  sample.ambient_c = ambient;
-  last_temps_ = sample.module_temps_c;
-  last_ambient_ = ambient;
+  Pending& pending = ready_.emplace_back();
+  pending.index = index;
+  pending.held = held;
+  pending.sample.time_s = static_cast<double>(index) * dt_s_;
+  pending.sample.module_temps_c = std::move(temps);
+  pending.sample.ambient_c = ambient;
   have_last_ = true;
-  ready_.push_back(std::move(sample));
   next_index_ = index + 1;
-  ++emitted_;
+  emitted_ += held + 1;
 }
 
 std::string LineTelemetrySource::where(std::size_t line_no) const {
@@ -272,8 +326,6 @@ std::string LineTelemetrySource::where(std::size_t line_no) const {
 
 void LineTelemetrySource::ingest(std::string_view line, std::size_t line_no) {
   if (line.empty()) return;  // tolerate blank separator lines
-  const std::size_t cells =
-      static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) + 1;
 
   if (!header_seen_) {
     // At least three cells, the first two named time_s and ambient_c.
@@ -283,7 +335,7 @@ void LineTelemetrySource::ingest(std::string_view line, std::size_t line_no) {
           "'time_s,ambient_c,t0,...'" +
           where(line_no));
     }
-    const std::size_t n = cells - 2;
+    const std::size_t n = count_cells(line) - 2;
     if (num_modules_ != 0 && n != num_modules_) {
       throw std::runtime_error(
           "telemetry: header has " + std::to_string(n) +
@@ -295,35 +347,16 @@ void LineTelemetrySource::ingest(std::string_view line, std::size_t line_no) {
     return;
   }
 
-  // Every cell must be non-empty (an empty cell is a truncated row —
-  // load_csv rejects the same way); parse_double rejects it below.
-  if (cells != num_modules_ + 2) {
-    throw std::runtime_error("telemetry: row has " + std::to_string(cells) +
-                             " columns, " + "expected " +
-                             std::to_string(num_modules_ + 2) +
-                             where(line_no));
-  }
-  // Cells parse in place, straight into the sample: parse_double rejects
-  // empty, partial and non-finite cells, so every value here is finite.
+  // Cells parse in place, straight into the sample.  Every cell must be
+  // non-empty (an empty cell is a truncated row — load_csv rejects the
+  // same way) and finite, so every value here is finite.
   double time = 0.0;
   double ambient = 0.0;
   std::vector<double> temps(num_modules_);
   try {
-    std::size_t column = 0;
-    util::for_each_field(line, ',', [&](std::string_view cell) {
-      const double value = util::parse_double(cell);
-      if (column == 0) {
-        time = value;
-      } else if (column == 1) {
-        ambient = value;
-      } else {
-        temps[column - 2] = value;
-      }
-      ++column;
-    });
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("telemetry: unparseable cell: ") +
-                             e.what() + where(line_no));
+    parse_telemetry_row(line, time, ambient, temps);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(e.what() + where(line_no));
   }
 
   // Resolve dt before anything can be placed on the grid.  Derive mode
@@ -376,6 +409,15 @@ void LineTelemetrySource::process_on_grid(double time,
         " is not on the grid (epoch " + std::to_string(epoch_s_) + ", dt " +
         std::to_string(dt_s_) + ")" + where(line_no));
   }
+  // Beyond 2^53 grid steps the index is no longer exact, and past
+  // SIZE_MAX the cast below would be undefined.
+  if (k_real >= 0x1p53) {
+    throw std::runtime_error(
+        "telemetry: timestamp " + util::format_double(time) +
+        " lies 2^53 or more grid steps past the epoch (epoch " +
+        std::to_string(epoch_s_) + ", dt " + std::to_string(dt_s_) + ")" +
+        where(line_no));
+  }
   const auto k = static_cast<std::size_t>(k_real);
 
   if (k < options_.start_index) {
@@ -393,6 +435,7 @@ void LineTelemetrySource::process_on_grid(double time,
     issues_.push_back(std::move(issue));
     return;
   }
+  std::size_t held = 0;  // gap fills due before this sample
   if (k > next_index_) {
     const std::size_t missing = k - next_index_;
     if (options_.gap_policy == GapPolicy::kReject) {
@@ -415,11 +458,9 @@ void LineTelemetrySource::process_on_grid(double time,
                    " missing grid step(s) before t = " + std::to_string(time) +
                    " by holding the last sample" + where(line_no);
     issues_.push_back(std::move(issue));
-    for (std::size_t i = next_index_; i < k; ++i) {
-      enqueue_grid_sample(i, last_temps_, last_ambient_);
-    }
+    held = missing;
   }
-  enqueue_grid_sample(k, std::move(temps), ambient);
+  enqueue_grid_sample(k, held, std::move(temps), ambient);
 }
 
 TelemetryEvent LineTelemetrySource::poll() {
@@ -457,8 +498,19 @@ TelemetryEvent LineTelemetrySource::poll() {
   }
   if (!ready_.empty()) {
     event.kind = TelemetryEvent::Kind::kSample;
-    event.sample = std::move(ready_.front());
-    ready_.pop_front();
+    Pending& next = ready_.front();
+    if (next.held > 0) {
+      // A gap fill holds the sample delivered just before it.
+      event.sample.time_s = static_cast<double>(next.index - next.held) * dt_s_;
+      event.sample.module_temps_c = last_temps_;
+      event.sample.ambient_c = last_ambient_;
+      --next.held;
+    } else {
+      last_temps_ = next.sample.module_temps_c;
+      last_ambient_ = next.sample.ambient_c;
+      event.sample = std::move(next.sample);
+      ready_.pop_front();
+    }
   } else {
     event.kind = TelemetryEvent::Kind::kEnd;
   }

@@ -31,6 +31,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -181,6 +182,19 @@ struct TelemetryOptions {
   std::size_t start_index = 0;
 };
 
+/// Reads one data row of the line protocol — `time,ambient,t0,...` —
+/// into `time`, `ambient` and `temps`, in one pass over the line: each
+/// cell is settled in place by util::read_settled_double, and a cell it
+/// does not settle (padding, a '+' sign, hex, subnormal, non-finite, empty
+/// or junk text) is read by util::parse_double, so every cell is accepted
+/// or rejected exactly as parse_double would.  Throws std::runtime_error
+/// "telemetry: row has X columns, expected Y" when the row does not hold
+/// temps.size() + 2 cells (checked first, so it wins over a bad cell), and
+/// "telemetry: unparseable cell: <parse_double's message>" otherwise.  The
+/// messages carry no line suffix; LineTelemetrySource appends it.
+void parse_telemetry_row(std::string_view line, double& time, double& ambient,
+                         std::span<double> temps);
+
 /// Incremental parser of the TemperatureTrace CSV line protocol over a
 /// ByteFeed.  Single-owner, not thread-safe.  Malformed input (bad
 /// header, wrong column count, non-finite cell, off-grid timestamp,
@@ -217,8 +231,8 @@ class LineTelemetrySource {
                        std::size_t line_no);
   /// The " (line N of <feed>)" suffix; built only for an error or issue.
   std::string where(std::size_t line_no) const;
-  void enqueue_grid_sample(std::size_t index, std::vector<double> temps,
-                           double ambient);
+  void enqueue_grid_sample(std::size_t index, std::size_t held,
+                           std::vector<double> temps, double ambient);
 
   std::unique_ptr<ByteFeed> feed_;
   TelemetryOptions options_;
@@ -235,13 +249,22 @@ class LineTelemetrySource {
   std::vector<double> parked_temps_;
   double parked_ambient_ = 0.0;
   std::size_t next_index_ = 0;   ///< grid index the next sample must land on
-  bool have_last_ = false;
-  std::vector<double> last_temps_;   ///< for GapPolicy::kHoldLast
+  bool have_last_ = false;       ///< a sample has been queued
+  /// The last sample delivered: what a gap fill holds (GapPolicy::kHoldLast).
+  std::vector<double> last_temps_;
   double last_ambient_ = 0.0;
   std::size_t emitted_ = 0;
   std::size_t replayed_ = 0;
   std::size_t lines_seen_ = 0;   ///< lines ingested so far
-  std::deque<TraceSample> ready_;
+  /// A queued sample and the gap fills due before it.  The fills are only
+  /// counted: poll() builds each one from last_temps_ as it delivers it, so
+  /// memory does not grow with the length of a gap.
+  struct Pending {
+    std::size_t index = 0;       ///< grid index of `sample`
+    std::size_t held = 0;        ///< fills still due before it
+    TraceSample sample;
+  };
+  std::deque<Pending> ready_;
   std::vector<TelemetryIssue> issues_;
 };
 

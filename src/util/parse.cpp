@@ -57,20 +57,26 @@ std::string_view trim(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
-double parse_double(std::string_view text) {
-  const std::string_view token = trim(text);
-  const char* const last = token.data() + token.size();
-  double value = 0.0;
+const char* read_settled_double(const char* first, const char* last,
+                                double& value) {
   const auto [end, ec] =
-      std::from_chars(token.data(), last, value, std::chars_format::general);
+      std::from_chars(first, last, value, std::chars_format::general);
   // Only a normal or zero value is settled here: strtod flags subnormals
   // with ERANGE (rejected), and every other input — a sign or hex prefix
   // from_chars refuses, junk, overflow, "nan"/"inf" — takes strtod's path
   // so it is accepted or rejected exactly as before, with the same message.
-  if (ec == std::errc() && end == last &&
-      (std::isnormal(value) || is_exactly_zero(value))) {
-    return value;
+  if (ec != std::errc() || !(std::isnormal(value) || is_exactly_zero(value))) {
+    return nullptr;
   }
+  return end;
+}
+
+double parse_double(std::string_view text) {
+  const std::string_view token = trim(text);
+  const char* const last = token.data() + token.size();
+  double value = 0.0;
+  const char* const end = read_settled_double(token.data(), last, value);
+  if (end != nullptr && end == last) return value;
   return parse_double_strtod(text);
 }
 

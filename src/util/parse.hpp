@@ -16,10 +16,14 @@
 //
 // parse_double takes a std::string_view and neither copies nor allocates
 // on the common path: std::from_chars reads a plain decimal token, and only
-// a token it does not fully consume as a normal or zero double (a leading
-// '+', hex, subnormals, out-of-range and non-finite text, garbage) falls
-// back to strtod, which then accepts it or throws.  Both are correctly
-// rounded, so every accepted token reads back to the same bits either way.
+// a token it does not settle (read_settled_double: a normal or zero double
+// that fills the whole token) falls back to strtod — a leading '+', hex,
+// subnormals, out-of-range and non-finite text, garbage — which then
+// accepts it or throws.  Both are correctly rounded, so every accepted
+// token reads back to the same bits either way.  Scanners that split a
+// line themselves (the telemetry row scan) settle each cell with the same
+// read_settled_double and hand the rest to parse_double, so there is one
+// number reader and one rule for when its fast path may answer.
 //
 // The comma-list decoders split through for_each_field, which keeps empty
 // fields ("1,2," is three fields, the last one empty), so a stray comma is
@@ -39,6 +43,15 @@ std::string_view trim(std::string_view text);
 /// "1.2.3"), out-of-range and subnormal values ("1e400", "5e-324") and
 /// non-finite values ("nan", "inf").
 double parse_double(std::string_view text);
+
+/// parse_double's fast path: std::from_chars reads the number at the front
+/// of [first, last).  Returns where the number stops when its value is
+/// normal or zero, nullptr otherwise.  The token is settled only when that
+/// stop is the end of its cell (`last` for parse_double, the next separator
+/// or the end of the line for a scanner); anything else must go through
+/// parse_double, which accepts or rejects it with the full dialect.
+const char* read_settled_double(const char* first, const char* last,
+                                double& value);
 
 /// Parses a non-negative integer; rejects signs, junk and overflow.
 std::uint64_t parse_u64(std::string_view text);

@@ -5,11 +5,14 @@
 // and INOR's count must not grow with its group-count window: the port
 // snapshot, the evaluator's prefix sums, INOR's prefix and candidate
 // buffers and the switch fabric's boundary list are all reused in place.
+// A telemetry gap is held lazily: the allocations made while a line that
+// skips grid steps is ingested do not depend on how many it skips.
 // Counted with a global operator new (the pattern of
 // tests/test_ehtr_stream.cpp), one count per call.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -21,6 +24,7 @@
 #include "core/inor.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/stepper.hpp"
+#include "sim/telemetry.hpp"
 #include "thermal/scenario.hpp"
 #include "thermal/trace.hpp"
 
@@ -117,6 +121,31 @@ std::size_t step_allocations(const std::string& scheme, std::size_t modules) {
   return allocations() - before;
 }
 
+/// Allocations of the poll() that ingests a line `gap` grid steps past the
+/// stream position (and delivers the first fill), under the default
+/// GapPolicy::kHoldLast.
+std::size_t gap_line_allocations(std::size_t gap) {
+  auto feed = std::make_unique<StringFeed>();
+  StringFeed* raw = feed.get();
+  raw->push("time_s,ambient_c,t0,t1\n0,25,30,31\n");
+  TelemetryOptions options;
+  options.dt_s = 0.5;
+  LineTelemetrySource source(std::move(feed), options);
+  EXPECT_EQ(source.poll().kind, TelemetryEvent::Kind::kSample);
+  // A zero-padded stamp keeps the line the same length for every gap.
+  char line[64];
+  std::snprintf(line, sizeof line, "%08.1f,25,30,31\n",
+                0.5 * static_cast<double>(gap + 1));
+  raw->push(line);
+  const std::size_t before = allocations();
+  const TelemetryEvent event = source.poll();
+  const std::size_t counted = allocations() - before;
+  EXPECT_EQ(event.kind, TelemetryEvent::Kind::kSample);
+  EXPECT_EQ(event.issues.size(), 1u);
+  EXPECT_EQ(source.samples_emitted(), gap + 2);
+  return counted;
+}
+
 TEST(StepAllocations, InorUpdateCountIndependentOfArraySize) {
   const std::size_t small = inor_update_allocations(64, {});
   const std::size_t large = inor_update_allocations(1000, {});
@@ -138,6 +167,10 @@ TEST(StepAllocations, StepperCountIndependentOfArraySize) {
     SCOPED_TRACE(scheme);
     EXPECT_EQ(step_allocations(scheme, 64), step_allocations(scheme, 1000));
   }
+}
+
+TEST(StepAllocations, TelemetryGapCountIndependentOfGapLength) {
+  EXPECT_EQ(gap_line_allocations(10), gap_line_allocations(10000));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -32,6 +33,30 @@ const std::string kHeader = "time_s,ambient_c,t0,t1\n";
 std::string row(double t, double ambient, double a, double b) {
   return std::to_string(t) + "," + std::to_string(ambient) + "," +
          std::to_string(a) + "," + std::to_string(b) + "\n";
+}
+
+/// Drains a closed source, returning every sample it emits.
+std::vector<TraceSample> drain(LineTelemetrySource& source) {
+  std::vector<TraceSample> samples;
+  for (TelemetryEvent event = source.poll();
+       event.kind != TelemetryEvent::Kind::kEnd; event = source.poll()) {
+    if (event.kind == TelemetryEvent::Kind::kSample) {
+      samples.push_back(std::move(event.sample));
+    }
+  }
+  return samples;
+}
+
+/// The message of the runtime_error draining `bytes` throws ("" if none).
+std::string error_of(const std::string& bytes, TelemetryOptions options = {}) {
+  auto [feed, source] = make_source(bytes, std::move(options));
+  feed->close();
+  try {
+    drain(*source);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Telemetry, ParsesGridAndSamplesFromScratch) {
@@ -115,6 +140,35 @@ TEST(Telemetry, GapIsFilledByHoldingLastSample) {
   EXPECT_EQ(source->samples_emitted(), 5u);      // fills count as emitted
 }
 
+// Gap fills are built as they are delivered, so two gaps that arrive in
+// one chunk must each hold the sample just before them, not the newest.
+TEST(Telemetry, GapsInOneChunkEachHoldTheSampleBeforeThem) {
+  TelemetryOptions options;
+  options.dt_s = 0.5;
+  auto [feed, source] =
+      make_source(kHeader + row(0.0, 25, 30, 31) + row(1.0, 26, 32, 33) +
+                      row(2.0, 27, 34, 35),
+                  options);
+  feed->close();
+  // (time, ambient, first module) of each delivered sample.
+  const std::vector<std::tuple<double, double, double>> want = {
+      {0.0, 25, 30}, {0.5, 25, 30}, {1.0, 26, 32}, {1.5, 26, 32},
+      {2.0, 27, 34}};
+  std::size_t issues = 0;
+  for (const auto& [time, ambient, temp] : want) {
+    const TelemetryEvent event = source->poll();
+    ASSERT_EQ(event.kind, TelemetryEvent::Kind::kSample);
+    issues += event.issues.size();
+    EXPECT_EQ(event.sample.time_s, time);
+    EXPECT_EQ(event.sample.ambient_c, ambient);
+    EXPECT_EQ(event.sample.module_temps_c,
+              (std::vector<double>{temp, temp + 1}));
+  }
+  EXPECT_EQ(issues, 2u);
+  EXPECT_EQ(source->poll().kind, TelemetryEvent::Kind::kEnd);
+  EXPECT_EQ(source->samples_emitted(), 5u);
+}
+
 TEST(Telemetry, GapRejectPolicyThrows) {
   TelemetryOptions options;
   options.dt_s = 0.5;
@@ -182,6 +236,39 @@ TEST(Telemetry, MalformedLinesThrowNamingTheLine) {
   EXPECT_THROW(source->poll(), std::runtime_error);
 }
 
+// A timestamp 2^53 or more grid steps past the epoch is on the grid as
+// far as doubles can tell, but its index cannot be a size_t: it must fail
+// loudly, naming the line, rather than wrap into an out-of-order drop.
+TEST(Telemetry, FarFutureTimestampIsRejected) {
+  for (const char* stamp : {"1e19", "1e300"}) {
+    TelemetryOptions options;
+    options.dt_s = 0.5;
+    options.gap_policy = GapPolicy::kReject;
+    auto [feed, source] = make_source(kHeader + row(0.0, 25, 30, 31), options);
+    EXPECT_EQ(source->poll().kind, TelemetryEvent::Kind::kSample);
+    feed->push(std::string(stamp) + ",25,30,31\n");
+    feed->close();
+    try {
+      source->poll();
+      ADD_FAILURE() << stamp << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string error = e.what();
+      EXPECT_NE(error.find("2^53 or more grid steps past the epoch"),
+                std::string::npos)
+          << error;
+      EXPECT_NE(error.find("(line 3 of memory)"), std::string::npos) << error;
+    }
+  }
+  // Well inside the range, the same line is an ordinary gap.
+  TelemetryOptions options;
+  options.dt_s = 0.5;
+  options.gap_policy = GapPolicy::kReject;
+  const std::string error =
+      error_of(kHeader + row(0.0, 25, 30, 31) + "1e7,25,30,31\n", options);
+  EXPECT_NE(error.find("gap of 19999999 grid step(s)"), std::string::npos)
+      << error;
+}
+
 // The resume contract: with an epoch pinned and a start index, replayed
 // history is silently dropped (counted, not an incident) and the stream
 // rejoins exactly where the restored stepper needs it.
@@ -228,30 +315,6 @@ TEST(Telemetry, BlankLinesAreTolerated) {
   EXPECT_EQ(source->poll().kind, TelemetryEvent::Kind::kSample);
   EXPECT_EQ(source->poll().kind, TelemetryEvent::Kind::kSample);
   EXPECT_EQ(source->poll().kind, TelemetryEvent::Kind::kEnd);
-}
-
-/// Drains a closed source, returning every sample it emits.
-std::vector<TraceSample> drain(LineTelemetrySource& source) {
-  std::vector<TraceSample> samples;
-  for (TelemetryEvent event = source.poll();
-       event.kind != TelemetryEvent::Kind::kEnd; event = source.poll()) {
-    if (event.kind == TelemetryEvent::Kind::kSample) {
-      samples.push_back(std::move(event.sample));
-    }
-  }
-  return samples;
-}
-
-/// The message of the runtime_error draining `bytes` throws ("" if none).
-std::string error_of(const std::string& bytes) {
-  auto [feed, source] = make_source(bytes);
-  feed->close();
-  try {
-    drain(*source);
-  } catch (const std::runtime_error& e) {
-    return e.what();
-  }
-  return "";
 }
 
 // Lines are parsed in place from the receive buffer, so where the feed

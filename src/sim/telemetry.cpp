@@ -467,7 +467,7 @@ TelemetryEvent LineTelemetrySource::poll() {
   TelemetryEvent event;
   // Deliver queued samples (gap fills, burst arrivals) one per call before
   // touching the feed again.
-  while (ready_.empty() && !end_) {
+  while (!have_ready() && !end_) {
     // The feed appends straight into the buffer; only the new bytes can
     // hold the next newline, and each complete line is parsed in place.
     const std::size_t scan = buffer_.size();
@@ -489,16 +489,16 @@ TelemetryEvent LineTelemetrySource::poll() {
         ingest(without_cr(line), ++lines_seen_);
       }
       end_ = true;
-    } else if (status == ByteFeed::Status::kIdle && ready_.empty()) {
+    } else if (status == ByteFeed::Status::kIdle && !have_ready()) {
       event.kind = TelemetryEvent::Kind::kIdle;
       event.issues = std::move(issues_);
       issues_.clear();
       return event;
     }
   }
-  if (!ready_.empty()) {
+  if (have_ready()) {
     event.kind = TelemetryEvent::Kind::kSample;
-    Pending& next = ready_.front();
+    Pending& next = ready_[ready_head_];
     if (next.held > 0) {
       // A gap fill holds the sample delivered just before it.
       event.sample.time_s = static_cast<double>(next.index - next.held) * dt_s_;
@@ -509,7 +509,10 @@ TelemetryEvent LineTelemetrySource::poll() {
       last_temps_ = next.sample.module_temps_c;
       last_ambient_ = next.sample.ambient_c;
       event.sample = std::move(next.sample);
-      ready_.pop_front();
+      if (++ready_head_ == ready_.size()) {
+        ready_.clear();
+        ready_head_ = 0;
+      }
     }
   } else {
     event.kind = TelemetryEvent::Kind::kEnd;

@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -264,7 +263,12 @@ class LineTelemetrySource {
     std::size_t held = 0;        ///< fills still due before it
     TraceSample sample;
   };
-  std::deque<Pending> ready_;
+  bool have_ready() const { return ready_head_ < ready_.size(); }
+  /// Queued samples, delivered from ready_head_ on.  The feed is polled
+  /// only once the queue is drained, and a drained queue is cleared in
+  /// place, so a steady stream queues without allocating.
+  std::vector<Pending> ready_;
+  std::size_t ready_head_ = 0;
   std::vector<TelemetryIssue> issues_;
 };
 

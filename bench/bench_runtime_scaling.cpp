@@ -21,7 +21,7 @@
 // (default runtime_scaling.csv / runtime_scaling.json; override with
 // --csv PATH / --json PATH, or disable the N = 10000 row with --quick) so
 // future PRs have a perf trajectory to regress against.  Unmeasured cells
-// are empty in the CSV / null in the JSON; util::csv_from_string reads
+// are empty in the CSV / null in the JSON; util::parse_csv_cell reads
 // them back as NaN.
 #include <chrono>
 #include <cmath>
@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", warm_table.render().c_str());
 
   // Unmeasured fields (NaN) become empty CSV cells / JSON nulls so both
-  // files stay parseable by strict readers — util::csv_from_string reads
+  // files stay parseable by strict readers — util::parse_csv_cell reads
   // the empty cells (trailing ones included) back as NaN.
   if (std::FILE* csv = std::fopen(csv_path.c_str(), "w")) {
     std::fprintf(csv,

@@ -13,6 +13,7 @@
 #include "core/dnor.hpp"
 #include "core/fixed_baseline.hpp"
 #include "sim/simulator.hpp"
+#include "sim/telemetry.hpp"
 #include "thermal/trace.hpp"
 #include "util/csv.hpp"
 
@@ -66,8 +67,7 @@ int main(int argc, char** argv) {
   std::printf("\nper-step results -> %s\n", steps_path.c_str());
 
   // 5. Round-trip check: the exported trace reloads identically.
-  const thermal::TemperatureTrace reloaded =
-      thermal::TemperatureTrace::load_csv(trace_path);
+  const thermal::TemperatureTrace reloaded = sim::load_trace_csv(trace_path);
   std::printf("trace CSV round-trip: %zu steps reloaded, dt %.2f s -> %s\n",
               reloaded.num_steps(), reloaded.dt_s(),
               reloaded.num_steps() == trace.num_steps() ? "OK" : "MISMATCH");

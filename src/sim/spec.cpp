@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "sim/telemetry.hpp"
 #include "thermal/scenario.hpp"
 #include "util/field_io.hpp"
 #include "util/hash.hpp"
@@ -504,8 +505,7 @@ std::shared_ptr<const thermal::TemperatureTrace> materialize_trace(
         throw std::invalid_argument("materialize_trace: empty CSV path");
       }
       return std::make_shared<thermal::TemperatureTrace>(
-          thermal::TemperatureTrace::load_csv(source.csv_path,
-                                              source.csv_dt_s));
+          load_trace_csv(source.csv_path, source.csv_dt_s));
     case TraceSource::Kind::kInline:
       if (!source.inline_trace) {
         throw std::invalid_argument("materialize_trace: null inline trace");

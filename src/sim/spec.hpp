@@ -52,7 +52,7 @@ enum class ExperimentKind { kComparison, kMonteCarlo, kSweep };
 struct TraceSource {
   enum class Kind {
     kGenerated,  ///< synthesised from `generator` (drive cycle + thermal)
-    kCsvFile,    ///< loaded from `csv_path` via TemperatureTrace::load_csv
+    kCsvFile,    ///< loaded from `csv_path` via sim::load_trace_csv
     kInline,     ///< an in-memory trace (content-hashed; not file-loadable)
   };
   Kind kind = Kind::kGenerated;
@@ -69,7 +69,7 @@ struct TraceSource {
   /// programmatically (it keeps name and generator consistent).
   std::string scenario_name;
   std::string csv_path;                     ///< kCsvFile only
-  double csv_dt_s = 0.0;  ///< optional explicit dt for load_csv (0 = derive)
+  double csv_dt_s = 0.0;  ///< explicit dt for load_trace_csv (0 = derive)
   /// kInline only.  Serialises as its content hash, so specs built around
   /// an existing trace (the blocking-wrapper path) still coalesce and
   /// cache; from_text() rejects it because the samples are not in the text.

@@ -28,7 +28,7 @@ SimStepper::SimStepper(core::Reconfigurer& controller, double dt_s,
 }
 
 StepRecord SimStepper::step(const TraceSample& sample) {
-  // load_csv-grade validation: shape, finiteness, and grid placement are
+  // Telemetry-grade validation: shape, finiteness, and grid placement are
   // all checked before any state mutates, so a rejected sample leaves the
   // stepper exactly where it was.
   if (sample.module_temps_c.size() != num_modules_) {
@@ -47,8 +47,8 @@ StepRecord SimStepper::step(const TraceSample& sample) {
     }
   }
   const double expected_time_s = next_time_s();
-  // Nearest-grid acceptance, as in load_csv's explicit-dt rule: any stamp
-  // within half a step of the expected grid point is that grid point.
+  // Nearest-grid acceptance, the telemetry reader's explicit-dt rule: any
+  // stamp within half a step of the expected grid point is that point.
   const double grid_tolerance_s = 0.5 * dt_s_;
   if (!std::isfinite(sample.time_s) ||
       std::abs(sample.time_s - expected_time_s) > grid_tolerance_s) {

@@ -74,12 +74,12 @@ class SimStepper {
   }
 
   /// Consumes one sample (bounded work, never blocks on future samples)
-  /// and returns this period's record.  Validates with load_csv rigor:
-  /// wrong width or non-finite values throw std::invalid_argument, and the
-  /// timestamp must land on this stepper's next grid point (nearest-grid
-  /// within half a step) or std::invalid_argument is thrown — gap and
-  /// reordering policy belongs to the telemetry layer, the stepper only
-  /// ever advances one period at a time.
+  /// and returns this period's record.  Validates as the telemetry reader
+  /// does: wrong width or non-finite values throw std::invalid_argument,
+  /// and the timestamp must land on this stepper's next grid point
+  /// (nearest-grid within half a step) or std::invalid_argument is thrown
+  /// — gap and reordering policy belongs to the telemetry layer, the
+  /// stepper only ever advances one period at a time.
   StepRecord step(const TraceSample& sample);
 
   /// The run-so-far aggregate.  Valid at any point of a streamed run,

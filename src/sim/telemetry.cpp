@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "util/atomic_file.hpp"
 #include "util/double_format.hpp"
 #include "util/float_cmp.hpp"
 #include "util/parse.hpp"
@@ -231,10 +232,16 @@ std::string TcpLineFeed::describe() const {
 // -------------------------------------------------------------- StringFeed
 
 ByteFeed::Status StringFeed::poll(std::string& chunk) {
-  if (buffer_.empty()) return closed_ ? Status::kEnd : Status::kIdle;
-  const std::size_t take = std::min(buffer_.size(), kChunkBytes);
-  chunk.append(buffer_, 0, take);
-  buffer_.erase(0, take);
+  if (read_ == buffer_.size()) return closed_ ? Status::kEnd : Status::kIdle;
+  const std::size_t take = std::min(buffer_.size() - read_, kChunkBytes);
+  chunk.append(buffer_, read_, take);
+  read_ += take;
+  // Compacting only once the consumed head is half the buffer moves each
+  // byte O(1) times, where erasing per poll moved the unread tail each time.
+  if (2 * read_ >= buffer_.size()) {
+    buffer_.erase(0, read_);
+    read_ = 0;
+  }
   return Status::kData;
 }
 
@@ -324,10 +331,28 @@ std::string LineTelemetrySource::where(std::size_t line_no) const {
          ")";
 }
 
+std::string LineTelemetrySource::bad_cell_column(std::string_view line) const {
+  if (count_cells(line) != num_modules_ + 2) return {};
+  // The row is as wide as the header: walk the two in step.
+  std::string_view header = header_;
+  for (;;) {
+    const std::size_t cell = std::min(line.find(','), line.size());
+    const std::size_t name = std::min(header.find(','), header.size());
+    try {
+      (void)util::parse_double(line.substr(0, cell));
+    } catch (const std::invalid_argument&) {
+      return " in column '" + std::string(header.substr(0, name)) + "'";
+    }
+    if (cell == line.size()) return {};
+    line.remove_prefix(cell + 1);
+    header.remove_prefix(name + 1);
+  }
+}
+
 void LineTelemetrySource::ingest(std::string_view line, std::size_t line_no) {
   if (line.empty()) return;  // tolerate blank separator lines
 
-  if (!header_seen_) {
+  if (header_.empty()) {
     // At least three cells, the first two named time_s and ambient_c.
     if (!line.starts_with("time_s,ambient_c,")) {
       throw std::runtime_error(
@@ -343,20 +368,21 @@ void LineTelemetrySource::ingest(std::string_view line, std::size_t line_no) {
           where(line_no));
     }
     num_modules_ = n;
-    header_seen_ = true;
+    header_ = line;
     return;
   }
 
   // Cells parse in place, straight into the sample.  Every cell must be
-  // non-empty (an empty cell is a truncated row — load_csv rejects the
-  // same way) and finite, so every value here is finite.
+  // non-empty (an empty cell is a truncated row) and finite, so every
+  // value here is finite.
   double time = 0.0;
   double ambient = 0.0;
   std::vector<double> temps(num_modules_);
   try {
     parse_telemetry_row(line, time, ambient, temps);
   } catch (const std::runtime_error& e) {
-    throw std::runtime_error(e.what() + where(line_no));
+    throw std::runtime_error(e.what() + bad_cell_column(line) +
+                             where(line_no));
   }
 
   // Resolve dt before anything can be placed on the grid.  Derive mode
@@ -394,9 +420,9 @@ void LineTelemetrySource::process_on_grid(double time,
     epoch_s_ = time;
     have_epoch_ = true;
   }
-  // Nearest grid point, load_csv's tolerance rule: derived grids only
-  // absorb writer rounding; an explicit dt vouches for the grid, so any
-  // stamp nearest its own grid point is accepted.
+  // Nearest grid point: derived grids only absorb writer rounding; an
+  // explicit dt vouches for the grid, so any stamp nearest its own grid
+  // point is accepted.
   const double rel = (time - epoch_s_) / dt_s_;
   const double k_real = std::round(rel);
   const double expected = epoch_s_ + k_real * dt_s_;
@@ -520,6 +546,43 @@ TelemetryEvent LineTelemetrySource::poll() {
   event.issues = std::move(issues_);
   issues_.clear();
   return event;
+}
+
+// ---------------------------------------------------------- load_trace_csv
+
+thermal::TemperatureTrace load_trace_csv(const std::string& path,
+                                         double dt_s) {
+  std::optional<std::string> bytes = util::read_file_if_exists(path);
+  if (!bytes) throw std::runtime_error("load_trace_csv: cannot open " + path);
+  auto feed = std::make_unique<StringFeed>(path);
+  feed->push(*bytes);
+  feed->close();
+  bytes.reset();  // the feed holds the only copy from here on
+  TelemetryOptions options;
+  options.dt_s = dt_s;
+  options.gap_policy = GapPolicy::kReject;
+  LineTelemetrySource source(std::move(feed), options);
+  std::optional<thermal::TemperatureTrace> trace;
+  for (;;) {
+    const TelemetryEvent event = source.poll();
+    // kReject turns gaps into errors; the only issue left is a row older
+    // than the stream position, which a file must not hold either.
+    if (!event.issues.empty()) {
+      throw std::runtime_error("telemetry: rows out of time order: " +
+                               event.issues.front().detail);
+    }
+    // A closed StringFeed never idles: every poll is a sample or the end.
+    if (event.kind != TelemetryEvent::Kind::kSample) break;
+    if (!trace) trace.emplace(source.dt_s(), source.num_modules());
+    trace->append(event.sample.module_temps_c, event.sample.ambient_c);
+  }
+  if (!trace) {
+    throw std::runtime_error(
+        "load_trace_csv: " + path +
+        " yields no sample (no data rows, or a single row without an "
+        "explicit dt)");
+  }
+  return std::move(*trace);
 }
 
 }  // namespace tegrec::sim

@@ -10,16 +10,15 @@
 //    listener, or an in-memory buffer for tests.  Feeds know nothing
 //    about the line protocol.
 //
-//  - LineTelemetrySource: "what do the bytes mean" — the
-//    TemperatureTrace CSV dialect, incrementally.  The first line must
-//    be the save_csv header (`time_s,ambient_c,t0,...`); every
-//    subsequent line is one sample, validated with the same rigor as
-//    TemperatureTrace::load_csv (column count, finiteness, uniform time
-//    grid) — a malformed line throws, it is never silently skipped.
-//    Stream-order conditions that a batch loader cannot have are
-//    surfaced explicitly instead: an out-of-order line is dropped and
-//    reported, a gap (missing grid points) is either rejected or filled
-//    by holding the last sample, per GapPolicy, and reported either way.
+//  - LineTelemetrySource: "what do the bytes mean" — the one reader of
+//    the TemperatureTrace CSV dialect (load_trace_csv loads files through
+//    it).  The first line must be the save_csv header
+//    (`time_s,ambient_c,t0,...`); every later line is one sample, checked
+//    for column count, finiteness and a uniform time grid — a malformed
+//    line throws, it is never silently skipped.  Stream-order conditions
+//    are surfaced instead: an out-of-order line is dropped and reported, a
+//    gap (missing grid points) is rejected or filled by holding the last
+//    sample, per GapPolicy, and reported either way.
 //
 // Emitted samples are grid-snapped and rebased to t = 0 (the first data
 // line defines the epoch), so feeding the source's output to a SimStepper
@@ -33,9 +32,11 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/stepper.hpp"
+#include "thermal/trace.hpp"
 
 namespace tegrec::sim {
 
@@ -116,16 +117,22 @@ class TcpLineFeed final : public ByteFeed {
 };
 
 /// In-memory feed for tests and adapters: push() appends bytes, close()
-/// marks the end of the stream.
+/// marks the end of the stream.  `name` is what describe() reports (the
+/// file path when load_trace_csv feeds a file through it).
 class StringFeed final : public ByteFeed {
  public:
+  explicit StringFeed(std::string name = "memory") : name_(std::move(name)) {}
   void push(const std::string& bytes) { buffer_ += bytes; }
   void close() { closed_ = true; }
   Status poll(std::string& chunk) override;
-  std::string describe() const override { return "memory"; }
+  std::string describe() const override { return name_; }
 
  private:
+  std::string name_;
   std::string buffer_;
+  /// Bytes of buffer_ already handed out; poll() compacts them away only
+  /// once they are half the buffer, so draining stays linear.
+  std::size_t read_ = 0;
   bool closed_ = false;
 };
 
@@ -161,9 +168,9 @@ struct TelemetryEvent {
 struct TelemetryOptions {
   /// Expected sample period; 0 derives it from the first two data lines
   /// (which also means the first sample is held back until the second
-  /// arrives).  An explicit dt is the caller vouching for the grid, as in
-  /// load_csv: coarsely rounded timestamps are accepted as long as each
-  /// stays nearest its own grid point.
+  /// arrives).  An explicit dt is the caller vouching for the grid:
+  /// coarsely rounded timestamps are accepted as long as each stays
+  /// nearest its own grid point.
   double dt_s = 0.0;
   /// Expected module count; 0 derives it from the header.  A header that
   /// contradicts an explicit value throws.
@@ -198,8 +205,8 @@ void parse_telemetry_row(std::string_view line, double& time, double& ambient,
 /// ByteFeed.  Single-owner, not thread-safe.  Malformed input (bad
 /// header, wrong column count, non-finite cell, off-grid timestamp,
 /// non-positive derived dt) throws std::runtime_error identifying the
-/// offending line — corruption is loud, only *ordering* conditions are
-/// events (TelemetryIssue).
+/// offending line, and a bad cell's header name — corruption is loud,
+/// only *ordering* conditions are events (TelemetryIssue).
 class LineTelemetrySource {
  public:
   explicit LineTelemetrySource(std::unique_ptr<ByteFeed> feed,
@@ -230,13 +237,16 @@ class LineTelemetrySource {
                        std::size_t line_no);
   /// The " (line N of <feed>)" suffix; built only for an error or issue.
   std::string where(std::size_t line_no) const;
+  /// " in column '<header name>'" naming the first cell of a row of the
+  /// right width that does not read; empty otherwise.  Error path only.
+  std::string bad_cell_column(std::string_view line) const;
   void enqueue_grid_sample(std::size_t index, std::size_t held,
                            std::vector<double> temps, double ambient);
 
   std::unique_ptr<ByteFeed> feed_;
   TelemetryOptions options_;
   std::string buffer_;           ///< bytes not yet forming a complete line
-  bool header_seen_ = false;
+  std::string header_;           ///< the header line; empty until seen
   bool end_ = false;
   double dt_s_ = 0.0;
   std::size_t num_modules_ = 0;
@@ -271,5 +281,14 @@ class LineTelemetrySource {
   std::size_t ready_head_ = 0;
   std::vector<TelemetryIssue> issues_;
 };
+
+/// Loads a trace file through a LineTelemetrySource (GapPolicy::kReject)
+/// over a StringFeed named `path`, so it reads exactly as `cat path |
+/// tegrec_cli stream` does.  `dt_s` is TelemetryOptions::dt_s.  A malformed
+/// line, a gap or an out-of-order row throws std::runtime_error naming
+/// `path` and the line; so does a file that yields no sample (no data
+/// rows, or a single row without an explicit dt).
+thermal::TemperatureTrace load_trace_csv(const std::string& path,
+                                         double dt_s = 0.0);
 
 }  // namespace tegrec::sim

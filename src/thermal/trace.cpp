@@ -68,8 +68,7 @@ TemperatureTrace TemperatureTrace::slice(double t0_s, double t1_s) const {
 
 void TemperatureTrace::save_csv(const std::string& path) const {
   util::CsvTable table;
-  table.header.push_back("time_s");
-  table.header.push_back("ambient_c");
+  table.header = {"time_s", "ambient_c"};
   for (std::size_t m = 0; m < num_modules_; ++m) {
     // Built with += rather than operator+ to dodge a GCC 12 -Wrestrict
     // false positive (PR 105329) that the extra inlining in this TU
@@ -79,96 +78,12 @@ void TemperatureTrace::save_csv(const std::string& path) const {
     table.header.push_back(std::move(name));
   }
   for (std::size_t t = 0; t < num_steps(); ++t) {
-    std::vector<double> row;
-    row.reserve(num_modules_ + 2);
-    row.push_back(static_cast<double>(t) * dt_s_);
-    row.push_back(ambient_c_[t]);
+    std::vector<double> row{static_cast<double>(t) * dt_s_, ambient_c_[t]};
     const auto temps = step_temperatures(t);
     row.insert(row.end(), temps.begin(), temps.end());
     table.rows.push_back(std::move(row));
   }
   util::write_csv(path, table);
-}
-
-TemperatureTrace TemperatureTrace::load_csv(const std::string& path,
-                                            double dt_s) {
-  const util::CsvTable table = util::read_csv(path);
-  if (table.header.size() < 3) {
-    throw std::runtime_error("TemperatureTrace::load_csv: too few columns");
-  }
-  const std::size_t n = table.header.size() - 2;
-  if (table.rows.empty()) {
-    throw std::runtime_error("TemperatureTrace::load_csv: no data rows");
-  }
-  double dt = dt_s;
-  if (dt <= 0.0) {
-    // Deriving dt from the first two timestamps used to silently assume
-    // 1.0 s for single-row files — a wrong time base imported without a
-    // whisper.  Demand either two rows or an explicit dt.
-    if (table.rows.size() < 2) {
-      throw std::runtime_error(
-          "TemperatureTrace::load_csv: single-row file has no time base; "
-          "pass an explicit dt");
-    }
-    dt = table.rows[1][0] - table.rows[0][0];
-  }
-  if (!std::isfinite(dt) || dt <= 0.0) {
-    throw std::runtime_error("TemperatureTrace::load_csv: bad time base");
-  }
-  // Every timestamp must sit on the uniform grid t0 + i * dt: the whole
-  // library indexes steps by time / dt, so an irregular (or mismatched,
-  // when dt was passed explicitly) time column would silently stretch or
-  // compress the trace.  For self-written files the tolerance only has to
-  // absorb the writer's 12-significant-digit rounding; an explicit dt is
-  // the caller vouching for the grid, so real-world files with coarsely
-  // rounded timestamps (e.g. a 30 Hz log quantised to milliseconds) are
-  // accepted as long as each stamp stays nearest its own grid point
-  // (within half a step).
-  const double t0 = table.rows[0][0];
-  const double slack = dt_s > 0.0 ? 0.5 * dt : 0.0;
-  for (std::size_t i = 0; i < table.rows.size(); ++i) {
-    const double expected = t0 + static_cast<double>(i) * dt;
-    const double tol =
-        std::max(slack, 1e-6 * std::max({1.0, dt, std::abs(expected)}));
-    if (!std::isfinite(table.rows[i][0]) ||
-        std::abs(table.rows[i][0] - expected) > tol) {
-      std::string message =
-          "TemperatureTrace::load_csv: irregular time base at row ";
-      message += std::to_string(i);
-      message += " (expected t = ";
-      message += std::to_string(expected);
-      message += ", got ";
-      message += std::to_string(table.rows[i][0]);
-      message += ")";
-      throw std::runtime_error(message);
-    }
-  }
-  TemperatureTrace trace(dt, n);
-  for (std::size_t i = 0; i < table.rows.size(); ++i) {
-    const auto& row = table.rows[i];
-    // Empty CSV cells parse as NaN (the bench writers' unmeasured-value
-    // convention) — but in a temperature log a blank cell means the row was
-    // truncated mid-write, and a NaN temperature would silently poison
-    // every simulation downstream.  Reject it at the door, naming the file
-    // line (row i sits at source line row_lines[i]; header is line 1).
-    for (std::size_t c = 1; c < row.size(); ++c) {
-      if (!std::isfinite(row[c])) {
-        const std::size_t line =
-            i < table.row_lines.size() ? table.row_lines[i] : i + 2;
-        std::string message =
-            "TemperatureTrace::load_csv: blank or non-finite value in "
-            "column '";
-        message += table.header[c];
-        message += "' at line ";
-        message += std::to_string(line);
-        message += " (truncated row?)";
-        throw std::runtime_error(message);
-      }
-    }
-    std::vector<double> temps(row.begin() + 2, row.end());
-    trace.append(temps, row[1]);
-  }
-  return trace;
 }
 
 TemperatureTrace generate_trace(const TraceGeneratorConfig& config) {

@@ -45,16 +45,8 @@ class TemperatureTrace {
   /// Sub-trace covering [t0, t1) seconds.
   TemperatureTrace slice(double t0_s, double t1_s) const;
 
+  /// Writes `time_s,ambient_c,t0,...` rows; sim::load_trace_csv reads them.
   void save_csv(const std::string& path) const;
-  /// Reads a trace written by save_csv (or real data in the same layout:
-  /// time_s, ambient_c, then one column per module).  The time base is
-  /// derived from the timestamp column and every row is checked against it
-  /// (irregular sampling throws std::runtime_error).  Files with fewer
-  /// than two rows cannot define a time base, so they throw unless an
-  /// explicit `dt_s > 0` is passed — which then also overrides the
-  /// timestamps and relaxes the grid check to half a step, so real logs
-  /// with coarsely rounded time columns import on the caller's grid.
-  static TemperatureTrace load_csv(const std::string& path, double dt_s = 0.0);
 
  private:
   double dt_s_ = 1.0;

@@ -9,10 +9,14 @@
 // telemetry lines and every `key = value` field of the library's own text
 // (spec files, configuration stamps, checkpoint heads, controller state
 // blobs — all bound through util::FieldIo) read numbers here, so the
-// dialect is the strtod one in the "C" locale, defined in one place.  Only
-// CSV cells, which may spell non-finite values, read through
-// util::parse_csv_cell; the run-table codec then range-checks its count
-// and flag cells (sim/run_table.hpp).
+// dialect is the strtod one in the "C" locale, defined in one place.
+// Trace CSV files are telemetry lines too: sim::load_trace_csv reads them
+// through the telemetry row scan.  Only run-table cells, which may spell
+// non-finite and subnormal values, read through util::parse_csv_cell: it
+// settles each cell with read_settled_double as below, and reads what that
+// leaves ("nan", "inf", "-inf", subnormals, the empty NaN cell) whole with
+// std::from_chars; the run-table codec then range-checks its count and
+// flag cells (sim/run_table.hpp).
 //
 // parse_double takes a std::string_view and neither copies nor allocates
 // on the common path: std::from_chars reads a plain decimal token, and only

@@ -9,6 +9,10 @@
 // cell as 2^63, "2.5" as 2, "0.5" as true).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -16,6 +20,7 @@
 
 #include "sim/checkpoint.hpp"
 #include "sim/result_io.hpp"
+#include "sim/run_table.hpp"
 #include "sim/spec.hpp"
 #include "sim/stepper.hpp"
 #include "thermal/trace.hpp"
@@ -113,6 +118,70 @@ TEST(RunTable, ResultArtifactMissesOnOutOfRangeCountsAndFlags) {
         decode_result(with_cell(text, p.header_start, p.column, p.value), fp)
             .has_value())
         << p.column << " = '" << p.value << "'";
+  }
+}
+
+// Every double a run table holds reads back with its bits: -0, the
+// subnormals and the infinities as well as NaN, which travels as an empty
+// cell (or spelled "nan", which reads the same).
+TEST(RunTable, SpecialDoublesRoundTrip) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {-0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -2.2250738585072009e-308,
+                             kInf,
+                             -kInf,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             1.0 / 3.0};
+  SimulationResult run;
+  run.algorithm = "probe";
+  run.energy_output_j = specials[0];
+  run.switch_overhead_j = specials[1];
+  run.avg_runtime_ms = specials[2];
+  run.runtime_per_invocation_ms = specials[3];
+  run.ideal_energy_j = specials[4];
+  run.battery_energy_j = specials[5];
+  run.final_soc = specials[6];
+  for (const double v : specials) {
+    StepRecord step;
+    step.time_s = v;
+    step.gross_power_w = v;
+    step.net_power_w = v;
+    step.ideal_power_w = v;
+    step.overhead_energy_j = v;
+    step.compute_time_s = v;
+    run.steps.push_back(step);
+  }
+  std::string text;
+  append_run(text, run, "algorithm = ");
+  const auto bits = [](double v) {
+    return std::isnan(v) ? std::uint64_t{0} : std::bit_cast<std::uint64_t>(v);
+  };
+  for (const std::string& edited :
+       {text, with_cell(text, "energy_output_j,", "battery_energy_j", "nan")}) {
+    util::LineReader lines(edited, "run table");
+    const SimulationResult back = read_run(lines, "algorithm = ");
+    lines.finish();
+    EXPECT_EQ(bits(back.energy_output_j), bits(run.energy_output_j));
+    EXPECT_EQ(bits(back.switch_overhead_j), bits(run.switch_overhead_j));
+    EXPECT_EQ(bits(back.avg_runtime_ms), bits(run.avg_runtime_ms));
+    EXPECT_EQ(bits(back.runtime_per_invocation_ms),
+              bits(run.runtime_per_invocation_ms));
+    EXPECT_EQ(bits(back.ideal_energy_j), bits(run.ideal_energy_j));
+    EXPECT_TRUE(std::isnan(back.battery_energy_j));
+    EXPECT_EQ(bits(back.final_soc), bits(run.final_soc));
+    ASSERT_EQ(back.steps.size(), run.steps.size());
+    for (std::size_t i = 0; i < run.steps.size(); ++i) {
+      const StepRecord& a = run.steps[i];
+      const StepRecord& b = back.steps[i];
+      EXPECT_EQ(bits(b.time_s), bits(a.time_s)) << i;
+      EXPECT_EQ(bits(b.gross_power_w), bits(a.gross_power_w)) << i;
+      EXPECT_EQ(bits(b.net_power_w), bits(a.net_power_w)) << i;
+      EXPECT_EQ(bits(b.ideal_power_w), bits(a.ideal_power_w)) << i;
+      EXPECT_EQ(bits(b.overhead_energy_j), bits(a.overhead_energy_j)) << i;
+      EXPECT_EQ(bits(b.compute_time_s), bits(a.compute_time_s)) << i;
+      EXPECT_EQ(std::isnan(b.time_s), std::isnan(a.time_s)) << i;
+    }
   }
 }
 

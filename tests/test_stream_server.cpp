@@ -19,6 +19,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/run_table.hpp"
 #include "sim/stepper.hpp"
+#include "sim/telemetry.hpp"
 #include "thermal/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/fault.hpp"
@@ -216,6 +217,33 @@ TEST(StreamServer, TracksMultipleArraysConcurrently) {
                 line.find("\"array\":\"south\"") != std::string::npos ||
                 line.find("\"array\":\"roof\"") != std::string::npos)
         << line;
+  }
+}
+
+// A trace file and the stream of its bytes are one input: run_simulation
+// over load_trace_csv(path) and a StreamServer that derives its grid from
+// the same bytes take the same decisions, step for step and bit for bit.
+TEST(StreamServer, LoadedTraceFileRunsLikeTheStreamOfItsBytes) {
+  const std::string path = testing::TempDir() + "/stream_server_batch.csv";
+  test_trace().save_csv(path);
+  const thermal::TemperatureTrace loaded = load_trace_csv(path);
+  const std::string csv = util::read_file_if_exists(path).value();
+  std::remove(path.c_str());
+  for (const StreamScheme scheme :
+       {StreamScheme::kDnor, StreamScheme::kInor, StreamScheme::kBaseline}) {
+    SCOPED_TRACE(stream_scheme_name(scheme));
+    StreamConfig derived;  // dt and module count come from the bytes
+    derived.scheme = scheme;
+    derived.sim.num_threads = 1;
+    const SingleRun streamed = run_single(derived, csv);
+    ASSERT_TRUE(streamed.report.error.empty()) << streamed.report.error;
+
+    const StreamConfig resolved = explicit_config(loaded, scheme);
+    const auto controller = make_stream_controller(resolved);
+    const SimulationResult batch =
+        run_simulation(*controller, loaded, resolved.sim);
+    ASSERT_EQ(batch.steps.size(), loaded.num_steps());
+    EXPECT_EQ(run_text(batch), run_text(streamed.report.result));
   }
 }
 

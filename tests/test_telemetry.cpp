@@ -1,11 +1,16 @@
-// LineTelemetrySource: the incremental CSV parser must match load_csv's
-// rigor line for line (malformed input throws, nothing is silently
-// skipped) while surfacing the stream-order conditions a batch loader
-// cannot have — gaps, out-of-order lines, stalls — as explicit events.
+// LineTelemetrySource: the incremental CSV parser is strict line for line
+// (malformed input throws, nothing is silently skipped) while surfacing
+// stream-order conditions — gaps, out-of-order lines, stalls — as explicit
+// events.  load_trace_csv reads trace files through it, so a file and the
+// stream of its bytes are accepted or rejected alike.
 #include "sim/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -415,6 +420,18 @@ TEST(Telemetry, IssuesNameTheirLine) {
       << filled.issues[0].detail;
 }
 
+TEST(Telemetry, BadCellErrorNamesItsHeaderColumn) {
+  const std::string bad = error_of(kHeader + row(0, 25, 30, 31) + "0.5,25,,33\n");
+  EXPECT_NE(bad.find("in column 't0' (line 3 of memory)"), std::string::npos)
+      << bad;
+  const std::string ambient = error_of(kHeader + "0,x,30,31\n");
+  EXPECT_NE(ambient.find("in column 'ambient_c'"), std::string::npos)
+      << ambient;
+  // A wrong column count is the row's fault, not a cell's.
+  const std::string count = error_of(kHeader + "0,25,30\n");
+  EXPECT_EQ(count.find("in column"), std::string::npos) << count;
+}
+
 TEST(Telemetry, StringFeedReportsLifecycle) {
   StringFeed feed;
   std::string chunk;
@@ -424,6 +441,206 @@ TEST(Telemetry, StringFeedReportsLifecycle) {
   EXPECT_EQ(chunk, "abc");
   feed.close();
   EXPECT_EQ(feed.poll(chunk), ByteFeed::Status::kEnd);
+}
+
+// push() and poll() interleaved across the 64 KiB chunk bound and the
+// feed's compaction of consumed bytes hand back exactly the bytes pushed.
+TEST(Telemetry, StringFeedInterleavedPushAndPollKeepsEveryByte) {
+  std::string pushed;
+  std::string polled;
+  StringFeed feed;
+  const std::size_t sizes[] = {1, 100, 70000, 3, 200000, 65536, 7, 131073};
+  std::size_t next = 0;
+  for (std::size_t round = 0; round < 40; ++round) {
+    const std::size_t size = sizes[round % std::size(sizes)];
+    std::string bytes(size, '\0');
+    for (char& c : bytes) c = static_cast<char>('!' + next++ % 91);
+    feed.push(bytes);
+    pushed += bytes;
+    // Poll a varying number of times: some rounds leave a backlog, some
+    // drain it, so compaction happens with and without unread bytes.
+    for (std::size_t poll = 0; poll < round % 4; ++poll) {
+      if (feed.poll(polled) == ByteFeed::Status::kIdle) break;
+    }
+  }
+  feed.close();
+  while (feed.poll(polled) == ByteFeed::Status::kData) {
+  }
+  EXPECT_EQ(feed.poll(polled), ByteFeed::Status::kEnd);
+  EXPECT_EQ(polled.size(), pushed.size());
+  EXPECT_TRUE(polled == pushed);
+}
+
+/// What reading a trace text gave: the samples and dt, or the message it
+/// failed with.  A read that yields no sample fails too.
+struct Reading {
+  std::vector<TraceSample> samples;
+  double dt_s = 0.0;
+  std::string error;
+};
+
+/// The "N" of the " (line N of ...)" an error names; "" if none.
+std::string line_named(const std::string& error) {
+  const std::size_t at = error.find("(line ");
+  if (at == std::string::npos) return "";
+  return error.substr(at + 6, error.find(' ', at + 6) - (at + 6));
+}
+
+/// load_trace_csv over `text` written to `path`.
+Reading read_as_file(const std::string& path, const std::string& text,
+                     double dt_s) {
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  Reading reading;
+  try {
+    const thermal::TemperatureTrace trace = load_trace_csv(path, dt_s);
+    reading.dt_s = trace.dt_s();
+    for (std::size_t t = 0; t < trace.num_steps(); ++t) {
+      TraceSample sample;
+      sample.time_s = static_cast<double>(t) * trace.dt_s();
+      sample.module_temps_c = trace.step_temperatures(t);
+      sample.ambient_c = trace.ambient_c(t);
+      reading.samples.push_back(std::move(sample));
+    }
+  } catch (const std::runtime_error& e) {
+    reading.error = e.what();
+  }
+  std::remove(path.c_str());
+  return reading;
+}
+
+/// A kReject stream fed `text` seven bytes per poll; an issue rejects.
+Reading read_as_stream(const std::string& text, double dt_s) {
+  auto owned = std::make_unique<StringFeed>();
+  StringFeed* feed = owned.get();
+  TelemetryOptions options;
+  options.dt_s = dt_s;
+  options.gap_policy = GapPolicy::kReject;
+  LineTelemetrySource source(std::move(owned), options);
+  Reading reading;
+  try {
+    for (std::size_t at = 0;; at += 7) {
+      if (at < text.size()) {
+        feed->push(text.substr(at, 7));
+      } else {
+        feed->close();
+      }
+      const TelemetryEvent event = source.poll();
+      if (!event.issues.empty()) {
+        reading.error = event.issues.front().detail;
+        return reading;
+      }
+      if (event.kind == TelemetryEvent::Kind::kEnd) break;
+      if (event.kind == TelemetryEvent::Kind::kSample) {
+        reading.samples.push_back(event.sample);
+      }
+    }
+  } catch (const std::runtime_error& e) {
+    reading.error = e.what();
+    return reading;
+  }
+  reading.dt_s = source.dt_s();
+  if (reading.samples.empty()) reading.error = "no sample";
+  return reading;
+}
+
+std::vector<std::uint64_t> bits_of(const Reading& reading) {
+  std::vector<std::uint64_t> bits{std::bit_cast<std::uint64_t>(reading.dt_s)};
+  for (const TraceSample& s : reading.samples) {
+    bits.push_back(std::bit_cast<std::uint64_t>(s.time_s));
+    bits.push_back(std::bit_cast<std::uint64_t>(s.ambient_c));
+    for (const double t : s.module_temps_c) {
+      bits.push_back(std::bit_cast<std::uint64_t>(t));
+    }
+  }
+  return bits;
+}
+
+// One accept set for trace files and streams: for every input, the file
+// load and a kReject stream over the same bytes both accept, to the same
+// samples and dt bit for bit, or both reject, naming the same line.  The
+// cases are the trace-file loader's own (TemperatureTraceLoadCsv), the
+// inputs on which the retired batch decoder and the stream disagreed, and
+// line-ending and separator variants.
+TEST(TelemetryAcceptSet, FileLoadAndStreamAcceptTheSameInputs) {
+  struct Case {
+    const char* name;
+    std::string text;
+    double dt_s;
+    bool accepted;
+    const char* line;  ///< the line a rejection names ("" for none)
+  };
+  const std::string h1 = "time_s,ambient_c,t0\n";
+  const std::string h2 = "time_s,ambient_c,t0,t1\n";
+  const std::string regular = h1 + "0,25,50\n0.5,25,51\n1.0,25,52\n";
+  const std::string rounded = h1 +
+                              "0.000,25,50\n0.033,25,51\n0.067,25,52\n"
+                              "0.100,25,53\n";
+  const std::vector<Case> cases = {
+      {"single row, derived dt", h2 + "0,25,50,40\n", 0.0, false, ""},
+      {"single row, explicit dt", h2 + "0,25,50,40\n", 0.25, true, ""},
+      {"header only", h1, 0.0, false, ""},
+      {"empty file", "", 0.0, false, ""},
+      {"irregular time base", h1 + "0,25,50\n0.5,25,51\n2.0,25,52\n", 0.0,
+       false, "4"},
+      {"explicit dt contradicts stamps", regular, 1.0, false, "4"},
+      {"explicit dt matches stamps", regular, 0.5, true, ""},
+      {"rounded 30 Hz stamps, derived dt", rounded, 0.0, false, "4"},
+      {"rounded 30 Hz stamps, explicit dt", rounded, 1.0 / 30.0, true, ""},
+      {"non-zero start", h1 + "10.0,25,50\n10.5,25,51\n11.0,25,52\n", 0.0,
+       true, ""},
+      {"truncated row",
+       "time_s,ambient_c,t0,t1,t2\n0.0,24.8,81.2,79.9,76.4\n"
+       "0.5,24.8,81.3,80.1,76.6\n1.0,24.9,81.5,,\n",
+       0.0, false, "4"},
+      {"short row", h2 + "0.0,25,50,40\n0.5,25,51\n", 0.0, false, "3"},
+      {"blank ambient cell", h1 + "0.0,25,50\n0.5,,51\n", 0.0, false, "3"},
+      {"epoch-second stamps with a hole",
+       h1 + "1700000000,25,50\n1700000000.5,25,51\n1700000002,25,52\n",
+       0.0, false, "4"},
+      {"epoch-second stamps", h1 + "1700000000,25,50\n1700000000.5,25,51\n",
+       0.0, true, ""},
+      {"non-trace header", "t,amb,a\n0,25,50\n0.5,25,51\n", 0.0, false,
+       "1"},
+      {"duplicate row", h1 + "0,25,50\n0.5,25,51\n0.5,25,51\n1.0,25,52\n",
+       0.0, false, "4"},
+      {"vertical-tab padded cell", h1 + "0,25,50\v\n0.5,25,51\n", 0.0, true,
+       ""},
+      {"CRLF line endings",
+       "time_s,ambient_c,t0\r\n0,25,50\r\n0.5,25,51\r\n", 0.0, true, ""},
+      {"blank lines", h1 + "\n0,25,50\n\n\n0.5,25,51\n\n1.0,25,52", 0.0,
+       true, ""},
+  };
+  const std::string path = ::testing::TempDir() + "/tegrec_accept_set.csv";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Reading file = read_as_file(path, c.text, c.dt_s);
+    const Reading stream = read_as_stream(c.text, c.dt_s);
+    EXPECT_EQ(file.error.empty(), c.accepted) << file.error;
+    EXPECT_EQ(stream.error.empty(), c.accepted) << stream.error;
+    if (c.accepted) {
+      EXPECT_FALSE(file.samples.empty());
+      EXPECT_EQ(bits_of(file), bits_of(stream));
+    } else {
+      EXPECT_EQ(line_named(file.error), c.line) << file.error;
+      EXPECT_EQ(line_named(stream.error), c.line) << stream.error;
+      // Every file error names the file.
+      EXPECT_NE(file.error.find(path), std::string::npos) << file.error;
+    }
+  }
+}
+
+TEST(TelemetryAcceptSet, MissingFileThrowsNamingIt) {
+  try {
+    (void)load_trace_csv("/nonexistent/dir/trace.csv");
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/nonexistent/dir/trace.csv"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <gtest/gtest.h>
 
+#include "sim/telemetry.hpp"
+
 namespace tegrec::thermal {
 namespace {
 
@@ -75,7 +77,7 @@ TEST(TemperatureTrace, CsvRoundTrip) {
   const std::string path = ::testing::TempDir() + "/tegrec_trace_test.csv";
   const TemperatureTrace trace = tiny_trace();
   trace.save_csv(path);
-  const TemperatureTrace back = TemperatureTrace::load_csv(path);
+  const TemperatureTrace back = sim::load_trace_csv(path);
   ASSERT_EQ(back.num_steps(), trace.num_steps());
   ASSERT_EQ(back.num_modules(), trace.num_modules());
   EXPECT_NEAR(back.dt_s(), trace.dt_s(), 1e-9);
@@ -102,9 +104,9 @@ TEST(TemperatureTraceLoadCsv, SingleRowWithoutDtThrows) {
   // dt = 1.0 and imported a wrong one.
   const std::string path = write_temp_csv(
       "tegrec_single_row.csv", "time_s,ambient_c,t0,t1\n0,25,50,40\n");
-  EXPECT_THROW(TemperatureTrace::load_csv(path), std::runtime_error);
+  EXPECT_THROW(sim::load_trace_csv(path), std::runtime_error);
   // An explicit dt resolves it.
-  const TemperatureTrace trace = TemperatureTrace::load_csv(path, 0.25);
+  const TemperatureTrace trace = sim::load_trace_csv(path, 0.25);
   EXPECT_EQ(trace.num_steps(), 1u);
   EXPECT_DOUBLE_EQ(trace.dt_s(), 0.25);
   EXPECT_DOUBLE_EQ(trace.temperature_c(0, 1), 40.0);
@@ -114,7 +116,7 @@ TEST(TemperatureTraceLoadCsv, SingleRowWithoutDtThrows) {
 TEST(TemperatureTraceLoadCsv, EmptyFileThrows) {
   const std::string path =
       write_temp_csv("tegrec_empty_trace.csv", "time_s,ambient_c,t0\n");
-  EXPECT_THROW(TemperatureTrace::load_csv(path), std::runtime_error);
+  EXPECT_THROW(sim::load_trace_csv(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -124,7 +126,7 @@ TEST(TemperatureTraceLoadCsv, IrregularTimeBaseThrows) {
   const std::string path = write_temp_csv(
       "tegrec_irregular.csv",
       "time_s,ambient_c,t0\n0,25,50\n0.5,25,51\n2.0,25,52\n");
-  EXPECT_THROW(TemperatureTrace::load_csv(path), std::runtime_error);
+  EXPECT_THROW(sim::load_trace_csv(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -134,8 +136,8 @@ TEST(TemperatureTraceLoadCsv, ExplicitDtMismatchThrows) {
   const std::string path = write_temp_csv(
       "tegrec_dt_mismatch.csv",
       "time_s,ambient_c,t0\n0,25,50\n0.5,25,51\n1.0,25,52\n");
-  EXPECT_THROW(TemperatureTrace::load_csv(path, 1.0), std::runtime_error);
-  const TemperatureTrace ok = TemperatureTrace::load_csv(path, 0.5);
+  EXPECT_THROW(sim::load_trace_csv(path, 1.0), std::runtime_error);
+  const TemperatureTrace ok = sim::load_trace_csv(path, 0.5);
   EXPECT_EQ(ok.num_steps(), 3u);
   std::remove(path.c_str());
 }
@@ -149,8 +151,8 @@ TEST(TemperatureTraceLoadCsv, ExplicitDtAcceptsRoundedTimestamps) {
       "tegrec_rounded_30hz.csv",
       "time_s,ambient_c,t0\n0.000,25,50\n0.033,25,51\n0.067,25,52\n"
       "0.100,25,53\n");
-  EXPECT_THROW(TemperatureTrace::load_csv(path), std::runtime_error);
-  const TemperatureTrace trace = TemperatureTrace::load_csv(path, 1.0 / 30.0);
+  EXPECT_THROW(sim::load_trace_csv(path), std::runtime_error);
+  const TemperatureTrace trace = sim::load_trace_csv(path, 1.0 / 30.0);
   EXPECT_EQ(trace.num_steps(), 4u);
   EXPECT_DOUBLE_EQ(trace.dt_s(), 1.0 / 30.0);
   std::remove(path.c_str());
@@ -161,7 +163,7 @@ TEST(TemperatureTraceLoadCsv, NonZeroStartTimeAccepted) {
   const std::string path = write_temp_csv(
       "tegrec_offset_start.csv",
       "time_s,ambient_c,t0\n10.0,25,50\n10.5,25,51\n11.0,25,52\n");
-  const TemperatureTrace trace = TemperatureTrace::load_csv(path);
+  const TemperatureTrace trace = sim::load_trace_csv(path);
   EXPECT_EQ(trace.num_steps(), 3u);
   EXPECT_DOUBLE_EQ(trace.dt_s(), 0.5);
   std::remove(path.c_str());
@@ -180,7 +182,7 @@ TEST(TemperatureTraceLoadCsv, TruncatedRowRejectedWithLineNumber) {
       "0.5,24.8,81.3,80.1,76.6\n"
       "1.0,24.9,81.5,,\n");  // writer died after t0
   try {
-    TemperatureTrace::load_csv(path);
+    sim::load_trace_csv(path);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -197,7 +199,7 @@ TEST(TemperatureTraceLoadCsv, ShortRowRejectedWithLineNumber) {
       "tegrec_short_row.csv",
       "time_s,ambient_c,t0,t1\n0.0,25,50,40\n0.5,25,51\n");
   try {
-    TemperatureTrace::load_csv(path);
+    sim::load_trace_csv(path);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
@@ -210,7 +212,7 @@ TEST(TemperatureTraceLoadCsv, BlankAmbientCellRejected) {
   const std::string path = write_temp_csv(
       "tegrec_blank_ambient.csv",
       "time_s,ambient_c,t0\n0.0,25,50\n0.5,,51\n");
-  EXPECT_THROW(TemperatureTrace::load_csv(path), std::runtime_error);
+  EXPECT_THROW(sim::load_trace_csv(path), std::runtime_error);
   std::remove(path.c_str());
 }
 

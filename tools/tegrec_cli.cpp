@@ -287,7 +287,7 @@ int cmd_predict(const FlagMap& flags) {
   const std::string path = flag_or(flags, "trace", "");
   const thermal::TemperatureTrace trace =
       path.empty() ? thermal::default_experiment_trace()
-                   : thermal::TemperatureTrace::load_csv(path);
+                   : sim::load_trace_csv(path);
   const std::string method = flag_or(flags, "method", "mlr");
   const double horizon_s = flag_double(flags, "horizon", 1.0);
 

@@ -117,8 +117,7 @@ class TcpLineFeed final : public ByteFeed {
 };
 
 /// In-memory feed for tests and adapters: push() appends bytes, close()
-/// marks the end of the stream.  `name` is what describe() reports (the
-/// file path when load_trace_csv feeds a file through it).
+/// marks the end of the stream, describe() reports `name`.
 class StringFeed final : public ByteFeed {
  public:
   explicit StringFeed(std::string name = "memory") : name_(std::move(name)) {}

@@ -68,7 +68,8 @@ TemperatureTrace TemperatureTrace::slice(double t0_s, double t1_s) const {
 
 void TemperatureTrace::save_csv(const std::string& path) const {
   util::CsvTable table;
-  table.header = {"time_s", "ambient_c"};
+  table.header.push_back("time_s");
+  table.header.push_back("ambient_c");
   for (std::size_t m = 0; m < num_modules_; ++m) {
     // Built with += rather than operator+ to dodge a GCC 12 -Wrestrict
     // false positive (PR 105329) that the extra inlining in this TU
@@ -78,7 +79,10 @@ void TemperatureTrace::save_csv(const std::string& path) const {
     table.header.push_back(std::move(name));
   }
   for (std::size_t t = 0; t < num_steps(); ++t) {
-    std::vector<double> row{static_cast<double>(t) * dt_s_, ambient_c_[t]};
+    std::vector<double> row;
+    row.reserve(num_modules_ + 2);
+    row.push_back(static_cast<double>(t) * dt_s_);
+    row.push_back(ambient_c_[t]);
     const auto temps = step_temperatures(t);
     row.insert(row.end(), temps.begin(), temps.end());
     table.rows.push_back(std::move(row));

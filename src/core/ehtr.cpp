@@ -11,7 +11,6 @@
 #include "core/objective.hpp"
 #include "core/state_codec.hpp"
 #include "power/mppt.hpp"
-#include "teg/array_evaluator.hpp"
 #include "teg/module.hpp"
 #include "util/parallel.hpp"
 #include "util/runtime_clock.hpp"
@@ -70,16 +69,26 @@ void solve_layer(const std::vector<double>& prefix,
 
 PartitionTable::PartitionTable(const std::vector<double>& mpp_currents,
                                std::size_t max_groups, PartitionDp dp_kind,
-                               std::size_t initial_groups)
-    : count_(mpp_currents.size()), max_groups_(max_groups),
-      dp_kind_(dp_kind) {
-  if (count_ == 0) throw std::invalid_argument("PartitionTable: empty input");
-  if (max_groups_ == 0 || max_groups_ > count_) {
+                               std::size_t initial_groups) {
+  assign(mpp_currents, max_groups, dp_kind, initial_groups);
+}
+
+void PartitionTable::assign(const std::vector<double>& mpp_currents,
+                            std::size_t max_groups, PartitionDp dp_kind,
+                            std::size_t initial_groups) {
+  const std::size_t count = mpp_currents.size();
+  if (count == 0) throw std::invalid_argument("PartitionTable: empty input");
+  if (max_groups == 0 || max_groups > count) {
     throw std::invalid_argument("PartitionTable: bad max_groups");
   }
-  if (count_ >= std::numeric_limits<std::uint32_t>::max()) {
+  if (count >= std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("PartitionTable: array too large");
   }
+  count_ = count;
+  max_groups_ = max_groups;
+  dp_kind_ = dp_kind;
+  solved_groups_ = 0;
+  parents_.clear();
   prefix_.assign(count_ + 1, 0.0);
   for (std::size_t i = 0; i < count_; ++i) {
     // Rejecting NaN/inf here (not just negatives) is what lets the
@@ -181,12 +190,22 @@ teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
                              std::size_t max_groups,
                              const EhtrWarmStart& warm,
                              EhtrSearchStats* stats) {
+  EhtrScratch scratch;
+  return ehtr_search(ports, converter, num_threads, dp_kind, max_groups, warm,
+                     scratch, stats);
+}
+
+teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
+                             const power::Converter& converter,
+                             std::size_t num_threads, PartitionDp dp_kind,
+                             std::size_t max_groups, const EhtrWarmStart& warm,
+                             EhtrScratch& scratch, EhtrSearchStats* stats) {
   // The DP only accepts finite currents; treat non-finite modules (NaN
   // temperatures, open faults) as stone cold, the same way inor_partition
   // treats dead modules.  Scoring below still sees the true NaN powers, so
   // a fully degenerate array falls back to the first candidate.
-  std::vector<double> impp;
-  impp.reserve(ports.size());
+  std::vector<double>& impp = scratch.impp;
+  impp.clear();
   for (const teg::LinearSource& m : ports) {
     const double x = m.mpp_current_a();
     impp.push_back(std::isfinite(x) ? x : 0.0);
@@ -194,15 +213,16 @@ teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
   const std::size_t count = ports.size();
   if (max_groups == 0 || max_groups > count) max_groups = count;
 
-  // Warm-start prerequisites.  The score bound below needs every module's
+  // Warm-start prerequisites.  The score bounds below need every module's
   // open-circuit voltage finite and its resistance finite and positive;
   // anything degenerate (NaN temperature spikes, open faults) turns the
   // warm pass off and the search runs the plain cold sweep.
   bool warm_ok = warm.enabled && max_groups > 1;
-  std::vector<double> voc_top_prefix;  // [n] = sum of the n largest vocs
+  std::vector<double>& voc_top_prefix = scratch.voc_top_prefix;
   double total_g = 0.0;
   if (warm_ok) {
-    std::vector<double> vocs(count);
+    // The vocs are sorted in place, then summed into the prefix.
+    voc_top_prefix.resize(count + 1);
     for (std::size_t i = 0; i < count && warm_ok; ++i) {
       const teg::LinearSource& m = ports[i];
       const double voc = m.voc_v;
@@ -210,33 +230,38 @@ teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
       if (!std::isfinite(voc) || !std::isfinite(r) || r <= 0.0) {
         warm_ok = false;
       } else {
-        vocs[i] = voc;
+        voc_top_prefix[i + 1] = voc;
         total_g += 1.0 / r;
       }
     }
     if (warm_ok && !(std::isfinite(total_g) && total_g > 0.0)) warm_ok = false;
     if (warm_ok) {
-      std::sort(vocs.begin(), vocs.end(), std::greater<double>());
-      voc_top_prefix.assign(count + 1, 0.0);
+      std::sort(voc_top_prefix.begin() + 1, voc_top_prefix.end(),
+                std::greater<double>());
+      voc_top_prefix[0] = 0.0;
       for (std::size_t i = 0; i < count; ++i) {
-        voc_top_prefix[i + 1] = voc_top_prefix[i] + vocs[i];
+        voc_top_prefix[i + 1] += voc_top_prefix[i];
       }
     }
   }
 
-  // First DP frontier: a neighbourhood of the incumbent group count (or of
-  // the converter's efficient window when there is no incumbent yet).
-  // Cold search solves everything up front.
+  // First DP frontier: the incumbent group count (or the converter's
+  // efficient window when there is no incumbent yet) plus the width.  Cold
+  // search solves everything up front.
   std::size_t initial = max_groups;
+  std::size_t seed = 0;
   if (warm_ok) {
     std::size_t base = warm.incumbent_groups;
     if (base == 0 || base > max_groups) {
       base = group_count_window(ports, converter).nmax;
     }
     initial = std::min(max_groups, std::max<std::size_t>(1, base + warm.width));
+    seed = std::clamp<std::size_t>(base, 1, initial);
   }
-  PartitionTable table(impp, max_groups, dp_kind, initial);
-  const teg::ArrayEvaluator evaluator(ports);
+  PartitionTable& table = scratch.table;
+  table.assign(impp, max_groups, dp_kind, initial);
+  teg::ArrayEvaluator& evaluator = scratch.evaluator;
+  evaluator.assign(ports);
 
   // Streamed scoring: candidates are reconstructed chunk by chunk into
   // per-chunk scratch and scored immediately — only the score table (O(N)
@@ -245,27 +270,55 @@ teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
   // independent of the chunking, and the argmax below is a sequential
   // lowest-index scan, so the chosen config is bit-identical for every
   // thread count and every warm/cold schedule.
-  std::vector<double> scores(max_groups, 0.0);
+  std::vector<double>& scores = scratch.scores;
+  scores.assign(max_groups, 0.0);
   const std::size_t workers =
       num_threads == 0 ? util::default_parallelism() : num_threads;
-  auto score_range = [&](std::size_t lo_n, std::size_t hi_n) {
-    // Scores group counts (lo_n, hi_n].  ~4 chunks per worker keeps the
-    // atomic-claiming load balancer effective while amortising each
-    // chunk's scratch buffer over many candidates.
+  std::size_t scored = 0;
+  // Scores group counts (lo_n, hi_n] except `skip_n`.  With a gate, a
+  // candidate whose bound at its own port is strictly below `floor` gets
+  // -inf instead of the golden section: the bound holds every output at or
+  // above the floor, so its true score is below the floor, a score already
+  // seen.  A NaN bound compares false and the candidate is scored.
+  auto score_range = [&](std::size_t lo_n, std::size_t hi_n,
+                         const power::OutputPowerBound* gate, double floor,
+                         std::size_t skip_n) {
+    if (hi_n <= lo_n) return;
+    // ~4 chunks per worker keeps the atomic-claiming load balancer
+    // effective while amortising each chunk's scratch buffer over many
+    // candidates.
     const std::size_t span = hi_n - lo_n;
     const std::size_t num_chunks =
         std::min(span, std::max<std::size_t>(1, 4 * workers));
     const std::size_t chunk_len = (span + num_chunks - 1) / num_chunks;
+    if (scratch.chunk_starts.size() < num_chunks) {
+      scratch.chunk_starts.resize(num_chunks);
+    }
+    scratch.chunk_scored.assign(num_chunks, 0);
     util::parallel_for(num_chunks, num_threads, [&](std::size_t c) {
       const std::size_t first_n = lo_n + 1 + c * chunk_len;
       const std::size_t last_n = std::min(hi_n, first_n + chunk_len - 1);
-      std::vector<std::size_t> starts;
-      starts.reserve(last_n);
+      std::vector<std::size_t>& starts = scratch.chunk_starts[c];
+      std::size_t chunk_scored = 0;
       for (std::size_t n = first_n; n <= last_n; ++n) {
+        if (n == skip_n) continue;
         table.reconstruct(n, starts);
-        scores[n - 1] = config_power_w(evaluator, converter, starts);
+        const teg::LinearSource port =
+            evaluator.string_equivalent(std::span<const std::size_t>(starts));
+        if (gate != nullptr && gate->at(port.voc_v, port.r_ohm) < floor) {
+          scores[n - 1] = -kInf;
+          continue;
+        }
+        // config_power_w's own steps, on the port already in hand.
+        scores[n - 1] =
+            power::optimal_operating_point(port, converter).output_power_w;
+        ++chunk_scored;
       }
+      scratch.chunk_scored[c] = chunk_scored;
     });
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      scored += scratch.chunk_scored[c];
+    }
   };
 
   // Sequential lowest-index argmax over the scored prefix: deterministic
@@ -286,7 +339,16 @@ teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
   };
 
   std::size_t solved = table.solved_groups();
-  score_range(0, solved);
+  if (warm_ok) {
+    // The incumbent's score is the floor for the rest of the solved range.
+    score_range(seed - 1, seed, nullptr, 0.0, 0);
+    const double floor = scores[seed - 1] > best_power ? scores[seed - 1]
+                                                       : best_power;
+    const power::OutputPowerBound gate(converter, floor);
+    score_range(0, solved, &gate, floor, seed);
+  } else {
+    score_range(0, solved, nullptr, 0.0, 0);
+  }
   fold_argmax(solved);
   // Certified extension loop.  Every n-group partition's port is dominated
   // by the relaxed port (Vtop(n), n^2/G):
@@ -299,9 +361,9 @@ teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
   // unscored n whose bound is strictly below the scored best can never
   // win: the argmax only moves on a strict improvement.  So extend the DP
   // to the largest n whose bound ties or beats the best (or is NaN), score
-  // the new range for real, and repeat; when no bound survives, the prefix
-  // argmax IS the cold argmax.  Worst case the frontier reaches max_groups
-  // and the warm pass has performed exactly the cold computation.
+  // the new range, gated by each candidate's own port, and repeat; when no
+  // bound survives, the prefix argmax IS the cold argmax.  Worst case the
+  // frontier reaches max_groups and every candidate has been solved.
   while (solved < max_groups) {
     const power::OutputPowerBound bound(converter, best_power);
     std::size_t frontier = solved;
@@ -314,13 +376,14 @@ teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
     if (frontier == solved) break;
     table.extend_to(frontier);
     solved = table.solved_groups();
-    score_range(scanned, solved);
+    score_range(scanned, solved, &bound, best_power, 0);
     fold_argmax(solved);
   }
 
   if (stats != nullptr) {
     stats->max_groups = max_groups;
     stats->groups_certified = solved;
+    stats->candidates_scored = scored;
     stats->warm_used = warm_ok;
   }
   return table.config(best_n);
@@ -353,7 +416,7 @@ UpdateResult EhtrReconfigurer::update(double time_s,
   warm.width = warm_width_;
   teg::ArrayConfig next = ehtr_search(ports_, converter_, num_threads_,
                                       PartitionDp::kDivideAndConquer,
-                                      max_groups_, warm);
+                                      max_groups_, warm, scratch_);
   result.compute_time_s = timer.seconds();
   result.invoked = true;
   result.switched = !has_config_ || next != current_;

@@ -22,12 +22,14 @@
 //
 // Warm starts (docs/actuation.md): across consecutive actuations the
 // temperature field drifts slowly, so the optimal group count moves little.
-// ehtr_search can therefore solve the DP only up to a neighbourhood of the
-// incumbent group count and *certify* the rest away with a per-n upper
-// bound on any n-group config's charger-aware score; whenever the bound
-// can't rule a region out, the DP is extended into it and scored for real.
-// In the worst case that converges to the full cold sweep, so the chosen
-// config is bit-identical to cold search by construction.
+// ehtr_search can therefore solve the DP only up to the incumbent group
+// count and *certify* the rest away with a per-n upper bound on any n-group
+// config's charger-aware score; whenever the bound can't rule a region
+// out, the DP is extended into it.  Inside the solved range the incumbent
+// is scored first, and a candidate whose own port's bound falls below the
+// best score seen skips the golden section.  In the worst case that
+// converges to the full cold sweep, so the chosen config is bit-identical
+// to cold search by construction; the cold sweep scores every candidate.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +40,7 @@
 #include "core/reconfigurer.hpp"
 #include "power/converter.hpp"
 #include "teg/array.hpp"
+#include "teg/array_evaluator.hpp"
 
 namespace tegrec::core {
 
@@ -74,6 +77,15 @@ class PartitionTable {
                  std::size_t max_groups,
                  PartitionDp dp = PartitionDp::kDivideAndConquer,
                  std::size_t initial_groups = 0);
+
+  /// An empty table; assign() inputs before use.
+  PartitionTable() = default;
+
+  /// Re-solves in place for new inputs, as the constructor does, reusing
+  /// the arena and value rows (no allocation once they have grown).
+  void assign(const std::vector<double>& mpp_currents, std::size_t max_groups,
+              PartitionDp dp = PartitionDp::kDivideAndConquer,
+              std::size_t initial_groups = 0);
 
   std::size_t num_modules() const { return count_; }
   std::size_t max_groups() const { return max_groups_; }
@@ -130,23 +142,41 @@ std::vector<teg::ArrayConfig> balanced_partitions(
     const std::vector<double>& mpp_currents, std::size_t max_n,
     PartitionDp dp = PartitionDp::kDivideAndConquer);
 
-/// Warm-start request for ehtr_search.  `incumbent_groups` seeds the
-/// neighbourhood (0 = none; the search then seeds from the converter's
-/// efficient group-count window) and `width` is how far past the seed the
+/// Warm-start request for ehtr_search.  `incumbent_groups` is the seed,
+/// scored first (0 = none; the search then seeds from the converter's
+/// efficient group-count window), and `width` is how far past the seed the
 /// first DP solve reaches.  Purely a performance hint: the certified
 /// extension loop guarantees the chosen config is bit-identical to the
-/// cold sweep for every setting.
+/// cold sweep for every setting.  The default 0 stops the first solve at
+/// the seed, which the certificate extends as far as it must.
 struct EhtrWarmStart {
   bool enabled = false;
   std::size_t incumbent_groups = 0;
-  std::size_t width = 64;
+  std::size_t width = 0;
 };
 
 /// Observability counters for one ehtr_search call (bench + tests).
 struct EhtrSearchStats {
   std::size_t max_groups = 0;        ///< full sweep bound after clamping
-  std::size_t groups_certified = 0;  ///< group counts actually solved+scored
+  std::size_t groups_certified = 0;  ///< group counts solved by the DP
+  /// Group counts the golden-section MPPT ran on; the warm pass skips
+  /// those whose port's score bound is below the best score seen.
+  std::size_t candidates_scored = 0;
   bool warm_used = false;            ///< warm pass engaged (prereqs held)
+};
+
+/// Buffers one search reuses: the DP table, the evaluator, the current and
+/// voltage inputs, the score table and one group-start buffer per scoring
+/// chunk.  EhtrReconfigurer keeps one as a member, so a steady-state search
+/// allocates little beyond its result.
+struct EhtrScratch {
+  PartitionTable table;
+  teg::ArrayEvaluator evaluator;
+  std::vector<double> impp;
+  std::vector<double> voc_top_prefix;  ///< [n] = sum of the n largest vocs
+  std::vector<double> scores;
+  std::vector<std::vector<std::size_t>> chunk_starts;
+  std::vector<std::size_t> chunk_scored;
 };
 
 /// Full EHTR search over a module port snapshot (teg::module_ports or a
@@ -161,9 +191,9 @@ struct EhtrSearchStats {
 /// for every thread count; if no candidate scores above the sentinel
 /// (e.g. an all-NaN temperature field) the first candidate is returned.
 ///
-/// With `warm.enabled`, the DP is solved only to a neighbourhood of the
-/// incumbent group count and group counts beyond the frontier are pruned
-/// by a provable score bound: power::OutputPowerBound, built for the scored
+/// With `warm.enabled`, the DP is solved only to the incumbent group count
+/// (plus `warm.width`) and group counts beyond the frontier are pruned by a
+/// provable score bound: power::OutputPowerBound, built for the scored
 /// best, evaluated at the relaxed port (Vtop(n), n^2/G).  Vtop(n) is the
 /// sum of the n largest module open-circuit voltages (each group's voc is
 /// a conductance-weighted mean <= its max member) and G the total module
@@ -172,8 +202,15 @@ struct EhtrSearchStats {
 /// the best.  Counts whose bound ties or beats the scored best force a DP
 /// extension and real scoring; only counts the bound strictly rules out
 /// are skipped, so the strict-improvement argmax provably can't land there
-/// and the result stays bit-identical to cold search.  Degenerate inputs
-/// (non-finite vocs or conductances) disable the warm pass entirely.
+/// and the result stays bit-identical to cold search.  Inside the solved
+/// range the warm pass scores the incumbent's group count first; each
+/// later scoring call then gives -inf to a candidate whose bound at its
+/// own port is strictly below the best score folded before the call.  Its
+/// true score lies below a score already seen, so the lowest-index argmax
+/// cannot land on it, and the floor is fixed per call, so the result does
+/// not depend on the thread count.  The cold sweep scores every candidate.
+/// Degenerate inputs (non-finite vocs or conductances) disable the warm
+/// pass entirely.
 teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
                              const power::Converter& converter,
                              std::size_t num_threads = 1,
@@ -182,12 +219,22 @@ teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
                              const EhtrWarmStart& warm = {},
                              EhtrSearchStats* stats = nullptr);
 
+/// The same search with caller-owned scratch: the per-step path, which
+/// reuses the DP arena and scoring buffers across invocations.
+teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
+                             const power::Converter& converter,
+                             std::size_t num_threads, PartitionDp dp,
+                             std::size_t max_groups, const EhtrWarmStart& warm,
+                             EhtrScratch& scratch,
+                             EhtrSearchStats* stats = nullptr);
+
 /// Periodic controller wrapping ehtr_search (0.5 s period per [5]).
 /// `max_groups` bounds both the candidate sweep and the DP parent arena
 /// (0 = no cap); operators of farm-scale arrays use it to trade optimality
 /// headroom for memory.  `warm_start` enables the certified warm pass,
-/// seeding each invocation's neighbourhood with the held config's group
-/// count (`warm_width` past it); decisions are bit-identical either way.
+/// seeding each invocation with the held config's group count (the first
+/// DP solve reaching `warm_width` past it); decisions are bit-identical
+/// either way.
 /// Production front ends turn it on through SimulationOptions; the default
 /// here is the cold full sweep of [2], which the Table I reproduction times
 /// and the differential tests use as the oracle.
@@ -197,7 +244,7 @@ class EhtrReconfigurer final : public Reconfigurer {
                    const power::ConverterParams& converter,
                    double period_s = 0.5, std::size_t num_threads = 1,
                    std::size_t max_groups = 0, bool warm_start = false,
-                   std::size_t warm_width = 64);
+                   std::size_t warm_width = 0);
 
   std::string name() const override { return "EHTR"; }
   UpdateResult update(double time_s, const std::vector<double>& delta_t_k,
@@ -206,8 +253,8 @@ class EhtrReconfigurer final : public Reconfigurer {
   AlgorithmCost algorithm_cost() const override;
 
   /// Stateless between invocations apart from the (next run time, held
-  /// config) pair, so checkpoints round-trip trivially.  The DP runs fresh
-  /// per invocation and is bit-identical for every thread count and warm
+  /// config) pair, so checkpoints round-trip trivially.  The DP is solved
+  /// afresh per invocation (in reused buffers) and is bit-identical for every thread count and warm
   /// setting, so the restored decision stream matches regardless of
   /// num_threads or warm_start (the restored config re-seeds the
   /// neighbourhood exactly as the live run's would have).
@@ -226,8 +273,10 @@ class EhtrReconfigurer final : public Reconfigurer {
   double next_run_time_s_ = 0.0;
   bool has_config_ = false;
   teg::ArrayConfig current_;
-  // Per-invocation port snapshot, reused across steps; never checkpointed.
+  // Per-invocation port snapshot and search buffers, reused across steps;
+  // never checkpointed.
   std::vector<teg::LinearSource> ports_;
+  EhtrScratch scratch_;
 };
 
 }  // namespace tegrec::core

@@ -1,5 +1,6 @@
 #include "core/inor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -45,42 +46,63 @@ void partition_starts(std::span<const double> prefix, std::size_t n,
 
   starts.push_back(0);
   std::size_t boundary = 0;  // end (exclusive) of the previous group
+  std::size_t guess = count / n;  // length of the group before boundary
   for (std::size_t j = 1; j < n; ++j) {
     // Group j-1 spans [boundary, g); f(g) is its sum's deviation from
     // Iideal.  f never decreases as g grows: the prefix sums non-negative
     // currents and every rounding step is monotone.  So f(g) <= 0 holds on
     // a leading run of g (also when an infinite or NaN current makes the
     // later f NaN, which compares false), and along that run |f| never
-    // grows, so the
-    // paper's walk (advance while |f(g+1)| <= |f(g)|) would step through
-    // all of it.  Gallop to the run's last g instead, then finish with the
-    // walk itself, which takes the crossing and any zero-current run after.
+    // grows, so the paper's walk (advance while |f(g+1)| <= |f(g)|) would
+    // step through all of it.  Find the run's last g instead, then finish
+    // with the walk itself, which takes the crossing and any zero-current
+    // run after.  Balanced groups have similar lengths, so the search
+    // first probes the previous group's length (count / n for the first)
+    // and gallops from there in whichever direction the probe points.
     const double base = prefix[boundary];
-    const auto f = [&](std::size_t h) { return prefix[h] - base - i_ideal; };
-    std::size_t g = boundary + 1;               // at least one module per group
+    const auto below = [&](std::size_t h) {
+      return prefix[h] - base - i_ideal <= 0.0;
+    };
+    const std::size_t g_min = boundary + 1;     // one module per group
     const std::size_t g_max = count - (n - j);  // one module per later group
-    if (f(g) <= 0.0) {
-      std::size_t lo = g;          // f(lo) <= 0
-      std::size_t hi = g_max + 1;  // f(hi) > 0, or past the window
+    const std::size_t probe = std::clamp(boundary + guess, g_min, g_max);
+    // Bracket the run's end: below(lo) holds (or lo = g_min and nothing
+    // holds), and hi is the first g failing it (or g_max + 1).
+    std::size_t lo = g_min;
+    std::size_t hi = g_max + 1;
+    if (below(probe)) {
+      lo = probe;
       for (std::size_t step = 1; lo + step < hi; step *= 2) {
-        if (f(lo + step) > 0.0) {
+        if (!below(lo + step)) {
           hi = lo + step;
           break;
         }
         lo += step;
       }
-      while (hi - lo > 1) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (f(mid) <= 0.0) {
-          lo = mid;
-        } else {
-          hi = mid;
+    } else {
+      hi = probe;
+      for (std::size_t step = 1; hi > g_min; step *= 2) {
+        const std::size_t h = hi - std::min(step, hi - g_min);
+        if (below(h)) {
+          lo = h;
+          break;
         }
+        hi = h;
       }
-      g = lo;
     }
+    while (hi - lo > 1) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (below(mid)) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    std::size_t g = lo;
+    const auto f = [&](std::size_t h) { return prefix[h] - base - i_ideal; };
     while (g < g_max && std::abs(f(g + 1)) <= std::abs(f(g))) ++g;
     starts.push_back(g);
+    guess = g - boundary;
     boundary = g;
   }
 }

@@ -8,10 +8,12 @@
 // best kept.  The greedy pass is O(N) per n and the window size is a
 // device constant, giving the paper's O(N) overall complexity.
 //
-// The prefix is built once per search, and each boundary gallops over it
-// (O(log group size)) to the last position whose group sum does not yet
-// exceed Iideal before finishing with the paper's stop-at-first-worsening
-// step; tests/inor_oracle.hpp keeps the plain linear walk it must equal.
+// The prefix is built once per search.  Each boundary first probes the
+// previous group's length past the last boundary (count / n for the first
+// group), gallops from there (O(log of the guess's error)) to the last
+// position whose group sum does not yet exceed Iideal, and finishes with
+// the paper's stop-at-first-worsening step; tests/inor_oracle.hpp keeps
+// the plain linear walk it must equal.
 #pragma once
 
 #include <cstddef>

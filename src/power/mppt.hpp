@@ -48,7 +48,10 @@ OperatingPoint optimal_operating_point(const teg::LinearSource& port,
 /// Built once per incumbent, queried in O(1) per candidate port.  The
 /// window is widened and the bound raised by 1e-9 relative, far above the
 /// rounding of the golden section's own arithmetic, so at() is at least
-/// every output optimal_operating_point can return that exceeds floor_w.
+/// every output optimal_operating_point can return that reaches floor_w
+/// (the efficiency an output equal to a positive floor needs lies above
+/// the lowered requirement, so it sits inside the window too).  A port
+/// whose at() is strictly below floor_w therefore scores below it.
 /// at() rises with voc and falls with r (also after rounding), so a relaxed
 /// port with a larger voc and a smaller r bounds every port it dominates.
 /// A NaN port gives a NaN bound, which compares false and never prunes,

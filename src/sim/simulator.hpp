@@ -40,8 +40,8 @@ struct SimulationOptions {
   /// stamp; tests and benches set `false` to run cold as the oracle.
   bool ehtr_warm_start = true;
   /// How far past the incumbent group count the warm pass solves before
-  /// consulting the score bound.
-  std::size_t ehtr_warm_width = 64;
+  /// consulting the score bound (0: the bound decides every layer past it).
+  std::size_t ehtr_warm_width = 0;
 };
 
 /// One control period of the run.

@@ -231,6 +231,15 @@ std::string TcpLineFeed::describe() const {
 
 // -------------------------------------------------------------- StringFeed
 
+void StringFeed::push(std::string&& bytes) {
+  if (read_ == buffer_.size()) {
+    buffer_ = std::move(bytes);
+    read_ = 0;
+  } else {
+    buffer_ += bytes;
+  }
+}
+
 ByteFeed::Status StringFeed::poll(std::string& chunk) {
   if (read_ == buffer_.size()) return closed_ ? Status::kEnd : Status::kIdle;
   const std::size_t take = std::min(buffer_.size() - read_, kChunkBytes);
@@ -555,9 +564,8 @@ thermal::TemperatureTrace load_trace_csv(const std::string& path,
   std::optional<std::string> bytes = util::read_file_if_exists(path);
   if (!bytes) throw std::runtime_error("load_trace_csv: cannot open " + path);
   auto feed = std::make_unique<StringFeed>(path);
-  feed->push(*bytes);
+  feed->push(std::move(*bytes));
   feed->close();
-  bytes.reset();  // the feed holds the only copy from here on
   TelemetryOptions options;
   options.dt_s = dt_s;
   options.gap_policy = GapPolicy::kReject;

@@ -122,6 +122,9 @@ class StringFeed final : public ByteFeed {
  public:
   explicit StringFeed(std::string name = "memory") : name_(std::move(name)) {}
   void push(const std::string& bytes) { buffer_ += bytes; }
+  /// Takes the bytes over instead of copying them when nothing is left
+  /// unread (a whole file pushed at once).
+  void push(std::string&& bytes);
   void close() { closed_ = true; }
   Status poll(std::string& chunk) override;
   std::string describe() const override { return name_; }

@@ -1,21 +1,8 @@
 #include "teg/device.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace tegrec::teg {
-
-double DeviceParams::seebeck_total_v_k() const {
-  return seebeck_v_k_couple * static_cast<double>(num_couples);
-}
-
-double DeviceParams::resistance_at(double mean_temp_c) const {
-  const double factor =
-      1.0 + resistance_temp_coeff * (mean_temp_c - reference_temp_c);
-  // Resistance cannot drop below a small fraction of the rating even at
-  // very low temperatures; clamp keeps the model sane outside the fit range.
-  return internal_resistance_ohm * std::max(factor, 0.25);
-}
 
 DeviceParams tgm_199_1_4_0_8() {
   return DeviceParams{};  // defaults are the TGM-199-1.4-0.8 values

@@ -13,6 +13,8 @@
 // P-V peaks slightly as in the published Fig. 1 family of curves.
 #pragma once
 
+#include <algorithm>
+
 namespace tegrec::teg {
 
 /// Datasheet constants of one TEG module.
@@ -25,9 +27,18 @@ struct DeviceParams {
   double max_delta_t_k = 200.0;         ///< validity bound of the linear model
 
   /// Total module Seebeck coefficient alpha * N_cpl [V/K].
-  double seebeck_total_v_k() const;
+  double seebeck_total_v_k() const {
+    return seebeck_v_k_couple * static_cast<double>(num_couples);
+  }
   /// Internal resistance at a given module mean temperature [ohm].
-  double resistance_at(double mean_temp_c) const;
+  double resistance_at(double mean_temp_c) const {
+    const double factor =
+        1.0 + resistance_temp_coeff * (mean_temp_c - reference_temp_c);
+    // Resistance cannot drop below a small fraction of the rating even at
+    // very low temperatures; clamp keeps the model sane outside the fit
+    // range.
+    return internal_resistance_ohm * std::max(factor, 0.25);
+  }
 };
 
 /// Parameters of the TGM-199-1.4-0.8 used throughout the paper.

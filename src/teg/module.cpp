@@ -4,21 +4,6 @@
 
 namespace tegrec::teg {
 
-LinearSource module_port(const DeviceParams& params, double hot_side_c,
-                         double cold_side_c) {
-  if (hot_side_c < cold_side_c) {
-    throw std::invalid_argument("Module: hot side below cold side");
-  }
-  const double delta_t_k = hot_side_c - cold_side_c;
-  if (delta_t_k > params.max_delta_t_k) {
-    throw std::invalid_argument("Module: dT exceeds device validity range");
-  }
-  LinearSource port;
-  port.voc_v = params.seebeck_total_v_k() * delta_t_k;
-  port.r_ohm = params.resistance_at(0.5 * (hot_side_c + cold_side_c));
-  return port;
-}
-
 Module::Module(const DeviceParams& params, double hot_side_c, double cold_side_c) {
   validate(params);
   port_ = module_port(params, hot_side_c, cold_side_c);

@@ -10,6 +10,7 @@
 // Fig. 1.
 #pragma once
 
+#include <stdexcept>
 #include <vector>
 
 #include "teg/device.hpp"
@@ -49,8 +50,22 @@ class Module {
 
 /// The port Module(params, hot_side_c, cold_side_c) holds, without
 /// re-validating `params` (callers validate the device once per array).
-/// Throws std::invalid_argument with the constructor's messages.
-LinearSource module_port(const DeviceParams& params, double hot_side_c,
-                         double cold_side_c);
+/// Throws std::invalid_argument with the constructor's messages.  Inline,
+/// with the device model it calls, so module_ports' per-module loop is
+/// plain arithmetic.
+inline LinearSource module_port(const DeviceParams& params, double hot_side_c,
+                                double cold_side_c) {
+  if (hot_side_c < cold_side_c) {
+    throw std::invalid_argument("Module: hot side below cold side");
+  }
+  const double delta_t_k = hot_side_c - cold_side_c;
+  if (delta_t_k > params.max_delta_t_k) {
+    throw std::invalid_argument("Module: dT exceeds device validity range");
+  }
+  LinearSource port;
+  port.voc_v = params.seebeck_total_v_k() * delta_t_k;
+  port.r_ohm = params.resistance_at(0.5 * (hot_side_c + cold_side_c));
+  return port;
+}
 
 }  // namespace tegrec::teg

@@ -8,6 +8,7 @@
 // caching/fingerprint story breaks.
 #include "core/ehtr.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/objective.hpp"
+#include "ehtr_oracle.hpp"
 #include "scenario_fixtures.hpp"
 #include "teg/array_evaluator.hpp"
 #include "thermal/scenario.hpp"
@@ -200,13 +202,14 @@ TEST(EhtrWarm, BitIdenticalToColdUnderEveryConverterVariant) {
   }
 }
 
-TEST(EhtrWarm, KiloStreamSolvesAtMostThirteenPercentOfTheLayers) {
+TEST(EhtrWarm, KiloStreamSolvesAndScoresFewLayers) {
   // The stream_kilo benchmark's EHTR input: porter_800s at generator seed
   // 1001, 1,000 modules, the first 1,000 steps, the incumbent threaded
   // from each decision to the next as the controller does.  The optimum
   // sits at 10-26 groups.  With the light-load derating g(p) and the
   // efficiency window inside the bound, few layers past it survive; the
-  // bound without them solved 16.6 % of the layers here.
+  // bound without them solved 16.6 % of the layers here.  Of the solved
+  // layers, the per-candidate bound leaves about one in six to score.
   thermal::TraceGeneratorConfig config = thermal::scenario("porter_800s");
   config.layout.num_modules = 1000;
   config.seed = 1001;
@@ -216,6 +219,8 @@ TEST(EhtrWarm, KiloStreamSolvesAtMostThirteenPercentOfTheLayers) {
   std::size_t incumbent = 0;
   std::size_t solved = 0;
   std::size_t layers = 0;
+  std::size_t scored = 0;
+  EhtrScratch scratch;
   for (std::size_t t = 0; t < 1000; ++t) {
     const teg::TegArray array(kDev, trace.step_delta_t(t), trace.ambient_c(t));
     EhtrWarmStart warm;
@@ -223,13 +228,85 @@ TEST(EhtrWarm, KiloStreamSolvesAtMostThirteenPercentOfTheLayers) {
     warm.incumbent_groups = incumbent;
     EhtrSearchStats stats;
     const teg::ArrayConfig hot = ehtr_search(
-        array, conv, 1, PartitionDp::kDivideAndConquer, 0, warm, &stats);
+        array, conv, 1, PartitionDp::kDivideAndConquer, 0, warm, scratch,
+        &stats);
     ASSERT_TRUE(stats.warm_used);
     solved += stats.groups_certified;
     layers += stats.max_groups;
+    scored += stats.candidates_scored;
     incumbent = hot.num_groups();
   }
   EXPECT_LE(static_cast<double>(solved), 0.13 * static_cast<double>(layers));
+  EXPECT_LE(static_cast<double>(scored), 0.25 * static_cast<double>(solved));
+}
+
+// ---- gated warm search == the ungated oracle (tests/ehtr_oracle.hpp)
+
+// `scratch` carries over between calls and fields, as the controller's
+// does across steps.
+void expect_matches_oracle(const teg::TegArray& array,
+                           const power::Converter& conv, EhtrScratch& scratch,
+                           const std::string& what) {
+  const oracle::EhtrOracleResult expected =
+      oracle::ehtr_search_ungated(array, conv);
+  const teg::ArrayEvaluator evaluator(array);
+  const std::size_t count = array.size();
+  const std::size_t first_solve = group_count_window(array, conv).nmax;
+  // The oracle's neighbours put its choice just past the first solve and
+  // just below the seed.
+  const std::size_t best = expected.config.num_groups();
+  const std::size_t incumbents[] = {0,
+                                    1,
+                                    best > 1 ? best - 1 : best,
+                                    best,
+                                    std::min(count, best + 1),
+                                    std::min(count, first_solve + count / 4 + 1),
+                                    count};
+  for (const std::size_t incumbent : incumbents) {
+    for (const std::size_t threads : {1u, 4u}) {
+      EhtrWarmStart warm;
+      warm.enabled = true;
+      warm.incumbent_groups = incumbent;
+      EhtrSearchStats stats;
+      const teg::ArrayConfig hot =
+          ehtr_search(array, conv, threads, PartitionDp::kDivideAndConquer, 0,
+                      warm, scratch, &stats);
+      ASSERT_EQ(hot, expected.config) << what << ", incumbent " << incumbent
+                                      << ", " << threads << " thread(s)";
+      const double power = config_power_w(evaluator, conv, hot);
+      if (expected.power_w > -1.0) {
+        EXPECT_EQ(power, expected.power_w) << what;
+      }
+      EXPECT_LE(stats.candidates_scored, stats.groups_certified) << what;
+    }
+  }
+}
+
+TEST(EhtrWarm, GatedSearchEqualsUngatedOracleOnRandomFields) {
+  const power::Converter conv(kConv);
+  util::Rng rng(2028);
+  EhtrScratch scratch;
+  for (const std::size_t n : {16u, 64u, 1000u}) {
+    for (int trial = 0; trial < (n == 1000 ? 2 : 4); ++trial) {
+      std::vector<double> dts(n);
+      for (double& dt : dts) dt = rng.uniform(0.0, 60.0);
+      const double ambient = rng.uniform(-10.0, 45.0);
+      expect_matches_oracle(teg::TegArray(kDev, dts, ambient), conv, scratch,
+                            "N = " + std::to_string(n) + ", trial " +
+                                std::to_string(trial));
+    }
+  }
+}
+
+TEST(EhtrWarm, GatedSearchEqualsUngatedOracleOnNanAndDeadFields) {
+  const power::Converter conv(kConv);
+  EhtrScratch scratch;
+  std::vector<double> dts(64, 25.0);
+  dts[9] = std::numeric_limits<double>::quiet_NaN();
+  expect_matches_oracle(teg::TegArray(kDev, dts), conv, scratch,
+                        "one NaN module");
+  expect_matches_oracle(teg::TegArray(kDev, std::vector<double>(64, 0.0)), conv,
+                        scratch, "all-zero field");
 }
 
 TEST(EhtrWarm, DegenerateFieldsDisableWarmButStayIdentical) {

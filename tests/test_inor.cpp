@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <span>
 #include <string>
@@ -260,6 +262,55 @@ TEST(InorPartition, GallopEqualsLinearWalkOnDeadArrays) {
     const std::vector<double> dead(size, 0.0);
     for (std::size_t n : {std::size_t{1}, std::size_t{2}, size / 3, size}) {
       expect_gallop_matches_walk(dead, n);
+    }
+  }
+}
+
+// Inputs whose group lengths differ wildly from the previous group's, the
+// length each boundary search probes first.
+std::vector<std::vector<double>> length_guess_breakers(std::size_t size) {
+  util::Rng rng(size);
+  std::vector<std::vector<double>> cases;
+  // A 5-module hot block, then 500 near-zero modules, then ordinary ones.
+  std::vector<double> hot_block(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    hot_block[i] = i < 5 ? 40.0 : i < 505 ? rng.uniform(0.0, 1e-6)
+                                         : rng.uniform(0.5, 2.0);
+  }
+  cases.push_back(hot_block);
+  // A zero-current run over the middle half, which holds count / n for
+  // n = 2 and n = 3.
+  std::vector<double> zero_run(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    zero_run[i] = i >= size / 4 && i < 3 * size / 4 ? 0.0 : rng.uniform(0.5, 2.0);
+  }
+  cases.push_back(zero_run);
+  // One module carrying 99 % of the current.
+  std::vector<double> dominant(size, 0.01 / static_cast<double>(size));
+  dominant[size / 3] = 0.99;
+  cases.push_back(dominant);
+  // Currents rising 10^6-fold along the array.
+  std::vector<double> rising(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    rising[i] = std::pow(1e6, static_cast<double>(i) /
+                                  static_cast<double>(std::max<std::size_t>(size - 1, 1)));
+  }
+  cases.push_back(rising);
+  // A +inf current at position k, and separately a NaN one.
+  std::vector<double> infinite(size);
+  for (double& x : infinite) x = rng.uniform(0.5, 2.0);
+  std::vector<double> not_a_number = infinite;
+  infinite[size / 3] = std::numeric_limits<double>::infinity();
+  not_a_number[size / 3] = std::numeric_limits<double>::quiet_NaN();
+  cases.push_back(infinite);
+  cases.push_back(not_a_number);
+  return cases;
+}
+
+TEST(InorPartition, GallopEqualsLinearWalkWhereTheLengthGuessIsWrong) {
+  for (std::size_t size : {2u, 3u, 64u, 1000u}) {
+    for (const std::vector<double>& impp : length_guess_breakers(size)) {
+      for (std::size_t n = 1; n <= size; ++n) expect_gallop_matches_walk(impp, n);
     }
   }
 }

@@ -12,7 +12,10 @@ holds the measured commit, the host facts perfbench prints as `# host`
 lines, the median and interquartile range of each end-to-end metric over
 the seeds, and the traced work counters: every per-layer metric counted in
 `count` or `B`, plus the EHTR share of groups solved, the same set
-perfbench/check_counters.py compares.
+perfbench/check_counters.py compares.  The traced run's per-layer timings
+(every metric in `us` or `ms`) go in a `per_layer` block beside them, so a
+row shows where a gain landed; rows recorded before the block existed lack
+it.
 The row is appended to BENCH_<workload>.json in the current directory, so
 a parent checkout can be measured into this checkout's ledger with
 --checkout.  perfbench builds into $CARGO_TARGET_DIR, default DIR's
@@ -29,6 +32,7 @@ import sys
 
 COUNTER_UNITS = ("count", "B")
 COUNTER_EXTRA = ("core.ehtr.groups_solved_frac",)
+TIMING_UNITS = ("us", "ms")
 SEEDS = list(range(1, 11))
 RUN_TIMEOUT_S = 600
 
@@ -112,6 +116,9 @@ def main():
     counters = {name: metric["value"]
                 for name, metric in sorted(traced["metrics"].items())
                 if metric["unit"] in COUNTER_UNITS or name in COUNTER_EXTRA}
+    per_layer = {name: {"value": metric["value"], "unit": metric["unit"]}
+                 for name, metric in sorted(traced["metrics"].items())
+                 if metric["unit"] in TIMING_UNITS}
 
     end_to_end = {}
     for name, values in samples.items():
@@ -129,6 +136,7 @@ def main():
         "failed": failed,
         "end_to_end": end_to_end,
         "work_counters": counters,
+        "per_layer": per_layer,
     }
 
     path = f"BENCH_{args.workload}.json"

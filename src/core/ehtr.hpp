@@ -254,10 +254,10 @@ class EhtrReconfigurer final : public Reconfigurer {
 
   /// Stateless between invocations apart from the (next run time, held
   /// config) pair, so checkpoints round-trip trivially.  The DP is solved
-  /// afresh per invocation (in reused buffers) and is bit-identical for every thread count and warm
-  /// setting, so the restored decision stream matches regardless of
-  /// num_threads or warm_start (the restored config re-seeds the
-  /// neighbourhood exactly as the live run's would have).
+  /// afresh per invocation (in reused buffers) and is bit-identical for
+  /// every thread count and warm setting, so the restored decision stream
+  /// matches regardless of num_threads or warm_start (the restored config
+  /// re-seeds the search exactly as the live run's would have).
   bool supports_checkpoint() const override { return true; }
   std::string checkpoint_state() const override;
   void restore_checkpoint_state(const std::string& state) override;

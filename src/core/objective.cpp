@@ -10,14 +10,6 @@ double config_power_w(const teg::ArrayEvaluator& evaluator,
       .output_power_w;
 }
 
-double config_power_w(const teg::ArrayEvaluator& evaluator,
-                      const power::Converter& converter,
-                      std::span<const std::size_t> group_starts) {
-  return power::optimal_operating_point(
-             evaluator.string_equivalent(group_starts), converter)
-      .output_power_w;
-}
-
 power::Converter::GroupRange group_count_window(
     std::span<const teg::LinearSource> ports, const power::Converter& converter) {
   double mean_vmpp = 0.0;

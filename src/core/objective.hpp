@@ -27,14 +27,6 @@ double config_power_w(const teg::ArrayEvaluator& evaluator,
                       const power::Converter& converter,
                       const teg::ArrayConfig& config);
 
-/// Streaming variant: scores a candidate from its raw group starts (first
-/// 0, strictly increasing, last group implicit to the end) without
-/// materialising an ArrayConfig.  Bit-identical to the ArrayConfig
-/// overload; used by EHTR's backtrack-and-score sweep.
-double config_power_w(const teg::ArrayEvaluator& evaluator,
-                      const power::Converter& converter,
-                      std::span<const std::size_t> group_starts);
-
 /// The [nmin, nmax] group-count window of Algorithm 1, derived from the
 /// converter's efficient input range and the mean module MPP voltage of a
 /// port snapshot (teg::module_ports or a TegArray), summed in module order

@@ -165,8 +165,8 @@ bool rename_file(const std::string& from, const std::string& to) noexcept {
 std::optional<std::string> read_file_if_exists(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
-  // One read of the size the file has now; a character-by-character read
-  // cost ten times as much on a 22 MB trace.
+  // One read of the size the file has now: reading character by character
+  // took three to five times as long on multi-megabyte trace files.
   std::string content;
   std::error_code ec;
   const std::uintmax_t size =

@@ -148,7 +148,6 @@ TEST(EvaluatorSpanSuite, SpanAndConfigOverloadsBitIdentical) {
   for (auto& dt : dts) dt = rng.uniform(3.0, 42.0);
   const teg::TegArray array(kDev, dts);
   const teg::ArrayEvaluator evaluator(array);
-  const power::Converter conv(kConv);
   const auto candidates = balanced_partitions(array.module_mpp_currents(), 30);
   for (const teg::ArrayConfig& c : candidates) {
     const teg::LinearSource via_config = evaluator.string_equivalent(c);
@@ -156,8 +155,6 @@ TEST(EvaluatorSpanSuite, SpanAndConfigOverloadsBitIdentical) {
         evaluator.string_equivalent(std::span(c.group_starts()));
     EXPECT_EQ(via_span.voc_v, via_config.voc_v);
     EXPECT_EQ(via_span.r_ohm, via_config.r_ohm);
-    EXPECT_EQ(config_power_w(evaluator, conv, std::span(c.group_starts())),
-              config_power_w(evaluator, conv, c));
   }
   // Malformed starts are rejected, not scored.
   EXPECT_THROW(evaluator.string_equivalent(std::span<const std::size_t>()),
@@ -279,7 +276,11 @@ TEST(EhtrStreaming, CandidateSweepAllocatesLinearNotQuadraticBytes) {
   std::size_t best_n = 1;
   double best_power = -1.0;
   table.for_each_candidate([&](std::size_t n, const std::vector<std::size_t>& starts) {
-    const double p = config_power_w(evaluator, conv, starts);
+    const double p =
+        power::optimal_operating_point(
+            evaluator.string_equivalent(std::span<const std::size_t>(starts)),
+            conv)
+            .output_power_w;
     if (p > best_power) {
       best_power = p;
       best_n = n;

@@ -255,12 +255,14 @@ void expect_matches_oracle(const teg::TegArray& array,
   // The oracle's neighbours put its choice just past the first solve and
   // just below the seed.
   const std::size_t best = expected.config.num_groups();
+  const std::size_t past_first_solve =
+      std::min(count, first_solve + count / 4 + 1);
   const std::size_t incumbents[] = {0,
                                     1,
                                     best > 1 ? best - 1 : best,
                                     best,
                                     std::min(count, best + 1),
-                                    std::min(count, first_solve + count / 4 + 1),
+                                    past_first_solve,
                                     count};
   for (const std::size_t incumbent : incumbents) {
     for (const std::size_t threads : {1u, 4u}) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -282,7 +281,8 @@ std::vector<std::vector<double>> length_guess_breakers(std::size_t size) {
   // n = 2 and n = 3.
   std::vector<double> zero_run(size);
   for (std::size_t i = 0; i < size; ++i) {
-    zero_run[i] = i >= size / 4 && i < 3 * size / 4 ? 0.0 : rng.uniform(0.5, 2.0);
+    const bool middle = i >= size / 4 && i < 3 * size / 4;
+    zero_run[i] = middle ? 0.0 : rng.uniform(0.5, 2.0);
   }
   cases.push_back(zero_run);
   // One module carrying 99 % of the current.
@@ -291,9 +291,9 @@ std::vector<std::vector<double>> length_guess_breakers(std::size_t size) {
   cases.push_back(dominant);
   // Currents rising 10^6-fold along the array.
   std::vector<double> rising(size);
+  const double last = static_cast<double>(size - 1);
   for (std::size_t i = 0; i < size; ++i) {
-    rising[i] = std::pow(1e6, static_cast<double>(i) /
-                                  static_cast<double>(std::max<std::size_t>(size - 1, 1)));
+    rising[i] = std::pow(1e6, static_cast<double>(i) / last);
   }
   cases.push_back(rising);
   // A +inf current at position k, and separately a NaN one.
@@ -310,7 +310,9 @@ std::vector<std::vector<double>> length_guess_breakers(std::size_t size) {
 TEST(InorPartition, GallopEqualsLinearWalkWhereTheLengthGuessIsWrong) {
   for (std::size_t size : {2u, 3u, 64u, 1000u}) {
     for (const std::vector<double>& impp : length_guess_breakers(size)) {
-      for (std::size_t n = 1; n <= size; ++n) expect_gallop_matches_walk(impp, n);
+      for (std::size_t n = 1; n <= size; ++n) {
+        expect_gallop_matches_walk(impp, n);
+      }
     }
   }
 }

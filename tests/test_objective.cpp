@@ -38,9 +38,11 @@ TEST(Objective, OperatingPointConsistent) {
   const power::OperatingPoint pt = power::optimal_operating_point(s, conv);
   EXPECT_EQ(pt.output_power_w, config_power_w(evaluator, conv, c));
   EXPECT_NEAR(pt.voltage_v, s.voltage_at_current(pt.current_a), 1e-9);
-  // The span overload is the same model, bit for bit.
-  EXPECT_EQ(config_power_w(evaluator, conv,
-                           std::span<const std::size_t>(c.group_starts())),
+  // The searches score raw group starts through the span port, the same
+  // model bit for bit.
+  const std::span<const std::size_t> starts(c.group_starts());
+  const teg::LinearSource from_starts = evaluator.string_equivalent(starts);
+  EXPECT_EQ(power::optimal_operating_point(from_starts, conv).output_power_w,
             pt.output_power_w);
 }
 

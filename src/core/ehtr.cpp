@@ -184,6 +184,40 @@ std::vector<teg::ArrayConfig> balanced_partitions(
   return out;
 }
 
+bool SplitMoments::assign(std::span<const teg::LinearSource> ports) {
+  total_g = 0.0;
+  double norton = 0.0;
+  double min_g = kInf;
+  for (const teg::LinearSource& m : ports) {
+    if (!std::isfinite(m.voc_v) || !std::isfinite(m.r_ohm) || m.r_ohm <= 0.0) {
+      return false;
+    }
+    // Summed in port order, as ArrayEvaluator sums its prefixes.
+    total_g += 1.0 / m.r_ohm;
+    norton += m.voc_v / m.r_ohm;
+    min_g = std::min(min_g, 1.0 / m.r_ohm);
+  }
+  if (!(std::isfinite(total_g) && total_g > 0.0)) return false;
+  mean_voc = norton * (1.0 / total_g);
+  spread = 0.0;
+  for (const teg::LinearSource& m : ports) {
+    const double d = m.voc_v - mean_voc;
+    spread += d * d / m.r_ohm;
+  }
+  const double count = static_cast<double>(ports.size());
+  margin = 4.0 * (count + 8.0) * std::numeric_limits<double>::epsilon() *
+           (total_g / (count * min_g));
+  return true;
+}
+
+double SplitMoments::bound(const power::OutputPowerBound& b,
+                           std::size_t n) const {
+  const double nd = static_cast<double>(n);
+  const double r0 = nd * nd / total_g;
+  return b.at_spread(nd * mean_voc * (1.0 + margin), r0 * (1.0 - margin),
+                     spread * r0 * (1.0 + margin) * (1.0 + margin));
+}
+
 teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
                              const power::Converter& converter,
                              std::size_t num_threads, PartitionDp dp_kind,
@@ -217,31 +251,21 @@ teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
   // open-circuit voltage finite and its resistance finite and positive;
   // anything degenerate (NaN temperature spikes, open faults) turns the
   // warm pass off and the search runs the plain cold sweep.
-  bool warm_ok = warm.enabled && max_groups > 1;
+  SplitMoments moments;
+  const bool warm_ok =
+      warm.enabled && max_groups > 1 && moments.assign(ports);
   std::vector<double>& voc_top_prefix = scratch.voc_top_prefix;
-  double total_g = 0.0;
   if (warm_ok) {
     // The vocs are sorted in place, then summed into the prefix.
     voc_top_prefix.resize(count + 1);
-    for (std::size_t i = 0; i < count && warm_ok; ++i) {
-      const teg::LinearSource& m = ports[i];
-      const double voc = m.voc_v;
-      const double r = m.r_ohm;
-      if (!std::isfinite(voc) || !std::isfinite(r) || r <= 0.0) {
-        warm_ok = false;
-      } else {
-        voc_top_prefix[i + 1] = voc;
-        total_g += 1.0 / r;
-      }
+    voc_top_prefix[0] = 0.0;
+    for (std::size_t i = 0; i < count; ++i) {
+      voc_top_prefix[i + 1] = ports[i].voc_v;
     }
-    if (warm_ok && !(std::isfinite(total_g) && total_g > 0.0)) warm_ok = false;
-    if (warm_ok) {
-      std::sort(voc_top_prefix.begin() + 1, voc_top_prefix.end(),
-                std::greater<double>());
-      voc_top_prefix[0] = 0.0;
-      for (std::size_t i = 0; i < count; ++i) {
-        voc_top_prefix[i + 1] += voc_top_prefix[i];
-      }
+    std::sort(voc_top_prefix.begin() + 1, voc_top_prefix.end(),
+              std::greater<double>());
+    for (std::size_t i = 0; i < count; ++i) {
+      voc_top_prefix[i + 1] += voc_top_prefix[i];
     }
   }
 
@@ -350,26 +374,21 @@ teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
     score_range(0, solved, nullptr, 0.0, 0);
   }
   fold_argmax(solved);
-  // Certified extension loop.  Every n-group partition's port is dominated
-  // by the relaxed port (Vtop(n), n^2/G):
-  //  * string voc <= Vtop(n): each group's voc is the conductance-weighted
-  //    mean of its members (<= its max member), and n disjoint groups'
-  //    maxima are n distinct modules, so their sum <= the top-n voc sum;
-  //  * string resistance >= n^2 / G by AM-HM over the group conductances.
-  // The output-power bound rises with voc and falls with r, so its value
-  // at the relaxed port bounds every n-group score above the best.  An
-  // unscored n whose bound is strictly below the scored best can never
-  // win: the argmax only moves on a strict improvement.  So extend the DP
-  // to the largest n whose bound ties or beats the best (or is NaN), score
-  // the new range, gated by each candidate's own port, and repeat; when no
-  // bound survives, the prefix argmax IS the cold argmax.  Worst case the
-  // frontier reaches max_groups and every candidate has been solved.
+  // Certified extension loop.  Both bounds (see ehtr_search) hold every
+  // n-group score above the best, so an unscored n that either puts
+  // strictly below the best can never win: the argmax only moves on a
+  // strict improvement.  Extend the DP to the largest n neither rules out
+  // (a NaN bound prunes nothing), score the new range, gated by each
+  // candidate's own port, and repeat; when no n survives, the prefix argmax
+  // IS the cold argmax.  Worst case the frontier reaches max_groups.
   while (solved < max_groups) {
     const power::OutputPowerBound bound(converter, best_power);
     std::size_t frontier = solved;
     for (std::size_t n = solved + 1; n <= max_groups; ++n) {
       const double nd = static_cast<double>(n);
-      if (!(bound.at(voc_top_prefix[n], nd * nd / total_g) < best_power)) {
+      if (!(bound.at(voc_top_prefix[n], nd * nd / moments.total_g) <
+                best_power ||
+            moments.bound(bound, n) < best_power)) {
         frontier = n;
       }
     }

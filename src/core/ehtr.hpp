@@ -23,9 +23,10 @@
 // Warm starts (docs/actuation.md): across consecutive actuations the
 // temperature field drifts slowly, so the optimal group count moves little.
 // ehtr_search can therefore solve the DP only up to the incumbent group
-// count and *certify* the rest away with a per-n upper bound on any n-group
-// config's charger-aware score; whenever the bound can't rule a region
-// out, the DP is extended into it.  Inside the solved range the incumbent
+// count and *certify* the rest away with per-n upper bounds on any n-group
+// config's charger-aware score (a relaxed port and the modules' conductance
+// moments, SplitMoments); whenever neither rules a region out, the DP is
+// extended into it.  Inside the solved range the incumbent
 // is scored first, and a candidate whose own port's bound falls below the
 // best score seen skips the golden section.  In the worst case that
 // converges to the full cold sweep, so the chosen config is bit-identical
@@ -39,6 +40,7 @@
 
 #include "core/reconfigurer.hpp"
 #include "power/converter.hpp"
+#include "power/mppt.hpp"
 #include "teg/array.hpp"
 #include "teg/array_evaluator.hpp"
 
@@ -165,6 +167,31 @@ struct EhtrSearchStats {
   bool warm_used = false;            ///< warm pass engaged (prereqs held)
 };
 
+/// Conductance moments of a port snapshot: G = sum 1/r_i, vbar = sum
+/// (voc_i / r_i) / G and W = sum (voc_i - vbar)^2 / r_i.  bound(n) is
+/// power::OutputPowerBound::at_spread at K = n vbar, R0 = n^2 / G and
+/// c = W R0, which holds for every n-group split.
+///
+/// Rounding: G and the Norton sum add in port order like ArrayEvaluator's
+/// prefixes, and W, summed about the computed vbar, can only err high
+/// (sum g_i (voc_i - m)^2 = W + G (vbar - m)^2 for every centre m).  A
+/// group's prefix difference keeps only the rounding made inside the group,
+/// at most u = 2^-53 of the running total per member, so an evaluator port
+/// is off by at most (N + n + 8) u rho relative, rho = G / (N min g_i):
+/// ~1e-13 at N = 1000, but past the 1e-9 headroom near N = 10^6.  bound()
+/// therefore raises K by margin = 8 (N + 8) u rho, c by (1 + margin)^2 and
+/// lowers R0 by (1 - margin); the headroom stays with the golden section.
+struct SplitMoments {
+  double total_g = 0.0;   ///< G
+  double mean_voc = 0.0;  ///< vbar
+  double spread = 0.0;    ///< W
+  double margin = 0.0;
+
+  /// False when a voc or r is non-finite, an r is <= 0 or G is not finite.
+  bool assign(std::span<const teg::LinearSource> ports);
+  double bound(const power::OutputPowerBound& b, std::size_t n) const;
+};
+
 /// Buffers one search reuses: the DP table, the evaluator, the current and
 /// voltage inputs, the score table and one group-start buffer per scoring
 /// chunk.  EhtrReconfigurer keeps one as a member, so a steady-state search
@@ -192,25 +219,24 @@ struct EhtrScratch {
 /// (e.g. an all-NaN temperature field) the first candidate is returned.
 ///
 /// With `warm.enabled`, the DP is solved only to the incumbent group count
-/// (plus `warm.width`) and group counts beyond the frontier are pruned by a
-/// provable score bound: power::OutputPowerBound, built for the scored
-/// best, evaluated at the relaxed port (Vtop(n), n^2/G).  Vtop(n) is the
-/// sum of the n largest module open-circuit voltages (each group's voc is
-/// a conductance-weighted mean <= its max member) and G the total module
-/// conductance (r_string >= n^2/G by AM-HM); the bound rises with voc and
-/// falls with r, so it holds for every n-group config that scores above
-/// the best.  Counts whose bound ties or beats the scored best force a DP
-/// extension and real scoring; only counts the bound strictly rules out
-/// are skipped, so the strict-improvement argmax provably can't land there
-/// and the result stays bit-identical to cold search.  Inside the solved
-/// range the warm pass scores the incumbent's group count first; each
-/// later scoring call then gives -inf to a candidate whose bound at its
-/// own port is strictly below the best score folded before the call.  Its
+/// (plus `warm.width`) and group counts beyond the frontier are pruned by two
+/// provable bounds on any n-group config's score above the best, both
+/// power::OutputPowerBound built for the scored best: at() at the relaxed port
+/// (Vtop(n), n^2/G), and SplitMoments::bound.  Vtop(n) is the sum of the n
+/// largest module open-circuit voltages (each group's voc is a
+/// conductance-weighted mean <= its max member) and G the total module
+/// conductance (r_string >= n^2/G by AM-HM).  Counts neither bound rules out
+/// (ties, NaN) force a DP extension and real scoring; only counts one of them
+/// strictly rules out are skipped, so the strict-improvement argmax provably
+/// can't land there and the result stays bit-identical to cold search.
+/// Inside the solved range the warm pass scores the incumbent's group count
+/// first; each later scoring call then gives -inf to a candidate whose bound at
+/// its own port is strictly below the best score folded before the call.  Its
 /// true score lies below a score already seen, so the lowest-index argmax
-/// cannot land on it, and the floor is fixed per call, so the result does
-/// not depend on the thread count.  The cold sweep scores every candidate.
-/// Degenerate inputs (non-finite vocs or conductances) disable the warm
-/// pass entirely.
+/// cannot land on it, and the floor is fixed per call, so the result does not
+/// depend on the thread count.  The cold sweep scores every candidate.
+/// Degenerate inputs (non-finite vocs or conductances) disable the warm pass
+/// entirely.
 teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
                              const power::Converter& converter,
                              std::size_t num_threads = 1,

@@ -93,12 +93,27 @@ OutputPowerBound::OutputPowerBound(const Converter& converter, double floor_w) {
   empty_ = lo_v_ > hi_v_;
 }
 
+double OutputPowerBound::capped(double power_w) const {
+  return eta_peak_ *
+         loaded_power(std::min(power_w, max_input_power_w_), fixed_loss_w_) *
+         (1.0 + kBoundHeadroom);
+}
+
 double OutputPowerBound::at(double voc_v, double r_ohm) const {
   if (empty_) return 0.0;
   const double v = std::clamp(0.5 * voc_v, lo_v_, hi_v_);
-  const double p = v * std::max(voc_v - v, 0.0) / r_ohm;
-  return eta_peak_ * loaded_power(std::min(p, max_input_power_w_), fixed_loss_w_) *
-         (1.0 + kBoundHeadroom);
+  return capped(v * std::max(voc_v - v, 0.0) / r_ohm);
+}
+
+double OutputPowerBound::at_spread(double k_v, double r0_ohm,
+                                   double c_v2) const {
+  if (empty_) return 0.0;
+  const double v = std::clamp((k_v * k_v + c_v2) / (2.0 * k_v), lo_v_, hi_v_);
+  const double a = k_v - v;
+  const double s = std::sqrt(a * a + c_v2);
+  // a + s without cancellation when the window pushes V above K.
+  const double lift = a >= 0.0 || std::isinf(c_v2) ? a + s : c_v2 / (s - a);
+  return capped(v * lift / (2.0 * r0_ohm));
 }
 
 }  // namespace tegrec::power

@@ -57,13 +57,32 @@ OperatingPoint optimal_operating_point(const teg::LinearSource& port,
 /// A NaN port gives a NaN bound, which compares false and never prunes,
 /// unless no port at all can exceed the floor: then at() is 0.  Relies on
 /// the Converter's validated ranges (P_fix >= 0, k_v >= 0, all finite).
+///
+/// at_spread() bounds every split of a module set into n groups at once
+/// (contiguous or not).  With g_i = 1/r_i, G = sum g_i, the conductance-
+/// weighted mean vbar = sum g_i voc_i / G and spread W = sum g_i (voc_i -
+/// vbar)^2, a split with group conductances G_j and vocs V_j has string
+/// voc = sum V_j and r = sum 1/G_j >= R0 = n^2 / G, and since sum G_j (V_j -
+/// vbar) = 0, voc - n vbar = (n/G) sum (V_j - vbar)(G/n - G_j).  Cauchy-
+/// Schwarz, with sum (G/n - G_j)^2 / G_j = (G/n)^2 (r - R0), bounds that by
+/// sqrt(sum G_j (V_j - vbar)^2) sqrt(r - R0); the between-group sum is at
+/// most W, so voc <= K + sqrt(W (r - R0)) with K = n vbar.  Maximising
+/// V (voc - V) / r over r >= R0 gives, with c = W R0,
+///   Phi(V) = V (K - V + sqrt((K - V)^2 + c)) / (2 R0),
+/// whose single peak is at V* = (K^2 + c) / (2K); at_spread() is at()'s
+/// value with Phi at V* clamped into the window in place of the parabola.
+/// It rises with K and c and falls with R0.  A NaN input or K = c = 0 gives
+/// NaN, which never prunes; c = inf gives eta_peak g(P_cap).
 class OutputPowerBound {
  public:
   OutputPowerBound(const Converter& converter, double floor_w);
 
   double at(double voc_v, double r_ohm) const;
+  double at_spread(double k_v, double r0_ohm, double c_v2) const;
 
  private:
+  double capped(double power_w) const;
+
   double eta_peak_;
   double fixed_loss_w_;
   double max_input_power_w_;

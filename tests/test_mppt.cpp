@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "port_oracle.hpp"
@@ -187,6 +188,61 @@ TEST(OutputPowerBound, RisesWithVocAndFallsWithResistance) {
       }
     }
   }
+}
+
+TEST(OutputPowerBound, AtSpreadCoversEveryPortOnTheVocBound) {
+  // A split with K = n vbar, R0 = n^2 / G and spread W has voc <= K +
+  // sqrt(W (r - R0)) at every r >= R0, so at_spread(K, R0, W R0) is at
+  // least at() on that whole curve, the maximising r included.  The 1e-12
+  // allows for rounding in the port arithmetic at the maximum, where the
+  // two are equal.
+  util::Rng rng(29);
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const Converter conv(random_converter(rng, trial % 6));
+    const double floor_w = trial % 3 == 0 ? 0.0 : log_uniform(rng, 1e-3, 300.0);
+    const OutputPowerBound bound(conv, floor_w);
+    for (int k = 0; k < 20; ++k) {
+      const double k_v = log_uniform(rng, 0.5, 400.0);
+      const double r0 = log_uniform(rng, 0.01, 100.0);
+      const double w = log_uniform(rng, 1e-6, 1e3) / r0;
+      const double b = bound.at_spread(k_v, r0, w * r0);
+      ASSERT_GE(b, bound.at(k_v, r0));
+      for (double r = r0; r < 1e3 * r0; r *= 1.01) {
+        const double voc = k_v + std::sqrt(w * (r - r0));
+        ASSERT_GE(b * (1.0 + 1e-12), bound.at(voc, r))
+            << "trial " << trial << ", K " << k_v << ", R0 " << r0 << ", W "
+            << w << ", r " << r;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 500000u);
+}
+
+TEST(OutputPowerBound, AtSpreadEdges) {
+  const Converter conv;
+  const OutputPowerBound bound(conv, 0.0);
+  // No spread: the relaxed parabola, up to rounding at its peak.
+  EXPECT_NEAR(bound.at_spread(30.0, 2.0, 0.0), bound.at(30.0, 2.0),
+              1e-14 * bound.at(30.0, 2.0));
+  // Rises with the spread.
+  EXPECT_GT(bound.at_spread(30.0, 2.0, 50.0), bound.at_spread(30.0, 2.0, 5.0));
+  // K below the window: the parabola delivers nothing, the spread a little,
+  // without cancelling to 0.
+  const double low = bound.at_spread(2.0, 1.0, 1e-6);
+  EXPECT_GT(low, 0.0);
+  EXPECT_EQ(bound.at(2.0, 1.0), 0.0);
+  // An infinite spread gives the ceiling; NaN, or K = c = 0, gives NaN.
+  const ConverterParams& p = conv.params();
+  const double cap = p.max_input_power_w;
+  const double ceiling = p.eta_peak * cap * cap / (cap + p.fixed_loss_w);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_GE(bound.at_spread(2.0, 1.0, inf), ceiling);
+  EXPECT_GE(bound.at_spread(30.0, 1.0, inf), ceiling);
+  EXPECT_TRUE(std::isnan(bound.at_spread(0.0, 1.0, 0.0)));
+  EXPECT_TRUE(std::isnan(bound.at_spread(std::nan(""), 1.0, 1.0)));
+  EXPECT_TRUE(std::isnan(bound.at_spread(30.0, 1.0, std::nan(""))));
 }
 
 }  // namespace

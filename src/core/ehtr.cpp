@@ -212,6 +212,7 @@ bool SplitMoments::assign(std::span<const teg::LinearSource> ports) {
 
 double SplitMoments::bound(const power::OutputPowerBound& b,
                            std::size_t n) const {
+  if (!(margin <= 1e-6)) return kInf;
   const double nd = static_cast<double>(n);
   const double r0 = nd * nd / total_g;
   return b.at_spread(nd * mean_voc * (1.0 + margin), r0 * (1.0 - margin),

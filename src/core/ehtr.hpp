@@ -181,6 +181,8 @@ struct EhtrSearchStats {
 /// ~1e-13 at N = 1000, but past the 1e-9 headroom near N = 10^6.  bound()
 /// therefore raises K by margin = 8 (N + 8) u rho, c by (1 + margin)^2 and
 /// lowers R0 by (1 - margin); the headroom stays with the golden section.
+/// The argument is first order, so past margin 1e-6 (a near-open module
+/// among ordinary ones) bound() is +inf and prunes nothing.
 struct SplitMoments {
   double total_g = 0.0;   ///< G
   double mean_voc = 0.0;  ///< vbar
@@ -219,24 +221,25 @@ struct EhtrScratch {
 /// (e.g. an all-NaN temperature field) the first candidate is returned.
 ///
 /// With `warm.enabled`, the DP is solved only to the incumbent group count
-/// (plus `warm.width`) and group counts beyond the frontier are pruned by two
-/// provable bounds on any n-group config's score above the best, both
-/// power::OutputPowerBound built for the scored best: at() at the relaxed port
-/// (Vtop(n), n^2/G), and SplitMoments::bound.  Vtop(n) is the sum of the n
-/// largest module open-circuit voltages (each group's voc is a
+/// (plus `warm.width`) and group counts beyond the frontier are pruned by
+/// two provable bounds on any n-group config's score above the best, both
+/// power::OutputPowerBound built for the scored best: at() at the relaxed
+/// port (Vtop(n), n^2/G), and SplitMoments::bound.  Vtop(n) is the sum of
+/// the n largest module open-circuit voltages (each group's voc is a
 /// conductance-weighted mean <= its max member) and G the total module
-/// conductance (r_string >= n^2/G by AM-HM).  Counts neither bound rules out
-/// (ties, NaN) force a DP extension and real scoring; only counts one of them
-/// strictly rules out are skipped, so the strict-improvement argmax provably
-/// can't land there and the result stays bit-identical to cold search.
-/// Inside the solved range the warm pass scores the incumbent's group count
-/// first; each later scoring call then gives -inf to a candidate whose bound at
-/// its own port is strictly below the best score folded before the call.  Its
+/// conductance (r_string >= n^2/G by AM-HM).  Counts neither bound rules
+/// out (ties, NaN) force a DP extension and real scoring; only counts one
+/// of them strictly rules out are skipped, so the strict-improvement argmax
+/// provably can't land there and the result stays bit-identical to cold
+/// search.  Inside the solved
+/// range the warm pass scores the incumbent's group count first; each
+/// later scoring call then gives -inf to a candidate whose bound at its
+/// own port is strictly below the best score folded before the call.  Its
 /// true score lies below a score already seen, so the lowest-index argmax
-/// cannot land on it, and the floor is fixed per call, so the result does not
-/// depend on the thread count.  The cold sweep scores every candidate.
-/// Degenerate inputs (non-finite vocs or conductances) disable the warm pass
-/// entirely.
+/// cannot land on it, and the floor is fixed per call, so the result does
+/// not depend on the thread count.  The cold sweep scores every candidate.
+/// Degenerate inputs (non-finite vocs or conductances) disable the warm
+/// pass entirely.
 teg::ArrayConfig ehtr_search(std::span<const teg::LinearSource> ports,
                              const power::Converter& converter,
                              std::size_t num_threads = 1,

@@ -59,12 +59,12 @@ OperatingPoint optimal_operating_point(const teg::LinearSource& port,
 /// the Converter's validated ranges (P_fix >= 0, k_v >= 0, all finite).
 ///
 /// at_spread() bounds every split of a module set into n groups at once
-/// (contiguous or not).  With g_i = 1/r_i, G = sum g_i, the conductance-
-/// weighted mean vbar = sum g_i voc_i / G and spread W = sum g_i (voc_i -
-/// vbar)^2, a split with group conductances G_j and vocs V_j has string
-/// voc = sum V_j and r = sum 1/G_j >= R0 = n^2 / G, and since sum G_j (V_j -
-/// vbar) = 0, voc - n vbar = (n/G) sum (V_j - vbar)(G/n - G_j).  Cauchy-
-/// Schwarz, with sum (G/n - G_j)^2 / G_j = (G/n)^2 (r - R0), bounds that by
+/// (contiguous or not).  Take g_i = 1/r_i, G = sum g_i, the weighted mean
+/// vbar = sum g_i voc_i / G and spread W = sum g_i (voc_i - vbar)^2.  A
+/// split with group conductances G_j and vocs V_j has string voc = sum V_j
+/// and r = sum 1/G_j >= R0 = n^2 / G, and since sum G_j (V_j - vbar) = 0,
+/// voc - n vbar = (n/G) sum (V_j - vbar)(G/n - G_j).  Cauchy-Schwarz, with
+/// sum (G/n - G_j)^2 / G_j = (G/n)^2 (r - R0), bounds that by
 /// sqrt(sum G_j (V_j - vbar)^2) sqrt(r - R0); the between-group sum is at
 /// most W, so voc <= K + sqrt(W (r - R0)) with K = n vbar.  Maximising
 /// V (voc - V) / r over r >= R0 gives, with c = W R0,

@@ -253,6 +253,7 @@ TEST(EhtrWarm, KiloStreamSolvesAndScoresFewLayers) {
 /// score and the best, against OutputPowerBound::at at the DP partition's
 /// computed port and at a random contiguous partition's port, and against
 /// the DP partition's golden-section score when that reaches the floor.
+/// "Not below" is what pruning reads, so a NaN on either side passes.
 void expect_split_bound_covers(std::span<const teg::LinearSource> ports,
                                const power::Converter& conv, util::Rng& rng,
                                const std::string& what) {
@@ -281,10 +282,10 @@ void expect_split_bound_covers(std::span<const teg::LinearSource> ports,
     for (std::size_t n = 1; n <= count; ++n) {
       const double bound = moments.bound(gate, n);
       const teg::LinearSource& dp = dp_ports[n - 1];
-      ASSERT_GE(bound, gate.at(dp.voc_v, dp.r_ohm))
+      ASSERT_FALSE(bound < gate.at(dp.voc_v, dp.r_ohm))
           << what << ", n " << n << ", floor " << floor;
       if (scores[n - 1] >= floor) {
-        ASSERT_GE(bound, scores[n - 1]) << what << ", n " << n;
+        ASSERT_FALSE(bound < scores[n - 1]) << what << ", n " << n;
       }
       // n - 1 distinct cuts: a partial shuffle, then sorted.
       for (std::size_t k = 0; k + 1 < n; ++k) {
@@ -296,7 +297,7 @@ void expect_split_bound_covers(std::span<const teg::LinearSource> ports,
       std::sort(starts.begin(), starts.end());
       const teg::LinearSource port =
           evaluator.string_equivalent(std::span<const std::size_t>(starts));
-      ASSERT_GE(bound, gate.at(port.voc_v, port.r_ohm))
+      ASSERT_FALSE(bound < gate.at(port.voc_v, port.r_ohm))
           << what << ", random split, n " << n << ", floor " << floor;
     }
   }
@@ -392,6 +393,23 @@ TEST(EhtrWarm, SmallAndDegenerateFieldsNeverMislead) {
                             warm),
                 ehtr_search(*array, conv));
     }
+  }
+  // One near-open module drives the rounding margin past the range its
+  // argument covers; the bound must then prune nothing.
+  std::vector<teg::LinearSource> near_open(64);
+  for (teg::LinearSource& m : near_open) {
+    m = {rng.uniform(1.0, 3.0), rng.uniform(0.8, 1.2)};
+  }
+  near_open[20].r_ohm = 1e15;
+  expect_split_bound_covers(near_open, conv, rng, "near-open module");
+  EhtrWarmStart warm;
+  warm.enabled = true;
+  for (const std::size_t incumbent : {0u, 1u, 2u, 8u}) {
+    warm.incumbent_groups = incumbent;
+    ASSERT_EQ(ehtr_search(near_open, conv, 1, PartitionDp::kDivideAndConquer,
+                          0, warm),
+              ehtr_search(near_open, conv))
+        << "near-open module, incumbent " << incumbent;
   }
   // An all-zero field has K = 0 and W = 0: the bound is NaN, and a NaN
   // compares false, so no n is pruned.

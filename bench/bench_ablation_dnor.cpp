@@ -14,6 +14,7 @@
 #include "predict/svr.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/trace.hpp"
+#include "timed_reconfigurer.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -23,14 +24,19 @@ using namespace tegrec;
 const teg::DeviceParams kDev = teg::tgm_199_1_4_0_8();
 const power::ConverterParams kConv;
 
+/// Runs `controller` over `trace` under a timer and adds its row.
 void report_run(util::TextTable& table, const std::string& label,
-                const sim::SimulationResult& r) {
+                core::Reconfigurer& controller,
+                const thermal::TemperatureTrace& trace,
+                const sim::SimulationOptions& options) {
+  bench::TimedReconfigurer timed(controller);
+  const sim::SimulationResult r = sim::run_simulation(timed, trace, options);
   table.begin_row()
       .add(label)
       .add(r.energy_output_j, 1)
       .add(r.switch_overhead_j, 2)
       .add(static_cast<long long>(r.num_switch_events))
-      .add(r.avg_runtime_ms, 3);
+      .add(timed.avg_runtime_ms(), 3);
 }
 
 }  // namespace
@@ -50,7 +56,7 @@ int main() {
       core::DnorParams p;
       p.tp_s = tp;
       core::DnorReconfigurer dnor(kDev, kConv, p);
-      report_run(table, util::format_fixed(tp, 0), sim::run_simulation(dnor, trace, options));
+      report_run(table, util::format_fixed(tp, 0), dnor, trace, options);
     }
     std::printf("%s\n", table.render().c_str());
   }
@@ -62,7 +68,7 @@ int main() {
                            "runtime (ms)"});
     {
       core::DnorReconfigurer dnor(kDev, kConv, core::DnorParams{});  // MLR
-      report_run(table, "MLR", sim::run_simulation(dnor, trace, options));
+      report_run(table, "MLR", dnor, trace, options);
     }
     {
       predict::BpnnParams nn;
@@ -70,7 +76,7 @@ int main() {
       nn.module_stride = 5;
       core::DnorReconfigurer dnor(kDev, kConv, core::DnorParams{},
                                   std::make_unique<predict::BpnnPredictor>(nn));
-      report_run(table, "BPNN", sim::run_simulation(dnor, trace, options));
+      report_run(table, "BPNN", dnor, trace, options);
     }
     {
       predict::SvrParams svr;
@@ -78,13 +84,13 @@ int main() {
       svr.module_stride = 5;
       core::DnorReconfigurer dnor(kDev, kConv, core::DnorParams{},
                                   std::make_unique<predict::SvrPredictor>(svr));
-      report_run(table, "SVR", sim::run_simulation(dnor, trace, options));
+      report_run(table, "SVR", dnor, trace, options);
     }
     {
       core::DnorReconfigurer dnor(
           kDev, kConv, core::DnorParams{},
           std::make_unique<predict::PersistencePredictor>());
-      report_run(table, "Persistence", sim::run_simulation(dnor, trace, options));
+      report_run(table, "Persistence", dnor, trace, options);
     }
     std::printf("%s\n", table.render().c_str());
   }
@@ -97,12 +103,12 @@ int main() {
                            "runtime (ms)"});
     {
       core::InorReconfigurer inor(kDev, kConv);  // converter-derived window
-      report_run(table, "converter-derived", sim::run_simulation(inor, trace, options));
+      report_run(table, "converter-derived", inor, trace, options);
     }
     {
       core::InorReconfigurer inor(kDev, kConv, 0.5,
                                   core::InorOptions{.nmin = 1, .nmax = 100});
-      report_run(table, "full 1..N", sim::run_simulation(inor, trace, options));
+      report_run(table, "full 1..N", inor, trace, options);
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("(full-window INOR pays ~5x runtime for no extra energy:\n"
@@ -123,8 +129,7 @@ int main() {
       sim::SimulationOptions opt = options;
       opt.overhead = p.overhead;
       core::DnorReconfigurer dnor(kDev, kConv, p);
-      report_run(table, util::format_fixed(scale, 1),
-                 sim::run_simulation(dnor, trace, opt));
+      report_run(table, util::format_fixed(scale, 1), dnor, trace, opt);
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("shape check: more expensive switching -> fewer DNOR switches.\n");

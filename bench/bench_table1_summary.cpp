@@ -13,6 +13,8 @@
 // over the baseline); absolute values differ because both the thermal
 // trace and the compute platform are substitutes (see EXPERIMENTS.md).
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/dnor.hpp"
 #include "core/ehtr.hpp"
@@ -22,6 +24,8 @@
 #include "sim/results.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/trace.hpp"
+#include "timed_reconfigurer.hpp"
+#include "util/table.hpp"
 
 int main() {
   using namespace tegrec;
@@ -43,22 +47,41 @@ int main() {
 
   sim::ComparisonResult comparison;
   std::vector<sim::SimulationResult>& runs = comparison.runs;
-  runs.push_back(sim::run_simulation(dnor, trace, options));
-  runs.push_back(sim::run_simulation(inor, trace, options));
-  runs.push_back(sim::run_simulation(ehtr, trace, options));
-  runs.push_back(sim::run_simulation(baseline, trace, options));
+  std::vector<double> runtime_ms;
+  const std::vector<core::Reconfigurer*> controllers = {&dnor, &inor, &ehtr,
+                                                        &baseline};
+  for (core::Reconfigurer* controller : controllers) {
+    bench::TimedReconfigurer timed(*controller);
+    runs.push_back(sim::run_simulation(timed, trace, options));
+    runtime_ms.push_back(timed.avg_runtime_ms());
+  }
 
   std::printf("%s\n", sim::render_table1(runs).c_str());
 
+  // Measured on this host, so printed here rather than kept in the results.
+  std::vector<std::string> header{"Metric"};
+  for (const auto& r : runs) header.push_back(r.algorithm);
+  util::TextTable runtime(header);
+  runtime.begin_row().add("Average Runtime (ms)");
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].num_invocations == 0) {
+      runtime.add(std::string("/"));  // baseline: never decides
+    } else {
+      runtime.add(runtime_ms[i], 3);
+    }
+  }
+  std::printf("%s\n", runtime.render().c_str());
+
+  const auto ratio = [](double num, double den) {
+    return den > 0.0 ? num / den : 0.0;
+  };
   std::printf("DNOR vs baseline energy:   %+.1f%%  (paper: +29.1%%)\n",
               100.0 * comparison.dnor_gain_over_baseline());
   std::printf("EHTR/DNOR switch overhead: %.0fx   (paper: ~100x)\n",
               comparison.overhead_reduction_ratio());
   std::printf("EHTR/DNOR average runtime: %.1fx   (paper: ~14x)\n",
-              comparison.runtime_speedup_ratio());
+              ratio(runtime_ms[2], runtime_ms[0]));
   std::printf("EHTR/INOR average runtime: %.1fx   (paper: ~9x)\n",
-              runs[1].avg_runtime_ms > 0.0
-                  ? runs[2].avg_runtime_ms / runs[1].avg_runtime_ms
-                  : 0.0);
+              ratio(runtime_ms[2], runtime_ms[1]));
   return 0;
 }

@@ -72,15 +72,14 @@ int main() {
   runs.push_back(sim::run_simulation(inor, trace));
   runs.push_back(sim::run_simulation(baseline, trace));
 
-  util::TextTable table({"scheme", "energy (J)", "overhead (J)", "switches",
-                         "avg runtime (ms)", "P/Pideal"});
+  util::TextTable table(
+      {"scheme", "energy (J)", "overhead (J)", "switches", "P/Pideal"});
   for (const auto& r : runs) {
     table.begin_row()
         .add(r.algorithm)
         .add(r.energy_output_j, 1)
         .add(r.switch_overhead_j, 2)
         .add(static_cast<long long>(r.num_switch_events))
-        .add(r.avg_runtime_ms, 3)
         .add(r.ratio_to_ideal(), 3);
   }
   std::printf("%s\n", table.render().c_str());

@@ -6,7 +6,6 @@
 
 #include "core/objective.hpp"
 #include "core/state_codec.hpp"
-#include "util/runtime_clock.hpp"
 
 namespace tegrec::core {
 
@@ -114,7 +113,6 @@ UpdateResult DnorReconfigurer::update(double time_s,
     return result;  // hold between decisions
   }
 
-  const util::MonotonicTimer timer;
   teg::module_ports(device_, delta_t_k, ambient_c, ports_);
   evaluator_.assign(ports_);
   teg::ArrayConfig c_new =
@@ -149,7 +147,6 @@ UpdateResult DnorReconfigurer::update(double time_s,
     adopt = false;  // identical configuration: nothing to actuate
   }
 
-  result.compute_time_s = timer.seconds();
   result.invoked = true;
   if (adopt) {
     result.switched = !has_config_ || c_new != current_;

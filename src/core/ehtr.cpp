@@ -13,7 +13,6 @@
 #include "power/mppt.hpp"
 #include "teg/module.hpp"
 #include "util/parallel.hpp"
-#include "util/runtime_clock.hpp"
 
 namespace tegrec::core {
 
@@ -428,7 +427,6 @@ UpdateResult EhtrReconfigurer::update(double time_s,
     result.config = current_;
     return result;
   }
-  const util::MonotonicTimer timer;
   teg::module_ports(device_, delta_t_k, ambient_c, ports_);
   EhtrWarmStart warm;
   warm.enabled = warm_start_;
@@ -437,7 +435,6 @@ UpdateResult EhtrReconfigurer::update(double time_s,
   teg::ArrayConfig next = ehtr_search(ports_, converter_, num_threads_,
                                       PartitionDp::kDivideAndConquer,
                                       max_groups_, warm, scratch_);
-  result.compute_time_s = timer.seconds();
   result.invoked = true;
   result.switched = !has_config_ || next != current_;
   result.actuate = true;  // periodic scheme: rebuild on every invocation

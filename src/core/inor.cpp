@@ -8,7 +8,6 @@
 #include "core/objective.hpp"
 #include "core/state_codec.hpp"
 #include "power/mppt.hpp"
-#include "util/runtime_clock.hpp"
 
 namespace tegrec::core {
 
@@ -200,12 +199,10 @@ UpdateResult InorReconfigurer::update(double time_s,
     result.config = current_;
     return result;  // between periods: hold
   }
-  const util::MonotonicTimer timer;
   teg::module_ports(device_, delta_t_k, ambient_c, ports_);
   evaluator_.assign(ports_);
   teg::ArrayConfig next =
       inor_search(ports_, evaluator_, converter_, options_, scratch_);
-  result.compute_time_s = timer.seconds();
   result.invoked = true;
   result.switched = !has_config_ || next != current_;
   result.actuate = true;  // periodic scheme: rebuild on every invocation

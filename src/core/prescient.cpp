@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/objective.hpp"
-#include "util/runtime_clock.hpp"
 
 namespace tegrec::core {
 
@@ -51,7 +50,6 @@ UpdateResult PrescientReconfigurer::update(double time_s,
     result.config = current_;
     return result;
   }
-  const util::MonotonicTimer timer;
   const teg::TegArray array(device_, delta_t_k, ambient_c);
   const teg::ArrayEvaluator evaluator(array);
   InorScratch scratch;
@@ -74,7 +72,6 @@ UpdateResult PrescientReconfigurer::update(double time_s,
     adopt = false;
   }
 
-  result.compute_time_s = timer.seconds();
   result.invoked = true;
   if (adopt) {
     result.switched = !has_config_ || c_new != current_;

@@ -4,8 +4,9 @@
 // sensed temperature distribution; the controller returns the
 // configuration the array should use until the next call, whether the
 // algorithm actually executed this period (sensing/compute overhead is
-// charged only then), whether the fabric must actuate, and the measured
-// compute time (the paper's "average runtime" column).
+// charged only then) and whether the fabric must actuate.  Nothing in the
+// result is measured: it is a pure function of the inputs and the
+// controller's state, so results, checkpoints and cache artifacts are too.
 #pragma once
 
 #include <stdexcept>
@@ -26,7 +27,6 @@ struct UpdateResult {
   /// "switching at every time point" — even when the configuration happens
   /// to repeat; DNOR actuates only when its prediction rule says to.
   bool actuate = false;
-  double compute_time_s = 0.0; ///< wall-clock cost of this invocation
 };
 
 class Reconfigurer {

@@ -18,7 +18,8 @@ namespace tegrec::sim {
 
 namespace {
 
-constexpr const char* kMagic = "# tegrec-checkpoint v1";
+const std::string kMagic =
+    "# tegrec-checkpoint v" + std::to_string(kCheckpointSchemaVersion);
 
 const std::vector<std::pair<StreamScheme, const char*>> kSchemeNames = {
     {StreamScheme::kDnor, "dnor"},
@@ -41,7 +42,7 @@ void bind(util::FieldIo& io, StreamConfig& c) {
   bind(io, c.sim);
 }
 
-static_assert(util::field_count<StepperState>() == 8,
+static_assert(util::field_count<StepperState>() == 7,
               "bind(FieldIo&, StepperState&): StepperState gained or lost a "
               "field; bind it, then update this count");
 
@@ -49,7 +50,6 @@ static_assert(util::field_count<StepperState>() == 8,
 // partial follow as a counted block and a run (sim/run_table.hpp).
 void bind(util::FieldIo& io, StepperState& s) {
   io.field("steps_consumed", s.steps_consumed);
-  io.field("total_compute_s", s.total_compute_s);
   io.field("has_fabric", s.has_fabric);
   io.field("fabric_group_starts", s.fabric_group_starts);
   io.field("battery_soc", s.battery_soc);

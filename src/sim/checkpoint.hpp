@@ -35,7 +35,7 @@ namespace tegrec::sim {
 /// Bump when the checkpoint serialisation (or the semantics of any field
 /// in it) changes; old checkpoints then fail the magic check loudly
 /// instead of mis-restoring.
-inline constexpr int kCheckpointSchemaVersion = 1;
+inline constexpr int kCheckpointSchemaVersion = 2;
 
 /// Reconfiguration scheme of one streamed array.
 enum class StreamScheme { kDnor, kInor, kEhtr, kBaseline };

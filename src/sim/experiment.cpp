@@ -34,12 +34,6 @@ double ComparisonResult::overhead_reduction_ratio() const {
   return by_name("EHTR").switch_overhead_j / dnor;
 }
 
-double ComparisonResult::runtime_speedup_ratio() const {
-  const double dnor = by_name("DNOR").avg_runtime_ms;
-  if (dnor <= 0.0) return 0.0;
-  return by_name("EHTR").avg_runtime_ms / dnor;
-}
-
 ComparisonResult run_standard_comparison(const thermal::TemperatureTrace& trace,
                                          const ComparisonOptions& options) {
   ExperimentSpec spec;

@@ -42,8 +42,6 @@ struct ComparisonResult {
   double dnor_gain_over_baseline() const;
   /// EHTR/DNOR switch-overhead ratio (the paper's "~100x").
   double overhead_reduction_ratio() const;
-  /// EHTR/DNOR amortised-runtime ratio (the paper's "~13x").
-  double runtime_speedup_ratio() const;
 };
 
 /// Runs the standard four-scheme comparison on a trace.

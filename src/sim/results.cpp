@@ -26,14 +26,6 @@ std::string render_table1(const std::vector<SimulationResult>& runs) {
       table.add(r.switch_overhead_j, 1);
     }
   }
-  table.begin_row().add("Average Runtime (ms)");
-  for (const auto& r : runs) {
-    if (r.num_invocations == 0) {
-      table.add(std::string("/"));
-    } else {
-      table.add(r.avg_runtime_ms, 3);
-    }
-  }
   table.begin_row().add("Switch events");
   for (const auto& r : runs) table.add(static_cast<long long>(r.num_switch_events));
   table.begin_row().add("Ratio to ideal");

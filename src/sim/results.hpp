@@ -8,8 +8,10 @@
 
 namespace tegrec::sim {
 
-/// Renders the Table I layout (rows: energy output, switch overhead,
-/// average runtime) for a set of completed runs, in the given order.
+/// Renders the Table I layout (rows: energy output, switch overhead, then
+/// switch events and ratio to ideal) for a set of completed runs, in the
+/// given order.  Table I's runtime row is a wall-clock measurement, so it
+/// is printed by the bench that times the controllers, not here.
 std::string render_table1(const std::vector<SimulationResult>& runs);
 
 /// Renders a per-step power timeline (Fig. 6) as CSV-ish aligned columns:

@@ -16,18 +16,16 @@ namespace {
 // either struct fails these asserts until its column is added.  A run's
 // other two fields travel outside the summary table: `algorithm` as the
 // line before it, `steps` as the step table after it.
-static_assert(util::field_count<SimulationResult>() == 12,
+static_assert(util::field_count<SimulationResult>() == 10,
               "kSummaryColumns: SimulationResult gained or lost a field; bind "
               "it, then update this count");
-static_assert(util::field_count<StepRecord>() == 9,
+static_assert(util::field_count<StepRecord>() == 8,
               "kStepColumns: StepRecord gained or lost a field; bind it, then "
               "update this count");
 
 constexpr auto kSummaryColumns = [](auto& run, auto&& col) {
   col("energy_output_j", run.energy_output_j);
   col("switch_overhead_j", run.switch_overhead_j);
-  col("avg_runtime_ms", run.avg_runtime_ms);
-  col("runtime_per_invocation_ms", run.runtime_per_invocation_ms);
   col("ideal_energy_j", run.ideal_energy_j);
   col("num_invocations", run.num_invocations);
   col("num_switch_events", run.num_switch_events);
@@ -45,7 +43,6 @@ constexpr auto kStepColumns = [](auto& step, auto&& col) {
   col("switched", step.switched);
   col("switch_actuations", step.switch_actuations);
   col("overhead_energy_j", step.overhead_energy_j);
-  col("compute_time_s", step.compute_time_s);
 };
 
 /// Every integer up to 2^53 is a double; past it counts lose precision.

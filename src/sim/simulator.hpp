@@ -54,7 +54,6 @@ struct StepRecord {
   bool switched = false;         ///< fabric actuated this period
   std::size_t switch_actuations = 0;
   double overhead_energy_j = 0.0;
-  double compute_time_s = 0.0;
 };
 
 /// Aggregates matching the columns of Table I plus extra diagnostics.
@@ -64,9 +63,6 @@ struct StepRecord {
 /// over the steps consumed so far.  All totals and counters cover exactly
 /// `steps.size()` control periods; the derived rates are defined for every
 /// prefix, including the empty one:
-///   - avg_runtime_ms amortises compute time over steps consumed (0.0 when
-///     no step has run yet — there is no period to amortise over);
-///   - runtime_per_invocation_ms is 0.0 until the first invocation;
 ///   - mean_power_w() and ratio_to_ideal() return 0.0 on an empty prefix.
 /// Comparing partial results across algorithms is only meaningful at equal
 /// step counts (they are time-integrals, not rates).
@@ -76,9 +72,6 @@ struct SimulationResult {
 
   double energy_output_j = 0.0;      ///< Table I "Energy Output"
   double switch_overhead_j = 0.0;    ///< Table I "Switch Overhead"
-  double avg_runtime_ms = 0.0;       ///< Table I "Average Runtime" (amortised
-                                     ///< over control periods, see EXPERIMENTS.md)
-  double runtime_per_invocation_ms = 0.0;
   double ideal_energy_j = 0.0;
   std::size_t num_invocations = 0;
   std::size_t num_switch_events = 0;

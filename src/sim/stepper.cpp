@@ -75,8 +75,6 @@ StepRecord SimStepper::step(const TraceSample& sample) {
 
   rec.invoked = upd.invoked;
   rec.switched = upd.switched;
-  rec.compute_time_s = upd.compute_time_s;
-  total_compute_s_ += upd.compute_time_s;
   if (upd.invoked) ++partial_.num_invocations;
 
   // Actuate the fabric.  The very first configuration is the pre-drive
@@ -126,16 +124,6 @@ SimulationResult SimStepper::result() const {
   SimulationResult result = partial_;
   result.battery_energy_j = battery_.energy_absorbed_j();
   result.final_soc = battery_.soc();
-  result.avg_runtime_ms =
-      result.steps.empty()
-          ? 0.0
-          : 1000.0 * total_compute_s_ /
-                static_cast<double>(result.steps.size());
-  result.runtime_per_invocation_ms =
-      result.num_invocations == 0
-          ? 0.0
-          : 1000.0 * total_compute_s_ /
-                static_cast<double>(result.num_invocations);
   return result;
 }
 
@@ -147,7 +135,6 @@ std::vector<std::size_t> SimStepper::current_group_starts() const {
 StepperState SimStepper::state() const {
   StepperState state;
   state.steps_consumed = steps_consumed();
-  state.total_compute_s = total_compute_s_;
   state.has_fabric = fabric_ != nullptr;
   if (fabric_) {
     state.fabric_group_starts = fabric_->current_config().group_starts();
@@ -174,10 +161,6 @@ void SimStepper::restore_state(const StepperState& state) {
     throw std::runtime_error(
         "SimStepper::restore_state: fabric flag/config mismatch");
   }
-  if (!std::isfinite(state.total_compute_s) || state.total_compute_s < 0.0) {
-    throw std::runtime_error(
-        "SimStepper::restore_state: non-finite compute-time accumulator");
-  }
   std::unique_ptr<switchfab::SwitchNetwork> fabric;
   if (state.has_fabric) {
     teg::ArrayConfig config(state.fabric_group_starts,
@@ -198,7 +181,6 @@ void SimStepper::restore_state(const StepperState& state) {
   battery_ = battery;
   partial_ = state.partial;
   partial_.algorithm = controller_->name();
-  total_compute_s_ = state.total_compute_s;
 }
 
 }  // namespace tegrec::sim

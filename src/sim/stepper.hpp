@@ -47,7 +47,6 @@ struct TraceSample {
 /// of silently resuming a different simulation.
 struct StepperState {
   std::size_t steps_consumed = 0;
-  double total_compute_s = 0.0;          ///< wall-clock stats accumulator
   bool has_fabric = false;               ///< first config installed yet?
   std::vector<std::size_t> fabric_group_starts;  ///< wired config (has_fabric)
   double battery_soc = 0.0;
@@ -110,7 +109,6 @@ class SimStepper {
   power::Battery battery_;
   std::unique_ptr<switchfab::SwitchNetwork> fabric_;  // built on first config
   SimulationResult partial_;  ///< accumulators + steps (derived fields stale)
-  double total_compute_s_ = 0.0;
   // Per-step scratch, reused across steps; never part of state().
   std::vector<double> delta_t_;
   std::vector<teg::LinearSource> ports_;

@@ -6,15 +6,15 @@ namespace tegrec::switchfab {
 
 OverheadCost reconfiguration_cost(const OverheadParams& params,
                                   std::size_t num_switch_actuations,
-                                  double output_power_w, double compute_time_s) {
+                                  double output_power_w, double compute_budget_s) {
   if (output_power_w < 0.0) {
     throw std::invalid_argument("reconfiguration_cost: negative power");
   }
-  if (compute_time_s < 0.0) {
-    throw std::invalid_argument("reconfiguration_cost: negative compute time");
+  if (compute_budget_s < 0.0) {
+    throw std::invalid_argument("reconfiguration_cost: negative compute budget");
   }
   OverheadCost cost;
-  cost.timing_s = params.sensing_delay_s + compute_time_s +
+  cost.timing_s = params.sensing_delay_s + compute_budget_s +
                   static_cast<double>(num_switch_actuations) *
                       params.per_switch_delay_s +
                   params.mppt_settle_s;

@@ -32,8 +32,9 @@ struct OverheadParams {
   /// guarantees bit-exact reproducibility run-to-run and across thread
   /// counts), so the simulator charges this fixed budget — an embedded-MCU
   /// envelope for one decision — rather than the measured host wall clock,
-  /// which varies with machine speed and load.  Measured times still feed
-  /// the runtime statistics (avg_runtime_ms and friends).
+  /// which varies with machine speed and load.  The library keeps measured
+  /// time out of its results altogether; Table I's runtime is timed by
+  /// bench_table1_summary.
   double compute_budget_s = 1e-3;
 };
 
@@ -46,12 +47,12 @@ struct OverheadCost {
 /// Computes the cost of one actuation event (the array is taken offline,
 /// `num_switch_actuations` switches toggle, MPPT re-settles) while the
 /// array would otherwise produce `output_power_w`, with the algorithm
-/// itself having taken `compute_time_s`.  Sensing, compute and the MPPT
-/// re-settle are paid on every actuation event even if the new
-/// configuration happens to repeat the old one (zero toggles) — the
-/// periodic schemes rebuild blindly.
+/// charged its declared `compute_budget_s` (core::AlgorithmCost).
+/// Sensing, compute and the MPPT re-settle are paid on every actuation
+/// event even if the new configuration happens to repeat the old one (zero
+/// toggles) — the periodic schemes rebuild blindly.
 OverheadCost reconfiguration_cost(const OverheadParams& params,
                                   std::size_t num_switch_actuations,
-                                  double output_power_w, double compute_time_s);
+                                  double output_power_w, double compute_budget_s);
 
 }  // namespace tegrec::switchfab

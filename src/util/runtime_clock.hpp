@@ -4,8 +4,9 @@
 // from *measured* wall-clock compute time, so simulated energies varied
 // run to run.  The fix split the two roles — deterministic
 // OverheadParams::compute_budget_s is what enters the physics, measured
-// time only ever feeds runtime *statistics* (Table I's "Average Runtime"
-// column).  tegrec_lint's `determinism` rule now enforces that split
+// time only ever feeds runtime *statistics* (the stream server's step
+// latency, predictor fit/predict timings, the Table I bench's runtime
+// row) and never a result, checkpoint or cache artifact.  tegrec_lint's `determinism` rule now enforces that split
 // mechanically: std::chrono clocks are banned in the simulation layers
 // (src/core, src/teg, src/sim, src/thermal, src/power, src/predict), and
 // runtime-stats measurement flows through this wrapper instead.  src/util

@@ -67,7 +67,6 @@ SteppedRun make_run(const StreamConfig& config, const thermal::TemperatureTrace&
 
 void expect_states_equal(const StepperState& a, const StepperState& b) {
   EXPECT_EQ(a.steps_consumed, b.steps_consumed);
-  EXPECT_EQ(a.total_compute_s, b.total_compute_s);
   EXPECT_EQ(a.has_fabric, b.has_fabric);
   EXPECT_EQ(a.fabric_group_starts, b.fabric_group_starts);
   EXPECT_EQ(a.battery_soc, b.battery_soc);
@@ -179,6 +178,31 @@ TEST(Checkpoint, TruncatedAndCorruptArtifactsAreLoud) {
   ASSERT_NE(pos, std::string::npos);
   inconsistent.replace(pos, 18, "steps_consumed = 6");
   EXPECT_THROW(decode_checkpoint(inconsistent, stamp), std::runtime_error);
+}
+
+// The magic carries kCheckpointSchemaVersion.  Version 1 files still hold
+// the measured-time fields version 2 dropped, so they fail at the magic
+// line with the documented error rather than somewhere in the head.
+TEST(Checkpoint, OlderSchemaVersionFailsAtTheMagic) {
+  const auto trace = test_trace();
+  const StreamConfig config = test_config(trace);
+  const std::string stamp = stream_config_fingerprint_text(config);
+  SteppedRun run = make_run(config, trace, 4);
+  std::string text = encode_checkpoint(run.stepper->state(), stamp);
+  const std::string magic =
+      "# tegrec-checkpoint v" + std::to_string(kCheckpointSchemaVersion) +
+      "\n";
+  ASSERT_EQ(kCheckpointSchemaVersion, 2);
+  ASSERT_EQ(text.compare(0, magic.size(), magic), 0);
+
+  text.replace(0, magic.size(), "# tegrec-checkpoint v1\n");
+  try {
+    decode_checkpoint(text, stamp);
+    FAIL() << "a v1 checkpoint decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
+  }
 }
 
 // A controller blob cut anywhere short of its end — its final newline
@@ -336,7 +360,7 @@ TEST(CheckpointEncoder, NanStepCellsStayEmpty) {
   StepperState state = run.stepper->state();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   state.partial.steps[2].overhead_energy_j = nan;
-  state.partial.steps.back().compute_time_s = nan;
+  state.partial.steps.back().overhead_energy_j = nan;
 
   CheckpointEncoder encoder;
   const std::string first = encoder.encode(state, stamp);
@@ -350,7 +374,7 @@ TEST(CheckpointEncoder, NanStepCellsStayEmpty) {
 
   const DecodedCheckpoint decoded = decode_checkpoint(first, stamp);
   EXPECT_TRUE(std::isnan(decoded.state.partial.steps[2].overhead_energy_j));
-  EXPECT_TRUE(std::isnan(decoded.state.partial.steps[7].compute_time_s));
+  EXPECT_TRUE(std::isnan(decoded.state.partial.steps[7].overhead_energy_j));
   EXPECT_EQ(decoded.state.partial.steps[2].net_power_w,
             state.partial.steps[2].net_power_w);
 }
@@ -410,7 +434,6 @@ TEST(CheckpointEncoder, ServerCheckpointEqualsFreshEncode) {
     ASSERT_EQ(a.switched, b.switched) << i;
     ASSERT_EQ(a.switch_actuations, b.switch_actuations) << i;
     ASSERT_EQ(a.overhead_energy_j, b.overhead_energy_j) << i;
-    ASSERT_EQ(a.compute_time_s, b.compute_time_s) << i;
   }
 }
 

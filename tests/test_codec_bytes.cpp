@@ -5,16 +5,19 @@
 // result-cache artifact per experiment kind, every controller's state
 // blob, the stream configuration stamp and the canonical text of every
 // example spec — and hashes it with the dual-basis FNV-1a the spec
-// fingerprints use (util::hash).  Measured wall time (per-step compute
-// time and the runtime averages derived from it) is zeroed first, so
-// every remaining byte is a pure function of the inputs.  The expected
+// fingerprints use (util::hash).  No artifact holds measured time, so
+// every byte is a pure function of the inputs, unscrubbed.  The expected
 // digests are literals recorded from the implementation before the codecs
 // were folded onto one field binder and one run-table reader, so any
 // change to a single byte of any artifact fails here.  The stamps, the
 // checkpoints and result artifacts that embed a stamp or fingerprint text,
 // and the example spec texts were re-recorded once since, when EHTR's
 // warm-start knobs became execution hints (spec schema v4); the only lines
-// that changed were the schema number and those two keys.
+// that changed were the schema number and those two keys.  The
+// checkpoints and the comparison artifact were re-recorded once more when
+// measured time left the library (checkpoint schema v2): the only lines
+// that changed were the checkpoint magic, the head's total_compute_s key
+// and the three run-table columns of measured time.
 //
 // To print the table for a deliberate, reviewed format change, run the
 // binary with TEGREC_PRINT_DIGESTS=1 and paste its output over kExpected.
@@ -46,22 +49,22 @@ const std::map<std::string, std::string> kExpected = {
     {"stamp.dnor", "fb33752405ea85f0b6b97925bb7310bf"},
     {"blob.fresh.dnor", "21011e2b52cc7a8ef673a9dc5f06cb3b"},
     {"blob.stepped.dnor", "99a3e510011555bbb65740fa7be605c8"},
-    {"checkpoint.dnor", "1fae260b16c768ed6f0910df08c1243e"},
+    {"checkpoint.dnor", "caec81b97a206b64783c0a2ba6c0ad93"},
     {"stamp.inor", "95fd0a3f5ced877ff0e64cf23ec8c130"},
     {"blob.fresh.inor", "ccf5686e33ad1e79eca0cbc6f6a83694"},
     {"blob.stepped.inor", "8c959465adf8101ca4d2acf4647bb0c7"},
-    {"checkpoint.inor", "7213d26e6af6271700a2527c382a5934"},
+    {"checkpoint.inor", "90bc4cf6d20b4faa4b8b7f44064c54e9"},
     {"stamp.ehtr", "ab593fccdb7d5514ed6376b84df255cf"},
     {"blob.fresh.ehtr", "1bf0709e25ee56eec0102eb10937deb3"},
     {"blob.stepped.ehtr", "5d5929f1e76a33fce8b29c7e23eb183b"},
-    {"checkpoint.ehtr", "a14d2540780890d5f260fddb4c205286"},
+    {"checkpoint.ehtr", "06221d50f75de1d28d9fa85cc93c336d"},
     {"stamp.baseline", "2242f57631cc1ba4b4de51f224822f93"},
     {"blob.fresh.baseline", "70cba7a041f8aff46161bc9a98a8468b"},
     {"blob.stepped.baseline", "70cf01a041fb7eb9615e5a9a98a56a2e"},
-    {"checkpoint.baseline", "e4f8cba57afb7f9acc086d48ac583add"},
+    {"checkpoint.baseline", "530ae5776788d2495db3698f56238ea6"},
     {"stamp.odd", "a4e2a50ef1f01959ea2e21931c122d0a"},
-    {"checkpoint.edge", "b961510ed6fec445be929861b57fcc02"},
-    {"result.comparison", "24b00f505e7519a9743df9a2c6906f3a"},
+    {"checkpoint.edge", "5295541a79819858beca359ac5f501b7"},
+    {"result.comparison", "855948254d8a80f7c8d3a2d47d8ac4dc"},
     {"result.montecarlo", "1eb986f36d29d0e317c915cf389dda86"},
     {"result.sweep", "7726c173d43669fc54778156cf432f41"},
     {"spec.boiler_batch", "dca971d077d81e7b1e3e57f93bf316d4"},
@@ -109,12 +112,6 @@ class Pins {
  private:
   std::vector<std::pair<std::string, std::string>> digests_;
 };
-
-void scrub_wall_time(SimulationResult& run) {
-  run.avg_runtime_ms = 0.0;
-  run.runtime_per_invocation_ms = 0.0;
-  for (StepRecord& s : run.steps) s.compute_time_s = 0.0;
-}
 
 thermal::TemperatureTrace stream_trace() {
   thermal::TraceGeneratorConfig config;
@@ -168,10 +165,8 @@ TEST(CodecBytes, CheckpointsControllerBlobsAndStamps) {
     log.push_back(R"({"event":"gap","detail":"a, b = c"})");
     pins.add("blob.stepped." + name, controller->checkpoint_state());
 
-    StepperState state = stepper.state();
-    state.total_compute_s = 0.0;
-    scrub_wall_time(state.partial);
-    pins.add("checkpoint." + name, encode_checkpoint(state, stamp, log));
+    pins.add("checkpoint." + name,
+             encode_checkpoint(stepper.state(), stamp, log));
   }
 
   // Non-default stamp fields and awkward doubles.  The warm-start knobs
@@ -188,7 +183,6 @@ TEST(CodecBytes, CheckpointsControllerBlobsAndStamps) {
   // A hand-built state: empty and edge-valued cells, no controller blob.
   StepperState edge;
   edge.steps_consumed = 3;
-  edge.total_compute_s = 0.0;
   edge.has_fabric = true;
   edge.fabric_group_starts = {0, 4, 9};
   edge.battery_soc = -0.0;
@@ -249,12 +243,43 @@ TEST(CodecBytes, ResultArtifacts) {
        {std::pair<const char*, const ExperimentSpec&>{"comparison", comparison},
         {"montecarlo", montecarlo},
         {"sweep", sweep}}) {
-    ExperimentResult result = run_experiment(spec);
-    for (SimulationResult& run : result.comparison.runs) scrub_wall_time(run);
     pins.add(std::string("result.") + name,
-             encode_result(result, spec.fingerprint_text()));
+             encode_result(run_experiment(spec), spec.fingerprint_text()));
   }
   pins.check();
+}
+
+// Results and checkpoints hold no measured time, so running the same spec
+// twice writes the same bytes, with nothing scrubbed: a batch result
+// artifact, and every scheme's mid-stream checkpoint at the same step.
+TEST(CodecBytes, RerunsAreByteIdentical) {
+  ExperimentSpec spec;
+  spec.kind = ExperimentKind::kComparison;
+  spec.trace.kind = TraceSource::Kind::kGenerated;
+  spec.trace.generator = tiny_config();
+  spec.comparison.sim.num_threads = 1;
+  EXPECT_EQ(encode_result(run_experiment(spec), spec.fingerprint_text()),
+            encode_result(run_experiment(spec), spec.fingerprint_text()));
+
+  const thermal::TemperatureTrace trace = stream_trace();
+  const std::size_t steps = std::min<std::size_t>(40, trace.num_steps());
+  for (const StreamScheme scheme : kSchemes) {
+    const StreamConfig config = stream_config(scheme, trace);
+    const std::string stamp = stream_config_fingerprint_text(config);
+    const auto checkpoint = [&] {
+      std::unique_ptr<core::Reconfigurer> controller =
+          make_stream_controller(config);
+      SimStepper stepper(*controller, config.dt_s, config.num_modules,
+                         config.sim);
+      for (std::size_t t = 0; t < steps; ++t) {
+        stepper.step(TraceSample{static_cast<double>(t) * trace.dt_s(),
+                                 trace.step_temperatures(t),
+                                 trace.ambient_c(t)});
+      }
+      return encode_checkpoint(stepper.state(), stamp);
+    };
+    EXPECT_EQ(checkpoint(), checkpoint()) << stream_scheme_name(scheme);
+  }
 }
 
 TEST(CodecBytes, ExampleSpecsCanonicalText) {

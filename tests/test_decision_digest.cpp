@@ -3,11 +3,11 @@
 //
 // Each case runs one scheme through a SimStepper over a shortened named
 // scenario and hashes (FNV-1a 64) the bit pattern of every StepRecord
-// field — compute_time_s excepted, it is wall time — plus the final group
-// starts.  The expected digests are literals recorded from the
-// implementation before the O(N) controller paths (in-place module ports,
-// galloping INOR, fused MLR normal equations) landed, so any change to a
-// decision, an actuation count or a single power bit fails here.  The EHTR
+// field plus the final group starts.  The expected digests are literals
+// recorded from the implementation before the O(N) controller paths
+// (in-place module ports, galloping INOR, fused MLR normal equations)
+// landed, so any change to a decision, an actuation count or a single
+// power bit fails here.  The EHTR
 // rows, 1,000 modules included, were recorded from the cold full-sweep
 // search, so a default that runs the certified warm search must reproduce
 // them bit for bit.

@@ -29,7 +29,8 @@ TEST(Results, Table1ContainsAllSchemesAndMetrics) {
   EXPECT_NE(out.find("Baseline"), std::string::npos);
   EXPECT_NE(out.find("Energy Output (J)"), std::string::npos);
   EXPECT_NE(out.find("Switch Overhead (J)"), std::string::npos);
-  EXPECT_NE(out.find("Average Runtime (ms)"), std::string::npos);
+  // Measured runtime is the Table I bench's to print, not the library's.
+  EXPECT_EQ(out.find("Runtime"), std::string::npos);
   // Baseline columns use "/" like the paper's table.
   EXPECT_NE(out.find("/"), std::string::npos);
 }

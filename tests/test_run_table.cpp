@@ -137,8 +137,6 @@ TEST(RunTable, SpecialDoublesRoundTrip) {
   run.algorithm = "probe";
   run.energy_output_j = specials[0];
   run.switch_overhead_j = specials[1];
-  run.avg_runtime_ms = specials[2];
-  run.runtime_per_invocation_ms = specials[3];
   run.ideal_energy_j = specials[4];
   run.battery_energy_j = specials[5];
   run.final_soc = specials[6];
@@ -149,7 +147,6 @@ TEST(RunTable, SpecialDoublesRoundTrip) {
     step.net_power_w = v;
     step.ideal_power_w = v;
     step.overhead_energy_j = v;
-    step.compute_time_s = v;
     run.steps.push_back(step);
   }
   std::string text;
@@ -164,9 +161,6 @@ TEST(RunTable, SpecialDoublesRoundTrip) {
     lines.finish();
     EXPECT_EQ(bits(back.energy_output_j), bits(run.energy_output_j));
     EXPECT_EQ(bits(back.switch_overhead_j), bits(run.switch_overhead_j));
-    EXPECT_EQ(bits(back.avg_runtime_ms), bits(run.avg_runtime_ms));
-    EXPECT_EQ(bits(back.runtime_per_invocation_ms),
-              bits(run.runtime_per_invocation_ms));
     EXPECT_EQ(bits(back.ideal_energy_j), bits(run.ideal_energy_j));
     EXPECT_TRUE(std::isnan(back.battery_energy_j));
     EXPECT_EQ(bits(back.final_soc), bits(run.final_soc));
@@ -179,10 +173,60 @@ TEST(RunTable, SpecialDoublesRoundTrip) {
       EXPECT_EQ(bits(b.net_power_w), bits(a.net_power_w)) << i;
       EXPECT_EQ(bits(b.ideal_power_w), bits(a.ideal_power_w)) << i;
       EXPECT_EQ(bits(b.overhead_energy_j), bits(a.overhead_energy_j)) << i;
-      EXPECT_EQ(bits(b.compute_time_s), bits(a.compute_time_s)) << i;
       EXPECT_EQ(std::isnan(b.time_s), std::isnan(a.time_s)) << i;
     }
   }
+}
+
+// Columns are looked up by name, so a table with columns this build no
+// longer writes still reads: result artifacts from before measured time
+// left the run tables (they carried avg_runtime_ms, runtime_per_
+// invocation_ms and compute_time_s) stay valid cache hits.
+TEST(RunTable, ExtraColumnsAreIgnored) {
+  SimulationResult run;
+  run.algorithm = "probe";
+  run.energy_output_j = 1.5;
+  run.num_invocations = 2;
+  for (int i = 0; i < 3; ++i) {
+    StepRecord step;
+    step.time_s = 0.5 * static_cast<double>(i);
+    step.net_power_w = 1.0 / 3.0;
+    step.invoked = i != 1;
+    run.steps.push_back(step);
+  }
+  std::string text;
+  append_run(text, run, "algorithm = ");
+
+  // Append a measured-time column to the header and rows of both tables.
+  std::string widened;
+  bool header_next = false;
+  std::size_t rows_left = 0;
+  for (std::size_t start = 0; start < text.size();) {
+    const std::size_t end = text.find('\n', start);
+    const std::string line = text.substr(start, end - start);
+    widened += line;
+    if (header_next) {
+      widened += ",compute_time_s";
+      header_next = false;
+    } else if (rows_left > 0) {
+      widened += ",0.000125";
+      --rows_left;
+    }
+    if (line.rfind("# table rows = ", 0) == 0) {
+      rows_left = std::stoul(line.substr(15));
+      header_next = true;
+    }
+    widened += '\n';
+    start = end + 1;
+  }
+  ASSERT_NE(widened, text);
+
+  util::LineReader lines(widened, "run table");
+  const SimulationResult back = read_run(lines, "algorithm = ");
+  lines.finish();
+  std::string again;
+  append_run(again, back, "algorithm = ");
+  EXPECT_EQ(again, text);
 }
 
 }  // namespace

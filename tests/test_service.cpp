@@ -68,11 +68,9 @@ ExperimentSpec sweep_spec() {
   return spec;
 }
 
-// Deterministic-field equality.  `include_timing` additionally compares the
-// measured wall-clock fields — valid only when both sides come from the
-// same execution (cache hits, disk round-trips), never across re-runs.
-void expect_runs_equal(const SimulationResult& a, const SimulationResult& b,
-                       bool include_timing) {
+// Field-by-field equality; every field is deterministic, so this holds
+// across re-runs as well as for cache hits and disk round-trips.
+void expect_runs_equal(const SimulationResult& a, const SimulationResult& b) {
   EXPECT_EQ(a.algorithm, b.algorithm);
   EXPECT_EQ(a.energy_output_j, b.energy_output_j);
   EXPECT_EQ(a.switch_overhead_j, b.switch_overhead_j);
@@ -92,25 +90,17 @@ void expect_runs_equal(const SimulationResult& a, const SimulationResult& b,
     EXPECT_EQ(a.steps[i].switched, b.steps[i].switched);
     EXPECT_EQ(a.steps[i].switch_actuations, b.steps[i].switch_actuations);
     EXPECT_EQ(a.steps[i].overhead_energy_j, b.steps[i].overhead_energy_j);
-    if (include_timing) {
-      EXPECT_EQ(a.steps[i].compute_time_s, b.steps[i].compute_time_s);
-    }
-  }
-  if (include_timing) {
-    EXPECT_EQ(a.avg_runtime_ms, b.avg_runtime_ms);
-    EXPECT_EQ(a.runtime_per_invocation_ms, b.runtime_per_invocation_ms);
   }
 }
 
-void expect_results_equal(const ExperimentResult& a, const ExperimentResult& b,
-                          bool include_timing) {
+void expect_results_equal(const ExperimentResult& a,
+                          const ExperimentResult& b) {
   ASSERT_EQ(a.kind, b.kind);
   switch (a.kind) {
     case ExperimentKind::kComparison: {
       ASSERT_EQ(a.comparison.runs.size(), b.comparison.runs.size());
       for (std::size_t i = 0; i < a.comparison.runs.size(); ++i) {
-        expect_runs_equal(a.comparison.runs[i], b.comparison.runs[i],
-                          include_timing);
+        expect_runs_equal(a.comparison.runs[i], b.comparison.runs[i]);
       }
       break;
     }
@@ -182,7 +172,7 @@ TEST(Service, ResultsMatchDirectAcrossWorkerCounts) {
       ExperimentService service(options);
       const auto result = service.submit(spec).wait();
       ASSERT_TRUE(result);
-      expect_results_equal(direct, *result, /*include_timing=*/false);
+      expect_results_equal(direct, *result);
     }
   }
 }
@@ -197,8 +187,7 @@ TEST(Service, BlockingWrappersMatchDirectEngines) {
   ComparisonResult wrapped = run_standard_comparison(trace, fast_comparison());
   ASSERT_EQ(direct.runs.size(), wrapped.runs.size());
   for (std::size_t i = 0; i < direct.runs.size(); ++i) {
-    expect_runs_equal(direct.runs[i], wrapped.runs[i],
-                      /*include_timing=*/false);
+    expect_runs_equal(direct.runs[i], wrapped.runs[i]);
   }
 
   MonteCarloOptions mc;
@@ -296,16 +285,15 @@ TEST(Service, DiskCacheRoundTripsBitIdentical) {
     EXPECT_EQ(service.disk_hits(), 0u);
   }
   // A fresh service (fresh memory cache) must load the artifact instead of
-  // re-simulating, and the decoded result must be bit-identical — the
-  // wall-clock fields included, because doubles round-trip exactly at
-  // kCsvExactPrecision.
+  // re-simulating, and the decoded result must be bit-identical, because
+  // doubles round-trip exactly at kCsvExactPrecision.
   ExperimentService service(options);
   const JobHandle job = service.submit(spec);
   const auto loaded = job.wait();
   EXPECT_EQ(service.executions(), 0u);
   EXPECT_EQ(service.disk_hits(), 1u);
   EXPECT_TRUE(job.from_cache());
-  expect_results_equal(*produced, *loaded, /*include_timing=*/true);
+  expect_results_equal(*produced, *loaded);
 }
 
 TEST(Service, DiskArtifactRoundTripsEveryKind) {
@@ -315,7 +303,7 @@ TEST(Service, DiskArtifactRoundTripsEveryKind) {
     const std::string text = encode_result(direct, spec.fingerprint_text());
     const auto decoded = decode_result(text, spec.fingerprint_text());
     ASSERT_TRUE(decoded.has_value());
-    expect_results_equal(direct, *decoded, /*include_timing=*/true);
+    expect_results_equal(direct, *decoded);
     // A payload for a different spec is a miss, never a wrong result.
     EXPECT_FALSE(
         decode_result(text, comparison_spec(99).fingerprint_text()).has_value());

@@ -101,8 +101,7 @@ void expect_bit_identical(const SimulationResult& a,
 }
 
 // The tentpole identity: batch == stepper, for every controller on every
-// scenario.  (avg_runtime_ms and compute_time_s are wall-clock statistics
-// and deliberately not part of the identity.)
+// scenario.
 TEST(Stepper, BatchEqualsStreamedForEveryScheme) {
   for (const auto& trace : test_traces()) {
     for (const std::string scheme : {"dnor", "inor", "ehtr", "baseline"}) {
@@ -176,16 +175,13 @@ TEST(Stepper, EmptyResultHasDocumentedPartialSemantics) {
   const SimulationResult empty = stepper.result();
   EXPECT_EQ(empty.steps.size(), 0u);
   EXPECT_EQ(empty.energy_output_j, 0.0);
-  EXPECT_EQ(empty.avg_runtime_ms, 0.0);           // documented: 0.0, not NaN
-  EXPECT_EQ(empty.runtime_per_invocation_ms, 0.0);
-  EXPECT_EQ(empty.mean_power_w(), 0.0);
+  EXPECT_EQ(empty.mean_power_w(), 0.0);  // documented: 0.0, not NaN
   EXPECT_EQ(empty.ratio_to_ideal(), 0.0);
   EXPECT_TRUE(stepper.current_group_starts().empty());
 }
 
 // Partial totals cover exactly the consumed prefix: feeding k of n steps
-// reproduces the first k steps of the full run, and avg_runtime_ms divides
-// by k, not n.
+// reproduces the first k steps of the full run.
 TEST(Stepper, PartialRunTotalsCoverConsumedPrefix) {
   const auto trace = urban_trace();
   SimulationOptions options;

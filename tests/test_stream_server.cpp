@@ -120,11 +120,8 @@ SingleRun run_single(const StreamConfig& config, const std::string& csv,
   return run;
 }
 
-/// The run as its exact-precision table, wall time zeroed.
-std::string run_text(SimulationResult run) {
-  run.avg_runtime_ms = 0.0;
-  run.runtime_per_invocation_ms = 0.0;
-  for (StepRecord& step : run.steps) step.compute_time_s = 0.0;
+/// The run as its exact-precision table.
+std::string run_text(const SimulationResult& run) {
   std::string out;
   append_run(out, run, "algorithm = ");
   return out;
@@ -308,16 +305,6 @@ ReferenceRun reference_run(const StreamConfig& config, const std::string& csv) {
   return run;
 }
 
-/// `state` with its measured controller time zeroed: the one part of a
-/// checkpoint that two runs of the same stream do not share.
-StepperState without_wall_time(StepperState state) {
-  state.total_compute_s = 0.0;
-  state.partial.avg_runtime_ms = 0.0;
-  state.partial.runtime_per_invocation_ms = 0.0;
-  for (StepRecord& step : state.partial.steps) step.compute_time_s = 0.0;
-  return state;
-}
-
 DecodedCheckpoint read_checkpoint(const std::string& path,
                                   const StreamConfig& config) {
   return decode_checkpoint(util::read_file_if_exists(path).value(),
@@ -395,10 +382,8 @@ TEST(StreamServer, CrashDuringABackgroundWriteKeepsThePreviousGeneration) {
   }
   const std::string stamp = stream_config_fingerprint_text(config);
   const DecodedCheckpoint on_disk = read_checkpoint(ckpt, config);
-  EXPECT_EQ(encode_checkpoint(without_wall_time(on_disk.state), stamp,
-                              on_disk.extra_lines),
-            encode_checkpoint(without_wall_time(reference.stepper->state()),
-                              stamp, prefix));
+  EXPECT_EQ(encode_checkpoint(on_disk.state, stamp, on_disk.extra_lines),
+            encode_checkpoint(reference.stepper->state(), stamp, prefix));
 
   const SingleRun after = run_single(config, csv, ckpt, /*resume=*/true);
   ASSERT_TRUE(after.report.error.empty()) << after.report.error;

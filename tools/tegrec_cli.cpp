@@ -432,7 +432,6 @@ util::json::Value result_json(const sim::ExperimentResult& result) {
             {"algorithm", run.algorithm},
             {"energy_output_j", json_num(run.energy_output_j)},
             {"switch_overhead_j", json_num(run.switch_overhead_j)},
-            {"avg_runtime_ms", json_num(run.avg_runtime_ms)},
             {"ratio_to_ideal", json_num(run.ratio_to_ideal())}});
       }
       return util::json::Object{{"runs", std::move(runs)}};

@@ -1,4 +1,4 @@
-// Ablation study of DNOR's design choices (DESIGN.md section 6):
+// Ablation study of DNOR's design choices:
 //   1. prediction lead tp (decision cadence tp+1),
 //   2. predictor choice inside DNOR (MLR vs BPNN vs SVR vs persistence),
 //   3. the converter-derived [nmin, nmax] window vs a naive full window,

@@ -11,7 +11,9 @@
 // The reproduction preserves the ordering and factors (DNOR ~100x lower
 // overhead than INOR/EHTR; EHTR runtime far above INOR/DNOR; DNOR ~+30%
 // over the baseline); absolute values differ because both the thermal
-// trace and the compute platform are substitutes (see EXPERIMENTS.md).
+// trace and the compute platform are substitutes.  The runtime row is a
+// wall-clock timing on this host (timed_reconfigurer.hpp): the simulated
+// results themselves hold no measured time.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -4,9 +4,11 @@
 // Library results, checkpoints and cache artifacts hold no measured time:
 // each is a pure function of (spec, input).  The paper's runtime
 // comparison is a timing on one host, so it is taken here instead, by a
-// decorator that forwards every call to the wrapped controller and times
-// the update() calls that report `invoked`.  Decisions pass through
-// untouched, so a timed run's SimulationResult equals an untimed one.
+// decorator that passes name(), update(), reset() and algorithm_cost()
+// through to the wrapped controller and times the update() calls that
+// report `invoked`.  Decisions pass through untouched, so a timed run's
+// SimulationResult equals an untimed one.  Checkpointing is not forwarded:
+// the benches never checkpoint.
 #pragma once
 
 #include <cstddef>

@@ -61,9 +61,9 @@ void BM_ConfigEvaluation(benchmark::State& state) {
 BENCHMARK(BM_ConfigEvaluation);
 
 void BM_SwitchFabricApply(benchmark::State& state) {
-  switchfab::SwitchNetwork net(kN);
   const teg::ArrayConfig a = teg::ArrayConfig::uniform(kN, 10);
   const teg::ArrayConfig b = teg::ArrayConfig::uniform(kN, 13);
+  switchfab::SwitchNetwork net(kN, teg::ArrayConfig::all_parallel(kN));
   bool flip = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.apply(flip ? a : b));

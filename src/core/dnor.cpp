@@ -6,6 +6,7 @@
 
 #include "core/objective.hpp"
 #include "core/state_codec.hpp"
+#include "switchfab/switch_network.hpp"
 
 namespace tegrec::core {
 
@@ -130,7 +131,7 @@ UpdateResult DnorReconfigurer::update(double time_s,
       const auto forecast = predictor_->predict_horizon(*history_, horizon);
       const auto [e_old, e_new] =
           predicted_energies_j(current_, c_new, temps_, forecast, ambient_c);
-      const std::size_t toggles = 3 * current_.boundary_distance(c_new);
+      const std::size_t toggles = switchfab::switch_actuations(current_, c_new);
       const double p_now = config_power_w(evaluator_, converter_, current_);
       // The estimate mirrors what the stepper would charge on actuation,
       // including this controller's own declared compute budget.

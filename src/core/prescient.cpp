@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/objective.hpp"
+#include "switchfab/switch_network.hpp"
 
 namespace tegrec::core {
 
@@ -59,7 +60,7 @@ UpdateResult PrescientReconfigurer::update(double time_s,
   bool adopt = true;
   if (has_config_ && c_new != current_) {
     const auto [e_old, e_new] = future_energies_j(current_, c_new, time_s);
-    const std::size_t toggles = 3 * current_.boundary_distance(c_new);
+    const std::size_t toggles = switchfab::switch_actuations(current_, c_new);
     const double p_now = config_power_w(evaluator, converter_, current_);
     // Mirrors the stepper's actuation charge, own compute budget included.
     const double e_overhead =

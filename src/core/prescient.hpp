@@ -1,13 +1,17 @@
 // Prescient (oracle) reconfiguration controller — an upper bound for DNOR.
 //
 // DNOR's switch-or-hold rule depends on forecast quality; this controller
-// runs the identical rule but reads the *actual* future temperatures from
-// the trace instead of predicting them.  The energy gap between
-// PrescientReconfigurer and DNOR-with-MLR is exactly the cost of imperfect
-// prediction, and the gap to INOR is the value of the switch-or-hold rule
-// itself.  Simulation-only by construction (no real controller can see the
-// future); lives in core so the ablation benches and tests can treat it as
-// just another Reconfigurer.
+// runs the same rule on the *actual* future temperatures read from the
+// trace instead of predicted ones.  It is not DNOR's rule exactly: at the
+// defaults it integrates (tp + 1) / dt = 6 trace steps where DNOR
+// integrates 1 + tp / period = 5 rows, it evaluates each step at that
+// step's own ambient where DNOR uses the current one, and it has no
+// warm-up where DNOR adopts every new config until its 30-row history
+// fills.  So its energy gap to DNOR-with-MLR is the cost of imperfect
+// prediction plus those differences, and the gap to INOR approximates the
+// value of the switch-or-hold rule itself.  Simulation-only by
+// construction (no real controller can see the future); lives in core so
+// the ablation benches and tests can treat it as just another Reconfigurer.
 #pragma once
 
 #include <utility>

@@ -57,7 +57,7 @@ TableBlock::TableBlock(util::LineReader& lines) : lines_(lines) {
   for (std::size_t r = 0; r < rows_; ++r) {
     std::size_t width = 0;
     util::for_each_field(lines.next(), ',', [&](std::string_view cell) {
-      cells_.push_back(util::parse_csv_cell(cell));
+      values_.push_back(util::parse_csv_cell(cell));
       ++width;
     });
     if (width != header_.size()) {

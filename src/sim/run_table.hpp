@@ -48,12 +48,12 @@ class TableBlock {
 
  private:
   double cell(std::size_t row, std::size_t col) const {
-    return cells_[row * header_.size() + col];
+    return values_[row * header_.size() + col];
   }
 
   const util::LineReader& lines_;
   std::vector<std::string_view> header_;
-  std::vector<double> cells_;
+  std::vector<double> values_;
   std::size_t rows_ = 0;
 };
 

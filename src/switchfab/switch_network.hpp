@@ -4,80 +4,50 @@
 // series switch S_S,i in the middle and two parallel switches S_PT,i /
 // S_PB,i on the top and bottom rails.  Exactly one connection type is
 // active per adjacency: series (S_S closed, both parallel open) or parallel
-// (both parallel closed, S_S open).  The network tracks the physical state,
-// applies ArrayConfigs, counts actuations, and rejects invalid states.
+// (both parallel closed, S_S open).  So the switch states are a function
+// of the wired ArrayConfig, which is all the network stores: adjacency
+// s-1 | s is series exactly when a group starts at module s.
 //
-// Reconfiguration is incremental: the wired configuration's series
-// boundaries are cached, so apply() finds the adjacencies whose connection
-// type flips by merging two sorted boundary lists — O(groups) — and
-// touches only those cells.  Per-actuation cost therefore
-// scales with the size of the change, not the module count; a 10k-module
-// fabric whose optimum drifts by two boundaries actuates 6 switches and
-// does O(groups) bookkeeping instead of an O(N) rebuild.
+// Moving between two configurations flips the adjacencies whose type
+// differs — ArrayConfig::boundary_distance, one O(groups) merge — and each
+// flip actuates all three of its switches.  A 10k-module fabric whose
+// optimum drifts by two boundaries therefore actuates 6 switches after
+// O(groups) work, not an O(N) rebuild.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "teg/config.hpp"
 
 namespace tegrec::switchfab {
 
-/// State of the three switches of one adjacency cell.
-struct SwitchCell {
-  bool series_closed = false;        ///< S_S,i
-  bool parallel_top_closed = true;   ///< S_PT,i
-  bool parallel_bottom_closed = true;///< S_PB,i
-
-  bool is_series() const { return series_closed; }
-  bool is_valid() const {
-    // Exactly one connection type: series XOR (both parallel).
-    const bool parallel = parallel_top_closed && parallel_bottom_closed;
-    const bool none_parallel = !parallel_top_closed && !parallel_bottom_closed;
-    return (series_closed && none_parallel) || (!series_closed && parallel);
-  }
-};
+/// Switch actuations that move the fabric from `from` to `to`: three per
+/// adjacency whose connection type flips.  The one place that cost lives;
+/// the fabric, DNOR's switch-or-hold rule and the prescient oracle all
+/// charge it.  Throws std::invalid_argument on differing module counts.
+std::size_t switch_actuations(const teg::ArrayConfig& from,
+                              const teg::ArrayConfig& to);
 
 class SwitchNetwork {
  public:
-  /// Initial state: the given configuration applied (default all-parallel).
-  explicit SwitchNetwork(std::size_t num_modules);
+  /// The fabric wired to `initial`, which must span `num_modules` modules
+  /// (std::invalid_argument otherwise).  Initial wiring is free.
   SwitchNetwork(std::size_t num_modules, const teg::ArrayConfig& initial);
 
-  std::size_t num_modules() const { return num_modules_; }
-  std::size_t num_cells() const { return cells_.size(); }
-  const SwitchCell& cell(std::size_t i) const;
+  std::size_t num_modules() const { return wired_.num_modules(); }
 
-  /// Applies a configuration; returns the number of individual switch
-  /// actuations performed (3 per adjacency whose type flips, so 3 *
-  /// boundary_distance).  Merges the wired and target series-boundary
-  /// lists in O(groups) and flips only the changed cells, without
-  /// allocating.  Throws std::invalid_argument on a config sized for a
-  /// different module count.
+  /// Rewires to `config` and returns the switch actuations it took
+  /// (switch_actuations(current_config(), config)).  Throws
+  /// std::invalid_argument, wiring nothing, on a config sized for a
+  /// different module count.  Allocates nothing once the wired buffer has
+  /// grown to the largest group count seen.
   std::size_t apply(const teg::ArrayConfig& config);
 
-  /// Recovers the ArrayConfig corresponding to the current switch state
-  /// (O(groups) — served from the cached boundary list).
-  teg::ArrayConfig current_config() const;
-
-  /// Lifetime actuation counter (wear tracking).
-  std::size_t total_actuations() const { return total_actuations_; }
-  /// Number of apply() calls that changed at least one switch.
-  std::size_t reconfiguration_events() const { return events_; }
-
-  /// All cells valid (every adjacency has exactly one connection type).
-  bool is_valid() const;
+  /// The wired configuration.
+  const teg::ArrayConfig& current_config() const { return wired_; }
 
  private:
-  std::size_t num_modules_ = 0;
-  std::vector<SwitchCell> cells_;
-  /// Group starts of the wired configuration — the cached mirror of
-  /// cells_ that makes apply() and current_config() O(groups).
-  std::vector<std::size_t> starts_;
-  std::size_t total_actuations_ = 0;
-  std::size_t events_ = 0;
-
-  void set_cell(std::size_t i, bool series);
+  teg::ArrayConfig wired_;
 };
 
 }  // namespace tegrec::switchfab

@@ -1,6 +1,6 @@
 #include "teg/config.hpp"
 
-#include <algorithm>
+#include <utility>
 #include <stdexcept>
 
 namespace tegrec::teg {
@@ -31,9 +31,9 @@ ArrayConfig ArrayConfig::uniform(std::size_t num_modules, std::size_t num_groups
   for (std::size_t j = 0; j < num_groups; ++j) {
     starts.push_back(j * num_modules / num_groups);
   }
-  // Integer division can duplicate starts when num_groups ~ num_modules;
-  // dedupe to keep the invariant (the resulting config may have fewer groups).
-  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+  // For num_groups <= num_modules the starts j*N/n strictly increase:
+  // consecutive ones differ by at least floor(N/n) >= 1, so the config
+  // always has exactly num_groups groups.
   return ArrayConfig(std::move(starts), num_modules);
 }
 
@@ -57,22 +57,30 @@ std::size_t ArrayConfig::group_end(std::size_t j) const {
   return j + 1 < starts_.size() ? starts_[j + 1] : num_modules_;
 }
 
-bool ArrayConfig::is_series_boundary(std::size_t i) const {
-  if (i + 1 >= num_modules_) {
-    throw std::out_of_range("ArrayConfig::is_series_boundary");
-  }
-  return std::binary_search(starts_.begin(), starts_.end(), i + 1);
-}
-
 std::size_t ArrayConfig::boundary_distance(const ArrayConfig& other) const {
   if (num_modules_ != other.num_modules_) {
     throw std::invalid_argument("boundary_distance: module count mismatch");
   }
-  std::size_t diff = 0;
-  for (std::size_t i = 0; i + 1 < num_modules_; ++i) {
-    if (is_series_boundary(i) != other.is_series_boundary(i)) ++diff;
+  // Both start lists are strictly increasing, so one merge counts the
+  // starts they share (the leading 0 included); every other start is a
+  // series boundary only one side has.
+  const std::vector<std::size_t>& a = starts_;
+  const std::vector<std::size_t>& b = other.starts_;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::size_t shared = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++shared;
+      ++i;
+      ++j;
+    }
   }
-  return diff;
+  return a.size() + b.size() - 2 * shared;
 }
 
 }  // namespace tegrec::teg

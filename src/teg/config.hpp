@@ -36,13 +36,12 @@ class ArrayConfig {
   /// One-past-last module index of group j.
   std::size_t group_end(std::size_t j) const;
 
-  /// True if the adjacency between modules i and i+1 is a series boundary
-  /// (the S_S,i switch closed); false means parallel (S_PT/S_PB closed).
-  bool is_series_boundary(std::size_t i) const;
-
-  /// Number of adjacencies whose connection type differs from `other`
-  /// (same num_modules required).  Each differing adjacency re-actuates all
-  /// three switches of that cell in the fabric.
+  /// Number of adjacencies whose connection type (series or parallel)
+  /// differs from `other`'s.  The series adjacencies are the non-zero
+  /// group starts, so this is the size of the symmetric difference of the
+  /// two start lists, found by one merge in O(groups of both), not O(N).
+  /// Throws std::invalid_argument when the module counts differ; two
+  /// default-constructed (empty) configs are 0 apart.
   std::size_t boundary_distance(const ArrayConfig& other) const;
 
   bool operator==(const ArrayConfig& other) const = default;

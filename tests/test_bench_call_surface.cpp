@@ -9,11 +9,14 @@
 //   ehtr_search(array, conv, 1, kDivideAndConquer, max_groups, warm, &stats)
 //                                            -> ehtr_search(ports, ...)
 //   array.module_mpp_currents()              -> ports[i].mpp_current_a()
+//   make_unique<SwitchNetwork>(n, config), fabric->apply(config)
+//                                            -> switch_actuations(from, to)
 //   ArrayEvaluator::simd_available()         -> printed as a host fact only
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "core/inor.hpp"
 #include "core/objective.hpp"
 #include "power/converter.hpp"
+#include "switchfab/switch_network.hpp"
 #include "teg/array.hpp"
 #include "teg/array_evaluator.hpp"
 #include "teg/config.hpp"
@@ -89,6 +93,29 @@ TEST(BenchCallSurface, PerfbenchReplayShapesMatchThePortSpanApi) {
     ASSERT_EQ(impp.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(bits(impp[i]), bits(ports[i].mpp_current_a())) << i;
+    }
+  }
+}
+
+TEST(BenchCallSurface, PerfbenchFabricShapesCountSwitchActuations) {
+  // The layer replay wires the first config for free, then applies every
+  // later one through the same unique_ptr and sums what apply returns.
+  util::Rng rng(22);
+  for (std::size_t n : {1u, 9u, 64u, 300u}) {
+    SCOPED_TRACE("N " + std::to_string(n));
+    std::unique_ptr<switchfab::SwitchNetwork> fabric;
+    teg::ArrayConfig wired;
+    for (int step = 0; step < 20; ++step) {
+      const teg::ArrayConfig chosen = teg::ArrayConfig::uniform(
+          n, 1 + static_cast<std::size_t>(rng.uniform(0.0, 1.0) * (n - 1)));
+      if (!fabric) {
+        fabric = std::make_unique<switchfab::SwitchNetwork>(n, chosen);
+      } else {
+        const std::size_t flipped = fabric->apply(chosen);
+        EXPECT_EQ(flipped, switchfab::switch_actuations(wired, chosen));
+      }
+      wired = chosen;
+      EXPECT_EQ(fabric->current_config(), chosen);
     }
   }
 }

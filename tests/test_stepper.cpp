@@ -126,6 +126,34 @@ TEST(Stepper, BatchEqualsStreamedForEveryScheme) {
   }
 }
 
+// A one-module array has no adjacency and so no switch: every scheme runs,
+// batch and stream agree bit for bit, and nothing is ever actuated.
+TEST(Stepper, OneModuleArrayRunsEverySchemeWithoutActuations) {
+  thermal::TraceGeneratorConfig config;
+  config.layout.num_modules = 1;
+  config.segments = {{thermal::DriveSegment::Kind::kUrban, 30.0, 32.0, 0.0}};
+  config.seed = 5;
+  const thermal::TemperatureTrace trace = thermal::generate_trace(config);
+  ASSERT_EQ(trace.num_modules(), 1u);
+  for (const std::string scheme : {"dnor", "inor", "ehtr", "baseline"}) {
+    SCOPED_TRACE(scheme);
+    SimulationOptions options;
+    options.num_threads = 1;
+    const auto batch_controller = make_controller(scheme, 1);
+    const SimulationResult batch =
+        run_simulation(*batch_controller, trace, options);
+
+    const auto stream_controller = make_controller(scheme, 1);
+    SimStepper stepper(*stream_controller, trace.dt_s(), 1, options);
+    for (std::size_t t = 0; t < trace.num_steps(); ++t) {
+      stepper.step(sample_at(trace, t));
+    }
+    expect_bit_identical(batch, stepper.result());
+    EXPECT_EQ(batch.total_switch_actuations, 0u);
+    EXPECT_EQ(stepper.current_group_starts(), std::vector<std::size_t>{0});
+  }
+}
+
 // Checkpoint-cycle identity: snapshot mid-run, restore into a *fresh*
 // controller + stepper, finish both runs — the interrupted run's result
 // must be bit-identical to the uninterrupted one.

@@ -1,7 +1,7 @@
 #include "teg/config.hpp"
 
-#include <utility>
 #include <stdexcept>
+#include <utility>
 
 namespace tegrec::teg {
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "teg/config.hpp"
@@ -47,7 +48,7 @@ inline teg::ArrayConfig random_config(util::Rng& rng, std::size_t num_modules,
   for (std::size_t i = 1; i < num_modules; ++i) {
     if (rng.bernoulli(boundary_density)) starts.push_back(i);
   }
-  return teg::ArrayConfig(starts, num_modules);
+  return teg::ArrayConfig(std::move(starts), num_modules);
 }
 
 }  // namespace tegrec::oracle

@@ -6,34 +6,27 @@
 
 #include "core/objective.hpp"
 #include "core/state_codec.hpp"
-#include "switchfab/switch_network.hpp"
 
 namespace tegrec::core {
 
 namespace {
 
-/// DNOR's checkpoint blob: decision clock, held configuration, counters
-/// and the predictor's temperature history, one line per row.
+/// DNOR's checkpoint blob: the held decision and the predictor's
+/// temperature history, one line per row.
 struct DnorState {
-  double next_decision_time_s = 0.0;
-  detail::HeldConfig held;
-  std::size_t decisions = 0;
-  std::size_t switches = 0;
+  Held held;
   bool has_history = false;
   std::size_t history_modules = 0;
   std::size_t history_capacity = 0;
   std::vector<std::vector<double>> history_rows;
 };
 
-static_assert(util::field_count<DnorState>() == 8,
+static_assert(util::field_count<DnorState>() == 5,
               "bind(FieldIo&, DnorState&): DnorState gained or lost a field; "
               "bind it, then update this count");
 
 void bind(util::FieldIo& io, DnorState& s) {
-  io.field("next_decision_time_s", s.next_decision_time_s);
   bind(io, s.held);
-  io.field("decisions", s.decisions);
-  io.field("switches", s.switches);
   io.field("has_history", s.has_history);
   if (!s.has_history) return;
   io.field("history_modules", s.history_modules);
@@ -108,66 +101,35 @@ UpdateResult DnorReconfigurer::update(double time_s,
   }
   history_->push(temps_);
 
-  UpdateResult result;
-  if (has_config_ && time_s + 1e-9 < next_decision_time_s_) {
-    result.config = current_;
-    return result;  // hold between decisions
-  }
+  if (held_.holding(time_s)) return held_.hold();  // between decisions
 
   teg::module_ports(device_, delta_t_k, ambient_c, ports_);
   evaluator_.assign(ports_);
   teg::ArrayConfig c_new =
       inor_search(ports_, evaluator_, converter_, params_.inor, inor_scratch_);
-  ++decisions_;
 
+  // Adopting an unchanged configuration neither switches nor actuates.
+  // Without enough history the controller stays instantaneous (warmup).
   bool adopt = true;
-  if (has_config_ && c_new != current_) {
-    const auto horizon = static_cast<std::size_t>(
-        std::llround(params_.tp_s / params_.control_period_s));
-    const bool can_predict =
-        history_->size() >= params_.history_window && horizon > 0;
-    if (can_predict) {
-      predictor_->fit(*history_);
-      const auto forecast = predictor_->predict_horizon(*history_, horizon);
-      const auto [e_old, e_new] =
-          predicted_energies_j(current_, c_new, temps_, forecast, ambient_c);
-      const std::size_t toggles = switchfab::switch_actuations(current_, c_new);
-      const double p_now = config_power_w(evaluator_, converter_, current_);
-      // The estimate mirrors what the stepper would charge on actuation,
-      // including this controller's own declared compute budget.
-      const double e_overhead =
-          switchfab::reconfiguration_cost(
-              params_.overhead, toggles, p_now,
-              algorithm_cost().budget_s(params_.overhead))
-              .energy_j;
-      // Algorithm 2's rule: switch only if E_old <= E_new - E_overhead.
-      adopt = e_old <= e_new - e_overhead;
-    }
-    // Without enough history the controller stays instantaneous (warmup).
-  } else if (has_config_) {
-    adopt = false;  // identical configuration: nothing to actuate
+  const auto horizon = static_cast<std::size_t>(
+      std::llround(params_.tp_s / params_.control_period_s));
+  if (held_.has_config && c_new != held_.config &&
+      history_->size() >= params_.history_window && horizon > 0) {
+    predictor_->fit(*history_);
+    const auto forecast = predictor_->predict_horizon(*history_, horizon);
+    const auto [e_old, e_new] =
+        predicted_energies_j(held_.config, c_new, temps_, forecast, ambient_c);
+    adopt = switch_pays(params_.overhead, algorithm_cost(), held_.config, c_new,
+                        config_power_w(evaluator_, converter_, held_.config),
+                        e_old, e_new);
   }
-
-  result.invoked = true;
-  if (adopt) {
-    result.switched = !has_config_ || c_new != current_;
-    result.actuate = result.switched;  // actuate only on a real change
-    current_ = std::move(c_new);
-    has_config_ = true;
-    if (result.switched) ++switches_;
-  }
-  next_decision_time_s_ = time_s + params_.tp_s + 1.0;
-  result.config = current_;
-  return result;
+  return held_.decide(std::move(c_new), adopt, /*always_actuate=*/false,
+                      time_s + params_.tp_s + 1.0);
 }
 
 void DnorReconfigurer::reset() {
   history_.reset();
-  next_decision_time_s_ = 0.0;
-  has_config_ = false;
-  current_ = teg::ArrayConfig();
-  decisions_ = 0;
-  switches_ = 0;
+  held_ = Held();
 }
 
 bool DnorReconfigurer::supports_checkpoint() const {
@@ -181,10 +143,7 @@ std::string DnorReconfigurer::checkpoint_state() const {
         predictor_->name() + ")");
   }
   DnorState s;
-  s.next_decision_time_s = next_decision_time_s_;
-  s.held = {has_config_, current_.group_starts(), current_.num_modules()};
-  s.decisions = decisions_;
-  s.switches = switches_;
+  s.held = held_;
   s.has_history = history_ != nullptr;
   if (history_) {
     s.history_modules = history_->num_modules();
@@ -193,7 +152,7 @@ std::string DnorReconfigurer::checkpoint_state() const {
       s.history_rows.push_back(history_->row(r));
     }
   }
-  return detail::encode_state("dnor-v1", s);
+  return detail::encode_state("dnor-v2", s);
 }
 
 void DnorReconfigurer::restore_checkpoint_state(const std::string& state) {
@@ -202,7 +161,7 @@ void DnorReconfigurer::restore_checkpoint_state(const std::string& state) {
         "DNOR: checkpointing unsupported over an impure-refit predictor (" +
         predictor_->name() + ")");
   }
-  const DnorState s = detail::decode_state<DnorState>("dnor-v1", state);
+  DnorState s = detail::decode_state<DnorState>("dnor-v2", state);
   std::unique_ptr<predict::TemperatureHistory> history;
   if (s.has_history) {
     history = std::make_unique<predict::TemperatureHistory>(
@@ -214,13 +173,8 @@ void DnorReconfigurer::restore_checkpoint_state(const std::string& state) {
       history->push(row);
     }
   }
-  teg::ArrayConfig config = s.held.config();
   // Commit only once everything parsed, so a bad blob never half-applies.
-  next_decision_time_s_ = s.next_decision_time_s;
-  has_config_ = s.held.has_config;
-  current_ = std::move(config);
-  decisions_ = s.decisions;
-  switches_ = s.switches;
+  held_ = std::move(s.held);
   history_ = std::move(history);
 }
 

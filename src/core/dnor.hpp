@@ -10,7 +10,11 @@
 //   4. actuates only if  E_old <= E_new - E_overhead,
 // so a configuration survives until the predicted loss of keeping it
 // exceeds the cost of switching — cutting actuation energy by ~100x while
-// keeping output within a few percent of INOR's (Table I).
+// keeping output within a few percent of INOR's (Table I).  Step 4 is
+// core::switch_pays, the one copy of the rule, which the prescient oracle
+// shares.  Each UpdateResult reports whether a decision ran (`invoked`)
+// and whether it switched; the stepper sums those into num_invocations and
+// num_switch_events.
 #pragma once
 
 #include <memory>
@@ -58,10 +62,6 @@ class DnorReconfigurer final : public Reconfigurer {
   std::string checkpoint_state() const override;
   void restore_checkpoint_state(const std::string& state) override;
 
-  /// Decision counters (exposed for the experiment harnesses).
-  std::size_t decisions_made() const { return decisions_; }
-  std::size_t switches_taken() const { return switches_; }
-
  private:
   teg::DeviceParams device_;
   power::Converter converter_;
@@ -69,11 +69,7 @@ class DnorReconfigurer final : public Reconfigurer {
   std::unique_ptr<predict::Predictor> predictor_;
   std::unique_ptr<predict::TemperatureHistory> history_;
 
-  double next_decision_time_s_ = 0.0;
-  bool has_config_ = false;
-  teg::ArrayConfig current_;
-  std::size_t decisions_ = 0;
-  std::size_t switches_ = 0;
+  Held held_;
 
   // Per-step scratch, reused across steps; never checkpointed.
   std::vector<double> temps_;              ///< sensed hot-side temperatures

@@ -422,52 +422,31 @@ EhtrReconfigurer::EhtrReconfigurer(const teg::DeviceParams& device,
 UpdateResult EhtrReconfigurer::update(double time_s,
                                       const std::vector<double>& delta_t_k,
                                       double ambient_c) {
-  UpdateResult result;
-  if (has_config_ && time_s + 1e-9 < next_run_time_s_) {
-    result.config = current_;
-    return result;
-  }
+  if (held_.holding(time_s)) return held_.hold();
   teg::module_ports(device_, delta_t_k, ambient_c, ports_);
   EhtrWarmStart warm;
   warm.enabled = warm_start_;
-  warm.incumbent_groups = has_config_ ? current_.num_groups() : 0;
+  warm.incumbent_groups = held_.has_config ? held_.config.num_groups() : 0;
   warm.width = warm_width_;
-  teg::ArrayConfig next = ehtr_search(ports_, converter_, num_threads_,
-                                      PartitionDp::kDivideAndConquer,
-                                      max_groups_, warm, scratch_);
-  result.invoked = true;
-  result.switched = !has_config_ || next != current_;
-  result.actuate = true;  // periodic scheme: rebuild on every invocation
-  current_ = std::move(next);
-  has_config_ = true;
-  next_run_time_s_ = time_s + period_s_;
-  result.config = current_;
-  return result;
+  return held_.decide(ehtr_search(ports_, converter_, num_threads_,
+                                  PartitionDp::kDivideAndConquer, max_groups_,
+                                  warm, scratch_),
+                      /*adopt=*/true, /*always_actuate=*/true,
+                      time_s + period_s_);
 }
 
-void EhtrReconfigurer::reset() {
-  has_config_ = false;
-  next_run_time_s_ = 0.0;
-  current_ = teg::ArrayConfig();
-}
+void EhtrReconfigurer::reset() { held_ = Held(); }
 
 AlgorithmCost EhtrReconfigurer::algorithm_cost() const {
   return AlgorithmCost::ehtr();
 }
 
 std::string EhtrReconfigurer::checkpoint_state() const {
-  return detail::encode_state(
-      "ehtr-v1", detail::PeriodicState{next_run_time_s_,
-                                   {has_config_, current_.group_starts(),
-                                    current_.num_modules()}});
+  return detail::encode_state("ehtr-v1", held_);
 }
 
 void EhtrReconfigurer::restore_checkpoint_state(const std::string& state) {
-  const auto s = detail::decode_state<detail::PeriodicState>("ehtr-v1", state);
-  teg::ArrayConfig config = s.held.config();
-  next_run_time_s_ = s.next_run_time_s;
-  has_config_ = s.held.has_config;
-  current_ = std::move(config);
+  held_ = detail::decode_state<Held>("ehtr-v1", state);
 }
 
 }  // namespace tegrec::core

@@ -299,9 +299,7 @@ class EhtrReconfigurer final : public Reconfigurer {
   std::size_t max_groups_;
   bool warm_start_;
   std::size_t warm_width_;
-  double next_run_time_s_ = 0.0;
-  bool has_config_ = false;
-  teg::ArrayConfig current_;
+  Held held_;
   // Per-invocation port snapshot and search buffers, reused across steps;
   // never checkpointed.
   std::vector<teg::LinearSource> ports_;

@@ -194,44 +194,22 @@ InorReconfigurer::InorReconfigurer(const teg::DeviceParams& device,
 UpdateResult InorReconfigurer::update(double time_s,
                                       const std::vector<double>& delta_t_k,
                                       double ambient_c) {
-  UpdateResult result;
-  if (has_config_ && time_s + 1e-9 < next_run_time_s_) {
-    result.config = current_;
-    return result;  // between periods: hold
-  }
+  if (held_.holding(time_s)) return held_.hold();  // between periods
   teg::module_ports(device_, delta_t_k, ambient_c, ports_);
   evaluator_.assign(ports_);
-  teg::ArrayConfig next =
-      inor_search(ports_, evaluator_, converter_, options_, scratch_);
-  result.invoked = true;
-  result.switched = !has_config_ || next != current_;
-  result.actuate = true;  // periodic scheme: rebuild on every invocation
-  current_ = std::move(next);
-  has_config_ = true;
-  next_run_time_s_ = time_s + period_s_;
-  result.config = current_;
-  return result;
+  return held_.decide(
+      inor_search(ports_, evaluator_, converter_, options_, scratch_),
+      /*adopt=*/true, /*always_actuate=*/true, time_s + period_s_);
 }
 
-void InorReconfigurer::reset() {
-  has_config_ = false;
-  next_run_time_s_ = 0.0;
-  current_ = teg::ArrayConfig();
-}
+void InorReconfigurer::reset() { held_ = Held(); }
 
 std::string InorReconfigurer::checkpoint_state() const {
-  return detail::encode_state(
-      "inor-v1", detail::PeriodicState{next_run_time_s_,
-                                   {has_config_, current_.group_starts(),
-                                    current_.num_modules()}});
+  return detail::encode_state("inor-v1", held_);
 }
 
 void InorReconfigurer::restore_checkpoint_state(const std::string& state) {
-  const auto s = detail::decode_state<detail::PeriodicState>("inor-v1", state);
-  teg::ArrayConfig config = s.held.config();
-  next_run_time_s_ = s.next_run_time_s;
-  has_config_ = s.held.has_config;
-  current_ = std::move(config);
+  held_ = detail::decode_state<Held>("inor-v1", state);
 }
 
 }  // namespace tegrec::core

@@ -101,9 +101,7 @@ class InorReconfigurer final : public Reconfigurer {
   power::Converter converter_;
   double period_s_;
   InorOptions options_;
-  double next_run_time_s_ = 0.0;
-  bool has_config_ = false;
-  teg::ArrayConfig current_;
+  Held held_;
   // Per-invocation scratch, reused across steps; never checkpointed.
   std::vector<teg::LinearSource> ports_;
   teg::ArrayEvaluator evaluator_;

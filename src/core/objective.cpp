@@ -1,5 +1,7 @@
 #include "core/objective.hpp"
 
+#include "switchfab/switch_network.hpp"
+
 namespace tegrec::core {
 
 double config_power_w(const teg::ArrayEvaluator& evaluator,
@@ -16,6 +18,18 @@ power::Converter::GroupRange group_count_window(
   for (const teg::LinearSource& m : ports) mean_vmpp += m.mpp_voltage_v();
   mean_vmpp /= static_cast<double>(ports.size());
   return converter.efficient_group_range(mean_vmpp, ports.size());
+}
+
+bool switch_pays(const switchfab::OverheadParams& overhead,
+                 const AlgorithmCost& cost, const teg::ArrayConfig& held,
+                 const teg::ArrayConfig& next, double p_now_w, double e_old_j,
+                 double e_new_j) {
+  const double e_overhead_j =
+      switchfab::reconfiguration_cost(overhead,
+                                      switchfab::switch_actuations(held, next),
+                                      p_now_w, cost.budget_s(overhead))
+          .energy_j;
+  return e_old_j <= e_new_j - e_overhead_j;
 }
 
 }  // namespace tegrec::core

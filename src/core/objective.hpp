@@ -13,6 +13,7 @@
 
 #include <span>
 
+#include "core/algorithm_cost.hpp"
 #include "power/converter.hpp"
 #include "power/mppt.hpp"
 #include "teg/array_evaluator.hpp"
@@ -33,5 +34,15 @@ double config_power_w(const teg::ArrayEvaluator& evaluator,
 /// (Section III.B / V.A).
 power::Converter::GroupRange group_count_window(
     std::span<const teg::LinearSource> ports, const power::Converter& converter);
+
+/// Algorithm 2's switch-or-hold rule: moving from `held` to `next` pays
+/// when E_old <= E_new - E_overhead, with E_overhead charged as the stepper
+/// charges an actuation: the toggled switches, the output `p_now_w` lost
+/// while the array is offline, and the controller's declared compute
+/// budget `cost`.
+bool switch_pays(const switchfab::OverheadParams& overhead,
+                 const AlgorithmCost& cost, const teg::ArrayConfig& held,
+                 const teg::ArrayConfig& next, double p_now_w, double e_old_j,
+                 double e_new_j);
 
 }  // namespace tegrec::core

@@ -1,10 +1,9 @@
 #include "core/prescient.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/objective.hpp"
-#include "switchfab/switch_network.hpp"
 
 namespace tegrec::core {
 
@@ -22,7 +21,7 @@ PrescientReconfigurer::PrescientReconfigurer(
 
 std::pair<double, double> PrescientReconfigurer::future_energies_j(
     const teg::ArrayConfig& c_old, const teg::ArrayConfig& c_new,
-    double from_time_s) const {
+    double from_time_s) {
   // True output energies over [from, from + tp + 1) read straight from the
   // trace — the quantities DNOR can only estimate.
   const double dt = trace_->dt_s();
@@ -34,11 +33,11 @@ std::pair<double, double> PrescientReconfigurer::future_energies_j(
   for (std::size_t k = 0; k < steps; ++k) {
     const std::size_t t = first + k;
     if (t >= trace_->num_steps()) break;
-    const teg::TegArray array(device_, trace_->step_delta_t(t),
-                              trace_->ambient_c(t));
-    const teg::ArrayEvaluator evaluator(array);
-    e_old += config_power_w(evaluator, converter_, c_old) * dt;
-    e_new += config_power_w(evaluator, converter_, c_new) * dt;
+    teg::module_ports(device_, trace_->step_delta_t(t), trace_->ambient_c(t),
+                      row_ports_);
+    row_evaluator_.assign(row_ports_);
+    e_old += config_power_w(row_evaluator_, converter_, c_old) * dt;
+    e_new += config_power_w(row_evaluator_, converter_, c_new) * dt;
   }
   return {e_old, e_new};
 }
@@ -46,51 +45,22 @@ std::pair<double, double> PrescientReconfigurer::future_energies_j(
 UpdateResult PrescientReconfigurer::update(double time_s,
                                            const std::vector<double>& delta_t_k,
                                            double ambient_c) {
-  UpdateResult result;
-  if (has_config_ && time_s + 1e-9 < next_decision_time_s_) {
-    result.config = current_;
-    return result;
-  }
-  const teg::TegArray array(device_, delta_t_k, ambient_c);
-  const teg::ArrayEvaluator evaluator(array);
-  InorScratch scratch;
+  if (held_.holding(time_s)) return held_.hold();
+  teg::module_ports(device_, delta_t_k, ambient_c, ports_);
+  evaluator_.assign(ports_);
   teg::ArrayConfig c_new =
-      inor_search(array, evaluator, converter_, params_.inor, scratch);
-
-  bool adopt = true;
-  if (has_config_ && c_new != current_) {
-    const auto [e_old, e_new] = future_energies_j(current_, c_new, time_s);
-    const std::size_t toggles = switchfab::switch_actuations(current_, c_new);
-    const double p_now = config_power_w(evaluator, converter_, current_);
-    // Mirrors the stepper's actuation charge, own compute budget included.
-    const double e_overhead =
-        switchfab::reconfiguration_cost(
-            params_.overhead, toggles, p_now,
-            algorithm_cost().budget_s(params_.overhead))
-            .energy_j;
-    adopt = e_old <= e_new - e_overhead;  // Algorithm 2's rule, oracle inputs
-  } else if (has_config_) {
-    adopt = false;
+      inor_search(ports_, evaluator_, converter_, params_.inor, scratch_);
+  bool adopt = true;  // Algorithm 2's rule, on oracle inputs
+  if (held_.has_config && c_new != held_.config) {
+    const auto [e_old, e_new] = future_energies_j(held_.config, c_new, time_s);
+    adopt = switch_pays(params_.overhead, algorithm_cost(), held_.config, c_new,
+                        config_power_w(evaluator_, converter_, held_.config),
+                        e_old, e_new);
   }
-
-  result.invoked = true;
-  if (adopt) {
-    result.switched = !has_config_ || c_new != current_;
-    result.actuate = result.switched;
-    current_ = std::move(c_new);
-    has_config_ = true;
-    if (result.switched) ++switches_;
-  }
-  next_decision_time_s_ = time_s + params_.tp_s + 1.0;
-  result.config = current_;
-  return result;
+  return held_.decide(std::move(c_new), adopt, /*always_actuate=*/false,
+                      time_s + params_.tp_s + 1.0);
 }
 
-void PrescientReconfigurer::reset() {
-  next_decision_time_s_ = 0.0;
-  has_config_ = false;
-  current_ = teg::ArrayConfig();
-  switches_ = 0;
-}
+void PrescientReconfigurer::reset() { held_ = Held(); }
 
 }  // namespace tegrec::core

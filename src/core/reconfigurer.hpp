@@ -9,8 +9,11 @@
 // controller's state, so results, checkpoints and cache artifacts are too.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm_cost.hpp"
@@ -27,6 +30,47 @@ struct UpdateResult {
   /// "switching at every time point" — even when the configuration happens
   /// to repeat; DNOR actuates only when its prediction rule says to.
   bool actuate = false;
+};
+
+/// A controller's decision between runs: when the next run is due and the
+/// configuration in force.  One type, so the cadence test and the adopt
+/// bookkeeping are written once.
+struct Held {
+  double next_run_time_s = 0.0;
+  bool has_config = false;
+  teg::ArrayConfig config;  ///< empty until one is held
+
+  /// True while a config is held and `time_s` is short of the due time.
+  /// The slack covers the rounding between last run + period and the
+  /// caller's clock: 8 ulps of the due time, at least 1e-9 s (one ulp
+  /// exceeds 1e-9 s from 2^24 s, about 194 days, on).
+  bool holding(double time_s) const {
+    const double ulp =
+        std::nextafter(next_run_time_s, HUGE_VAL) - next_run_time_s;
+    return has_config && time_s + std::max(1e-9, 8.0 * ulp) < next_run_time_s;
+  }
+
+  /// The result of a period spent holding.
+  UpdateResult hold() const { return {config}; }
+
+  /// Records a run that chose `next`, due again at `next_due_s`.  Adopted,
+  /// `next` is held and switched when it differs; it actuates when it
+  /// switched or `always_actuate` (a periodic rebuild).  Rejected, the held
+  /// configuration stays.
+  UpdateResult decide(teg::ArrayConfig next, bool adopt, bool always_actuate,
+                      double next_due_s) {
+    UpdateResult result;
+    result.invoked = true;
+    if (adopt) {
+      result.switched = !has_config || next != config;
+      result.actuate = always_actuate || result.switched;
+      config = std::move(next);
+      has_config = true;
+    }
+    next_run_time_s = next_due_s;
+    result.config = config;
+    return result;
+  }
 };
 
 class Reconfigurer {

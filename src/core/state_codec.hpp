@@ -17,9 +17,10 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "teg/config.hpp"
+#include "core/reconfigurer.hpp"
 #include "util/field_io.hpp"
 
 namespace tegrec::core::detail {
@@ -51,51 +52,33 @@ State decode_state(std::string_view version, const std::string& text) {
   return state;
 }
 
-/// The configuration a controller holds, as its blob spells it.
-struct HeldConfig {
-  bool has_config = false;
-  std::vector<std::size_t> starts;
-  std::size_t modules = 0;
-
-  /// The held configuration (the empty one when none is held).  Throws
-  /// std::runtime_error when the starts do not describe a configuration.
-  teg::ArrayConfig config() const {
-    if (!has_config) return {};
-    try {
-      return teg::ArrayConfig(starts, modules);
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error(
-          std::string("controller state blob: bad held configuration: ") +
-          e.what());
-    }
-  }
-};
-
-static_assert(util::field_count<HeldConfig>() == 3,
-              "bind(FieldIo&, HeldConfig&): HeldConfig gained or lost a field; "
-              "bind it, then update this count");
-
-inline void bind(util::FieldIo& io, HeldConfig& c) {
-  io.field("has_config", c.has_config);
-  io.field("config_starts", c.starts);
-  io.field("config_modules", c.modules);
-}
-
-/// The periodic controllers (INOR, EHTR): the next scheduled run and the
-/// held configuration.  One struct keeps their blobs structurally
-/// identical, told apart by the version tag.
-struct PeriodicState {
-  double next_run_time_s = 0.0;
-  HeldConfig held;
-};
-
-static_assert(util::field_count<PeriodicState>() == 2,
-              "bind(FieldIo&, PeriodicState&): PeriodicState gained or lost a "
-              "field; bind it, then update this count");
-
-inline void bind(util::FieldIo& io, PeriodicState& s) {
-  io.field("next_run_time_s", s.next_run_time_s);
-  bind(io, s.held);
-}
-
 }  // namespace tegrec::core::detail
+
+namespace tegrec::core {
+
+static_assert(util::field_count<Held>() == 3,
+              "bind(FieldIo&, Held&): Held gained or lost a field; bind it, "
+              "then update this count");
+
+/// A controller's held decision, as every blob spells it.  The periodic
+/// controllers' blobs are this alone, told apart by the version tag.
+/// Parsing throws std::runtime_error when the starts do not describe a
+/// configuration.
+inline void bind(util::FieldIo& io, Held& h) {
+  io.field("next_run_time_s", h.next_run_time_s);
+  io.field("has_config", h.has_config);
+  std::vector<std::size_t> starts = h.config.group_starts();
+  std::size_t modules = h.config.num_modules();
+  io.field("config_starts", starts);
+  io.field("config_modules", modules);
+  if (!io.parsing() || !h.has_config) return;
+  try {
+    h.config = teg::ArrayConfig(std::move(starts), modules);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(
+        std::string("controller state blob: bad held configuration: ") +
+        e.what());
+  }
+}
+
+}  // namespace tegrec::core

@@ -4,7 +4,7 @@
 // module_ports() is the one dT -> ports path: it validates the device once
 // and writes each module's port into a caller-owned buffer, which the
 // controllers and the stepper reuse every step.  TegArray is an owned
-// snapshot of the same ports for one-shot callers (Prescient, benches,
+// snapshot of the same ports for one-shot callers (the bank, benches,
 // examples, tests); it is a contiguous range of LinearSource, so it
 // converts to the std::span<const LinearSource> every search, the window
 // helper and teg::ArrayEvaluator take.  TegArray also provides P_ideal

@@ -17,7 +17,12 @@
 // checkpoints and the comparison artifact were re-recorded once more when
 // measured time left the library (checkpoint schema v2): the only lines
 // that changed were the checkpoint magic, the head's total_compute_s key
-// and the three run-table columns of measured time.
+// and the three run-table columns of measured time.  The DNOR blob and
+// checkpoint were re-recorded once more when DNOR's blob moved to the
+// periodic controllers' held-decision binding (tag dnor-v2): the only
+// lines that changed were the tag, the clock's key (next_decision_time_s
+// became next_run_time_s), the dropped decisions and switches counters,
+// and the checkpoint's controller line count.
 //
 // To print the table for a deliberate, reviewed format change, run the
 // binary with TEGREC_PRINT_DIGESTS=1 and paste its output over kExpected.
@@ -47,9 +52,9 @@ namespace {
 // clang-format off
 const std::map<std::string, std::string> kExpected = {
     {"stamp.dnor", "fb33752405ea85f0b6b97925bb7310bf"},
-    {"blob.fresh.dnor", "21011e2b52cc7a8ef673a9dc5f06cb3b"},
-    {"blob.stepped.dnor", "99a3e510011555bbb65740fa7be605c8"},
-    {"checkpoint.dnor", "caec81b97a206b64783c0a2ba6c0ad93"},
+    {"blob.fresh.dnor", "7041f6b351478991041d02dc5844a4e0"},
+    {"blob.stepped.dnor", "22e26169d394cc05f8132f700a3fd018"},
+    {"checkpoint.dnor", "9449be4fe98af94974da0c4b2dcf07dc"},
     {"stamp.inor", "95fd0a3f5ced877ff0e64cf23ec8c130"},
     {"blob.fresh.inor", "ccf5686e33ad1e79eca0cbc6f6a83694"},
     {"blob.stepped.inor", "8c959465adf8101ca4d2acf4647bb0c7"},

@@ -23,6 +23,17 @@ std::vector<double> profile(double entrance_dt, std::size_t n = 20) {
   return out;
 }
 
+/// Decisions and switches, counted from the results the controller returns
+/// (the stepper's num_invocations and num_switch_events).
+struct Tally {
+  std::size_t decisions = 0;
+  std::size_t switches = 0;
+  void add(const UpdateResult& r) {
+    decisions += r.invoked ? 1 : 0;
+    switches += r.switched ? 1 : 0;
+  }
+};
+
 DnorParams fast_params() {
   DnorParams p;
   p.control_period_s = 0.5;
@@ -58,35 +69,39 @@ TEST(Dnor, StaticTemperaturesNeverReswitch) {
   // not actuate after installation.
   DnorReconfigurer rec(kDev, kConv, fast_params());
   const auto dts = profile(32.0);
-  rec.update(0.0, dts, 25.0);
+  Tally tally;
+  tally.add(rec.update(0.0, dts, 25.0));
   for (double t = 0.5; t < 30.0; t += 0.5) {
     const UpdateResult r = rec.update(t, dts, 25.0);
+    tally.add(r);
     EXPECT_FALSE(r.actuate) << "t=" << t;
   }
-  EXPECT_EQ(rec.switches_taken(), 1u);  // installation only
-  EXPECT_GT(rec.decisions_made(), 5u);
+  EXPECT_EQ(tally.switches, 1u);  // installation only
+  EXPECT_GT(tally.decisions, 5u);
 }
 
 TEST(Dnor, LargeStepChangeForcesSwitch) {
   // Halving every temperature reshapes the optimal grouping: once history
   // reflects the new regime the predicted gain must exceed the overhead.
   DnorReconfigurer rec(kDev, kConv, fast_params());
+  Tally tally;
   double t = 0.0;
-  for (; t < 6.0; t += 0.5) rec.update(t, profile(34.0), 25.0);
-  const std::size_t before = rec.switches_taken();
-  for (; t < 20.0; t += 0.5) rec.update(t, profile(12.0), 25.0);
-  EXPECT_GT(rec.switches_taken(), before);
+  for (; t < 6.0; t += 0.5) tally.add(rec.update(t, profile(34.0), 25.0));
+  const std::size_t before = tally.switches;
+  for (; t < 20.0; t += 0.5) tally.add(rec.update(t, profile(12.0), 25.0));
+  EXPECT_GT(tally.switches, before);
 }
 
 TEST(Dnor, SwitchCountFarBelowDecisionCount) {
   // Slow drift: DNOR should decide often but actuate rarely (the 100x
   // overhead-reduction mechanism).
   DnorReconfigurer rec(kDev, kConv, fast_params());
+  Tally tally;
   for (double t = 0.0; t < 120.0; t += 0.5) {
-    rec.update(t, profile(30.0 + 0.5 * std::sin(0.05 * t)), 25.0);
+    tally.add(rec.update(t, profile(30.0 + 0.5 * std::sin(0.05 * t)), 25.0));
   }
-  EXPECT_GT(rec.decisions_made(), 30u);
-  EXPECT_LT(rec.switches_taken(), rec.decisions_made() / 3);
+  EXPECT_GT(tally.decisions, 30u);
+  EXPECT_LT(tally.switches, tally.decisions / 3);
 }
 
 TEST(Dnor, WorksWithBpnnPredictor) {
@@ -111,13 +126,15 @@ TEST(Dnor, WorksWithSvrPredictor) {
   }
 }
 
-TEST(Dnor, ResetClearsCounters) {
+TEST(Dnor, ResetReinstalls) {
   DnorReconfigurer rec(kDev, kConv, fast_params());
   for (double t = 0.0; t < 10.0; t += 0.5) rec.update(t, profile(30.0), 25.0);
   rec.reset();
-  EXPECT_EQ(rec.decisions_made(), 0u);
-  EXPECT_EQ(rec.switches_taken(), 0u);
-  EXPECT_TRUE(rec.update(0.0, profile(30.0), 25.0).invoked);
+  // A reset controller holds nothing: its first update installs afresh.
+  const UpdateResult r = rec.update(0.0, profile(30.0), 25.0);
+  EXPECT_TRUE(r.invoked);
+  EXPECT_TRUE(r.switched);
+  EXPECT_TRUE(r.actuate);
 }
 
 // Writers never emit an empty list field, so a stray comma in a state blob
@@ -154,6 +171,30 @@ TEST(Dnor, StateBlobRejectsEmptyListFields) {
   EXPECT_EQ(restored.checkpoint_state(), blob);  // nothing half-applied
 }
 
+// The blob's tag guards its format: a blob from before the counters left
+// (tag dnor-v1, clock named next_decision_time_s) is refused by name.
+TEST(Dnor, StateBlobRejectsTheV1Format) {
+  DnorReconfigurer rec(kDev, kConv, fast_params());
+  for (double t = 0.0; t < 5.0; t += 0.5) rec.update(t, profile(30.0), 25.0);
+  std::string v1 = rec.checkpoint_state();
+  const auto swap = [&](const std::string& from, const std::string& to) {
+    const std::size_t at = v1.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    v1.replace(at, from.size(), to);
+  };
+  swap("state = dnor-v2\n", "state = dnor-v1\n");
+  swap("next_run_time_s = ", "next_decision_time_s = ");
+  swap("has_history = ", "decisions = 1\nswitches = 1\nhas_history = ");
+  DnorReconfigurer target(kDev, kConv, fast_params());
+  try {
+    target.restore_checkpoint_state(v1);
+    FAIL() << "a dnor-v1 blob restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("dnor-v2"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Dnor, ParameterValidation) {
   DnorParams p = fast_params();
   p.control_period_s = 0.0;
@@ -177,12 +218,14 @@ TEST(Dnor, HigherOverheadMeansFewerSwitches) {
 
   DnorReconfigurer rec_cheap(kDev, kConv, cheap);
   DnorReconfigurer rec_costly(kDev, kConv, costly);
+  Tally tally_cheap;
+  Tally tally_costly;
   for (double t = 0.0; t < 100.0; t += 0.5) {
     const auto dts = profile(30.0 + 1.5 * std::sin(0.08 * t));
-    rec_cheap.update(t, dts, 25.0);
-    rec_costly.update(t, dts, 25.0);
+    tally_cheap.add(rec_cheap.update(t, dts, 25.0));
+    tally_costly.add(rec_costly.update(t, dts, 25.0));
   }
-  EXPECT_LE(rec_costly.switches_taken(), rec_cheap.switches_taken());
+  EXPECT_LE(tally_costly.switches, tally_cheap.switches);
 }
 
 }  // namespace

@@ -202,6 +202,46 @@ TEST(InorReconfigurer, ResetForgetsState) {
   EXPECT_TRUE(r.invoked);
 }
 
+// The period test's slack must grow with the clock: from 2^24 s (about 194
+// days) on, one ulp of the clock exceeds a fixed 1e-9 s, and a due time of
+// last run + period can then round past the next sample k * dt.  Sampled
+// on the stepper's grid, every due run runs and none runs early.
+TEST(InorReconfigurer, RunsEveryDuePeriodLateInTheClock) {
+  const std::vector<double> dts = decaying_delta_t(20, 35.0, 8.0);
+  const auto mistimed = [&](double dt_s, double period_s, std::size_t every) {
+    InorReconfigurer rec(kDev, kConv, period_s);
+    const auto first = static_cast<std::size_t>(std::ldexp(1.0, 24) / dt_s);
+    std::size_t wrong = 0;
+    for (std::size_t k = 0; k < 400; ++k) {
+      const double t = static_cast<double>(first + k) * dt_s;
+      wrong += rec.update(t, dts, 25.0).invoked != (k % every == 0) ? 1 : 0;
+    }
+    return wrong;
+  };
+  EXPECT_EQ(mistimed(0.1, 0.1, 1), 0u);
+  EXPECT_EQ(mistimed(0.2, 0.6, 3), 0u);
+  EXPECT_EQ(mistimed(0.5, 0.5, 1), 0u);
+}
+
+// Group starts that describe no configuration are corruption: the restore
+// throws the documented std::runtime_error and applies nothing.
+TEST(InorReconfigurer, StateBlobRejectsABadHeldConfiguration) {
+  InorReconfigurer rec(kDev, kConv, 0.5);
+  rec.update(0.0, decaying_delta_t(20, 35.0, 8.0), 25.0);
+  const std::string blob = rec.checkpoint_state();
+  const std::string good = "\nconfig_starts = 0,";
+  const std::size_t at = blob.find(good);
+  ASSERT_NE(at, std::string::npos);
+  std::string bad = blob;
+  bad.replace(at, good.size(), "\nconfig_starts = 1,");  // must start at 0
+  InorReconfigurer target(kDev, kConv, 0.5);
+  const std::string before = target.checkpoint_state();
+  EXPECT_THROW(target.restore_checkpoint_state(bad), std::runtime_error);
+  EXPECT_EQ(target.checkpoint_state(), before);
+  target.restore_checkpoint_state(blob);
+  EXPECT_EQ(target.checkpoint_state(), blob);
+}
+
 TEST(InorReconfigurer, BadPeriodThrows) {
   EXPECT_THROW(InorReconfigurer(kDev, kConv, 0.0), std::invalid_argument);
 }

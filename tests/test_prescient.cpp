@@ -48,11 +48,16 @@ TEST(Prescient, StaticTemperaturesNeverReswitch) {
   std::vector<double> temps{60, 56, 52, 48, 45, 42, 39, 37, 35, 33};
   for (int t = 0; t < 60; ++t) frozen.append(temps, 25.0);
   PrescientReconfigurer oracle(kDev, kConv, frozen);
+  std::size_t switches = 0;
   for (std::size_t t = 0; t < frozen.num_steps(); ++t) {
-    oracle.update(0.5 * static_cast<double>(t), frozen.step_delta_t(t),
-                  frozen.ambient_c(t));
+    switches += oracle
+                    .update(0.5 * static_cast<double>(t),
+                            frozen.step_delta_t(t), frozen.ambient_c(t))
+                    .switched
+                    ? 1
+                    : 0;
   }
-  EXPECT_EQ(oracle.switches_taken(), 1u);  // installation only
+  EXPECT_EQ(switches, 1u);  // installation only
 }
 
 TEST(Prescient, AtLeastAsGoodAsDnorOnEnergy) {
@@ -81,8 +86,12 @@ TEST(Prescient, ResetClearsState) {
   PrescientReconfigurer oracle(kDev, kConv, trace);
   oracle.update(0.0, trace.step_delta_t(0), trace.ambient_c(0));
   oracle.reset();
-  EXPECT_EQ(oracle.switches_taken(), 0u);
-  EXPECT_TRUE(oracle.update(0.0, trace.step_delta_t(0), trace.ambient_c(0)).invoked);
+  // A reset oracle holds nothing: its first update installs afresh.
+  const UpdateResult r =
+      oracle.update(0.0, trace.step_delta_t(0), trace.ambient_c(0));
+  EXPECT_TRUE(r.invoked);
+  EXPECT_TRUE(r.switched);
+  EXPECT_TRUE(r.actuate);
 }
 
 }  // namespace

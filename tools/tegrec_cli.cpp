@@ -262,16 +262,16 @@ int cmd_simulate(const FlagMap& flags) {
   spec.comparison.sim.ehtr_max_groups =
       flag_size(flags, "max-groups", spec.comparison.sim.ehtr_max_groups);
   if (flags.count("scheme")) {  // only an explicit flag overrides the spec
+    // `stream`'s scheme names plus "all", so a bad name fails the same way.
     const std::string& scheme = flags.at("scheme");
-    spec.comparison.include_dnor = scheme == "dnor" || scheme == "all";
-    spec.comparison.include_inor = scheme == "inor" || scheme == "all";
-    spec.comparison.include_ehtr = scheme == "ehtr" || scheme == "all";
-    spec.comparison.include_baseline = scheme == "baseline" || scheme == "all";
-    if (!spec.comparison.include_dnor && !spec.comparison.include_inor &&
-        !spec.comparison.include_ehtr && !spec.comparison.include_baseline) {
-      std::fprintf(stderr, "unknown scheme '%s'\n", scheme.c_str());
-      return 1;
-    }
+    const bool all = scheme == "all";
+    const sim::StreamScheme one =
+        all ? sim::StreamScheme::kDnor : sim::parse_stream_scheme(scheme);
+    spec.comparison.include_dnor = all || one == sim::StreamScheme::kDnor;
+    spec.comparison.include_inor = all || one == sim::StreamScheme::kInor;
+    spec.comparison.include_ehtr = all || one == sim::StreamScheme::kEhtr;
+    spec.comparison.include_baseline =
+        all || one == sim::StreamScheme::kBaseline;
   }
 
   sim::ExperimentService service(service_options(flags, /*num_workers=*/1));

@@ -50,12 +50,10 @@ TEST(Prescient, StaticTemperaturesNeverReswitch) {
   PrescientReconfigurer oracle(kDev, kConv, frozen);
   std::size_t switches = 0;
   for (std::size_t t = 0; t < frozen.num_steps(); ++t) {
-    switches += oracle
-                    .update(0.5 * static_cast<double>(t),
-                            frozen.step_delta_t(t), frozen.ambient_c(t))
-                    .switched
-                    ? 1
-                    : 0;
+    const UpdateResult r = oracle.update(0.5 * static_cast<double>(t),
+                                         frozen.step_delta_t(t),
+                                         frozen.ambient_c(t));
+    if (r.switched) ++switches;
   }
   EXPECT_EQ(switches, 1u);  // installation only
 }
